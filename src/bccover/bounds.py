@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .chordal import clique_tree
+from .chordal import complement_clique_tree
 from .cover import CoverMetadata, cover_cochordal
 from .errors import BudgetExceededError, NotChordalError
 from .graph import Graph
@@ -36,6 +36,7 @@ from .oracle import (
     exact_chromatic,
     exact_clique_number,
     exact_max_matching,
+    greedy_coloring,
 )
 from .ranking import ceil_log2
 
@@ -43,11 +44,11 @@ from .ranking import ceil_log2
 def maximal_clique_count_complement(g, budget=None):
     """mc of the complement: via its clique tree when chordal, else by
     enumeration within the budget."""
-    gc = g.complement()
     try:
-        return clique_tree(gc).node_count
+        return complement_clique_tree(g).node_count
     except NotChordalError:
-        return len(enumerate_maximal_cliques(gc, budget or DEFAULT_VALUE_BUDGET))
+        budget = budget or DEFAULT_VALUE_BUDGET
+        return len(enumerate_maximal_cliques(g.complement(), budget))
 
 
 def lb_log_mc(g, budget=None):
@@ -59,16 +60,7 @@ def lb_log_mc(g, budget=None):
 
 def greedy_coloring_bound(g):
     """Largest-first greedy coloring; an upper bound on the chromatic number."""
-    if g.n == 0:
-        return 0
-    colors = [0] * g.n
-    for v in sorted(range(g.n), key=lambda v: -g.degree(v)):
-        taken = {colors[u] for u in g.neighborhood(v) if colors[u]}
-        c = 1
-        while c in taken:
-            c += 1
-        colors[v] = c
-    return max(colors)
+    return max(greedy_coloring(g), default=0)
 
 
 def lb_log_chi(g, budget=None):
@@ -184,11 +176,14 @@ def bp_bc_window(g, bc_value=None, bp_value=None):
 
     ``bp_upper`` is mc(complement) - 1, sharpened to 2**bc - 1 when the exact
     cover number is supplied.  With a known partition number the implied
-    cover lower bound ceil(log2(bp + 1)) is returned and checked against
-    ``bc_value`` when both are present.
+    cover lower bound ceil(log2(bp + 1)) is returned; :func:`full_report`
+    flags a report whose exact bc falls below it.  Raises
+    :class:`NotChordalError` when the complement is not chordal.
     """
-    gc = g.complement()
-    mc = clique_tree(gc).node_count  # raises NotChordalError otherwise
+    return _window(complement_clique_tree(g).node_count, bc_value, bp_value)
+
+
+def _window(mc, bc_value, bp_value):
     bp_upper = max(0, mc - 1)
     context = None
     if bc_value is not None:
@@ -197,8 +192,6 @@ def bp_bc_window(g, bc_value=None, bp_value=None):
     bc_lower = None
     if bp_value is not None:
         bc_lower = ceil_log2(bp_value + 1)
-        if bc_value is not None:
-            assert bc_value >= bc_lower
     return BpBcWindow(bp_upper, bc_lower, context)
 
 
@@ -252,17 +245,39 @@ class BoundReport:
 def full_report(g, value_budget=None, search_budget=None, run_oracle=True,
                 ranking_mode="auto"):
     """Compute every applicable bound for ``g``; failures of individual
-    members leave their fields unset instead of aborting the report."""
+    members leave their fields unset instead of aborting the report.
+
+    The cover pipeline runs first: on a co-chordal graph its metadata
+    supplies mc(complement) for the log-mc bound, the mc - 1 bound and the
+    bp window.  Otherwise mc(complement) comes from enumerating the
+    complement's maximal cliques within ``value_budget``.
+    """
     value_budget = value_budget or DEFAULT_VALUE_BUDGET
     search_budget = search_budget or DEFAULT_SEARCH_BUDGET
     report = BoundReport(n=g.n, m=g.m)
 
     mc = None
+    meta = None
     try:
-        mc = maximal_clique_count_complement(g, value_budget)
+        cover, meta = cover_cochordal(g, ranking_mode=ranking_mode)
+        mc = meta.mc_complement
+        report.cover = cover
+        report.cover_meta = meta
+        report.cover_size = len(cover)
+        report.ub_mc_minus_one = BoundEntry(max(0, mc - 1), "exact")
+        if len(cover) <= meta.ranking_r or meta.ranking_r == 0:
+            tag = "exact"
+        else:
+            tag = "conditional"  # ranking did not bound this instance
+        if meta.ranking_r or not g.m:
+            report.ub_edge_ranking = BoundEntry(meta.ranking_r, tag)
+    except NotChordalError:
+        try:
+            mc = len(enumerate_maximal_cliques(g.complement(), value_budget))
+        except BudgetExceededError:
+            pass
+    if mc is not None:
         report.lb_log_mc = BoundEntry(ceil_log2(mc) if g.n else 0, "exact")
-    except BudgetExceededError:
-        pass
 
     try:
         value, certified = lb_log_chi(g, value_budget)
@@ -283,23 +298,6 @@ def full_report(g, value_budget=None, search_budget=None, run_oracle=True,
     except BudgetExceededError:
         pass
 
-    cochordal = False
-    try:
-        cover, meta = cover_cochordal(g, ranking_mode=ranking_mode)
-        cochordal = True
-        report.cover = cover
-        report.cover_meta = meta
-        report.cover_size = len(cover)
-        report.ub_mc_minus_one = BoundEntry(max(0, meta.mc_complement - 1), "exact")
-        if len(cover) <= meta.ranking_r or meta.ranking_r == 0:
-            tag = "exact"
-        else:
-            tag = "conditional"  # ranking did not bound this instance
-        if meta.ranking_r or not g.m:
-            report.ub_edge_ranking = BoundEntry(meta.ranking_r, tag)
-    except NotChordalError:
-        pass
-
     if run_oracle:
         try:
             report.oracle_bc = exact_bc(g, search_budget)
@@ -307,22 +305,26 @@ def full_report(g, value_budget=None, search_budget=None, run_oracle=True,
         except BudgetExceededError:
             pass
 
-    if cochordal:
-        bc_value = None
-        if report.oracle_bc is not None and report.oracle_bc.exact:
-            bc_value = report.oracle_bc.value
+    bc_value = None
+    if report.oracle_bc is not None and report.oracle_bc.exact:
+        bc_value = report.oracle_bc.value
+    if meta is not None:
         bp_value = None
         if report.oracle_bp is not None and report.oracle_bp.exact:
             bp_value = report.oracle_bp.value
-        report.bp_window = bp_bc_window(g, bc_value=bc_value, bp_value=bp_value)
+        report.bp_window = _window(mc, bc_value, bp_value)
+        implied = report.bp_window.bc_lower_from_bp
+        if not meta.verified or (
+            bc_value is not None and implied is not None and implied > bc_value
+        ):
+            report.inconsistent = True
 
     lowers = report.certified_lower_bounds()
     uppers = report.certified_upper_bounds()
     if lowers and uppers and max(lowers) > min(uppers):
         report.inconsistent = True
-    if report.oracle_bc is not None and report.oracle_bc.exact:
-        bc = report.oracle_bc.value
-        if (lowers and max(lowers) > bc) or (uppers and min(uppers) < bc):
+    if bc_value is not None:
+        if (lowers and max(lowers) > bc_value) or (uppers and min(uppers) < bc_value):
             report.inconsistent = True
     return report
 

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import NotChordalError
-from .graph import connected_components
+from .graph import connected_components, find_root
 
 
 @dataclass(frozen=True)
@@ -182,26 +182,19 @@ def verify_clique_tree(g, tree):
 
     # forest structure: acyclic, one tree per component of g
     parent = list(range(d))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for i, j in tree.edges:
-        ri, rj = find(i), find(j)
+        ri, rj = find_root(parent, i), find_root(parent, j)
         if ri == rj:
             return False  # cycle
         parent[ri] = rj
-    tree_roots = {find(i) for i in range(d)}
+    tree_roots = {find_root(parent, i) for i in range(d)}
     comps = connected_components(g)
     if len(tree_roots) != len(comps):
         return False
     comp_sets = {frozenset(c) for c in comps}
     by_root = {}
     for i in range(d):
-        by_root.setdefault(find(i), set()).update(nodes[i])
+        by_root.setdefault(find_root(parent, i), set()).update(nodes[i])
     if {frozenset(s) for s in by_root.values()} != comp_sets:
         return False
 
@@ -253,6 +246,29 @@ def verify_clique_tree(g, tree):
     return True
 
 
+def complement_clique_tree(g):
+    """Clique tree (or forest) of the complement of ``g``.
+
+    Raises :class:`NotChordalError` when the complement is not chordal.
+    """
+    try:
+        return clique_tree(g.complement())
+    except NotChordalError as exc:
+        raise NotChordalError(
+            "complement is not chordal: %s" % exc, position=exc.position
+        ) from exc
+
+
+def clique_membership_counts(tree, n):
+    """Per-vertex count of the nodes of ``tree`` containing it, for vertices
+    0..n-1.  Returns ``(counts, all_le_two)``."""
+    counts = [0] * n
+    for k in tree.nodes:
+        for v in k:
+            counts[v] += 1
+    return tuple(counts), all(c <= 2 for c in counts)
+
+
 def mis_membership_counts(g):
     """Per-vertex count of maximal independent sets of ``g`` containing it.
 
@@ -261,18 +277,7 @@ def mis_membership_counts(g):
     every vertex lies in at most two maximal independent sets.  Raises
     :class:`NotChordalError` when the complement is not chordal.
     """
-    gc = g.complement()
-    try:
-        tree = clique_tree(gc)
-    except NotChordalError as exc:
-        raise NotChordalError(
-            "complement is not chordal: %s" % exc, position=exc.position
-        ) from exc
-    counts = [0] * g.n
-    for k in tree.nodes:
-        for v in k:
-            counts[v] += 1
-    return tuple(counts), all(c <= 2 for c in counts)
+    return clique_membership_counts(complement_clique_tree(g), g.n)
 
 
 def clique_tree_to_text(tree):

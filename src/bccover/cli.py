@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import bounds as bounds_mod
 from . import gen as gen_mod
-from .chordal import clique_tree, clique_tree_to_text
+from .chordal import clique_tree, clique_tree_to_text, complement_clique_tree
 from .cover import (
     bicliques_from_text,
     bicliques_to_text,
@@ -70,13 +70,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, "%s: error: %s\n" % (self.prog, message))
 
 
+def _cap_override(args, attr, variable, kind):
+    """A budget cap from its flag, else its environment variable, else None.
+
+    A value that is not a positive ``kind`` raises :class:`GraphFormatError`
+    naming the flag or variable it came from.
+    """
+    source = "--" + attr.replace("_", "-")
+    value = getattr(args, attr, None)
+    try:
+        if value is None and os.environ.get(variable):
+            source, value = variable, os.environ[variable]
+            value = kind(value)
+        if value is not None and value <= 0:
+            raise ValueError(value)
+    except ValueError:
+        raise GraphFormatError(
+            "%s must be a positive %s, got %r" % (source, kind.__name__, value)
+        ) from None
+    return value
+
+
 def _budget_overrides(args, base):
-    vertex = getattr(args, "vertex_cap", None)
-    if vertex is None and os.environ.get("BCCOVER_VERTEX_CAP"):
-        vertex = int(os.environ["BCCOVER_VERTEX_CAP"])
-    time_cap = getattr(args, "time_cap", None)
-    if time_cap is None and os.environ.get("BCCOVER_TIME_CAP"):
-        time_cap = float(os.environ["BCCOVER_TIME_CAP"])
+    vertex = _cap_override(args, "vertex_cap", "BCCOVER_VERTEX_CAP", int)
+    time_cap = _cap_override(args, "time_cap", "BCCOVER_TIME_CAP", float)
     if vertex is None and time_cap is None:
         return base
     vertex = vertex if vertex is not None else base.vertex_cap
@@ -198,11 +215,7 @@ def cmd_bounds(args):
             worst = max(worst, code)
         _write_output("\n".join(out_lines) + "\n", args.out)
         return worst
-    try:
-        report = _one_report(args.input, args, value_budget, search_budget)
-    except GraphFormatError as exc:
-        print("parse error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
+    report = _one_report(args.input, args, value_budget, search_budget)
     if args.format == "json":
         _write_output(
             json.dumps(bounds_mod.report_to_json_dict(report), sort_keys=True) + "\n",
@@ -227,17 +240,13 @@ def _safe_report(path, args, value_budget, search_budget):
 
 
 def cmd_cover(args):
-    try:
-        g = read_graph(args.input)
-    except GraphFormatError as exc:
-        print("parse error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
+    g = read_graph(args.input)
     try:
         cover, meta = cover_cochordal(g, ranking_mode=args.ranking_mode)
     except NotChordalError as exc:
         print("precondition failed: %s" % exc, file=sys.stderr)
         return EXIT_PRECONDITION
-    if not verify_cover(g, cover):  # re-check before writing anything
+    if not meta.verified:  # checked by the pipeline; write nothing unverified
         print("internal error: produced cover failed verification", file=sys.stderr)
         return EXIT_INCONSISTENT
     if args.format == "json":
@@ -271,11 +280,7 @@ def cmd_cover(args):
 
 
 def cmd_verify(args):
-    try:
-        g = read_graph(args.graph)
-    except GraphFormatError as exc:
-        print("parse error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
+    g = read_graph(args.graph)
     try:
         with open(args.cover_file, "r", encoding="utf-8") as fh:
             bicliques = bicliques_from_text(fh.read())
@@ -355,11 +360,7 @@ def _shape_tree(shape, nodes, seed):
 
 
 def cmd_rank(args):
-    try:
-        tree = read_tree(args.tree)
-    except GraphFormatError as exc:
-        print("parse error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
+    tree = read_tree(args.tree)
     try:
         if args.mode == "heuristic":
             ranking, r = heuristic_edge_ranking(tree)
@@ -379,11 +380,7 @@ def cmd_rank(args):
 
 def cmd_oracle(args):
     if args.problem == "ranking":
-        try:
-            tree = read_tree(args.input)
-        except GraphFormatError as exc:
-            print("parse error: %s" % exc, file=sys.stderr)
-            return EXIT_PARSE
+        tree = read_tree(args.input)
         try:
             r = exhaustive_edge_ranking(
                 tree, _budget_overrides(args, DEFAULT_RANKING_BUDGET)
@@ -394,11 +391,7 @@ def cmd_oracle(args):
         print("ranking = %d" % r)
         return EXIT_OK
 
-    try:
-        g = read_graph(args.input)
-    except GraphFormatError as exc:
-        print("parse error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
+    g = read_graph(args.input)
     search = _budget_overrides(args, DEFAULT_SEARCH_BUDGET)
     value = _budget_overrides(args, DEFAULT_VALUE_BUDGET)
     try:
@@ -430,11 +423,7 @@ def cmd_oracle(args):
 
 
 def cmd_tree(args):
-    try:
-        g = read_graph(args.input)
-    except GraphFormatError as exc:
-        print("parse error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
+    g = read_graph(args.input)
     try:
         tree = clique_tree(g)
     except NotChordalError as exc:
@@ -445,15 +434,15 @@ def cmd_tree(args):
 
 
 def cmd_partition(args):
+    g = read_graph(args.input)
     try:
-        g = read_graph(args.input)
-    except GraphFormatError as exc:
-        print("parse error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        tree = clique_tree(g.complement())
+        tree = complement_clique_tree(g)
     except NotChordalError as exc:
-        print("precondition failed: complement not chordal: %s" % exc, file=sys.stderr)
+        # this command has always named the failure "complement not chordal"
+        print(
+            "precondition failed: complement not chordal: %s" % exc.__cause__,
+            file=sys.stderr,
+        )
         return EXIT_PRECONDITION
     parts = find_partition(tree, policy=args.policy)
     if not verify_partition(g, parts):
@@ -560,6 +549,9 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     try:
         return args.func(args)
+    except GraphFormatError as exc:
+        print("parse error: %s" % exc, file=sys.stderr)
+        return EXIT_PARSE
     except OSError as exc:
         print("io error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE

@@ -15,11 +15,13 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
-from .chordal import CliqueTree, clique_tree
-from .errors import NotChordalError
+from .chordal import CliqueTree, clique_membership_counts, complement_clique_tree
+from .graph import find_root
 from .ranking import (
     EdgeRanking,
     Tree,
+    _component,
+    balanced_cuts,
     heuristic_edge_ranking,
     is_valid_edge_ranking,
     optimal_edge_ranking,
@@ -109,19 +111,11 @@ def join_clique_forest(tree):
     if d <= 1:
         return tree
     parent = list(range(d))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for i, j in tree.edges:
-        parent[find(i)] = find(j)
+        parent[find_root(parent, i)] = find_root(parent, j)
     reps = {}
     for i in range(d):
-        root = find(i)
-        reps.setdefault(root, i)
+        reps.setdefault(find_root(parent, i), i)
     chain = sorted(reps.values())
     if len(chain) == 1:
         return tree
@@ -148,13 +142,6 @@ def max_weight_clique_tree(nodes):
             if w > 0:
                 pairs.setdefault(w, []).append((i, j))
     parent = list(range(d))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     degree = [0] * d
     edges = []
     for w in sorted(pairs, reverse=True):
@@ -162,7 +149,7 @@ def max_weight_clique_tree(nodes):
         while True:
             best = None
             for i, j in pool:
-                if find(i) == find(j):
+                if find_root(parent, i) == find_root(parent, j):
                     continue
                 key = (max(degree[i], degree[j]), degree[i] + degree[j], (i, j))
                 if best is None or key < best[0]:
@@ -170,7 +157,7 @@ def max_weight_clique_tree(nodes):
             if best is None:
                 break
             _, i, j = best
-            parent[find(i)] = find(j)
+            parent[find_root(parent, i)] = find_root(parent, j)
             degree[i] += 1
             degree[j] += 1
             edges.append((i, j))
@@ -185,21 +172,6 @@ def _node_adjacency(tree):
         adj[i].append(j)
         adj[j].append(i)
     return [sorted(a) for a in adj]
-
-
-def _tree_component(adj, inside, start, banned_edge):
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y in seen or y not in inside:
-                continue
-            if (min(x, y), max(x, y)) == banned_edge:
-                continue
-            seen.add(y)
-            stack.append(y)
-    return seen
 
 
 def bfs_leaf_order(tree):
@@ -225,20 +197,41 @@ def bfs_leaf_order(tree):
     return order
 
 
-def _cut_biclique(tree, adj, node_set, edge, mid):
-    side = _tree_component(adj, node_set, edge[0], edge)
-    other = node_set - side
-    union_s = set().union(*(tree.nodes[i] for i in side))
-    union_o = set().union(*(tree.nodes[i] for i in other))
-    left = frozenset(union_s - mid)
-    right = frozenset(union_o - mid)
-    return Biclique(left, right), side, other
+def _cuts(work, adj, choose):
+    """Cut ``work`` edge by edge until every part is one node.
+
+    ``choose(node_set, inner_edges)`` picks the edge to cut in the subtree on
+    ``node_set``; ``inner_edges`` are its edges in sorted order.  Yields
+    ``(node_set, edge, biclique)`` in pre-order: a cut, then everything on
+    the side holding the edge's first endpoint, then the other side.  Runs on
+    an explicit stack, so tree depth is not bounded by the recursion limit.
+    """
+    mid_of = dict(zip(work.edges, work.mids))
+    stack = [frozenset(range(work.node_count))]
+    while stack:
+        node_set = stack.pop()
+        if len(node_set) <= 1:
+            continue
+        inner = [
+            e for e in work.edges if e[0] in node_set and e[1] in node_set
+        ]
+        edge = choose(node_set, inner)
+        side = _component(adj, node_set, edge[0], edge)
+        other = node_set - side
+        mid = mid_of[edge]
+        union_s = set().union(*(work.nodes[i] for i in side))
+        union_o = set().union(*(work.nodes[i] for i in other))
+        yield node_set, edge, Biclique(
+            frozenset(union_s - mid), frozenset(union_o - mid)
+        )
+        stack.append(other)
+        stack.append(side)
 
 
 def find_partition(tree, policy="balanced"):
     """Biclique partition of G from a clique tree of its complement.
 
-    Cuts one tree edge, emits the biclique across the cut, and recurses on
+    Cuts one tree edge, emits the biclique across the cut, and repeats on
     both sides; the result always has (node count - 1) members.  ``policy``
     picks the cut edge: "balanced" minimizes the larger side (ties going to
     the lexicographically smallest edge), "first" takes the smallest edge
@@ -248,35 +241,11 @@ def find_partition(tree, policy="balanced"):
         raise ValueError("unknown edge policy %r" % policy)
     work = join_clique_forest(tree)
     adj = _node_adjacency(work)
-    mid_of = dict(zip(work.edges, work.mids))
-    out = []
-
-    def recurse(node_set):
-        if len(node_set) <= 1:
-            return
-        inner = [
-            e for e in work.edges if e[0] in node_set and e[1] in node_set
-        ]
-        if policy == "first":
-            edge = inner[0]
-        else:
-            total = len(node_set)
-            best = None
-            for e in inner:
-                side = _tree_component(adj, node_set, e[0], e)
-                larger = max(len(side), total - len(side))
-                if best is None or (larger, e) < best[0]:
-                    best = ((larger, e), e)
-            edge = best[1]
-        biclique, side, other = _cut_biclique(
-            work, adj, node_set, edge, mid_of[edge]
-        )
-        out.append(biclique)
-        recurse(side)
-        recurse(other)
-
-    recurse(frozenset(range(work.node_count)))
-    return out
+    if policy == "first":
+        choose = lambda node_set, inner: inner[0]
+    else:
+        choose = lambda node_set, inner: balanced_cuts(adj, node_set, inner)[0][1]
+    return [biclique for _, _, biclique in _cuts(work, adj, choose)]
 
 
 def find_biclique_levels(tree, ranking, order, r):
@@ -293,31 +262,19 @@ def find_biclique_levels(tree, ranking, order, r):
         return {}
     if not is_valid_edge_ranking(Tree(d, work.edges), ranking):
         raise ValueError("not a valid edge-ranking of the clique tree")
-    adj = _node_adjacency(work)
-    mid_of = dict(zip(work.edges, work.mids))
+    ranks = ranking.ranks
+    choose = lambda node_set, inner: min(inner, key=lambda e: (-ranks[e], e))
     levels = {}
-
-    def recurse(node_set):
-        if len(node_set) <= 1:
-            return
-        inner = [
-            e for e in work.edges if e[0] in node_set and e[1] in node_set
-        ]
-        edge = sorted(inner, key=lambda e: (-ranking.ranks[e], e))[0]
-        level = r + 1 - ranking.ranks[edge]
-        ord_val = min(order[i] for i in node_set)
-        biclique, side, other = _cut_biclique(
-            work, adj, node_set, edge, mid_of[edge]
+    for node_set, edge, biclique in _cuts(work, _node_adjacency(work), choose):
+        levels.setdefault(r + 1 - ranks[edge], []).append(
+            (biclique, min(order[i] for i in node_set))
         )
-        levels.setdefault(level, []).append((biclique, ord_val))
-        recurse(side)
-        recurse(other)
-
-    recurse(frozenset(range(d)))
     for level, items in levels.items():
-        assert 1 <= level <= r
+        if not 1 <= level <= r:
+            raise ValueError("level %d lies outside 1..%d" % (level, r))
         ords = [o for _, o in items]
-        assert len(set(ords)) == len(ords)
+        if len(set(ords)) != len(ords):
+            raise ValueError("two cuts in level %d share a BFS position" % level)
     return levels
 
 
@@ -353,7 +310,12 @@ def merge_bicliques(items, g):
 
 @dataclass
 class CoverMetadata:
-    """What the cover pipeline did and saw along the way."""
+    """What the cover pipeline did and saw along the way.
+
+    ``verified`` records the pipeline's own check of its result: the cover
+    passes :func:`verify_cover` and has at most ``mc_complement - 1``
+    members.  Callers read it instead of verifying the cover again.
+    """
 
     mc_complement: int
     ranking_r: int
@@ -363,6 +325,7 @@ class CoverMetadata:
     level_sizes_before: dict = field(default_factory=dict)
     level_sizes_after: dict = field(default_factory=dict)
     tree: CliqueTree | None = None
+    verified: bool = False
 
 
 def cover_cochordal(g, ranking_mode="auto", max_exact_edges=64,
@@ -375,25 +338,14 @@ def cover_cochordal(g, ranking_mode="auto", max_exact_edges=64,
     that tree (exact below ``max_exact_edges`` edges in "auto" mode, forced by
     "exact"/"heuristic"); level decomposition; greedy merge per level.
 
-    Returns ``(cover, CoverMetadata)``.  Raises :class:`NotChordalError` when
-    the complement is not chordal.
+    Returns ``(cover, CoverMetadata)``; ``meta.verified`` says whether the
+    cover passed the final check.  Raises :class:`NotChordalError` when the
+    complement is not chordal.
     """
     if ranking_mode not in ("auto", "exact", "heuristic"):
         raise ValueError("unknown ranking mode %r" % ranking_mode)
-    gc = g.complement()
-    try:
-        base = clique_tree(gc)
-    except NotChordalError as exc:
-        raise NotChordalError(
-            "complement is not chordal: %s" % exc, position=exc.position
-        ) from exc
-
-    counts = [0] * g.n
-    for k in base.nodes:
-        for v in k:
-            counts[v] += 1
-    all_le_two = all(c <= 2 for c in counts)
-
+    base = complement_clique_tree(g)
+    counts, all_le_two = clique_membership_counts(base, g.n)
     tree = max_weight_clique_tree(base.nodes) if rebuild_tree else base
     work = join_clique_forest(tree)
     d = work.node_count
@@ -402,10 +354,12 @@ def cover_cochordal(g, ranking_mode="auto", max_exact_edges=64,
         ranking_r=0,
         ranking_optimal=True,
         all_le_two=all_le_two,
-        membership_counts=tuple(counts),
+        membership_counts=counts,
         tree=work,
     )
     if d <= 1:
+        # at most one maximal clique in the complement: g has no edges
+        meta.verified = verify_cover(g, [])
         return [], meta
 
     rank_tree = Tree(d, work.edges)
@@ -434,8 +388,7 @@ def cover_cochordal(g, ranking_mode="auto", max_exact_edges=64,
 
     meta.ranking_r = r
     meta.ranking_optimal = optimal
-    assert len(cover) <= d - 1
-    assert verify_cover(g, cover)
+    meta.verified = len(cover) <= d - 1 and verify_cover(g, cover)
     return cover, meta
 
 

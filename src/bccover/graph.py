@@ -139,6 +139,14 @@ def cycle_graph(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def find_root(parent, x):
+    """Root of ``x`` in the union-find forest ``parent``, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def connected_components(g):
     """List of components, each a sorted tuple of vertices."""
     seen = [False] * g.n

@@ -294,8 +294,9 @@ def exact_bp(g, budget=None):
     if not edges:
         return OracleResult(0, 0, [])
 
+    gc = g.complement()
     lb = max(1, _eigen_partition_bound(g))
-    lb = max(lb, ceil_log2(len(enumerate_maximal_cliques(g.complement()))))
+    lb = max(lb, ceil_log2(len(enumerate_maximal_cliques(gc))))
 
     # initial partitions: per-vertex stars, and the clique-tree construction
     # when the complement is chordal
@@ -306,7 +307,7 @@ def exact_bp(g, budget=None):
         Biclique(frozenset([u]), frozenset(vs)) for u, vs in sorted(by_min.items())
     ]
     try:
-        tree_parts = find_partition(clique_tree(g.complement()))
+        tree_parts = find_partition(clique_tree(gc))
         if len(tree_parts) < len(best_parts):
             best_parts = tree_parts
     except NotChordalError:
@@ -378,17 +379,8 @@ def exact_chromatic(g, budget=None):
     if g.m == 0:
         return OracleResult(1, 1, (1,) * n)
 
-    # greedy largest-first upper bound
-    order = sorted(range(n), key=lambda v: -g.degree(v))
-    greedy = [0] * n
-    for v in order:
-        taken = {greedy[u] for u in g.neighborhood(v) if greedy[u]}
-        c = 1
-        while c in taken:
-            c += 1
-        greedy[v] = c
-    best = max(greedy)
-    best_assign = list(greedy)
+    best_assign = greedy_coloring(g)
+    best = max(best_assign)
 
     clique_lb = _greedy_clique_size(g)
     if best == clique_lb:
@@ -431,6 +423,19 @@ def exact_chromatic(g, budget=None):
     except _Timeout:
         return OracleResult(clique_lb, best, tuple(best_assign))
     return OracleResult(best, best, tuple(best_assign))
+
+
+def greedy_coloring(g):
+    """Largest-first greedy coloring: colors 1.. per vertex, a proper
+    coloring of ``g`` and so an upper bound on its chromatic number."""
+    colors = [0] * g.n
+    for v in sorted(range(g.n), key=lambda v: -g.degree(v)):
+        taken = {colors[u] for u in g.neighborhood(v) if colors[u]}
+        c = 1
+        while c in taken:
+            c += 1
+        colors[v] = c
+    return colors
 
 
 def _greedy_clique_size(g):

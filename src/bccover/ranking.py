@@ -20,6 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import GraphFormatError, TreeTooLargeError
+from .graph import find_root
 
 
 def ceil_log2(n):
@@ -107,24 +108,15 @@ def is_valid_edge_ranking(tree, ranking):
     if not tree.edges:
         return True
     parent = list(range(tree.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     by_rank = {}
     for e in tree.edges:
         by_rank.setdefault(ranks[e], []).append(e)
     for k in sorted(by_rank):
         for u, v in by_rank[k]:
-            parent[find(u)] = find(v)
-        roots = [find(u) for u, _ in by_rank[k]]
+            parent[find_root(parent, u)] = find_root(parent, v)
+        roots = [find_root(parent, u) for u, _ in by_rank[k]]
         if len(set(roots)) != len(roots):
             return False  # two rank-k edges meet without a larger separator
-    # a valid ranking of a connected tree has a unique top edge
-    assert len(by_rank[max(by_rank)]) == 1
     return True
 
 
@@ -142,6 +134,22 @@ def _component(adj, inside, start, banned_edge):
             seen.add(y)
             stack.append(y)
     return frozenset(seen)
+
+
+def balanced_cuts(adj, vertices, edges):
+    """Every edge of ``edges`` as a cut of the subtree on ``vertices``.
+
+    Returns ``(larger side size, edge, side)`` triples, most balanced first,
+    ties going to the lexicographically smallest edge; ``side`` is the part
+    holding the edge's first endpoint.
+    """
+    total = len(vertices)
+    scored = []
+    for e in edges:
+        side = _component(adj, vertices, e[0], e)
+        scored.append((max(len(side), total - len(side)), e, side))
+    scored.sort(key=lambda t: (t[0], t[1]))
+    return scored
 
 
 def optimal_edge_ranking(tree, max_edges=64):
@@ -168,16 +176,6 @@ def optimal_edge_ranking(tree, max_edges=64):
             (u, v) for u, v in tree.edges if u in vertices and v in vertices
         ]
 
-    def candidates(vertices, edges):
-        scored = []
-        total = len(vertices)
-        for e in edges:
-            side = _component(adj, vertices, e[0], e)
-            larger = max(len(side), total - len(side))
-            scored.append((larger, e, side))
-        scored.sort(key=lambda t: (t[0], t[1]))
-        return scored
-
     def rank_number(vertices):
         if vertices in memo:
             return memo[vertices][0]
@@ -192,7 +190,7 @@ def optimal_edge_ranking(tree, max_edges=64):
         lb = max(max(degrees.values()), ceil_log2(len(vertices)))
         best = None
         best_edge = None
-        for _, e, side in candidates(vertices, edges):
+        for _, e, side in balanced_cuts(adj, vertices, edges):
             other = vertices - side
             cand = 1 + max(rank_number(side), rank_number(other))
             if best is None or cand < best:
@@ -238,15 +236,7 @@ def heuristic_edge_ranking(tree):
         ]
         if not edges:
             return 0
-        total = len(vertices)
-        best = None
-        for e in edges:
-            side = _component(adj, vertices, e[0], e)
-            larger = max(len(side), total - len(side))
-            key = (larger, e)
-            if best is None or key < best[0]:
-                best = (key, e, side)
-        _, e, side = best
+        _, e, side = balanced_cuts(adj, vertices, edges)[0]
         ranks[e] = 1 + max(solve(side), solve(vertices - side))
         return ranks[e]
 

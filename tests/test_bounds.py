@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import bccover.bounds as bounds_module
 from bccover import (
     NotChordalError,
     bp_bc_window,
@@ -25,8 +26,11 @@ from bccover import (
     lb_omega_conflict,
     path_graph,
     report_to_json_dict,
+    write_graph,
 )
+from bccover.cli import main
 from bccover.graph import Graph
+from bccover.oracle import OracleResult
 from helpers import er_graph
 
 
@@ -230,3 +234,18 @@ def test_report_json_non_cochordal_has_null_cover():
     payload = report_to_json_dict(full_report(cycle_graph(5)))
     assert payload["cover"] is None
     assert payload["bounds"]["log_mc"] == ceil_log2(5)
+
+
+def test_bp_above_what_bc_allows_marks_report_inconsistent(monkeypatch, tmp_path):
+    # fig3 has bc = 3; an exact bp of 31 would force bc >= ceil(log2(32)) = 5
+    monkeypatch.setattr(
+        bounds_module, "exact_bp", lambda g, budget: OracleResult(31, 31)
+    )
+    g = gen_fig_graph("fig3").graph
+    report = full_report(g)
+    assert report.oracle_bc.value == 3
+    assert report.bp_window.bc_lower_from_bp == 5
+    assert report.inconsistent
+    path = tmp_path / "fig3.graph"
+    write_graph(g, path)
+    assert main(["bounds", str(path)]) == 2

@@ -224,3 +224,22 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("p 4 3")
+
+
+@pytest.mark.parametrize(
+    "env, flags, named",
+    [
+        ({"BCCOVER_VERTEX_CAP": "abc"}, [], "BCCOVER_VERTEX_CAP"),
+        ({"BCCOVER_TIME_CAP": "x"}, [], "BCCOVER_TIME_CAP"),
+        ({}, ["--vertex-cap", "0"], "--vertex-cap"),
+    ],
+)
+def test_bad_budget_value_is_a_parse_error(
+    fig3_path, capsys, monkeypatch, env, flags, named
+):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert main(["bounds", fig3_path, "--no-oracle"] + flags) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("parse error:") and named in err[0]

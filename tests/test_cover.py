@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import bccover
+import bccover.cover as cover_module
 from bccover import (
     Biclique,
     EdgeRanking,
@@ -19,6 +24,7 @@ from bccover import (
     enumerate_maximal_cliques,
     find_biclique_levels,
     find_partition,
+    full_report,
     gen_copath,
     gen_fig_graph,
     gen_random_chordal,
@@ -28,9 +34,11 @@ from bccover import (
     verify_clique_tree,
     verify_cover,
     verify_partition,
+    write_graph,
 )
+from bccover.cli import main
 from bccover.cover import cover_defects
-from bccover.graph import Graph
+from bccover.graph import Graph, path_graph
 
 
 def B(left, right):
@@ -110,6 +118,13 @@ def test_find_partition_complete_graphs():
 def test_find_partition_single_node_tree():
     g = complete_graph(4).complement()  # edgeless; complement one clique
     assert find_partition(clique_tree(g.complement())) == []
+
+
+def test_find_partition_deep_tree_does_not_recurse():
+    # the clique tree of a long path is a path; "first" cuts peel one node
+    # at a time, 1499 cuts deep
+    parts = find_partition(clique_tree(path_graph(1501)), policy="first")
+    assert len(parts) == 1499
 
 
 def test_find_partition_random_cochordal():
@@ -420,3 +435,39 @@ def test_serialization_round_trip():
     assert bicliques_from_text(text) == cover
     with pytest.raises(ValueError):
         bicliques_from_text("L: 0 1 R: 2\n")
+
+
+def test_cover_that_fails_its_check_is_flagged(monkeypatch, tmp_path, capsys):
+    g = gen_copath(9).graph
+    merge = cover_module.merge_bicliques
+    monkeypatch.setattr(  # drop one member of every merged level
+        cover_module, "merge_bicliques", lambda items, g: merge(items, g)[:-1]
+    )
+    cover, meta = cover_cochordal(g)
+    assert not verify_cover(g, cover)
+    assert meta.verified is False
+    path = tmp_path / "copath9.graph"
+    write_graph(g, path)
+    assert main(["cover", str(path)]) == 2
+    assert "failed verification" in capsys.readouterr().err
+    assert full_report(g, run_oracle=False).inconsistent
+    monkeypatch.undo()
+    assert cover_cochordal(g)[1].verified
+
+
+def test_cover_check_runs_under_optimize():
+    script = (
+        "import bccover.cover as c\n"
+        "from bccover import gen_copath\n"
+        "merge = c.merge_bicliques\n"
+        "c.merge_bicliques = lambda items, g: merge(items, g)[:-1]\n"
+        "print(c.cover_cochordal(gen_copath(9).graph)[1].verified)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(bccover.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -12,11 +12,11 @@ smaller than d - 1 come from.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 
 from .chordal import CliqueTree, clique_membership_counts, complement_clique_tree
-from .graph import find_root
+from .graph import find_root, vertex_mask
 from .ranking import (
     EdgeRanking,
     Tree,
@@ -395,33 +395,48 @@ def cover_cochordal(g, ranking_mode="auto", max_exact_edges=64,
 # -- verification -------------------------------------------------------------
 
 
-def _edge_multiplicities(g, bicliques):
-    counts = Counter()
+def _coverage(g, bicliques):
+    """Per-vertex masks of the edges the members cover: ``covered[u]`` has
+    bit v set when some member covers (u, v), ``twice[u]`` when at least two
+    do.  None when a member is not a biclique subgraph of ``g``."""
+    covered = [0] * g.n
+    twice = [0] * g.n
     for b in bicliques:
         if not g.is_biclique_subgraph(b.left, b.right):
             return None
-        counts.update(b.edge_set())
-    return counts
+        for side, other in ((b.left, b.right), (b.right, b.left)):
+            mask = vertex_mask(other)
+            for u in side:
+                twice[u] |= covered[u] & mask
+                covered[u] |= mask
+    return covered, twice
+
+
+def _first_edge(rows):
+    """Lexicographically first (u, v), u < v, with bit v set in ``rows[u]``;
+    None when there is none."""
+    for u, row in enumerate(rows):
+        row >>= u + 1
+        if row:
+            return u, u + (row & -row).bit_length()
+    return None
 
 
 def verify_cover(g, bicliques):
     """True iff every member is a biclique of ``g`` and every edge of ``g``
     is covered at least once."""
-    counts = _edge_multiplicities(g, bicliques)
-    if counts is None:
-        return False
-    return set(counts) == set(g.edges())
+    coverage = _coverage(g, bicliques)
+    return coverage is not None and tuple(coverage[0]) == g.neighbor_masks()
 
 
 def verify_partition(g, bicliques):
     """True iff every member is a biclique of ``g`` and every edge of ``g``
     is covered exactly once."""
-    counts = _edge_multiplicities(g, bicliques)
-    if counts is None:
+    coverage = _coverage(g, bicliques)
+    if coverage is None:
         return False
-    return set(counts) == set(g.edges()) and all(
-        c == 1 for c in counts.values()
-    )
+    covered, twice = coverage
+    return tuple(covered) == g.neighbor_masks() and not any(twice)
 
 
 def cover_defects(g, bicliques, partition=False):
@@ -432,18 +447,19 @@ def cover_defects(g, bicliques, partition=False):
             problems.append("member %d is not a biclique subgraph" % idx)
     if problems:
         return problems
-    counts = _edge_multiplicities(g, bicliques)
-    for e in g.edges():
-        if counts[e] == 0:
-            problems.append("edge %d %d is uncovered" % e)
-            break
-    if partition:
-        for e in sorted(counts):
-            if counts[e] > 1:
-                problems.append(
-                    "edge %d %d is covered %d times" % (e[0], e[1], counts[e])
-                )
-                break
+    covered, twice = _coverage(g, bicliques)
+    masks = g.neighbor_masks()
+    uncovered = _first_edge([m & ~c for m, c in zip(masks, covered)])
+    if uncovered is not None:
+        problems.append("edge %d %d is uncovered" % uncovered)
+    repeated = _first_edge(twice) if partition else None
+    if repeated is not None:
+        u, v = repeated
+        times = sum(
+            (u in b.left and v in b.right) or (u in b.right and v in b.left)
+            for b in bicliques
+        )
+        problems.append("edge %d %d is covered %d times" % (u, v, times))
     return problems
 
 

@@ -5,6 +5,18 @@ can be shared freely between threads; every operation here is pure.  Neighbor
 sets are kept sorted so that all derived objects (edge lists, complements,
 induced subgraphs) come out in a deterministic order.
 
+Each vertex's neighbourhood is also kept as a Python ``int`` bit mask (bit v
+set iff v is a neighbour).  Set-valued questions about many vertices at once
+are answered on the masks: :meth:`Graph.is_biclique_subgraph` ANDs the masks
+of one side and compares the result with the other side's mask, so it costs
+O(|L| + |R|) big-int operations of n bits instead of |L| * |R| lookups, and
+cover verification ORs each member's side masks into per-vertex coverage
+masks.  Single-edge lookups (:meth:`Graph.has_edge`) stay on frozensets,
+which are faster for one membership test.  The constructor builds the masks
+from bytes rather than bit by bit, and the edge list only on the first call
+to :meth:`Graph.edges` (equality and hashing read the masks), so building a
+graph does not pay for an edge list that nothing reads.
+
 The on-disk edge-list format is one header line ``p <n> <m>`` followed by one
 ``u v`` line per edge; lines starting with ``c`` are comments.  Files written
 by :func:`graph_to_text` are canonical (header, then edges in lexicographic
@@ -19,7 +31,7 @@ from .errors import GraphFormatError
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_nbrs", "_nbr_sets", "_edges")
+    __slots__ = ("n", "_m", "_nbrs", "_nbr_sets", "_masks", "_edges")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -35,19 +47,23 @@ class Graph:
             adj[v].add(u)
         self._nbrs = tuple(tuple(sorted(s)) for s in adj)
         self._nbr_sets = tuple(frozenset(s) for s in adj)
-        self._edges = tuple(
-            (u, v) for u in range(n) for v in self._nbrs[u] if u < v
-        )
+        self._masks = tuple(_dense_mask(s, n) for s in adj)
+        self._m = sum(map(len, adj)) // 2
+        self._edges = None  # listed on first use; many graphs never need it
 
     # -- accessors ---------------------------------------------------------
 
     @property
     def m(self):
         """Number of edges."""
-        return len(self._edges)
+        return self._m
 
     def edges(self):
         """All edges as (u, v) pairs with u < v, in lexicographic order."""
+        if self._edges is None:
+            self._edges = tuple(
+                (u, v) for u in range(self.n) for v in self._nbrs[u] if u < v
+            )
         return list(self._edges)
 
     def degree(self, v):
@@ -62,6 +78,11 @@ class Graph:
     def neighbor_set(self, v):
         """Neighbors of v as a frozenset (no bounds check beyond indexing)."""
         return self._nbr_sets[v]
+
+    def neighbor_masks(self):
+        """Tuple of neighbourhood bit masks: bit v of entry u is set iff
+        (u, v) is an edge."""
+        return self._masks
 
     def has_edge(self, u, v):
         return 0 <= u < self.n and v in self._nbr_sets[u]
@@ -94,35 +115,66 @@ class Graph:
         index = {v: i for i, v in enumerate(mapping)}
         edges = [
             (index[u], index[v])
-            for u, v in self._edges
+            for u, v in self.edges()
             if u in index and v in index
         ]
         return Graph(len(mapping), edges), mapping
 
     def is_biclique_subgraph(self, left, right):
         """True iff ``left``/``right`` are nonempty, disjoint, in range, and
-        every cross pair is an edge."""
-        left = set(left)
-        right = set(right)
-        if not left or not right or left & right:
+        every cross pair is an edge.
+
+        Reads each argument once, so one-shot iterators are fine.  ``right``
+        must lie inside the common neighbourhood of ``left``; that also
+        rules out overlapping sides, since no vertex is its own neighbour.
+        """
+        masks = self._masks
+        common = -1
+        left_mask = 0
+        try:
+            for u in left:
+                left_mask |= 1 << u  # a negative vertex raises ValueError
+                common &= masks[u]  # a vertex >= n raises IndexError
+            right_mask = vertex_mask(right)
+        except (ValueError, IndexError):
             return False
-        for v in left | right:
-            if not (0 <= v < self.n):
-                return False
-        return all(v in self._nbr_sets[u] for u in left for v in right)
+        return bool(left_mask and right_mask) and not right_mask & ~common
 
     # -- dunder ------------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._edges == other._edges
+        return self.n == other.n and self._masks == other._masks
 
     def __hash__(self):
-        return hash((self.n, self._edges))
+        return hash((self.n, self._masks))
 
     def __repr__(self):
         return "Graph(n=%d, m=%d)" % (self.n, self.m)
+
+
+def vertex_mask(vertices):
+    """Int with bit v set for each vertex v in ``vertices``."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def _dense_mask(vertices, n):
+    """:func:`vertex_mask` for vertices known to lie in 0..n-1.  Setting
+    bytes and parsing them once is about twice as fast as shifting in each
+    bit when a neighbourhood is large, which keeps dense graphs cheap to
+    build."""
+    buf = bytearray(n)
+    for v in vertices:
+        buf[v] = 1
+    # int() reads the most significant digit first, so vertex 0 goes last
+    return int(buf[::-1].translate(_BINARY_DIGITS), 2)
+
+
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def complete_graph(n):

@@ -5,6 +5,8 @@ these are the reference computations that certify the constructive algorithms
 and the bounds.  Each call takes an :class:`OracleBudget`; exceeding a vertex
 or edge cap raises :class:`BudgetExceededError` before any work happens, while
 running out of time mid-search returns the best proven window flagged inexact.
+The enumerations have no window to return, so they raise
+:class:`BudgetExceededError` when their time runs out.
 """
 
 from __future__ import annotations
@@ -152,10 +154,7 @@ def enumerate_maximal_bicliques(g, budget=None):
     _check_caps(g, budget)
     deadline = _Deadline(budget.time_cap)
     n = g.n
-    nbr_mask = [0] * n
-    for u in range(n):
-        for v in g.neighborhood(u):
-            nbr_mask[u] |= 1 << v
+    nbr_mask = g.neighbor_masks()
     full = (1 << n) - 1
 
     def common(mask):
@@ -168,17 +167,20 @@ def enumerate_maximal_bicliques(g, budget=None):
         return acc if mask else 0
 
     found = []
-    for mask in range(1, 1 << n):
-        deadline.check(every=4096)
-        right = common(mask)
-        if right == 0:
-            continue
-        if common(right) != mask:
-            continue
-        if (mask & -mask) < (right & -right):  # keep one orientation only
-            left_set = frozenset(i for i in range(n) if mask >> i & 1)
-            right_set = frozenset(i for i in range(n) if right >> i & 1)
-            found.append(Biclique(left_set, right_set).canonical())
+    try:
+        for mask in range(1, 1 << n):
+            deadline.check(every=4096)
+            right = common(mask)
+            if right == 0:
+                continue
+            if common(right) != mask:
+                continue
+            if (mask & -mask) < (right & -right):  # keep one orientation only
+                left_set = frozenset(i for i in range(n) if mask >> i & 1)
+                right_set = frozenset(i for i in range(n) if right >> i & 1)
+                found.append(Biclique(left_set, right_set).canonical())
+    except _Timeout:
+        raise BudgetExceededError("maximal biclique enumeration timed out") from None
     found.sort(key=lambda b: (sorted(b.left), sorted(b.right)))
     return found
 

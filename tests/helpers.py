@@ -5,6 +5,7 @@ with the package internals they certify.
 """
 
 import random
+from collections import Counter
 from itertools import combinations
 
 from bccover import Biclique, Graph, Tree
@@ -31,6 +32,67 @@ def graph_from_labels(labels, edge_labels):
 # -- naive biclique machinery --------------------------------------------------
 
 
+def naive_is_biclique(g, left, right):
+    """Set-based biclique test: nonempty, disjoint, in range, and all
+    |L| * |R| cross pairs looked up as edges one by one."""
+    left = set(left)
+    right = set(right)
+    if not left or not right or left & right:
+        return False
+    if any(not 0 <= v < g.n for v in left | right):
+        return False
+    return all(g.has_edge(u, v) for u in left for v in right)
+
+
+def naive_edge_multiplicities(g, bicliques):
+    """Counter of how often each edge is covered, with every edge spelled
+    out as a tuple; None when a member is not a biclique of g."""
+    counts = Counter()
+    for b in bicliques:
+        if not naive_is_biclique(g, b.left, b.right):
+            return None
+        counts.update(b.edge_set())
+    return counts
+
+
+def naive_verify_cover(g, bicliques):
+    counts = naive_edge_multiplicities(g, bicliques)
+    return counts is not None and set(counts) == set(g.edges())
+
+
+def naive_verify_partition(g, bicliques):
+    counts = naive_edge_multiplicities(g, bicliques)
+    return (
+        counts is not None
+        and set(counts) == set(g.edges())
+        and all(c == 1 for c in counts.values())
+    )
+
+
+def naive_cover_defects(g, bicliques, partition=False):
+    """The violation messages of ``cover_defects``, from edge counts."""
+    problems = [
+        "member %d is not a biclique subgraph" % idx
+        for idx, b in enumerate(bicliques)
+        if not naive_is_biclique(g, b.left, b.right)
+    ]
+    if problems:
+        return problems
+    counts = naive_edge_multiplicities(g, bicliques)
+    for e in g.edges():
+        if counts[e] == 0:
+            problems.append("edge %d %d is uncovered" % e)
+            break
+    if partition:
+        for e in sorted(counts):
+            if counts[e] > 1:
+                problems.append(
+                    "edge %d %d is covered %d times" % (e[0], e[1], counts[e])
+                )
+                break
+    return problems
+
+
 def all_bicliques(g):
     """Every biclique subgraph of g, by assigning each vertex to L/R/out."""
     found = set()
@@ -38,7 +100,7 @@ def all_bicliques(g):
 
     def assign(v, left, right):
         if v == n:
-            if left and right and g.is_biclique_subgraph(left, right):
+            if left and right and naive_is_biclique(g, left, right):
                 found.add(Biclique(frozenset(left), frozenset(right)))
             return
         assign(v + 1, left, right)

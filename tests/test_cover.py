@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bccover
 import bccover.cover as cover_module
@@ -39,6 +40,11 @@ from bccover import (
 from bccover.cli import main
 from bccover.cover import cover_defects
 from bccover.graph import Graph, path_graph
+from helpers import (
+    naive_cover_defects,
+    naive_verify_cover,
+    naive_verify_partition,
+)
 
 
 def B(left, right):
@@ -347,6 +353,59 @@ def test_verify_cover_examples():
     assert not verify_partition(g, doubly)
     assert "covered 2 times" in cover_defects(g, doubly, partition=True)[0]
     assert not verify_cover(g, [B([0], [1])])
+    # the first uncovered and the first repeated edge, in lexicographic order
+    k4 = complete_graph(4)
+    members = [B([0], [1]), B([2], [3]), B([0, 1], [3]), B([3], [1])]
+    assert cover_defects(k4, members, partition=True) == [
+        "edge 0 2 is uncovered",
+        "edge 1 3 is covered 2 times",
+    ]
+    assert cover_defects(k4, members + [B([0], [2]), B([1], [2])]) == []
+
+
+@st.composite
+def graphs_with_members(draw):
+    """A graph and a member list mixing a partition into single edges,
+    stars that cover some edges twice, and random vertex-set pairs that are
+    mostly not bicliques and may hold out-of-range vertices."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    edges = g.edges()
+    options = []
+    if edges:
+        options.append(st.sampled_from(edges).map(lambda e: B([e[0]], [e[1]])))
+        centres = [u for u in range(n) if g.degree(u)]
+        options.append(
+            st.sampled_from(centres).flatmap(
+                lambda u: st.sets(
+                    st.sampled_from(g.neighborhood(u)), min_size=1
+                ).map(lambda right: B([u], right))
+            )
+        )
+    vertex = st.integers(min_value=-1, max_value=n + 1)
+    options.append(
+        st.sets(vertex, min_size=1, max_size=4).flatmap(
+            lambda left: st.sets(
+                vertex.filter(lambda v: v not in left), min_size=1, max_size=4
+            ).map(lambda right: B(left, right))
+        )
+    )
+    members = [B([u], [v]) for u, v in edges] if draw(st.booleans()) else []
+    members += draw(st.lists(st.one_of(options), max_size=6))
+    return g, draw(st.permutations(members))
+
+
+@settings(derandomize=True, max_examples=400)
+@given(graphs_with_members())
+def test_mask_verification_matches_edge_count_reference(case):
+    g, members = case
+    assert verify_cover(g, members) == naive_verify_cover(g, members)
+    assert verify_partition(g, members) == naive_verify_partition(g, members)
+    for partition in (False, True):
+        assert cover_defects(g, members, partition) == naive_cover_defects(
+            g, members, partition
+        )
 
 
 def test_clique_split_outputs_pass_biclique_check_on_random_graphs():

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bccover import (
     Graph,
@@ -13,7 +13,7 @@ from bccover import (
     graph_to_text,
     path_graph,
 )
-from helpers import er_graph, graph_from_labels
+from helpers import er_graph, graph_from_labels, naive_is_biclique
 
 
 @st.composite
@@ -35,6 +35,10 @@ def test_construction_rejects_bad_edges():
 
 def test_construction_dedupes_and_symmetrizes():
     g = Graph(3, [(0, 1), (1, 0), (2, 1)])
+    assert g.m == 2
+    same = Graph(3, [(2, 1), (0, 1)])
+    assert g == same and hash(g) == hash(same)
+    assert g != Graph(3, [(0, 1), (0, 2)])
     assert g.edges() == [(0, 1), (1, 2)]
     assert g.neighborhood(1) == (0, 2)
     assert g.has_edge(1, 0) and g.has_edge(2, 1)
@@ -88,6 +92,55 @@ def test_is_biclique_subgraph_examples():
     assert not fig3.is_biclique_subgraph({0, 1}, {3, 4})  # b-d missing
     assert not fig3.is_biclique_subgraph(set(), {1})
     assert not fig3.is_biclique_subgraph({0}, {99})
+
+
+def test_is_biclique_subgraph_edge_cases():
+    # star with centre 2: vertex -1 would index vertex 2's neighbourhood
+    g = Graph(3, [(0, 2), (1, 2)])
+    assert g.is_biclique_subgraph([2], [0, 1]) is True
+    assert g.is_biclique_subgraph([0], [1]) is False
+    assert g.is_biclique_subgraph([-1], [0, 1]) is False
+    assert g.is_biclique_subgraph([2], [0, -1]) is False
+    assert g.is_biclique_subgraph([3], [2]) is False
+    assert g.is_biclique_subgraph([2], [0, 3]) is False
+    assert g.is_biclique_subgraph([], [0]) is False
+    assert g.is_biclique_subgraph([2], []) is False
+    assert g.is_biclique_subgraph([], []) is False
+    assert g.is_biclique_subgraph([0, 2], [2, 1]) is False
+    assert g.is_biclique_subgraph([2, 2], [0, 1, 0]) is True
+
+
+def test_is_biclique_subgraph_reads_one_shot_iterators_once():
+    g = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    assert g.is_biclique_subgraph(iter([0, 1]), iter([2, 3])) is True
+    assert g.is_biclique_subgraph((v for v in [0, 1]), (v for v in [3])) is True
+    assert g.is_biclique_subgraph((v for v in [0, 2]), (v for v in [3])) is False
+
+
+@st.composite
+def graphs_with_sides(draw):
+    g = draw(graphs())
+    vertex = st.integers(min_value=-2, max_value=g.n + 1)
+    left = draw(st.lists(vertex, max_size=5))
+    right = draw(st.lists(vertex, max_size=5))
+    return g, left, right
+
+
+@settings(derandomize=True, max_examples=400)
+@given(graphs_with_sides())
+def test_is_biclique_subgraph_matches_set_based_reference(case):
+    g, left, right = case
+    expected = naive_is_biclique(g, left, right)
+    assert g.is_biclique_subgraph(left, right) is expected
+    assert g.is_biclique_subgraph(iter(left), iter(right)) is expected
+
+
+@given(graphs())
+def test_neighbor_masks_match_neighbor_sets(g):
+    masks = g.neighbor_masks()
+    assert len(masks) == g.n
+    for u in range(g.n):
+        assert {v for v in range(g.n) if masks[u] >> v & 1} == g.neighbor_set(u)
 
 
 @given(graphs())

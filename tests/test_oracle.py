@@ -19,6 +19,7 @@ from bccover import (
     exact_clique_number,
     exact_max_matching,
     exhaustive_edge_ranking,
+    full_report,
     gen_copath,
     gen_fig_graph,
     path_graph,
@@ -88,6 +89,20 @@ def test_maximal_bicliques_match_naive_scan():
     for _ in range(80):
         g = er_graph(rng.randrange(1, 7), rng.random(), rng)
         assert enumerate_maximal_bicliques(g) == naive_maximal_bicliques(g)
+
+
+def test_search_timeout_raises_documented_error():
+    # 2^14 subsets to scan: the deadline check fires long before the end
+    rng = random.Random(1)
+    g = Graph(14, [(u, v) for u in range(14) for v in range(u + 1, 14)
+                   if rng.random() < 0.4])
+    budget = OracleBudget(14, 96, 1e-9)
+    with pytest.raises(BudgetExceededError):
+        enumerate_maximal_bicliques(g, budget)
+    with pytest.raises(BudgetExceededError):
+        exact_bc(g, budget)
+    report = full_report(g, search_budget=budget)
+    assert report.oracle_bc is None
 
 
 def test_exact_bc_examples():

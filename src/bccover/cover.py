@@ -12,8 +12,10 @@ smaller than d - 1 come from.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
+from itertools import combinations
 
 from .chordal import CliqueTree, clique_membership_counts, complement_clique_tree
 from .graph import find_root, vertex_mask
@@ -132,32 +134,50 @@ def max_weight_clique_tree(nodes):
     Any maximum-weight spanning tree of the intersection graph is a valid
     clique tree, so within each weight class we are free to pick edges that
     keep node degrees low; chained trees have much smaller edge-ranking
-    numbers than stars, which is what the cover pipeline wants.
+    numbers than stars, which is what the cover pipeline wants.  Each weight
+    class, heaviest first, takes the pair of nodes in different components
+    with the smallest key ``(larger degree, degree sum, pair)``, until none
+    is left.
+
+    Only pairs that share a vertex get a weight: a vertex -> cliques index
+    gives them in O(sum of c_v^2), c_v being the number of cliques holding
+    vertex v.  Each class is a lazy heap of keys.  Degrees only grow, so a
+    key in the heap is never above the pair's current key; a popped key
+    that still matches its recomputed value is therefore the true minimum
+    and its pair is taken, a stale key goes back with its new value, and a
+    pair whose ends are already joined is dropped for good (components only
+    merge).  That takes the same edges, in the same order, as rescanning
+    the class for its minimum after every edge.
     """
     d = len(nodes)
+    holders = {}
+    for i, clique in enumerate(nodes):
+        for v in clique:
+            holders.setdefault(v, []).append(i)
+    shared = Counter()
+    for cliques in holders.values():
+        shared.update(combinations(cliques, 2))
     pairs = {}
-    for i in range(d):
-        for j in range(i + 1, d):
-            w = len(nodes[i] & nodes[j])
-            if w > 0:
-                pairs.setdefault(w, []).append((i, j))
+    for pair, w in shared.items():
+        pairs.setdefault(w, []).append(pair)
     parent = list(range(d))
     degree = [0] * d
+    key = lambda i, j: (max(degree[i], degree[j]), degree[i] + degree[j], (i, j))
     edges = []
     for w in sorted(pairs, reverse=True):
-        pool = pairs[w]
-        while True:
-            best = None
-            for i, j in pool:
-                if find_root(parent, i) == find_root(parent, j):
-                    continue
-                key = (max(degree[i], degree[j]), degree[i] + degree[j], (i, j))
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-            if best is None:
-                break
-            _, i, j = best
-            parent[find_root(parent, i)] = find_root(parent, j)
+        heap = [key(i, j) for i, j in pairs[w]]
+        heapify(heap)
+        while heap:
+            popped = heappop(heap)
+            i, j = popped[2]
+            ri, rj = find_root(parent, i), find_root(parent, j)
+            if ri == rj:
+                continue
+            now = key(i, j)
+            if now != popped:
+                heappush(heap, now)
+                continue
+            parent[ri] = rj
             degree[i] += 1
             degree[j] += 1
             edges.append((i, j))
@@ -197,14 +217,25 @@ def bfs_leaf_order(tree):
     return order
 
 
+def _smallest_cut(adj, node_set, key=None):
+    """The edge of the subtree on ``node_set`` with the smallest ``key``, and
+    the side holding its first endpoint.  The subtree's edges are read from
+    its adjacency lists, so this costs O(k) for k nodes of bounded degree."""
+    edge = min(
+        ((i, j) for i in node_set for j in adj[i] if i < j and j in node_set),
+        key=key,
+    )
+    return edge, _component(adj, node_set, edge)
+
+
 def _cuts(work, adj, choose):
     """Cut ``work`` edge by edge until every part is one node.
 
-    ``choose(node_set, inner_edges)`` picks the edge to cut in the subtree on
-    ``node_set``; ``inner_edges`` are its edges in sorted order.  Yields
-    ``(node_set, edge, biclique)`` in pre-order: a cut, then everything on
-    the side holding the edge's first endpoint, then the other side.  Runs on
-    an explicit stack, so tree depth is not bounded by the recursion limit.
+    ``choose(node_set)`` picks the edge to cut in the subtree on
+    ``node_set`` and returns it with the side holding its first endpoint.
+    Yields ``(node_set, edge, biclique)`` in pre-order: a cut, then
+    everything on that side, then the other side.  Runs on an explicit
+    stack, so tree depth is not bounded by the recursion limit.
     """
     mid_of = dict(zip(work.edges, work.mids))
     stack = [frozenset(range(work.node_count))]
@@ -212,11 +243,7 @@ def _cuts(work, adj, choose):
         node_set = stack.pop()
         if len(node_set) <= 1:
             continue
-        inner = [
-            e for e in work.edges if e[0] in node_set and e[1] in node_set
-        ]
-        edge = choose(node_set, inner)
-        side = _component(adj, node_set, edge[0], edge)
+        edge, side = choose(node_set)
         other = node_set - side
         mid = mid_of[edge]
         union_s = set().union(*(work.nodes[i] for i in side))
@@ -242,9 +269,9 @@ def find_partition(tree, policy="balanced"):
     work = join_clique_forest(tree)
     adj = _node_adjacency(work)
     if policy == "first":
-        choose = lambda node_set, inner: inner[0]
+        choose = lambda node_set: _smallest_cut(adj, node_set)
     else:
-        choose = lambda node_set, inner: balanced_cuts(adj, node_set, inner)[0][1]
+        choose = lambda node_set: next(balanced_cuts(adj, node_set))[1:]
     return [biclique for _, _, biclique in _cuts(work, adj, choose)]
 
 
@@ -263,9 +290,11 @@ def find_biclique_levels(tree, ranking, order, r):
     if not is_valid_edge_ranking(Tree(d, work.edges), ranking):
         raise ValueError("not a valid edge-ranking of the clique tree")
     ranks = ranking.ranks
-    choose = lambda node_set, inner: min(inner, key=lambda e: (-ranks[e], e))
+    adj = _node_adjacency(work)
+    by_rank = lambda e: (-ranks[e], e)
+    choose = lambda node_set: _smallest_cut(adj, node_set, by_rank)
     levels = {}
-    for node_set, edge, biclique in _cuts(work, _node_adjacency(work), choose):
+    for node_set, edge, biclique in _cuts(work, adj, choose):
         levels.setdefault(r + 1 - ranks[edge], []).append(
             (biclique, min(order[i] for i in node_set))
         )

@@ -12,11 +12,15 @@ valid.  That observation is what both the exact recursion and the validity
 check below are built on: a ranking is valid iff, for every k, each component
 of the subgraph of edges ranked <= k contains at most one edge ranked
 exactly k.
+
+Both searches cut subtrees along :func:`balanced_cuts`, which walks a
+subtree of k vertices once to learn the balance of all of its k - 1 cuts and
+builds a cut's side set only when the search reaches that cut.  A cut of the
+heuristic therefore costs O(k log k), not one O(k) component scan per edge.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import GraphFormatError, TreeTooLargeError
@@ -120,36 +124,53 @@ def is_valid_edge_ranking(tree, ranking):
     return True
 
 
-def _component(adj, inside, start, banned_edge):
-    """Vertices reachable from start within ``inside``, not crossing one edge."""
-    seen = {start}
+def _component(adj, vertices, edge):
+    """Vertices of the subtree on ``vertices`` on ``edge[0]``'s side of
+    ``edge``.  One walk: in a tree the far side is reachable only through
+    ``edge[1]``, so that vertex is marked seen from the start."""
+    start, stop = edge
+    seen = {start, stop}
     stack = [start]
     while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y in seen or y not in inside:
-                continue
-            if (min(x, y), max(x, y)) == banned_edge:
-                continue
-            seen.add(y)
-            stack.append(y)
+        for y in adj[stack.pop()]:
+            if y not in seen and y in vertices:
+                seen.add(y)
+                stack.append(y)
+    seen.discard(stop)
     return frozenset(seen)
 
 
-def balanced_cuts(adj, vertices, edges):
-    """Every edge of ``edges`` as a cut of the subtree on ``vertices``.
+def balanced_cuts(adj, vertices):
+    """Every edge of the subtree on ``vertices`` as a cut of it.
 
-    Returns ``(larger side size, edge, side)`` triples, most balanced first,
+    Yields ``(larger side size, edge, side)`` triples, most balanced first,
     ties going to the lexicographically smallest edge; ``side`` is the part
-    holding the edge's first endpoint.
+    holding the edge's first endpoint.  One walk from any root records how
+    many vertices lie below each vertex, which gives every cut's balance in
+    O(k) for k vertices; the cuts are sorted in O(k log k), and a side set
+    is built, in O(k), only when the caller reaches its cut.
     """
     total = len(vertices)
+    root = next(iter(vertices))
+    parent = {root: None}
+    order = [root]
+    for x in order:
+        for y in adj[x]:
+            if y not in parent and y in vertices:
+                parent[y] = x
+                order.append(y)
+    size = dict.fromkeys(order, 1)
     scored = []
-    for e in edges:
-        side = _component(adj, vertices, e[0], e)
-        scored.append((max(len(side), total - len(side)), e, side))
-    scored.sort(key=lambda t: (t[0], t[1]))
-    return scored
+    for x in reversed(order):
+        p = parent[x]
+        if p is None:
+            continue
+        s = size[x]
+        size[p] += s
+        scored.append((max(s, total - s), (p, x) if p < x else (x, p)))
+    scored.sort()
+    for larger, e in scored:
+        yield larger, e, _component(adj, vertices, e)
 
 
 def optimal_edge_ranking(tree, max_edges=64):
@@ -171,26 +192,17 @@ def optimal_edge_ranking(tree, max_edges=64):
     adj = tree._adj
     memo = {}
 
-    def inside_edges(vertices):
-        return [
-            (u, v) for u, v in tree.edges if u in vertices and v in vertices
-        ]
-
     def rank_number(vertices):
         if vertices in memo:
             return memo[vertices][0]
-        edges = inside_edges(vertices)
-        if not edges:
+        if len(vertices) == 1:
             memo[vertices] = (0, None)
             return 0
-        degrees = {}
-        for u, v in edges:
-            degrees[u] = degrees.get(u, 0) + 1
-            degrees[v] = degrees.get(v, 0) + 1
-        lb = max(max(degrees.values()), ceil_log2(len(vertices)))
+        degree = max(sum(y in vertices for y in adj[x]) for x in vertices)
+        lb = max(degree, ceil_log2(len(vertices)))
         best = None
         best_edge = None
-        for _, e, side in balanced_cuts(adj, vertices, edges):
+        for _, e, side in balanced_cuts(adj, vertices):
             other = vertices - side
             cand = 1 + max(rank_number(side), rank_number(other))
             if best is None or cand < best:
@@ -209,7 +221,7 @@ def optimal_edge_ranking(tree, max_edges=64):
         value, e = memo[vertices]
         if e is None:
             return 0
-        side = _component(adj, vertices, e[0], e)
+        side = _component(adj, vertices, e)
         other = vertices - side
         ranks[e] = 1 + max(assign(side), assign(other))
         return value
@@ -224,23 +236,30 @@ def heuristic_edge_ranking(tree):
     """Valid (not necessarily optimal) ranking via balanced edge separators.
 
     The top rank goes to an edge minimizing the larger component, ties broken
-    by lexicographically smallest edge; both sides recurse.  Returns
+    by lexicographically smallest edge; both sides are cut the same way, and
+    an edge ranks one above the highest edge cut on either of its sides.
+    Runs on an explicit stack, so no recursion limit applies.  Returns
     ``(EdgeRanking, r)``.
     """
     adj = tree._adj
+    cuts = []  # (edge, index of the cut that made its subtree), pre-order
+    stack = [(frozenset(range(tree.n)), None)]
+    while stack:
+        vertices, up = stack.pop()
+        if len(vertices) == 1:
+            continue
+        _, e, side = next(balanced_cuts(adj, vertices))
+        cuts.append((e, up))
+        stack.append((vertices - side, len(cuts) - 1))
+        stack.append((side, len(cuts) - 1))
     ranks = {}
-
-    def solve(vertices):
-        edges = [
-            (u, v) for u, v in tree.edges if u in vertices and v in vertices
-        ]
-        if not edges:
-            return 0
-        _, e, side = balanced_cuts(adj, vertices, edges)[0]
-        ranks[e] = 1 + max(solve(side), solve(vertices - side))
-        return ranks[e]
-
-    r = solve(frozenset(range(tree.n)))
+    below = [0] * len(cuts)
+    for k in reversed(range(len(cuts))):
+        e, up = cuts[k]
+        ranks[e] = below[k] + 1
+        if up is not None and ranks[e] > below[up]:
+            below[up] = ranks[e]
+    r = ranks[cuts[0][0]] if cuts else 0
     return EdgeRanking(ranks), r
 
 

@@ -195,6 +195,144 @@ def naive_bp(g):
     return best
 
 
+# -- naive tree layer ------------------------------------------------------------
+
+
+def _naive_component(adj, inside, start, banned_edge):
+    """Vertices reachable from start within ``inside``, not crossing one edge."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y in seen or y not in inside:
+                continue
+            if (min(x, y), max(x, y)) == banned_edge:
+                continue
+            seen.add(y)
+            stack.append(y)
+    return frozenset(seen)
+
+
+def naive_balanced_cuts(adj, vertices, edges):
+    """Every edge of ``edges`` as a cut of the subtree on ``vertices``, one
+    component scan per edge: ``(larger side size, edge, side)`` triples, most
+    balanced first, ties going to the smallest edge; ``side`` holds the
+    edge's first endpoint."""
+    total = len(vertices)
+    scored = []
+    for e in edges:
+        side = _naive_component(adj, vertices, e[0], e)
+        scored.append((max(len(side), total - len(side)), e, side))
+    scored.sort(key=lambda t: (t[0], t[1]))
+    return scored
+
+
+def _naive_inner_edges(tree, vertices):
+    return [(u, v) for u, v in tree.edges if u in vertices and v in vertices]
+
+
+def naive_heuristic_ranks(tree):
+    """Ranks of the balanced-separator heuristic, by plain recursion over
+    :func:`naive_balanced_cuts`: ``(ranks, r)``."""
+    adj = [tree.neighbors(v) for v in range(tree.n)]
+    ranks = {}
+
+    def solve(vertices):
+        edges = _naive_inner_edges(tree, vertices)
+        if not edges:
+            return 0
+        _, e, side = naive_balanced_cuts(adj, vertices, edges)[0]
+        ranks[e] = 1 + max(solve(side), solve(vertices - side))
+        return ranks[e]
+
+    return ranks, solve(frozenset(range(tree.n)))
+
+
+def naive_optimal_ranks(tree):
+    """Ranks of the memoised exact search (most balanced cut first, stop at
+    the lower bound), by plain recursion over :func:`naive_balanced_cuts`:
+    ``(ranks, r)``."""
+    adj = [tree.neighbors(v) for v in range(tree.n)]
+    memo = {}
+
+    def rank_number(vertices):
+        if vertices in memo:
+            return memo[vertices][0]
+        edges = _naive_inner_edges(tree, vertices)
+        if not edges:
+            memo[vertices] = (0, None, None)
+            return 0
+        degrees = Counter(v for e in edges for v in e)
+        n = len(vertices)
+        lb = max(max(degrees.values()), (n - 1).bit_length())
+        best = None
+        for _, e, side in naive_balanced_cuts(adj, vertices, edges):
+            cand = 1 + max(rank_number(side), rank_number(vertices - side))
+            if best is None or cand < best[0]:
+                best = (cand, e, side)
+                if cand == lb:
+                    break
+        memo[vertices] = best
+        return best[0]
+
+    ranks = {}
+
+    def assign(vertices):
+        value, e, side = memo[vertices]
+        if e is not None:
+            ranks[e] = 1 + max(assign(side), assign(vertices - side))
+        return value
+
+    full = frozenset(range(tree.n))
+    rank_number(full)
+    return ranks, assign(full)
+
+
+def naive_max_weight_clique_tree(nodes):
+    """Maximum-weight spanning forest of the clique intersection graph,
+    from all d^2/2 intersections: each weight class, heaviest first, is
+    rescanned for the pair in different components with the smallest
+    (larger degree, degree sum, pair) after every edge it gives.  Returns
+    ``(nodes, edges, mids)``."""
+    d = len(nodes)
+    pairs = {}
+    for i in range(d):
+        for j in range(i + 1, d):
+            w = len(nodes[i] & nodes[j])
+            if w > 0:
+                pairs.setdefault(w, []).append((i, j))
+    parent = list(range(d))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    degree = [0] * d
+    edges = []
+    for w in sorted(pairs, reverse=True):
+        pool = pairs[w]
+        while True:
+            best = None
+            for i, j in pool:
+                if root(i) == root(j):
+                    continue
+                key = (max(degree[i], degree[j]), degree[i] + degree[j], (i, j))
+                if best is None or key < best[0]:
+                    best = (key, i, j)
+            if best is None:
+                break
+            _, i, j = best
+            parent[root(i)] = root(j)
+            degree[i] += 1
+            degree[j] += 1
+            edges.append((i, j))
+    edges = tuple(sorted(edges))
+    mids = tuple(nodes[i] & nodes[j] for i, j in edges)
+    return tuple(nodes), edges, mids
+
+
 # -- naive edge-ranking validity ----------------------------------------------
 
 

@@ -174,6 +174,13 @@ def test_rank_path9(tmp_path, capsys):
     assert len(out.splitlines()) == 9  # header plus one line per edge
 
 
+def test_rank_heuristic_on_a_wide_star(tmp_path, capsys):
+    tree_path = tmp_path / "star1100.tree"
+    tree_path.write_text(tree_to_text(Tree(1101, [(0, i) for i in range(1, 1101)])))
+    assert main(["rank", "--tree", str(tree_path), "--mode", "heuristic"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "r = 1100"
+
+
 def test_oracle_bc_fig3(fig3_path, capsys):
     assert main(["oracle", "bc", fig3_path]) == 0
     out = capsys.readouterr().out

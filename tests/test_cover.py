@@ -42,6 +42,7 @@ from bccover.cover import cover_defects
 from bccover.graph import Graph, path_graph
 from helpers import (
     naive_cover_defects,
+    naive_max_weight_clique_tree,
     naive_verify_cover,
     naive_verify_partition,
 )
@@ -334,6 +335,35 @@ def test_max_weight_tree_rebuild_is_valid_clique_tree():
         gc = gen_random_chordal(rng.randrange(1, 13), rng.random(), seed + 99)
         rebuilt = max_weight_clique_tree(clique_tree(gc).nodes)
         assert verify_clique_tree(gc, rebuilt)
+
+
+@st.composite
+def chordal_graphs(draw):
+    """gen_random_chordal graphs, sometimes beside a second one (so the
+    clique tree is a forest); density 0 gives trees, whose cliques are
+    edges that meet in at most one vertex, so the whole rebuild is one
+    weight class of ties."""
+    parts = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        n = draw(st.integers(min_value=1, max_value=18))
+        density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.8, 1.0]))
+        parts.append(gen_random_chordal(n, density, draw(st.integers(0, 10**6))))
+    edges, offset = [], 0
+    for h in parts:
+        edges += [(u + offset, v + offset) for u, v in h.edges()]
+        offset += h.n
+    return Graph(offset, edges)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(chordal_graphs())
+def test_max_weight_tree_rebuild_matches_dense_reference(gc):
+    nodes = clique_tree(gc).nodes
+    rebuilt = max_weight_clique_tree(nodes)
+    assert (rebuilt.nodes, rebuilt.edges, rebuilt.mids) == (
+        naive_max_weight_clique_tree(nodes)
+    )
+    assert verify_clique_tree(gc, rebuilt)
 
 
 def test_bfs_leaf_order_fig2():

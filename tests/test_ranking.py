@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bccover.ranking as ranking_module
 from bccover import (
     EdgeRanking,
     Tree,
@@ -14,7 +15,15 @@ from bccover import (
     is_valid_edge_ranking,
     optimal_edge_ranking,
 )
-from helpers import enumerate_trees, naive_is_valid_ranking, random_tree_edges
+from bccover.ranking import balanced_cuts
+from helpers import (
+    enumerate_trees,
+    naive_balanced_cuts,
+    naive_heuristic_ranks,
+    naive_is_valid_ranking,
+    naive_optimal_ranks,
+    random_tree_edges,
+)
 
 
 def path_tree(n):
@@ -210,3 +219,69 @@ def test_lower_bound_examples():
     assert edge_ranking_lower_bound(star(5)) == 5
     assert edge_ranking_lower_bound(Tree(2, [(0, 1)])) == 1
     assert edge_ranking_lower_bound(Tree(1, [])) == 0
+
+
+@st.composite
+def subtrees(draw, max_n=40):
+    """A random tree and the vertex set of a connected subtree of it."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    tree = Tree(n, random_tree_edges(n, random.Random(draw(st.integers(0, 10**6)))))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    size = draw(st.integers(min_value=1, max_value=n))
+    grown = [rng.randrange(n)]
+    frontier = set(tree.neighbors(grown[0]))
+    while len(grown) < size:
+        v = rng.choice(sorted(frontier))
+        grown.append(v)
+        frontier |= set(tree.neighbors(v))
+        frontier -= set(grown)
+    return tree, frozenset(grown)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(subtrees())
+def test_balanced_cuts_match_per_edge_reference(case):
+    tree, vertices = case
+    adj = [tree.neighbors(v) for v in range(tree.n)]
+    inner = [(u, v) for u, v in tree.edges if u in vertices and v in vertices]
+    assert list(balanced_cuts(adj, vertices)) == naive_balanced_cuts(
+        adj, vertices, inner
+    )
+
+
+@settings(derandomize=True, max_examples=200)
+@given(trees(min_n=1, max_n=60))
+def test_heuristic_ranks_match_recursive_reference(tree):
+    ranking, r = heuristic_edge_ranking(tree)
+    assert (ranking.ranks, r) == naive_heuristic_ranks(tree)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(trees(min_n=1, max_n=14))
+def test_optimal_ranks_match_recursive_reference(tree):
+    ranking, r = optimal_edge_ranking(tree)
+    assert (ranking.ranks, r) == naive_optimal_ranks(tree)
+
+
+def test_heuristic_ranks_a_wide_star_without_recursion():
+    tree = star(1100)
+    ranking, r = heuristic_edge_ranking(tree)
+    assert r == 1100
+    assert is_valid_edge_ranking(tree, ranking)
+
+
+def test_heuristic_builds_one_side_per_cut(monkeypatch):
+    # a count, not a clock: one side set per cut, not one per inner edge of
+    # every subtree (tens of thousands on this path)
+    calls = []
+    component = ranking_module._component
+
+    def counting(*args):
+        calls.append(1)
+        return component(*args)
+
+    monkeypatch.setattr(ranking_module, "_component", counting)
+    tree = path_tree(2000)
+    ranking, r = heuristic_edge_ranking(tree)
+    assert r == ceil_log2(2000)
+    assert len(calls) <= len(tree.edges)

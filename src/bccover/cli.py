@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import bounds as bounds_mod
 from . import gen as gen_mod
@@ -200,16 +199,9 @@ def cmd_bounds(args):
         )
         paths = [os.path.join(args.input, f) for f in files]
         worst = EXIT_OK
-        with ThreadPoolExecutor() as pool:
-            results = list(
-                pool.map(
-                    lambda p: _safe_report(p, args, value_budget, search_budget),
-                    paths,
-                )
-            )
         out_lines = []
-        for name, payload, code in results:
-            payload = dict(payload)
+        for path in paths:
+            name, payload, code = _safe_report(path, args, value_budget, search_budget)
             payload["file"] = name
             out_lines.append(json.dumps(payload, sort_keys=True))
             worst = max(worst, code)

@@ -7,13 +7,20 @@ or edge cap raises :class:`BudgetExceededError` before any work happens, while
 running out of time mid-search returns the best proven window flagged inexact.
 The enumerations have no window to return, so they raise
 :class:`BudgetExceededError` when their time runs out.
+
+The one tuned search is :func:`exact_bp`, an exact cover of the edges by
+bicliques over neighbourhood bit masks of the still uncovered graph.  It
+branches on the uncovered edge that lies in the fewest bicliques of that
+graph, and prunes every node by the Graham-Pollak inertia bound of that graph:
+the members still to come partition exactly its edges, so they number at least
+its inertia.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -52,6 +59,7 @@ class OracleResult:
     lower: int
     upper: int
     certificate: object = None
+    stats: dict | None = None  # search counters, where the oracle keeps them
 
     @property
     def exact(self):
@@ -269,35 +277,109 @@ def _bc_lower_bound(g):
 # -- biclique partition number ------------------------------------------------
 
 
-def _eigen_partition_bound(g):
-    """max(#positive, #negative adjacency eigenvalues): every biclique
-    partition needs at least that many members."""
-    if g.n == 0 or g.m == 0:
+def _inertia(masks):
+    """max(#positive, #negative eigenvalues) of the adjacency matrix whose
+    rows are the neighbourhood ``masks``: every biclique partition of its
+    edges has at least that many members (Graham-Pollak)."""
+    active = [u for u, mask in enumerate(masks) if mask]
+    if not active:
         return 0
-    a = np.zeros((g.n, g.n))
-    for u, v in g.edges():
-        a[u, v] = a[v, u] = 1.0
+    a = np.array([[masks[u] >> v & 1 for v in active] for u in active], dtype=float)
     eig = np.linalg.eigvalsh(a)
-    tol = 1e-8 * g.n
+    tol = 1e-8 * len(masks)
     return int(max((eig > tol).sum(), (eig < -tol).sum()))
+
+
+def _bicliques_through(masks, u, v, deadline):
+    """Yield, as (left mask, right mask), every biclique of the graph with
+    neighbourhood ``masks`` that has u on the left and v on the right.
+
+    Each vertex that can still join a side is decided once, lowest first:
+    left, right or neither; so each biclique comes out once, in a fixed
+    order.  A side's candidates are the common neighbours of the other side.
+    """
+    bu, bv = 1 << u, 1 << v
+    stack = [(bu, bv, masks[v] & ~bu, masks[u] & ~bv)]
+    while stack:
+        deadline.check()
+        left, right, to_left, to_right = stack.pop()
+        open_ = to_left | to_right
+        if not open_:
+            yield left, right
+            continue
+        w = open_ & -open_
+        nbrs = masks[w.bit_length() - 1]
+        stack.append((left, right, to_left & ~w, to_right & ~w))
+        if w & to_right:
+            stack.append((left, right | w, to_left & nbrs, to_right & ~w))
+        if w & to_left:
+            stack.append((left | w, right, to_left & ~w, to_right & nbrs))
+
+
+def _branch_options(masks, deadline):
+    """The bicliques through the edge (u, v), u < v, of the graph with
+    neighbourhood ``masks`` that lies in the fewest of them, counted with u
+    on the left; the most edges first, ties in the order they were found.
+
+    u and v alone, plus any one more neighbour of either, are already
+    deg(u) + deg(v) - 1 bicliques, so edges are tried in that order and the
+    scan stops once that floor reaches the fewest found; each listing stops
+    there too.
+    """
+    floors = []
+    for u, mask in enumerate(masks):
+        du = mask.bit_count()
+        later = mask >> (u + 1) << (u + 1)
+        while later:
+            bit = later & -later
+            v = bit.bit_length() - 1
+            floors.append((du + masks[v].bit_count() - 1, u, v))
+            later ^= bit
+    floors.sort()
+    options = None
+    for floor, u, v in floors:
+        if options is not None and floor >= len(options):
+            break
+        limit = None if options is None else len(options)
+        found = list(islice(_bicliques_through(masks, u, v, deadline), limit))
+        if options is None or len(found) < len(options):
+            options = found
+    options.sort(key=lambda lr: -lr[0].bit_count() * lr[1].bit_count())
+    return options
+
+
+def _vertices(mask):
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def exact_bp(g, budget=None):
     """Minimum biclique partition, as a window with a certificate partition.
 
-    Branch and bound assigning each uncovered edge either to a grown copy of
-    an open biclique (both orientations) or to a fresh one; growing a side
-    silently claims every newly spanned cross edge, so the rectangles stay
-    exactly-once by construction.
+    An exact cover of the edges by bicliques, searched over neighbourhood
+    masks of the uncovered graph; adding a member (L, R) clears R from the
+    mask of each vertex of L and L from the mask of each vertex of R.  The
+    members of a partition are edge-disjoint, so the member covering an
+    edge is a biclique of the uncovered graph: each node branches on the
+    uncovered edge that lies in the fewest of them, over those bicliques,
+    the most edges first.  The members still to come partition the
+    uncovered edges, so the inertia bound of the uncovered graph holds for
+    them and a node with k members is pruned once k plus that bound
+    reaches the best partition found.
+
+    ``stats`` counts the search nodes visited and pruned, and says why the
+    search stopped: ``root`` (the start partition meets the lower bound),
+    ``proved`` or ``deadline``.
     """
     budget = budget or DEFAULT_SEARCH_BUDGET
     _check_caps(g, budget)
+    stats = {"nodes": 0, "pruned": 0, "stop": "root"}
     edges = g.edges()
     if not edges:
-        return OracleResult(0, 0, [])
+        return OracleResult(0, 0, [], stats)
 
     gc = g.complement()
-    lb = max(1, _eigen_partition_bound(g))
+    masks = list(g.neighbor_masks())
+    lb = max(1, _inertia(masks))
     lb = max(lb, ceil_log2(len(enumerate_maximal_cliques(gc))))
 
     # initial partitions: per-vertex stars, and the clique-tree construction
@@ -316,56 +398,46 @@ def exact_bp(g, budget=None):
         pass
     best = len(best_parts)
     if best == lb:
-        return OracleResult(best, best, best_parts)
+        return OracleResult(best, best, best_parts, stats)
 
-    edge_list = list(edges)
     deadline = _Deadline(budget.time_cap)
+    members = []
 
-    def dfs(covered, members):
+    def search():
         nonlocal best, best_parts
-        deadline.check()
-        if len(members) >= best:
-            return
-        pending = None
-        for e in edge_list:
-            if e not in covered:
-                pending = e
-                break
-        if pending is None:
+        deadline.check(every=1)
+        stats["nodes"] += 1
+        if not any(masks):
             best = len(members)
-            best_parts = [Biclique(frozenset(l), frozenset(r)) for l, r in members]
+            best_parts = [Biclique(_vertices(l), _vertices(r)) for l, r in members]
             return
-        u, v = pending
-        for k, (left, right) in enumerate(members):
-            for a, b in ((u, v), (v, u)):
-                if a in right or b in left:
-                    continue
-                new_left = left | {a}
-                new_right = right | {b}
-                fresh = {
-                    (min(x, y), max(x, y))
-                    for x in new_left
-                    for y in new_right
-                } - {
-                    (min(x, y), max(x, y)) for x in left for y in right
-                }
-                if any(not g.has_edge(x, y) or (x, y) in covered for x, y in fresh):
-                    continue
-                members[k] = (new_left, new_right)
-                dfs(covered | fresh, members)
-                members[k] = (left, right)
-                if best == lb:
-                    return
-        if len(members) + 1 < best:
-            members.append((frozenset([u]), frozenset([v])))
-            dfs(covered | {pending}, members)
+        floor = len(members) + 1
+        if floor < best:
+            floor = len(members) + _inertia(masks)
+        if floor >= best:
+            stats["pruned"] += 1
+            return
+        for left, right in _branch_options(masks, deadline):
+            saved = masks[:]
+            for x in range(g.n):
+                if left >> x & 1:
+                    masks[x] &= ~right
+                elif right >> x & 1:
+                    masks[x] &= ~left
+            members.append((left, right))
+            search()
             members.pop()
+            masks[:] = saved
+            if best == lb or floor >= best:
+                return
 
     try:
-        dfs(frozenset(), [])
+        search()
     except _Timeout:
-        return OracleResult(lb, best, best_parts)
-    return OracleResult(best, best, best_parts)
+        stats["stop"] = "deadline"
+        return OracleResult(lb, best, best_parts, stats)
+    stats["stop"] = "proved"
+    return OracleResult(best, best, best_parts, stats)
 
 
 # -- chromatic number ---------------------------------------------------------

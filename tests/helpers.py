@@ -5,10 +5,23 @@ with the package internals they certify.
 """
 
 import random
+import time
 from collections import Counter
 from itertools import combinations
 
-from bccover import Biclique, Graph, Tree
+import numpy as np
+
+from bccover import (
+    Biclique,
+    Graph,
+    NotChordalError,
+    OracleResult,
+    Tree,
+    ceil_log2,
+    clique_tree,
+    enumerate_maximal_cliques,
+    find_partition,
+)
 
 
 def er_graph(n, p, rng):
@@ -193,6 +206,120 @@ def naive_bp(g):
         if all(_is_biclique_edge_set(g, set(block)) for block in partition):
             best = len(partition)
     return best
+
+
+def _reference_eigen_partition_bound(g):
+    """max(#positive, #negative adjacency eigenvalues): every biclique
+    partition needs at least that many members."""
+    if g.n == 0 or g.m == 0:
+        return 0
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges():
+        a[u, v] = a[v, u] = 1.0
+    eig = np.linalg.eigvalsh(a)
+    tol = 1e-8 * g.n
+    return int(max((eig > tol).sum(), (eig < -tol).sum()))
+
+
+class _ReferenceTimeout(Exception):
+    pass
+
+
+class _ReferenceDeadline:
+    def __init__(self, seconds):
+        self.at = time.monotonic() + seconds
+        self._tick = 0
+
+    def check(self, every=256):
+        self._tick += 1
+        if self._tick % every == 0 and time.monotonic() > self.at:
+            raise _ReferenceTimeout()
+
+
+def reference_exact_bp(g, time_cap=10.0):
+    """The edge-tuple branch and bound that ``exact_bp`` used to be, kept as
+    the reference for the mask search.
+
+    Branch and bound assigning each uncovered edge either to a grown copy of
+    an open biclique (both orientations) or to a fresh one; growing a side
+    silently claims every newly spanned cross edge, so the rectangles stay
+    exactly-once by construction.  Shares only the root bounds and start
+    partitions with the package, not the search.
+    """
+    edges = g.edges()
+    if not edges:
+        return OracleResult(0, 0, [])
+
+    gc = g.complement()
+    lb = max(1, _reference_eigen_partition_bound(g))
+    lb = max(lb, ceil_log2(len(enumerate_maximal_cliques(gc))))
+
+    # initial partitions: per-vertex stars, and the clique-tree construction
+    # when the complement is chordal
+    by_min = {}
+    for u, v in edges:
+        by_min.setdefault(u, set()).add(v)
+    best_parts = [
+        Biclique(frozenset([u]), frozenset(vs)) for u, vs in sorted(by_min.items())
+    ]
+    try:
+        tree_parts = find_partition(clique_tree(gc))
+        if len(tree_parts) < len(best_parts):
+            best_parts = tree_parts
+    except NotChordalError:
+        pass
+    best = len(best_parts)
+    if best == lb:
+        return OracleResult(best, best, best_parts)
+
+    edge_list = list(edges)
+    deadline = _ReferenceDeadline(time_cap)
+
+    def dfs(covered, members):
+        nonlocal best, best_parts
+        deadline.check()
+        if len(members) >= best:
+            return
+        pending = None
+        for e in edge_list:
+            if e not in covered:
+                pending = e
+                break
+        if pending is None:
+            best = len(members)
+            best_parts = [Biclique(frozenset(l), frozenset(r)) for l, r in members]
+            return
+        u, v = pending
+        for k, (left, right) in enumerate(members):
+            for a, b in ((u, v), (v, u)):
+                if a in right or b in left:
+                    continue
+                new_left = left | {a}
+                new_right = right | {b}
+                fresh = {
+                    (min(x, y), max(x, y))
+                    for x in new_left
+                    for y in new_right
+                } - {
+                    (min(x, y), max(x, y)) for x in left for y in right
+                }
+                if any(not g.has_edge(x, y) or (x, y) in covered for x, y in fresh):
+                    continue
+                members[k] = (new_left, new_right)
+                dfs(covered | fresh, members)
+                members[k] = (left, right)
+                if best == lb:
+                    return
+        if len(members) + 1 < best:
+            members.append((frozenset([u]), frozenset([v])))
+            dfs(covered | {pending}, members)
+            members.pop()
+
+    try:
+        dfs(frozenset(), [])
+    except _ReferenceTimeout:
+        return OracleResult(lb, best, best_parts)
+    return OracleResult(best, best, best_parts)
 
 
 # -- naive tree layer ------------------------------------------------------------

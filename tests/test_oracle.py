@@ -1,7 +1,9 @@
 import random
+import time
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bccover import (
     Biclique,
@@ -27,12 +29,14 @@ from bccover import (
     verify_partition,
 )
 from bccover.graph import Graph
+from bccover.oracle import DEFAULT_SEARCH_BUDGET
 from helpers import (
     er_graph,
     naive_bc,
     naive_bp,
     naive_maximal_bicliques,
     random_tree_edges,
+    reference_exact_bp,
 )
 
 
@@ -181,6 +185,66 @@ def test_exact_bp_matches_naive_on_denser_six_vertex_graphs():
             continue
         assert exact_bp(g).value == naive_bp(g)
         done += 1
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(small_graphs())
+def test_exact_bp_matches_edge_tuple_reference(g):
+    result = exact_bp(g)
+    reference = reference_exact_bp(g)
+    assert result.lower <= result.upper
+    assert reference.exact and result.exact
+    assert result.value == reference.value
+    assert len(result.certificate) == result.upper
+    assert verify_partition(g, result.certificate)
+
+
+# bp of the G(12, 0.5) seeds that the edge-tuple search proves within 8 s
+GNP12_BP = {0: 7, 3: 6, 9: 7, 10: 8, 11: 6, 12: 7, 17: 7, 18: 7}
+
+
+def test_exact_bp_proves_every_gnp12_graph():
+    for seed in range(20):
+        g = er_graph(12, 0.5, random.Random(seed))
+        result = exact_bp(g, DEFAULT_SEARCH_BUDGET)
+        assert result.exact, seed
+        assert len(result.certificate) == result.upper
+        assert verify_partition(g, result.certificate)
+        assert result.value == GNP12_BP.get(seed, result.value)
+        # a count guard, not a clock guard: the verdict must not hang on load
+        assert result.stats["stop"] in ("proved", "root")
+        assert result.stats["nodes"] <= 2000, (seed, result.stats)
+
+
+def test_exact_bp_stats():
+    result = exact_bp(complete_graph(14))
+    assert result.value == 13
+    assert result.stats == {"nodes": 0, "pruned": 0, "stop": "root"}
+    assert exact_bp(Graph(3)).stats["stop"] == "root"
+    assert exact_bc(complete_graph(4)).stats is None
+
+
+def test_exact_bp_keeps_near_its_time_cap_on_a_dense_graph():
+    # 79 of 91 edges: counting the bicliques through one edge alone takes
+    # longer than the cap, so the deadline must reach inside that count
+    g = er_graph(14, 0.9, random.Random(0))
+    assert g.m == 79
+    start = time.monotonic()
+    result = exact_bp(g, OracleBudget(14, 96, 0.05))
+    assert time.monotonic() - start < 0.5
+    assert result.lower <= result.upper
+    assert len(result.certificate) == result.upper
+    assert verify_partition(g, result.certificate)
+    if not result.exact:
+        assert result.stats["stop"] == "deadline"
 
 
 def test_exact_bc_matches_naive_on_six_vertex_graphs():

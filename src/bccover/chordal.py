@@ -17,15 +17,14 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import NotChordalError
-from .graph import connected_components, find_root
+from .graph import connected_components, find_root, mask_vertices, vertex_mask
 
 
 @dataclass(frozen=True)
 class Ordering:
     """A bijection between positions 1..n and vertices.
 
-    ``order[i]`` is the vertex at position i+1; ``position[v]`` is the
-    1-based position of vertex v.
+    ``order[i]`` is the vertex at position i+1.
     """
 
     order: tuple
@@ -33,9 +32,6 @@ class Ordering:
     @property
     def n(self):
         return len(self.order)
-
-    def position_map(self):
-        return {v: i + 1 for i, v in enumerate(self.order)}
 
     def vertex_at(self, position):
         return self.order[position - 1]
@@ -76,22 +72,34 @@ def mcs_order(g):
     """Maximum cardinality search ordering of ``g``.
 
     Positions are filled from n down to 1; among vertices with equally many
-    labeled neighbors the smallest index wins.
+    labeled neighbors the smallest index wins.  The unlabeled vertices are
+    kept in one mask per labeled-neighbour count (a bucket queue): the next
+    vertex is the lowest bit of the highest non-empty bucket, and its
+    unlabeled neighbours move up one bucket.  A step that takes a vertex
+    from bucket k touches buckets 0..k, and those k sum to m over the whole
+    search, so it takes O(n + m) mask operations.
     """
     n = g.n
-    weight = [0] * n
-    labeled = [False] * n
+    masks = g.neighbor_masks()
+    unlabeled = (1 << n) - 1
+    buckets = [unlabeled] + [0] * n  # buckets[k]: unlabeled, k labeled neighbours
+    top = 0
     order = [0] * n
-    for pos in range(n, 0, -1):
-        best = -1
-        for v in range(n):
-            if not labeled[v] and (best < 0 or weight[v] > weight[best]):
-                best = v
-        labeled[best] = True
-        order[pos - 1] = best
-        for w in g.neighborhood(best):
-            if not labeled[w]:
-                weight[w] += 1
+    for pos in range(n - 1, -1, -1):
+        while not buckets[top]:
+            top -= 1
+        low = buckets[top] & -buckets[top]
+        buckets[top] ^= low
+        unlabeled ^= low
+        v = low.bit_length() - 1
+        order[pos] = v
+        moving = masks[v] & unlabeled
+        for k in range(top, -1, -1):  # downwards, so no vertex moves twice
+            moved = buckets[k] & moving
+            buckets[k] ^= moved
+            buckets[k + 1] |= moved
+        if buckets[top + 1]:
+            top += 1
     return Ordering(tuple(order))
 
 
@@ -104,13 +112,14 @@ def _peo_failure(g, ordering):
     """1-based position of the first simpliciality failure, or None."""
     if sorted(ordering.order) != list(range(g.n)):
         raise ValueError("ordering is not a bijection over the vertices")
-    pos = ordering.position_map()
+    masks = g.neighbor_masks()
+    unplaced = (1 << g.n) - 1  # vertices at this position or later
     for i, v in enumerate(ordering.order, start=1):
-        later = [u for u in g.neighborhood(v) if pos[u] > i]
-        for a in range(len(later)):
-            for b in range(a + 1, len(later)):
-                if not g.has_edge(later[a], later[b]):
-                    return i
+        unplaced ^= 1 << v
+        later = masks[v] & unplaced
+        for u in mask_vertices(later):
+            if later & ~masks[u] & ~(1 << u):
+                return i
     return None
 
 
@@ -137,31 +146,32 @@ def clique_tree(g):
         )
 
     n = g.n
-    labeled = set()
-    alpha = {}
-    clique_of = {}
-    cliques = []
+    masks = g.neighbor_masks()
+    labeled = 0
+    alpha = [0] * n
+    clique_of = [0] * n
+    cliques = []  # as vertex masks
     tree_edges = []
     prev_card = 0
     cur = -1
     for pos in range(n, 0, -1):
         v = ordering.vertex_at(pos)
         alpha[v] = pos
-        base = labeled & g.neighbor_set(v)
-        new_card = len(base)
+        base = labeled & masks[v]
+        new_card = base.bit_count()
         if new_card <= prev_card:
             cur += 1
-            cliques.append(set(base))
+            cliques.append(base)
             if new_card != 0:
-                u = min(base, key=lambda x: alpha[x])
+                u = min(mask_vertices(base), key=alpha.__getitem__)
                 parent = clique_of[u]
                 tree_edges.append((min(cur, parent), max(cur, parent)))
         clique_of[v] = cur
-        cliques[cur].add(v)
-        labeled.add(v)
+        cliques[cur] |= 1 << v
+        labeled |= 1 << v
         prev_card = new_card
 
-    nodes = tuple(frozenset(k) for k in cliques)
+    nodes = tuple(frozenset(mask_vertices(k)) for k in cliques)
     edges = tuple(sorted(tree_edges))
     mids = tuple(nodes[i] & nodes[j] for i, j in edges)
     return CliqueTree(nodes, edges, mids)
@@ -199,25 +209,26 @@ def verify_clique_tree(g, tree):
         return False
 
     # nodes are maximal cliques, pairwise incomparable, covering all edges
+    masks = g.neighbor_masks()
+    reach = [0] * g.n  # reach[u]: union of the nodes containing u
     for k in nodes:
+        if not all(0 <= u < g.n for u in k):
+            return False
+        clique = vertex_mask(k)
+        common = (1 << g.n) - 1  # common neighbours of the node's members
         for u in k:
-            if not (0 <= u < g.n):
-                return False
-        members = sorted(k)
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                if not g.has_edge(members[a], members[b]):
-                    return False
-        for v in range(g.n):
-            if v not in k and k <= g.neighbor_set(v):
-                return False  # extendable, not maximal
+            if clique & ~masks[u] & ~(1 << u):
+                return False  # not a clique
+            common &= masks[u]
+            reach[u] |= clique
+        if common:
+            return False  # extendable, not maximal
     for a in range(d):
         for b in range(a + 1, d):
             if nodes[a] <= nodes[b] or nodes[b] <= nodes[a]:
                 return False
-    for u, v in g.edges():
-        if not any(u in k and v in k for k in nodes):
-            return False
+    if any(mask & ~r for mask, r in zip(masks, reach)):
+        return False  # an edge lies in no node
 
     # middle sets and clique-intersection property
     for (i, j), mid in zip(tree.edges, tree.mids):

@@ -1,21 +1,24 @@
 """Undirected simple graphs over dense integer vertices.
 
 Vertices are always 0..n-1.  Graphs are immutable after construction, so they
-can be shared freely between threads; every operation here is pure.  Neighbor
-sets are kept sorted so that all derived objects (edge lists, complements,
-induced subgraphs) come out in a deterministic order.
+can be shared freely between threads; every operation here is pure.  Every
+vertex list that comes out (neighbourhoods, edge lists, components) is sorted,
+so all derived objects come out in a deterministic order.
 
-Each vertex's neighbourhood is also kept as a Python ``int`` bit mask (bit v
-set iff v is a neighbour).  Set-valued questions about many vertices at once
-are answered on the masks: :meth:`Graph.is_biclique_subgraph` ANDs the masks
-of one side and compares the result with the other side's mask, so it costs
-O(|L| + |R|) big-int operations of n bits instead of |L| * |R| lookups, and
-cover verification ORs each member's side masks into per-vertex coverage
-masks.  Single-edge lookups (:meth:`Graph.has_edge`) stay on frozensets,
-which are faster for one membership test.  The constructor builds the masks
-from bytes rather than bit by bit, and the edge list only on the first call
-to :meth:`Graph.edges` (equality and hashing read the masks), so building a
-graph does not pay for an edge list that nothing reads.
+Each vertex's neighbourhood is stored once, as a Python ``int`` bit mask (bit
+v set iff v is a neighbour); everything else is derived from the masks.
+:meth:`Graph.neighborhood`, :meth:`Graph.edges` and :func:`mask_vertices` read
+a mask's set bits in O(bits set) steps, so a sparse graph such as a path costs
+O(n + m) to walk however large n is.  Set-valued questions about many vertices
+at once are single mask operations: :meth:`Graph.is_biclique_subgraph` ANDs
+the masks of one side and compares the result with the other side's mask, so
+it costs O(|L| + |R|) big-int operations of n bits instead of |L| * |R|
+lookups, and cover verification ORs each member's side masks into per-vertex
+coverage masks.  :meth:`Graph.complement` flips each mask against the full
+vertex set and lists no edges.  The constructor builds a dense neighbourhood
+from bytes rather than bit by bit, and the edge list only on the first call to
+:meth:`Graph.edges` (equality and hashing read the masks), so building a graph
+does not pay for an edge list that nothing reads.
 
 The on-disk edge-list format is one header line ``p <n> <m>`` followed by one
 ``u v`` line per edge; lines starting with ``c`` are comments.  Files written
@@ -25,13 +28,15 @@ order) and round-trip bit-exactly.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .errors import GraphFormatError
 
 
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_m", "_nbrs", "_nbr_sets", "_masks", "_edges")
+    __slots__ = ("n", "_m", "_masks", "_edges")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -45,11 +50,23 @@ class Graph:
                 raise ValueError("self-loop at vertex %d" % u)
             adj[u].add(v)
             adj[v].add(u)
-        self._nbrs = tuple(tuple(sorted(s)) for s in adj)
-        self._nbr_sets = tuple(frozenset(s) for s in adj)
-        self._masks = tuple(_dense_mask(s, n) for s in adj)
+        # bytes pay off once a neighbourhood holds about one vertex in sixteen
+        self._masks = tuple(
+            _dense_mask(s, n) if 16 * len(s) > n else vertex_mask(s) for s in adj
+        )
         self._m = sum(map(len, adj)) // 2
         self._edges = None  # listed on first use; many graphs never need it
+
+    @classmethod
+    def _from_masks(cls, masks):
+        """Graph with neighbourhood masks ``masks``, which must be symmetric,
+        loop-free and inside 0..len(masks)-1; nothing is checked or listed."""
+        g = cls.__new__(cls)
+        g.n = len(masks)
+        g._masks = tuple(masks)
+        g._m = sum(mask.bit_count() for mask in g._masks) // 2
+        g._edges = None
+        return g
 
     # -- accessors ---------------------------------------------------------
 
@@ -62,22 +79,20 @@ class Graph:
         """All edges as (u, v) pairs with u < v, in lexicographic order."""
         if self._edges is None:
             self._edges = tuple(
-                (u, v) for u in range(self.n) for v in self._nbrs[u] if u < v
+                (u, v)
+                for u, mask in enumerate(self._masks)
+                for v in mask_vertices(mask >> (u + 1) << (u + 1))
             )
         return list(self._edges)
 
     def degree(self, v):
         self._check_vertex(v)
-        return len(self._nbrs[v])
+        return self._masks[v].bit_count()
 
     def neighborhood(self, v):
         """Sorted tuple of neighbors of v."""
         self._check_vertex(v)
-        return self._nbrs[v]
-
-    def neighbor_set(self, v):
-        """Neighbors of v as a frozenset (no bounds check beyond indexing)."""
-        return self._nbr_sets[v]
+        return tuple(mask_vertices(self._masks[v]))
 
     def neighbor_masks(self):
         """Tuple of neighbourhood bit masks: bit v of entry u is set iff
@@ -85,7 +100,9 @@ class Graph:
         return self._masks
 
     def has_edge(self, u, v):
-        return 0 <= u < self.n and v in self._nbr_sets[u]
+        """True iff (u, v) is an edge; False, not an error, for any vertex
+        out of range."""
+        return 0 <= u < self.n and 0 <= v < self.n and self._masks[u] >> v & 1 == 1
 
     def _check_vertex(self, v):
         if not (0 <= v < self.n):
@@ -95,13 +112,10 @@ class Graph:
 
     def complement(self):
         """Graph with edge (u, v) iff u != v and (u, v) is not an edge here."""
-        edges = [
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if v not in self._nbr_sets[u]
-        ]
-        return Graph(self.n, edges)
+        full = (1 << self.n) - 1
+        return Graph._from_masks(
+            [full & ~mask & ~(1 << u) for u, mask in enumerate(self._masks)]
+        )
 
     def induced_subgraph(self, vertices):
         """Subgraph induced by ``vertices``, relabeled to 0..|S|-1.
@@ -162,6 +176,22 @@ def vertex_mask(vertices):
     return mask
 
 
+def mask_vertices(mask):
+    """Sorted list of the set bits of ``mask``, the inverse of
+    :func:`vertex_mask`, in O(bits set) steps.  A sparse mask is walked one
+    lowest bit at a time; one with at least one bit set in eight is read from
+    its binary digits in a single pass, several times faster for such a mask."""
+    if 8 * mask.bit_count() < mask.bit_length():
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+    digits = bin(mask)[:1:-1].encode().translate(_BINARY_VALUES)
+    return list(compress(range(len(digits)), digits))
+
+
 def _dense_mask(vertices, n):
     """:func:`vertex_mask` for vertices known to lie in 0..n-1.  Setting
     bytes and parsing them once is about twice as fast as shifting in each
@@ -175,6 +205,7 @@ def _dense_mask(vertices, n):
 
 
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_BINARY_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def complete_graph(n):
@@ -200,23 +231,21 @@ def find_root(parent, x):
 
 
 def connected_components(g):
-    """List of components, each a sorted tuple of vertices."""
-    seen = [False] * g.n
+    """List of components, each a sorted tuple of vertices, ordered by
+    their smallest vertex."""
+    masks = g.neighbor_masks()
+    unseen = (1 << g.n) - 1
     comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in g.neighborhood(v):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
+    while unseen:
+        comp = frontier = unseen & -unseen
+        while frontier:
+            reach = 0
+            for v in mask_vertices(frontier):
+                reach |= masks[v]
+            frontier = reach & ~comp
+            comp |= frontier
+        unseen &= ~comp
+        comps.append(tuple(mask_vertices(comp)))
     return comps
 
 

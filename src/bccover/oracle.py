@@ -27,6 +27,7 @@ import numpy as np
 from .chordal import clique_tree
 from .cover import Biclique, find_partition
 from .errors import BudgetExceededError, NotChordalError
+from .graph import mask_vertices
 from .ranking import (
     EdgeRanking,
     ceil_log2,
@@ -107,32 +108,34 @@ def _check_caps(g, budget):
 def enumerate_maximal_cliques(g, budget=None):
     """All maximal cliques, each as a sorted tuple, in lexicographic order.
 
-    Bron-Kerbosch with pivoting.
+    Bron-Kerbosch with pivoting, on vertex masks.
     """
     budget = budget or DEFAULT_VALUE_BUDGET
     _check_caps(g, budget)
     deadline = _Deadline(budget.time_cap)
     if g.n == 0:
         return []
+    masks = g.neighbor_masks()
     out = []
 
     def expand(current, candidates, excluded):
         deadline.check(every=64)
         if not candidates and not excluded:
-            out.append(tuple(sorted(current)))
+            out.append(tuple(mask_vertices(current)))
             return
-        pivot = max(candidates | excluded, key=lambda u: len(g.neighbor_set(u) & candidates))
-        for v in sorted(candidates - g.neighbor_set(pivot)):
-            expand(
-                current | {v},
-                candidates & g.neighbor_set(v),
-                excluded & g.neighbor_set(v),
-            )
-            candidates = candidates - {v}
-            excluded = excluded | {v}
+        most = -1
+        for u in mask_vertices(candidates | excluded):
+            count = (masks[u] & candidates).bit_count()
+            if count > most:
+                most, pivot = count, u
+        for v in mask_vertices(candidates & ~masks[pivot]):
+            bit = 1 << v
+            expand(current | bit, candidates & masks[v], excluded & masks[v])
+            candidates ^= bit
+            excluded |= bit
 
     try:
-        expand(frozenset(), frozenset(range(g.n)), frozenset())
+        expand(0, (1 << g.n) - 1, 0)
     except _Timeout:
         raise BudgetExceededError("maximal clique enumeration timed out") from None
     return sorted(out)
@@ -184,9 +187,7 @@ def enumerate_maximal_bicliques(g, budget=None):
             if common(right) != mask:
                 continue
             if (mask & -mask) < (right & -right):  # keep one orientation only
-                left_set = frozenset(i for i in range(n) if mask >> i & 1)
-                right_set = frozenset(i for i in range(n) if right >> i & 1)
-                found.append(Biclique(left_set, right_set).canonical())
+                found.append(Biclique(_vertices(mask), _vertices(right)).canonical())
     except _Timeout:
         raise BudgetExceededError("maximal biclique enumeration timed out") from None
     found.sort(key=lambda b: (sorted(b.left), sorted(b.right)))
@@ -349,7 +350,7 @@ def _branch_options(masks, deadline):
 
 
 def _vertices(mask):
-    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+    return frozenset(mask_vertices(mask))
 
 
 def exact_bp(g, budget=None):
@@ -461,6 +462,7 @@ def exact_chromatic(g, budget=None):
         return OracleResult(best, best, tuple(best_assign))
 
     colors = [0] * n
+    nbrs = _neighbour_lists(g)
     deadline = _Deadline(budget.time_cap)
 
     def select():
@@ -468,8 +470,8 @@ def exact_chromatic(g, budget=None):
         for v in range(n):
             if colors[v]:
                 continue
-            s = len({colors[u] for u in g.neighborhood(v) if colors[u]})
-            d = g.degree(v)
+            s = len({colors[u] for u in nbrs[v] if colors[u]})
+            d = len(nbrs[v])
             if s > sat or (s == sat and d > deg):
                 cand, sat, deg = v, s, d
         return cand
@@ -485,7 +487,7 @@ def exact_chromatic(g, budget=None):
             return
         v = select()
         for c in range(1, min(used + 1, best - 1) + 1):
-            if all(colors[u] != c for u in g.neighborhood(v)):
+            if all(colors[u] != c for u in nbrs[v]):
                 colors[v] = c
                 backtrack(max(used, c), colored + 1)
                 colors[v] = 0
@@ -503,8 +505,9 @@ def greedy_coloring(g):
     """Largest-first greedy coloring: colors 1.. per vertex, a proper
     coloring of ``g`` and so an upper bound on its chromatic number."""
     colors = [0] * g.n
-    for v in sorted(range(g.n), key=lambda v: -g.degree(v)):
-        taken = {colors[u] for u in g.neighborhood(v) if colors[u]}
+    nbrs = _neighbour_lists(g)
+    for v in sorted(range(g.n), key=lambda v: -len(nbrs[v])):
+        taken = {colors[u] for u in nbrs[v] if colors[u]}
         c = 1
         while c in taken:
             c += 1
@@ -513,14 +516,21 @@ def greedy_coloring(g):
 
 
 def _greedy_clique_size(g):
+    masks = g.neighbor_masks()
+    nbrs = _neighbour_lists(g)
     best = 1 if g.n else 0
     for v in range(g.n):
-        clique = {v}
-        for u in sorted(g.neighborhood(v), key=lambda u: -g.degree(u)):
-            if all(g.has_edge(u, w) for w in clique):
-                clique.add(u)
-        best = max(best, len(clique))
+        clique = 1 << v
+        for u in sorted(nbrs[v], key=lambda u: -len(nbrs[u])):
+            if not clique & ~masks[u]:
+                clique |= 1 << u
+        best = max(best, clique.bit_count())
     return best
+
+
+def _neighbour_lists(g):
+    """Sorted neighbour list of each vertex, built once per call."""
+    return [mask_vertices(mask) for mask in g.neighbor_masks()]
 
 
 # -- maximum matching ---------------------------------------------------------

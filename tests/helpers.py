@@ -322,6 +322,35 @@ def reference_exact_bp(g, time_cap=10.0):
     return OracleResult(best, best, best_parts)
 
 
+# -- naive chordal layer ---------------------------------------------------------
+
+
+def naive_mcs_order(g):
+    """Maximum cardinality search by scanning every vertex at every step,
+    O(n^2): positions from n down to 1, the unlabeled vertex with the most
+    labeled neighbours first, ties to the smallest index.  Returns the order
+    as a tuple of vertices by position."""
+    n = g.n
+    adj = [[] for _ in range(n)]
+    for u, v in g.edges():
+        adj[u].append(v)
+        adj[v].append(u)
+    weight = [0] * n
+    labeled = [False] * n
+    order = [0] * n
+    for pos in range(n, 0, -1):
+        best = -1
+        for v in range(n):
+            if not labeled[v] and (best < 0 or weight[v] > weight[best]):
+                best = v
+        labeled[best] = True
+        order[pos - 1] = best
+        for w in adj[best]:
+            if not labeled[w]:
+                weight[w] += 1
+    return tuple(order)
+
+
 # -- naive tree layer ------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@ from itertools import permutations
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bccover import (
     CliqueTree,
@@ -22,6 +23,7 @@ from bccover import (
     verify_clique_tree,
 )
 from bccover.graph import Graph
+from helpers import er_graph, naive_mcs_order
 
 
 def to_nx(g):
@@ -35,6 +37,32 @@ def test_mcs_order_is_bijection():
     order = mcs_order(path_graph(5))
     assert sorted(order.order) == list(range(5))
     assert is_perfect_elimination_order(path_graph(5), order)
+
+
+@st.composite
+def mcs_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    kind = draw(st.sampled_from(["gnp", "chordal", "cochordal"]))
+    if kind == "gnp":
+        p = draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.8, 1.0]))
+        return er_graph(n, p, random.Random(seed))
+    h = gen_random_chordal(n, draw(st.sampled_from([0.0, 0.2, 0.5, 0.9])), seed)
+    return h if kind == "chordal" else h.complement()
+
+
+@settings(derandomize=True, max_examples=300)
+@given(mcs_cases())
+def test_mcs_order_matches_quadratic_reference(g):
+    assert mcs_order(g).order == naive_mcs_order(g)
+
+
+def test_mcs_order_of_a_long_path():
+    # the complement of copath-n: vertex 0 takes position n, then each next
+    # vertex is the one unlabeled vertex with a labeled neighbour
+    g = path_graph(3000)
+    assert mcs_order(g).order == tuple(range(2999, -1, -1))
+    assert is_perfect_elimination_order(g, mcs_order(g))
 
 
 def test_mcs_on_complete_graph_any_order_is_peo():

@@ -526,6 +526,21 @@ def test_serialization_round_trip():
         bicliques_from_text("L: 0 1 R: 2\n")
 
 
+def test_cover_never_lists_the_complement(monkeypatch):
+    g = gen_copath(200).graph
+    built = []
+    init = Graph.__init__
+
+    def counting_init(self, n, edges=()):
+        built.append(n)
+        init(self, n, edges)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    cover, meta = cover_cochordal(g)
+    assert built == []  # no Graph was built from an edge list
+    assert meta.verified and len(cover) == ceil_log2(199)
+
+
 def test_cover_that_fails_its_check_is_flagged(monkeypatch, tmp_path, capsys):
     g = gen_copath(9).graph
     merge = cover_module.merge_bicliques

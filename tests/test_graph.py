@@ -1,8 +1,10 @@
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bccover.graph as graph_module
 from bccover import (
     Graph,
     GraphFormatError,
@@ -13,6 +15,7 @@ from bccover import (
     graph_to_text,
     path_graph,
 )
+from bccover.graph import connected_components, mask_vertices, vertex_mask
 from helpers import er_graph, graph_from_labels, naive_is_biclique
 
 
@@ -140,7 +143,7 @@ def test_neighbor_masks_match_neighbor_sets(g):
     masks = g.neighbor_masks()
     assert len(masks) == g.n
     for u in range(g.n):
-        assert {v for v in range(g.n) if masks[u] >> v & 1} == g.neighbor_set(u)
+        assert tuple(v for v in range(g.n) if masks[u] >> v & 1) == g.neighborhood(u)
 
 
 @given(graphs())
@@ -162,6 +165,68 @@ def test_accessors():
     ]
     with pytest.raises(ValueError):
         c4.degree(7)
+
+
+def test_accessor_edge_cases():
+    g = Graph(3, [(0, 2), (1, 2)])
+    # a negative shift count raises ValueError, so v < 0 must be caught first
+    cases = ((2, -1), (0, -3), (2, 3), (2, 99), (-1, 2), (3, 2), (-1, -1), (2, 2), (0, 0))
+    for u, v in cases:
+        assert g.has_edge(u, v) is False
+    assert g.has_edge(2, 0) is True and g.has_edge(0, 1) is False
+    for v in (-1, 3, 99):
+        with pytest.raises(ValueError):
+            g.neighborhood(v)
+        with pytest.raises(ValueError):
+            g.degree(v)
+    assert Graph(0).has_edge(0, 0) is False
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.integers(min_value=0, max_value=40), st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.9, 1.0]),
+       st.integers(min_value=0, max_value=10**6))
+def test_accessors_match_networkx(n, p, seed):
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    rng.shuffle(pairs)
+    g = Graph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs])
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(pairs)
+    assert g.m == h.number_of_edges()
+    assert g.edges() == sorted(tuple(sorted(e)) for e in h.edges())
+    for u in range(n):
+        assert g.neighborhood(u) == tuple(sorted(h[u]))
+        assert g.degree(u) == h.degree(u)
+        for v in range(-1, n + 1):
+            assert g.has_edge(u, v) == h.has_edge(u, v)
+    gc = g.complement()
+    assert gc.edges() == sorted(tuple(sorted(e)) for e in nx.complement(h).edges())
+    theirs = sorted(tuple(sorted(c)) for c in nx.connected_components(h))
+    assert connected_components(g) == theirs
+    assert connected_components(gc) == sorted(
+        tuple(sorted(c)) for c in nx.connected_components(nx.complement(h))
+    )
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.sets(st.integers(min_value=0, max_value=3000)))
+def test_mask_vertices_inverts_vertex_mask(vertices):
+    assert mask_vertices(vertex_mask(vertices)) == sorted(vertices)
+    full = (1 << 3000) - 1  # the dense path, read from binary digits
+    assert mask_vertices(full & ~vertex_mask(vertices)) == sorted(set(range(3000)) - vertices)
+
+
+def test_sparse_graphs_build_masks_bit_by_bit(monkeypatch):
+    calls = []
+    real = graph_module._dense_mask
+    monkeypatch.setattr(
+        graph_module, "_dense_mask", lambda vs, n: calls.append(n) or real(vs, n)
+    )
+    g = path_graph(2000)
+    assert calls == []
+    assert g.m == 1999 and g.neighborhood(1000) == (999, 1001)
+    assert complete_graph(40).m == 780 and len(calls) == 40  # dense: bytes
 
 
 def test_empty_graph_is_legal_everywhere():

@@ -45,12 +45,7 @@ from .cover import (
     verify_cover,
     verify_partition,
 )
-from .errors import (
-    BudgetExceededError,
-    GraphFormatError,
-    NotChordalError,
-    TreeTooLargeError,
-)
+from .errors import BudgetExceededError, GraphFormatError, NotChordalError
 from .gen import (
     NamedInstance,
     gen_copath,

@@ -242,8 +242,7 @@ class BoundReport:
         return out
 
 
-def full_report(g, value_budget=None, search_budget=None, run_oracle=True,
-                ranking_mode="auto"):
+def full_report(g, value_budget=None, search_budget=None, run_oracle=True):
     """Compute every applicable bound for ``g``; failures of individual
     members leave their fields unset instead of aborting the report.
 
@@ -259,7 +258,7 @@ def full_report(g, value_budget=None, search_budget=None, run_oracle=True,
     mc = None
     meta = None
     try:
-        cover, meta = cover_cochordal(g, ranking_mode=ranking_mode)
+        cover, meta = cover_cochordal(g)
         mc = meta.mc_complement
         report.cover = cover
         report.cover_meta = meta

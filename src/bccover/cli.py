@@ -29,12 +29,7 @@ from .cover import (
     verify_cover,
     verify_partition,
 )
-from .errors import (
-    BudgetExceededError,
-    GraphFormatError,
-    NotChordalError,
-    TreeTooLargeError,
-)
+from .errors import BudgetExceededError, GraphFormatError, NotChordalError
 from .graph import graph_to_text, read_graph, write_graph
 from .oracle import (
     DEFAULT_RANKING_BUDGET,
@@ -48,12 +43,7 @@ from .oracle import (
     exact_max_matching,
     exhaustive_edge_ranking,
 )
-from .ranking import (
-    heuristic_edge_ranking,
-    optimal_edge_ranking,
-    ranking_to_text,
-    read_tree,
-)
+from .ranking import optimal_edge_ranking, ranking_to_text, read_tree
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -146,13 +136,8 @@ def _report_text(report):
     if report.cover is not None:
         meta = report.cover_meta
         lines.append(
-            "cover: size %d (ranking r=%d, %s, all-le-2=%s)"
-            % (
-                report.cover_size,
-                meta.ranking_r,
-                "optimal" if meta.ranking_optimal else "heuristic",
-                meta.all_le_two,
-            )
+            "cover: size %d (ranking r=%d, optimal, all-le-2=%s)"
+            % (report.cover_size, meta.ranking_r, meta.all_le_two)
         )
         lines.extend("  " + l for l in bicliques_to_text(report.cover).splitlines())
     if report.oracle_bc is not None:
@@ -234,7 +219,7 @@ def _safe_report(path, args, value_budget, search_budget):
 def cmd_cover(args):
     g = read_graph(args.input)
     try:
-        cover, meta = cover_cochordal(g, ranking_mode=args.ranking_mode)
+        cover, meta = cover_cochordal(g)
     except NotChordalError as exc:
         print("precondition failed: %s" % exc, file=sys.stderr)
         return EXIT_PRECONDITION
@@ -255,13 +240,12 @@ def cmd_cover(args):
         _write_output(json.dumps(payload, sort_keys=True) + "\n", args.out)
     else:
         header = (
-            "c cover size %d | mc(complement) %d | ranking r %d (%s) | all-le-2 %s\n"
+            "c cover size %d | mc(complement) %d | ranking r %d (optimal) | all-le-2 %s\n"
             "c levels before merge %s | after %s\n"
             % (
                 len(cover),
                 meta.mc_complement,
                 meta.ranking_r,
-                "optimal" if meta.ranking_optimal else "heuristic",
                 meta.all_le_two,
                 [meta.level_sizes_before[k] for k in sorted(meta.level_sizes_before)],
                 [meta.level_sizes_after[k] for k in sorted(meta.level_sizes_after)],
@@ -352,20 +336,7 @@ def _shape_tree(shape, nodes, seed):
 
 
 def cmd_rank(args):
-    tree = read_tree(args.tree)
-    try:
-        if args.mode == "heuristic":
-            ranking, r = heuristic_edge_ranking(tree)
-        elif args.mode == "exact":
-            ranking, r = optimal_edge_ranking(tree, max_edges=len(tree.edges))
-        else:
-            try:
-                ranking, r = optimal_edge_ranking(tree)
-            except TreeTooLargeError:
-                ranking, r = heuristic_edge_ranking(tree)
-    except TreeTooLargeError as exc:
-        print("budget: %s" % exc, file=sys.stderr)
-        return EXIT_BUDGET
+    ranking, r = optimal_edge_ranking(read_tree(args.tree))
     _write_output("r = %d\n" % r + ranking_to_text(ranking), args.out)
     return EXIT_OK
 
@@ -467,7 +438,6 @@ def build_parser():
     p = sub.add_parser("cover", help="biclique cover of a co-chordal graph")
     p.add_argument("input")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--ranking-mode", choices=("auto", "exact", "heuristic"), default="auto")
     add_common(p)
     p.set_defaults(func=cmd_cover)
 
@@ -515,7 +485,6 @@ def build_parser():
 
     p = sub.add_parser("rank", help="edge-ranking of a tree file")
     p.add_argument("--tree", required=True)
-    p.add_argument("--mode", choices=("auto", "exact", "heuristic"), default="auto")
     add_common(p)
     p.set_defaults(func=cmd_rank)
 

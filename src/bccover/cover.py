@@ -18,13 +18,12 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 from .chordal import CliqueTree, clique_membership_counts, complement_clique_tree
-from .graph import find_root, vertex_mask
+from .graph import find_root, mask_vertices, vertex_mask
 from .ranking import (
     EdgeRanking,
     Tree,
     _component,
     balanced_cuts,
-    heuristic_edge_ranking,
     is_valid_edge_ranking,
     optimal_edge_ranking,
 )
@@ -315,26 +314,43 @@ def merge_bicliques(items, g):
     unioned into any already-kept member for which one of the two side
     orientations stays a biclique of ``g``; if no merge succeeds it is kept
     as a new member.
+
+    A member is kept as four masks: its sides L and R and their common
+    neighbourhoods N(L) and N(R).  Joining sides L' and R' to it keeps a
+    biclique iff ``R | R'`` lies inside ``N(L) & N(L')``, one mask test.
     """
     for b, _ in items:
         if not g.is_biclique_subgraph(b.left, b.right):
             raise ValueError("%r is not a biclique subgraph of the host" % (b,))
+    masks = g.neighbor_masks()
+
+    def common(side):
+        out = -1
+        for u in side:
+            out &= masks[u]
+        return out
+
     kept = []
     for b, _ in sorted(items, key=lambda t: t[1]):
+        left, right = vertex_mask(b.left), vertex_mask(b.right)
+        common_l, common_r = common(b.left), common(b.right)
         append = True
         for entry in kept:
-            cand_l, cand_r = b.left | entry[0], b.right | entry[1]
-            if g.is_biclique_subgraph(cand_l, cand_r):
-                entry[0], entry[1] = cand_l, cand_r
+            kept_l, kept_r, kept_cl, kept_cr = entry
+            if not (kept_r | right) & ~(kept_cl & common_l):
+                entry[:] = (kept_l | left, kept_r | right,
+                            kept_cl & common_l, kept_cr & common_r)
                 append = False
-                continue
-            cand_l, cand_r = b.right | entry[0], b.left | entry[1]
-            if g.is_biclique_subgraph(cand_l, cand_r):
-                entry[0], entry[1] = cand_l, cand_r
+            elif not (kept_r | left) & ~(kept_cl & common_r):
+                entry[:] = (kept_l | right, kept_r | left,
+                            kept_cl & common_r, kept_cr & common_l)
                 append = False
         if append:
-            kept.append([set(b.left), set(b.right)])
-    return [Biclique(frozenset(l), frozenset(r)) for l, r in kept]
+            kept.append([left, right, common_l, common_r])
+    return [
+        Biclique(frozenset(mask_vertices(l)), frozenset(mask_vertices(r)))
+        for l, r, _, _ in kept
+    ]
 
 
 @dataclass
@@ -344,6 +360,7 @@ class CoverMetadata:
     ``verified`` records the pipeline's own check of its result: the cover
     passes :func:`verify_cover` and has at most ``mc_complement - 1``
     members.  Callers read it instead of verifying the cover again.
+    ``ranking_optimal`` is always True: the ranking is exact at every size.
     """
 
     mc_complement: int
@@ -357,22 +374,18 @@ class CoverMetadata:
     verified: bool = False
 
 
-def cover_cochordal(g, ranking_mode="auto", max_exact_edges=64,
-                    rebuild_tree=True):
+def cover_cochordal(g, rebuild_tree=True):
     """Biclique cover of a co-chordal graph; size is at most mc(complement)-1.
 
     Pipeline: clique tree of the complement, optionally rebuilt as a
     low-degree maximum-weight spanning tree (star-shaped trees coming out of
-    the MCS sweep would inflate the ranking for no reason); an edge-ranking of
-    that tree (exact below ``max_exact_edges`` edges in "auto" mode, forced by
-    "exact"/"heuristic"); level decomposition; greedy merge per level.
+    the MCS sweep would inflate the ranking for no reason); an optimal
+    edge-ranking of that tree; level decomposition; greedy merge per level.
 
     Returns ``(cover, CoverMetadata)``; ``meta.verified`` says whether the
     cover passed the final check.  Raises :class:`NotChordalError` when the
     complement is not chordal.
     """
-    if ranking_mode not in ("auto", "exact", "heuristic"):
-        raise ValueError("unknown ranking mode %r" % ranking_mode)
     base = complement_clique_tree(g)
     counts, all_le_two = clique_membership_counts(base, g.n)
     tree = max_weight_clique_tree(base.nodes) if rebuild_tree else base
@@ -391,20 +404,7 @@ def cover_cochordal(g, ranking_mode="auto", max_exact_edges=64,
         meta.verified = verify_cover(g, [])
         return [], meta
 
-    rank_tree = Tree(d, work.edges)
-    if ranking_mode == "heuristic":
-        ranking, r = heuristic_edge_ranking(rank_tree)
-        optimal = False
-    elif ranking_mode == "exact":
-        ranking, r = optimal_edge_ranking(rank_tree, max_edges=len(work.edges))
-        optimal = True
-    elif len(work.edges) <= max_exact_edges:
-        ranking, r = optimal_edge_ranking(rank_tree, max_edges=max_exact_edges)
-        optimal = True
-    else:
-        ranking, r = heuristic_edge_ranking(rank_tree)
-        optimal = False
-
+    ranking, r = optimal_edge_ranking(Tree(d, work.edges))
     order = bfs_leaf_order(work)
     levels = find_biclique_levels(work, ranking, order, r)
     cover = []
@@ -416,7 +416,6 @@ def cover_cochordal(g, ranking_mode="auto", max_exact_edges=64,
         cover.extend(merged)
 
     meta.ranking_r = r
-    meta.ranking_optimal = optimal
     meta.verified = len(cover) <= d - 1 and verify_cover(g, cover)
     return cover, meta
 

@@ -28,9 +28,5 @@ class NotChordalError(ValueError):
         self.position = position
 
 
-class TreeTooLargeError(ValueError):
-    """A tree exceeds the exact-search cap; use heuristic_edge_ranking instead."""
-
-
 class BudgetExceededError(RuntimeError):
     """An oracle computation was refused or cut short by its budget."""

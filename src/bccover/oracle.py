@@ -584,10 +584,10 @@ def exact_max_matching(g, budget=None):
 def exhaustive_edge_ranking(tree, budget=None):
     """Minimum rank count over all rank assignments, by direct search.
 
-    Tries r = 1, 2, ... and backtracks over edges in order; a partial
-    assignment is rejected as soon as two equal ranks have a fully assigned
-    path with no larger rank between them.  Independent of the memoized
-    optimal search, so it can certify it.
+    Tries r = lower bound, lower bound + 1, ... and backtracks over edges in
+    order; a partial assignment is rejected as soon as two equal ranks have
+    a fully assigned path with no larger rank between them.  Independent of
+    the bottom-up optimal ranking, so it can certify it.
     """
     budget = budget or DEFAULT_RANKING_BUDGET
     m = len(tree.edges)
@@ -638,11 +638,10 @@ def exhaustive_edge_ranking(tree, budget=None):
         return False
 
     try:
-        for r in range(1, m + 1):
+        for r in range(edge_ranking_lower_bound(tree), m + 1):
             for i in range(m):
                 assignment[i] = 0
             if backtrack(0, r):
-                assert r >= edge_ranking_lower_bound(tree)
                 return r
     except _Timeout:
         raise BudgetExceededError("exhaustive edge-ranking timed out") from None

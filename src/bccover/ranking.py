@@ -2,28 +2,30 @@
 
 An edge-ranking maps every tree edge to a rank in {1..r} so that any two
 distinct edges of equal rank are separated, on the path between them, by an
-edge of strictly larger rank.  The minimum possible r over all valid rankings
-is computed exactly for desk-scale trees (memoized search over connected
-subtrees) and approximately, via balanced separators, for anything larger.
+edge of strictly larger rank.  :func:`optimal_edge_ranking` finds the
+minimum r exactly, at any size, in one bottom-up pass over the tree rooted
+at 0.  Each vertex keeps ``vis``, an int whose bit k says that an edge
+below it has rank k with no larger rank in between.  A vertex combines its
+children's ``vis`` into the smallest ``vis`` it can have, level by level
+from the top; children with equal ``vis`` are handled together and runs of
+free levels in bulk, so the work at a vertex grows with its number of
+distinct child lists and visible levels rather than with its degree.
 
-In any valid ranking of a connected tree exactly one edge carries the top
-rank; cutting it leaves two subtrees whose restricted rankings are again
-valid.  That observation is what both the exact recursion and the validity
-check below are built on: a ranking is valid iff, for every k, each component
-of the subgraph of edges ranked <= k contains at most one edge ranked
-exactly k.
+A ranking is valid iff, for every k, each component of the subgraph of
+edges ranked <= k contains at most one edge ranked exactly k; that is the
+check :func:`is_valid_edge_ranking` makes.
 
-Both searches cut subtrees along :func:`balanced_cuts`, which walks a
-subtree of k vertices once to learn the balance of all of its k - 1 cuts and
-builds a cut's side set only when the search reaches that cut.  A cut of the
-heuristic therefore costs O(k log k), not one O(k) component scan per edge.
+:func:`heuristic_edge_ranking` ranks by balanced separators: it cuts each
+subtree along :func:`balanced_cuts`, which walks a subtree of k vertices
+once to learn the balance of all of its k - 1 cuts.  Nothing in the package
+calls it; it is kept as a baseline to compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import GraphFormatError, TreeTooLargeError
+from .errors import GraphFormatError
 from .graph import find_root
 
 
@@ -173,63 +175,146 @@ def balanced_cuts(adj, vertices):
         yield larger, e, _component(adj, vertices, e)
 
 
-def optimal_edge_ranking(tree, max_edges=64):
-    """Minimum-rank edge-ranking, found by exact search.
+def _fits(pending, level):
+    """True when the children in ``pending`` ({vis: count}) can all take a
+    rank at or below ``level``.
 
-    Memoized recursion over connected subtrees: the top rank goes to one edge
-    and the best choice minimizes 1 + max of the two sides.  Candidate edges
-    are tried most-balanced first so the log lower bound often closes the
-    search immediately.  Returns ``(EdgeRanking, r)``.
-
-    Trees with more than ``max_edges`` edges are refused; call
-    :func:`heuristic_edge_ranking` for those.
+    Greedy from ``level`` down: a level that two pending children hold is a
+    clash, a level that one holds stays that child's, and a level that none
+    holds goes to the child whose ``vis`` below it is the largest.  A run
+    of levels that no pending child holds leaves every ``vis`` below it
+    unchanged, so the whole run is handed out at once.
     """
-    if len(tree.edges) > max_edges:
-        raise TreeTooLargeError(
-            "tree has %d edges, exact search is capped at %d; "
-            "use heuristic_edge_ranking" % (len(tree.edges), max_edges)
-        )
+    left = dict(pending)
+    while left:
+        if len(left) == 1 and sum(left.values()) == 1:
+            (vis,) = left
+            return bool(~vis & ((2 << level) - 2))
+        held = 0
+        for vis in left:
+            held |= vis
+        h = (held & ((2 << level) - 1)).bit_length() - 1
+        if h == level:
+            if sum(c for vis, c in left.items() if vis >> h & 1) > 1:
+                return False
+            level -= 1
+            continue
+        free = level - max(h, 0)
+        below = (1 << level) - 1
+        for vis in sorted(left, key=lambda vis: vis & below, reverse=True):
+            take = min(free, left[vis])
+            free -= take
+            left[vis] -= take
+            if not left[vis]:
+                del left[vis]
+            if not free:
+                break
+        if h < 1:
+            return not left
+        level = h
+    return True
+
+
+def _lowest_rank(vis, level):
+    """The lowest rank x >= 1 free in ``vis``, for the one child left, and
+    what the vertex then sees of it at or below ``level``."""
+    free = ~vis & ~1
+    x = (free & -free).bit_length() - 1
+    return x, 1 << x | (vis & ((2 << level) - 1)) >> (x + 1) << (x + 1)
+
+
+def combine_children(lists):
+    """Ranks for the edges from one vertex down to its children.
+
+    ``lists[i]`` is ``vis`` of child i: bit k is set when some edge below
+    the child has rank k and no larger rank lies between it and the child.
+    The edge to child i takes a rank x_i >= 1 whose bit is clear in
+    ``lists[i]``; it hides the child's visible ranks below x_i, so the
+    vertex sees ``B_i = 1 << x_i | (lists[i] >> (x_i + 1) << (x_i + 1))``.
+    The B_i must be pairwise disjoint, and their union U is made as small
+    an integer as possible.  Returns ``([x_i], U)``.
+
+    Levels are decided from the top down.  A level that a pending child
+    holds is in U.  A level that none holds is left out when the pending
+    children still fit below it (:func:`_fits`); otherwise the pending
+    child whose ``vis`` below it is the largest takes it.  Children with
+    equal ``vis`` are handled as one group, and whether the pending children
+    fit at or below a level only grows with the level, so the next level to
+    take is found by galloping down and then bisecting.
+    """
+    if len(lists) == 1:
+        x, union = _lowest_rank(lists[0], lists[0].bit_length())
+        return [x], union
+    by_vis = {}
+    for i, vis in enumerate(lists):
+        by_vis.setdefault(vis, []).append(i)
+    pending = {vis: len(ix) for vis, ix in by_vis.items()}
+    ranks = [0] * len(lists)
+    union = 0
+    level = max(max(lists).bit_length(), 1) + len(lists) - 1
+    for _ in range(len(lists) - 1):
+        while True:
+            held = 0
+            for vis in pending:
+                held |= vis
+            h = (held & ((2 << level) - 1)).bit_length() - 1
+            if h == level:
+                union |= 1 << level
+                level -= 1
+                continue
+            lo, hi, step = max(h, 0), level, 1
+            while lo < hi:
+                probe = max(hi - step, lo) if step else (lo + hi) // 2
+                if _fits(pending, probe):
+                    hi, step = probe, step + step
+                else:
+                    lo, step = probe + 1, 0
+            if lo > h:
+                break
+            level = h  # the children fit under the whole free run
+        below = (1 << lo) - 1
+        vis = max(pending, key=lambda vis: vis & below)
+        ranks[by_vis[vis].pop()] = lo
+        pending[vis] -= 1
+        if not pending[vis]:
+            del pending[vis]
+        union |= 1 << lo
+        level = lo - 1
+    (vis,) = pending
+    x, seen = _lowest_rank(vis, level)
+    ranks[by_vis[vis][0]] = x
+    return ranks, union | seen
+
+
+def optimal_edge_ranking(tree):
+    """Minimum-rank edge-ranking, in one bottom-up pass.
+
+    The tree is rooted at 0.  Children come before their parent, and each
+    vertex v combines the ``vis`` of its children (:func:`combine_children`)
+    into the smallest possible ``vis(v)``; a leaf has ``vis = 0``.  A
+    smaller ``vis`` never leaves the rest of the tree worse off, so the
+    ranking is optimal, with r the top bit of ``vis(0)``.  No recursion and
+    no size cap.  Returns ``(EdgeRanking, r)``.
+    """
     adj = tree._adj
-    memo = {}
-
-    def rank_number(vertices):
-        if vertices in memo:
-            return memo[vertices][0]
-        if len(vertices) == 1:
-            memo[vertices] = (0, None)
-            return 0
-        degree = max(sum(y in vertices for y in adj[x]) for x in vertices)
-        lb = max(degree, ceil_log2(len(vertices)))
-        best = None
-        best_edge = None
-        for _, e, side in balanced_cuts(adj, vertices):
-            other = vertices - side
-            cand = 1 + max(rank_number(side), rank_number(other))
-            if best is None or cand < best:
-                best, best_edge = cand, e
-                if best == lb:
-                    break
-        memo[vertices] = (best, best_edge)
-        return best
-
-    full = frozenset(range(tree.n))
-    r = rank_number(full)
-
+    parent = [-1] * tree.n
+    parent[0] = 0  # no vertex is its own neighbour: the root has no parent edge
+    order = [0]
+    for v in order:
+        for c in adj[v]:
+            if parent[c] < 0:
+                parent[c] = v
+                order.append(c)
+    vis = [0] * tree.n
     ranks = {}
-
-    def assign(vertices):
-        value, e = memo[vertices]
-        if e is None:
-            return 0
-        side = _component(adj, vertices, e)
-        other = vertices - side
-        ranks[e] = 1 + max(assign(side), assign(other))
-        return value
-
-    assign(full)
-    ranking = EdgeRanking(ranks)
-    assert r >= edge_ranking_lower_bound(tree)
-    return ranking, r
+    for v in reversed(order):
+        children = [c for c in adj[v] if c != parent[v]]
+        if not children:
+            continue
+        xs, vis[v] = combine_children([vis[c] for c in children])
+        for c, x in zip(children, xs):
+            ranks[(v, c) if v < c else (c, v)] = x
+    return EdgeRanking(ranks), max(vis[0].bit_length() - 1, 0)
 
 
 def heuristic_edge_ranking(tree):

@@ -57,6 +57,26 @@ def naive_is_biclique(g, left, right):
     return all(g.has_edge(u, v) for u in left for v in right)
 
 
+def naive_merge_bicliques(items, g):
+    """The set-based greedy merge of one level: sorted by ``ord``, each
+    biclique is unioned into every kept member for which one of the two
+    side orientations stays a biclique (:func:`naive_is_biclique`), and is
+    kept as a new member when none does."""
+    kept = []
+    for b, _ in sorted(items, key=lambda t: t[1]):
+        append = True
+        for entry in kept:
+            for side, other in ((b.left, b.right), (b.right, b.left)):
+                cand_l, cand_r = side | entry[0], other | entry[1]
+                if naive_is_biclique(g, cand_l, cand_r):
+                    entry[0], entry[1] = cand_l, cand_r
+                    append = False
+                    break
+        if append:
+            kept.append([set(b.left), set(b.right)])
+    return [Biclique(frozenset(l), frozenset(r)) for l, r in kept]
+
+
 def naive_edge_multiplicities(g, bicliques):
     """Counter of how often each edge is covered, with every edge spelled
     out as a tuple; None when a member is not a biclique of g."""
@@ -405,16 +425,23 @@ def naive_heuristic_ranks(tree):
     return ranks, solve(frozenset(range(tree.n)))
 
 
-def naive_optimal_ranks(tree):
-    """Ranks of the memoised exact search (most balanced cut first, stop at
-    the lower bound), by plain recursion over :func:`naive_balanced_cuts`:
-    ``(ranks, r)``."""
+class _OverCap(Exception):
+    pass
+
+
+def naive_optimal_ranks(tree, node_cap=None):
+    """Ranks of the memoised exact search over connected subtrees (most
+    balanced cut first, stop at the lower bound), by plain recursion over
+    :func:`naive_balanced_cuts`: ``(ranks, r)``.  With ``node_cap``, None
+    once the search has solved more than that many subtrees."""
     adj = [tree.neighbors(v) for v in range(tree.n)]
     memo = {}
 
     def rank_number(vertices):
         if vertices in memo:
             return memo[vertices][0]
+        if node_cap is not None and len(memo) >= node_cap:
+            raise _OverCap
         edges = _naive_inner_edges(tree, vertices)
         if not edges:
             memo[vertices] = (0, None, None)
@@ -441,8 +468,40 @@ def naive_optimal_ranks(tree):
         return value
 
     full = frozenset(range(tree.n))
-    rank_number(full)
+    try:
+        rank_number(full)
+    except _OverCap:
+        return None
     return ranks, assign(full)
+
+
+def naive_combine_children(lists):
+    """Smallest union U over every choice of child ranks, by brute force.
+
+    Child i with visible ranks ``lists[i]`` (bit k for rank k) takes a rank
+    x >= 1 whose bit is clear; the vertex then sees x and the child's
+    visible ranks above x.  Every combination of choices up to one level
+    per child above all the children's ranks is tried, dropping a partial
+    one as soon as two seen sets meet.  Returns the smallest union as an
+    int."""
+    top = max(max(lists).bit_length(), 1) + len(lists)
+    best = None
+
+    def extend(i, union):
+        nonlocal best
+        if i == len(lists):
+            if best is None or union < best:
+                best = union
+            return
+        vis = lists[i]
+        for x in range(1, top + 1):
+            above = [k for k in range(x + 1, vis.bit_length()) if vis >> k & 1]
+            mask = sum(1 << k for k in [x] + above)
+            if not vis >> x & 1 and not union & mask:
+                extend(i + 1, union | mask)
+
+    extend(0, 0)
+    return best
 
 
 def naive_max_weight_clique_tree(nodes):

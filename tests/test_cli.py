@@ -16,7 +16,8 @@ from bccover import (
     write_graph,
 )
 from bccover.cli import main
-from bccover.ranking import Tree, tree_to_text
+from bccover.gen import random_tree
+from bccover.ranking import EdgeRanking, Tree, is_valid_edge_ranking, tree_to_text
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -174,11 +175,29 @@ def test_rank_path9(tmp_path, capsys):
     assert len(out.splitlines()) == 9  # header plus one line per edge
 
 
-def test_rank_heuristic_on_a_wide_star(tmp_path, capsys):
+def test_rank_a_wide_star(tmp_path, capsys):
     tree_path = tmp_path / "star1100.tree"
     tree_path.write_text(tree_to_text(Tree(1101, [(0, i) for i in range(1, 1101)])))
-    assert main(["rank", "--tree", str(tree_path), "--mode", "heuristic"]) == 0
+    assert main(["rank", "--tree", str(tree_path)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "r = 1100"
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_rank_random_thirty_node_trees(tmp_path, capsys, seed):
+    # a memoised search over connected subtrees runs for minutes on these two
+    tree = random_tree(30, seed)
+    tree_path = tmp_path / "random30.tree"
+    tree_path.write_text(tree_to_text(tree))
+    assert main(["rank", "--tree", str(tree_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    r = int(lines[0].split("=")[1])
+    ranks = {}
+    for line in lines[1:]:
+        edge, rank = line.split(":")
+        u, v = map(int, edge.split())
+        ranks[(u, v)] = int(rank)
+    assert max(ranks.values()) == r
+    assert is_valid_edge_ranking(tree, EdgeRanking(ranks))
 
 
 def test_oracle_bc_fig3(fig3_path, capsys):

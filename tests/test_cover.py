@@ -43,8 +43,10 @@ from bccover.graph import Graph, path_graph
 from helpers import (
     naive_cover_defects,
     naive_max_weight_clique_tree,
+    naive_merge_bicliques,
     naive_verify_cover,
     naive_verify_partition,
+    random_cochordal,
 )
 
 
@@ -205,6 +207,22 @@ def test_merge_fig3_level_two_does_not_collapse():
     assert len(merged) == 2
 
 
+def test_merge_matches_set_based_reference():
+    # partition members of random co-chordal graphs, in shuffled order:
+    # some pairs merge and some are turned down
+    rng = random.Random(31)
+    accepted = rejected = 0
+    for seed in range(120):
+        g = random_cochordal(rng.randrange(4, 16), rng.random(), seed)
+        parts = find_partition(clique_tree(g.complement()))
+        items = [(b, rng.random()) for b in parts if rng.random() < 0.8]
+        merged = merge_bicliques(items, g)
+        assert merged == naive_merge_bicliques(items, g)
+        accepted += len(items) - len(merged)
+        rejected += len(merged) > 1
+    assert accepted > 0 and rejected > 0
+
+
 def test_merge_rejects_non_biclique_input():
     g = gen_fig_graph("fig2").graph
     with pytest.raises(ValueError):
@@ -268,15 +286,13 @@ def test_cover_never_exceeds_mc_minus_one():
         assert verify_cover(g, cover)
 
 
-def test_cover_ranking_modes():
+def test_cover_ranking_is_optimal():
     g = gen_copath(9).graph
-    exact_cover, exact_meta = cover_cochordal(g, ranking_mode="exact")
-    heur_cover, heur_meta = cover_cochordal(g, ranking_mode="heuristic")
-    assert exact_meta.ranking_optimal and not heur_meta.ranking_optimal
-    assert verify_cover(g, heur_cover)
-    assert len(exact_cover) <= len(heur_cover)
-    with pytest.raises(ValueError):
-        cover_cochordal(g, ranking_mode="fast")
+    cover, meta = cover_cochordal(g)
+    assert meta.ranking_optimal and meta.verified
+    assert meta.ranking_r == ceil_log2(8)  # the rebuilt tree is a path
+    with pytest.raises(TypeError):
+        cover_cochordal(g, ranking_mode="heuristic")  # one ranking, no modes
 
 
 def test_flattened_levels_form_a_partition_on_random_cochordal():

@@ -6,12 +6,8 @@ import pathlib
 
 import bccover
 
-# (module file, enclosing function): the edge-ranking lower-bound self-checks,
-# left until the exact ranking is rewritten
-ALLOWED = {
-    ("ranking.py", "optimal_edge_ranking"),
-    ("oracle.py", "exhaustive_edge_ranking"),
-}
+# (module file, enclosing function) pairs still allowed an assert: none
+ALLOWED = set()
 
 
 def _asserts(path):

@@ -7,7 +7,6 @@ import bccover.ranking as ranking_module
 from bccover import (
     EdgeRanking,
     Tree,
-    TreeTooLargeError,
     ceil_log2,
     edge_ranking_lower_bound,
     exhaustive_edge_ranking,
@@ -15,10 +14,12 @@ from bccover import (
     is_valid_edge_ranking,
     optimal_edge_ranking,
 )
-from bccover.ranking import balanced_cuts
+from bccover.gen import random_tree
+from bccover.ranking import balanced_cuts, combine_children
 from helpers import (
     enumerate_trees,
     naive_balanced_cuts,
+    naive_combine_children,
     naive_heuristic_ranks,
     naive_is_valid_ranking,
     naive_optimal_ranks,
@@ -101,11 +102,6 @@ def test_optimal_degenerate_cases():
     assert r == 1
     _, r = optimal_edge_ranking(Tree(1, []))
     assert r == 0
-
-
-def test_optimal_respects_cap():
-    with pytest.raises(TreeTooLargeError):
-        optimal_edge_ranking(path_tree(10), max_edges=5)
 
 
 def test_exhaustive_oracle_on_adversarial_edge_orderings():
@@ -259,8 +255,87 @@ def test_heuristic_ranks_match_recursive_reference(tree):
 @settings(derandomize=True, max_examples=200)
 @given(trees(min_n=1, max_n=14))
 def test_optimal_ranks_match_recursive_reference(tree):
+    # optimal rank maps need not be equal, so compare r and check validity
     ranking, r = optimal_edge_ranking(tree)
-    assert (ranking.ranks, r) == naive_optimal_ranks(tree)
+    assert r == naive_optimal_ranks(tree)[1]
+    assert is_valid_edge_ranking(tree, ranking)
+
+
+@settings(derandomize=True, max_examples=400)
+@given(
+    st.lists(st.integers(0, 63), min_size=1, max_size=4),
+    st.lists(st.integers(0, 3), max_size=4),
+)
+def test_combine_children_matches_brute_force(raw, repeats):
+    # visible ranks over levels 1..6; ``repeats`` copies earlier lists, so
+    # children with equal lists are common
+    lists = [v << 1 for v in raw]
+    for i, j in enumerate(repeats[: len(lists) - 1]):
+        lists[i + 1] = lists[min(j, i)]
+    ranks, union = combine_children(lists)
+    assert union == naive_combine_children(lists)
+    seen = 0
+    for x, vis in zip(ranks, lists):
+        assert x >= 1 and not vis >> x & 1
+        mask = 1 << x | vis >> (x + 1) << (x + 1)
+        assert not seen & mask
+        seen |= mask
+    assert seen == union
+
+
+def test_optimal_matches_search_reference_on_all_trees_to_eleven_nodes():
+    for shapes in enumerate_trees(11).values():
+        for tree in shapes:
+            ranking, r = optimal_edge_ranking(tree)
+            assert r == naive_optimal_ranks(tree)[1]
+            assert is_valid_edge_ranking(tree, ranking)
+
+
+def test_optimal_matches_search_reference_up_to_sixty_nodes():
+    # random, path-like and bushy trees; the reference is exponential, so a
+    # tree is compared only where it solves at most 500 subtrees
+    rng = random.Random(60)
+    compared = 0
+    for i in range(150):
+        n = rng.randrange(2, 61)
+        if i % 3 == 0:
+            edges = random_tree_edges(n, rng)
+        elif i % 3 == 1:
+            edges = [(rng.randrange(max(0, v - 2), v), v) for v in range(1, n)]
+        else:
+            edges = [(rng.randrange(min(v, 4)), v) for v in range(1, n)]
+        tree = Tree(n, edges)
+        ranking, r = optimal_edge_ranking(tree)
+        assert is_valid_edge_ranking(tree, ranking)
+        reference = naive_optimal_ranks(tree, node_cap=500)
+        if reference is not None:
+            assert r == reference[1]
+            compared += 1
+    assert compared >= 100
+
+
+def test_optimal_between_lower_bound_and_heuristic_on_large_trees():
+    for n, seed in ((200, 0), (500, 1), (1000, 2), (2000, 3)):
+        tree = random_tree(n, seed)
+        ranking, r = optimal_edge_ranking(tree)
+        assert is_valid_edge_ranking(tree, ranking)
+        assert edge_ranking_lower_bound(tree) <= r <= heuristic_edge_ranking(tree)[1]
+
+
+def test_optimal_ranks_wide_and_long_trees():
+    # no size cap and no recursion: a 1100-leaf star, a 1000-leg spider and a
+    # 20000-node path, with their known r
+    tree = star(1100)
+    ranking, r = optimal_edge_ranking(tree)
+    assert r == 1100 and is_valid_edge_ranking(tree, ranking)
+    legs = [(0, 1 + 2 * i) for i in range(1000)]
+    legs += [(1 + 2 * i, 2 + 2 * i) for i in range(1000)]
+    spider = Tree(2001, legs)  # 1000 legs of 2 edges each
+    ranking, r = optimal_edge_ranking(spider)
+    assert r == 1001 and is_valid_edge_ranking(spider, ranking)
+    tree = path_tree(20000)
+    ranking, r = optimal_edge_ranking(tree)
+    assert r == ceil_log2(20000) and is_valid_edge_ranking(tree, ranking)
 
 
 def test_heuristic_ranks_a_wide_star_without_recursion():

@@ -54,18 +54,22 @@ class CliqueTree:
     def node_count(self):
         return len(self.nodes)
 
-    def mid_of(self, edge):
-        i, j = (edge[0], edge[1]) if edge[0] < edge[1] else (edge[1], edge[0])
-        return self.mids[self.edges.index((i, j))]
-
     def neighbors(self, i):
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
+        return tree_adjacency(self)[i]
+
+
+def tree_adjacency(tree):
+    """Sorted neighbour lists of a clique tree's (or forest's) nodes in
+    O(d + edges): the second pass visits nodes in ascending order."""
+    near = [[] for _ in range(tree.node_count)]
+    for i, j in tree.edges:
+        near[i].append(j)
+        near[j].append(i)
+    adj = [[] for _ in near]
+    for v, around in enumerate(near):
+        for u in around:
+            adj[u].append(v)
+    return adj
 
 
 def mcs_order(g):
@@ -234,7 +238,7 @@ def verify_clique_tree(g, tree):
     for (i, j), mid in zip(tree.edges, tree.mids):
         if mid != nodes[i] & nodes[j]:
             return False
-    adj = {i: tree.neighbors(i) for i in range(d)}
+    adj = tree_adjacency(tree)
     for a in range(d):
         # BFS tree from a; check every pair (a, b) along recovered paths
         prev = {a: None}

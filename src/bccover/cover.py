@@ -17,16 +17,14 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
-from .chordal import CliqueTree, clique_membership_counts, complement_clique_tree
-from .graph import find_root, mask_vertices, vertex_mask
-from .ranking import (
-    EdgeRanking,
-    Tree,
-    _component,
-    balanced_cuts,
-    is_valid_edge_ranking,
-    optimal_edge_ranking,
+from .chordal import (
+    CliqueTree,
+    clique_membership_counts,
+    complement_clique_tree,
+    tree_adjacency,
 )
+from .graph import find_root, mask_vertices, vertex_mask
+from .ranking import Tree, heuristic_edge_ranking, optimal_edge_ranking
 
 
 @dataclass(frozen=True)
@@ -185,21 +183,13 @@ def max_weight_clique_tree(nodes):
     return CliqueTree(tuple(nodes), edges, mids)
 
 
-def _node_adjacency(tree):
-    adj = [[] for _ in range(tree.node_count)]
-    for i, j in tree.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    return [sorted(a) for a in adj]
-
-
 def bfs_leaf_order(tree):
     """1-based BFS positions of the tree's nodes, starting from the
     lowest-index leaf, visiting neighbors in ascending order."""
     d = tree.node_count
     if d == 0:
         return {}
-    adj = _node_adjacency(tree)
+    adj = tree_adjacency(tree)
     leaves = [i for i in range(d) if len(adj[i]) <= 1]
     start = min(leaves) if leaves else 0
     order = {}
@@ -216,92 +206,99 @@ def bfs_leaf_order(tree):
     return order
 
 
-def _smallest_cut(adj, node_set, key=None):
-    """The edge of the subtree on ``node_set`` with the smallest ``key``, and
-    the side holding its first endpoint.  The subtree's edges are read from
-    its adjacency lists, so this costs O(k) for k nodes of bounded degree."""
-    edge = min(
-        ((i, j) for i in node_set for j in adj[i] if i < j and j in node_set),
-        key=key,
-    )
-    return edge, _component(adj, node_set, edge)
+def _ranked_cuts(work, ranks, order):
+    """The cuts of the tree ``work`` along the edge-ranking ``ranks``, from
+    one union-find pass over its edges in (rank, edge) order.
 
-
-def _cuts(work, adj, choose):
-    """Cut ``work`` edge by edge until every part is one node.
-
-    ``choose(node_set)`` picks the edge to cut in the subtree on
-    ``node_set`` and returns it with the side holding its first endpoint.
-    Yields ``(node_set, edge, biclique)`` in pre-order: a cut, then
-    everything on that side, then the other side.  Runs on an explicit
-    stack, so tree depth is not bounded by the recursion limit.
+    An edge of rank k cuts its component among the edges ranked <= k, and
+    the two sides of that cut are the parts it joins.  A part keeps the
+    union of its cliques as a vertex mask, its smallest position in
+    ``order`` and the index of the cut that joined it last.  Returns
+    ``(rank, biclique, ord, (cut below e[0], cut below e[1]))`` per cut,
+    top cut last, with -1 for a single node below.  Raises ValueError on a
+    missing or non-positive rank, or when an edge joins a part already
+    topped by its own rank: two edges of that rank meet.
     """
-    mid_of = dict(zip(work.edges, work.mids))
-    stack = [frozenset(range(work.node_count))]
-    while stack:
-        node_set = stack.pop()
-        if len(node_set) <= 1:
-            continue
-        edge, side = choose(node_set)
-        other = node_set - side
-        mid = mid_of[edge]
-        union_s = set().union(*(work.nodes[i] for i in side))
-        union_o = set().union(*(work.nodes[i] for i in other))
-        yield node_set, edge, Biclique(
-            frozenset(union_s - mid), frozenset(union_o - mid)
-        )
-        stack.append(other)
-        stack.append(side)
+    for e in work.edges:
+        if not isinstance(ranks.get(e), int) or ranks[e] < 1:
+            raise ValueError("edge %r needs a positive integer rank" % (e,))
+    d = work.node_count
+    parent = list(range(d))
+    masks = [vertex_mask(clique) for clique in work.nodes]
+    low = [order[i] for i in range(d)]
+    top = [-1] * d
+    cuts = []
+    for (i, j), mid in sorted(zip(work.edges, work.mids),
+                              key=lambda em: (ranks[em[0]], em[0])):
+        k = ranks[(i, j)]
+        a, b = find_root(parent, i), find_root(parent, j)
+        if k in (cuts[c][0] for c in (top[a], top[b]) if c >= 0):
+            raise ValueError("not an edge-ranking: two edges of rank %d meet" % k)
+        keep = ~vertex_mask(mid)
+        biclique = Biclique(mask_vertices(masks[a] & keep),
+                            mask_vertices(masks[b] & keep))
+        cuts.append((k, biclique, min(low[a], low[b]), (top[a], top[b])))
+        parent[a] = b
+        masks[b] |= masks[a]
+        low[b] = min(low[a], low[b])
+        top[b] = len(cuts) - 1
+    return cuts
 
 
 def find_partition(tree, policy="balanced"):
     """Biclique partition of G from a clique tree of its complement.
 
-    Cuts one tree edge, emits the biclique across the cut, and repeats on
-    both sides; the result always has (node count - 1) members.  ``policy``
-    picks the cut edge: "balanced" minimizes the larger side (ties going to
-    the lexicographically smallest edge), "first" takes the smallest edge
-    outright.  A forest input is first joined into one tree.
+    The members are the cuts of the tree along an edge-ranking, one per
+    tree edge, so there are always (node count - 1) of them.  Each subtree
+    is cut first at its top-ranked edge: "balanced" ranks by
+    :func:`heuristic_edge_ranking`, whose top edge minimizes the larger
+    side (ties going to the lexicographically smallest edge), and "first"
+    ranks the smallest edge highest.  Members come in pre-order: a cut,
+    then its first endpoint's side, then the other side.  A forest input
+    is first joined into one tree.
     """
     if policy not in ("balanced", "first"):
         raise ValueError("unknown edge policy %r" % policy)
     work = join_clique_forest(tree)
-    adj = _node_adjacency(work)
-    if policy == "first":
-        choose = lambda node_set: _smallest_cut(adj, node_set)
+    d = work.node_count
+    if d <= 1:
+        return []
+    if policy == "balanced":
+        ranks = heuristic_edge_ranking(Tree(d, work.edges))[0].ranks
     else:
-        choose = lambda node_set: next(balanced_cuts(adj, node_set))[1:]
-    return [biclique for _, _, biclique in _cuts(work, adj, choose)]
+        edges = sorted(work.edges)
+        ranks = {e: len(edges) - i for i, e in enumerate(edges)}
+    cuts = _ranked_cuts(work, ranks, range(d))
+    out = []
+    stack = [len(cuts) - 1]
+    while stack:
+        _, biclique, _, (below_i, below_j) = cuts[stack.pop()]
+        out.append(biclique)
+        stack.extend(c for c in (below_j, below_i) if c >= 0)
+    return out
 
 
 def find_biclique_levels(tree, ranking, order, r):
     """Partition bicliques grouped by ranking level.
 
-    Cuts are made top rank first; a cut at rank k lands in level r + 1 - k,
-    annotated with the smallest BFS position (per ``order``) of any node in
-    the subtree being cut.  The flattened result is a biclique partition.
-    Returns ``{level: [(biclique, ord), ...]}`` in emission order.
+    The cut along an edge of rank k lands in level r + 1 - k, annotated
+    with the smallest BFS position (per ``order``) of any node in the
+    subtree it cuts.  The flattened result is a biclique partition.
+    Returns ``{level: [(biclique, ord), ...]}`` with each level's list
+    sorted by ord.  Raises ValueError when ``ranking`` is not a valid
+    edge-ranking of the (joined) tree.
     """
     work = join_clique_forest(tree)
-    d = work.node_count
-    if d <= 1:
+    if work.node_count <= 1:
         return {}
-    if not is_valid_edge_ranking(Tree(d, work.edges), ranking):
-        raise ValueError("not a valid edge-ranking of the clique tree")
-    ranks = ranking.ranks
-    adj = _node_adjacency(work)
-    by_rank = lambda e: (-ranks[e], e)
-    choose = lambda node_set: _smallest_cut(adj, node_set, by_rank)
     levels = {}
-    for node_set, edge, biclique in _cuts(work, adj, choose):
-        levels.setdefault(r + 1 - ranks[edge], []).append(
-            (biclique, min(order[i] for i in node_set))
-        )
+    for k, biclique, low, _ in _ranked_cuts(work, ranking.ranks, order):
+        levels.setdefault(r + 1 - k, []).append((biclique, low))
     for level, items in levels.items():
         if not 1 <= level <= r:
             raise ValueError("level %d lies outside 1..%d" % (level, r))
-        ords = [o for _, o in items]
-        if len(set(ords)) != len(ords):
+        items.sort(key=lambda item: item[1])
+        if any(a[1] == b[1] for a, b in zip(items, items[1:])):
             raise ValueError("two cuts in level %d share a BFS position" % level)
     return levels
 

@@ -16,9 +16,9 @@ edges ranked <= k contains at most one edge ranked exactly k; that is the
 check :func:`is_valid_edge_ranking` makes.
 
 :func:`heuristic_edge_ranking` ranks by balanced separators: it cuts each
-subtree along :func:`balanced_cuts`, which walks a subtree of k vertices
-once to learn the balance of all of its k - 1 cuts.  Nothing in the package
-calls it; it is kept as a baseline to compare against.
+subtree along :func:`balanced_cut`, which walks a subtree of k vertices
+once to learn the balance of all of its k - 1 cuts.  Its ranks drive the
+"balanced" biclique partition of ``find_partition``.
 """
 
 from __future__ import annotations
@@ -142,15 +142,12 @@ def _component(adj, vertices, edge):
     return frozenset(seen)
 
 
-def balanced_cuts(adj, vertices):
-    """Every edge of the subtree on ``vertices`` as a cut of it.
-
-    Yields ``(larger side size, edge, side)`` triples, most balanced first,
-    ties going to the lexicographically smallest edge; ``side`` is the part
-    holding the edge's first endpoint.  One walk from any root records how
-    many vertices lie below each vertex, which gives every cut's balance in
-    O(k) for k vertices; the cuts are sorted in O(k log k), and a side set
-    is built, in O(k), only when the caller reaches its cut.
+def balanced_cut(adj, vertices):
+    """The most balanced cut of the subtree on ``vertices``: ``(larger side
+    size, edge, side)`` minimizing the larger side, ties going to the
+    lexicographically smallest edge, with ``side`` the part holding the
+    edge's first endpoint.  One walk from any root gives every cut's
+    balance in O(k) for k vertices; one more builds the chosen side.
     """
     total = len(vertices)
     root = next(iter(vertices))
@@ -170,9 +167,8 @@ def balanced_cuts(adj, vertices):
         s = size[x]
         size[p] += s
         scored.append((max(s, total - s), (p, x) if p < x else (x, p)))
-    scored.sort()
-    for larger, e in scored:
-        yield larger, e, _component(adj, vertices, e)
+    larger, e = min(scored)
+    return larger, e, _component(adj, vertices, e)
 
 
 def _fits(pending, level):
@@ -322,9 +318,10 @@ def heuristic_edge_ranking(tree):
 
     The top rank goes to an edge minimizing the larger component, ties broken
     by lexicographically smallest edge; both sides are cut the same way, and
-    an edge ranks one above the highest edge cut on either of its sides.
-    Runs on an explicit stack, so no recursion limit applies.  Returns
-    ``(EdgeRanking, r)``.
+    an edge ranks one above the highest edge cut on either of its sides, so
+    every subtree's top edge is its most balanced cut, the one that the
+    "balanced" ``find_partition`` makes.  Runs on an explicit stack, so no
+    recursion limit applies.  Returns ``(EdgeRanking, r)``.
     """
     adj = tree._adj
     cuts = []  # (edge, index of the cut that made its subtree), pre-order
@@ -333,7 +330,7 @@ def heuristic_edge_ranking(tree):
         vertices, up = stack.pop()
         if len(vertices) == 1:
             continue
-        _, e, side = next(balanced_cuts(adj, vertices))
+        _, e, side = balanced_cut(adj, vertices)
         cuts.append((e, up))
         stack.append((vertices - side, len(cuts) - 1))
         stack.append((side, len(cuts) - 1))

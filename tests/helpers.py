@@ -404,6 +404,79 @@ def naive_balanced_cuts(adj, vertices, edges):
     return scored
 
 
+def _naive_joined_tree(tree):
+    """``(nodes, edges, mids)`` of a clique forest joined into one tree: the
+    lowest node of each component is chained to the next one, in ascending
+    order, and every edge's middle set is its two cliques' intersection."""
+    d = tree.node_count
+    adj = [[] for _ in range(d)]
+    for i, j in tree.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    everything = frozenset(range(d))
+    lowest, seen = [], set()
+    for i in range(d):
+        if i not in seen:
+            lowest.append(i)
+            seen |= _naive_component(adj, everything, i, None)
+    edges = sorted(list(tree.edges) + list(zip(lowest, lowest[1:])))
+    return tree.nodes, edges, [tree.nodes[i] & tree.nodes[j] for i, j in edges]
+
+
+def _naive_cut_loop(tree, choose):
+    """The top-down cut loop: cut the subtree on ``part`` along
+    ``choose(part, inner edges, adj)``, emit ``(part, edge, biclique)`` with
+    the first endpoint's side on the left, then do that side, then the
+    other side.  The forest is joined first."""
+    nodes, edges, mids = _naive_joined_tree(tree)
+    mid_of = dict(zip(edges, mids))
+    adj = [[] for _ in nodes]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    stack = [frozenset(range(len(nodes)))]
+    while stack:
+        part = stack.pop()
+        inner = [(i, j) for i, j in edges if i in part and j in part]
+        if not inner:
+            continue
+        e = choose(part, inner, adj)
+        side = _naive_component(adj, part, e[0], e)
+        other = part - side
+        union_s = set().union(*(nodes[i] for i in side))
+        union_o = set().union(*(nodes[i] for i in other))
+        yield part, e, Biclique(
+            frozenset(union_s - mid_of[e]), frozenset(union_o - mid_of[e])
+        )
+        stack.append(other)
+        stack.append(side)
+
+
+def naive_find_partition(tree, policy):
+    """The cut loop's partition: "balanced" cuts each subtree at its first
+    :func:`naive_balanced_cuts` entry, "first" at its smallest edge."""
+    if policy == "first":
+        choose = lambda part, inner, adj: min(inner)
+    else:
+        choose = lambda part, inner, adj: naive_balanced_cuts(adj, part, inner)[0][1]
+    return [b for _, _, b in _naive_cut_loop(tree, choose)]
+
+
+def naive_biclique_levels(tree, ranking, order, r):
+    """The cut loop's levels for a valid ``ranking``: each subtree is cut
+    at its highest-ranked edge (ties to the smallest edge), and the cut of
+    rank k goes to level r + 1 - k as ``(biclique, smallest position in
+    order of the subtree)``, in the order the loop emits them."""
+    ranks = ranking.ranks
+    choose = lambda part, inner, adj: min(inner, key=lambda e: (-ranks[e], e))
+    levels = {}
+    for part, e, b in _naive_cut_loop(tree, choose):
+        levels.setdefault(r + 1 - ranks[e], []).append(
+            (b, min(order[i] for i in part))
+        )
+    return levels
+
+
 def _naive_inner_edges(tree, vertices):
     return [(u, v) for u, v in tree.edges if u in vertices and v in vertices]
 

@@ -12,6 +12,7 @@ from bccover import (
     Biclique,
     EdgeRanking,
     NotChordalError,
+    Tree,
     bfs_leaf_order,
     bicliques_from_text,
     bicliques_to_text,
@@ -29,9 +30,12 @@ from bccover import (
     gen_copath,
     gen_fig_graph,
     gen_random_chordal,
+    heuristic_edge_ranking,
+    is_valid_edge_ranking,
     join_clique_forest,
     max_weight_clique_tree,
     merge_bicliques,
+    optimal_edge_ranking,
     verify_clique_tree,
     verify_cover,
     verify_partition,
@@ -41,7 +45,9 @@ from bccover.cli import main
 from bccover.cover import cover_defects
 from bccover.graph import Graph, path_graph
 from helpers import (
+    naive_biclique_levels,
     naive_cover_defects,
+    naive_find_partition,
     naive_max_weight_clique_tree,
     naive_merge_bicliques,
     naive_verify_cover,
@@ -187,6 +193,121 @@ def test_find_biclique_levels_rejects_invalid_ranking():
     bad = EdgeRanking({(0, 1): 1, (1, 2): 1, (2, 3): 2})
     with pytest.raises(ValueError):
         find_biclique_levels(tree, bad, order, 2)
+
+
+def _cochordal_with_split_complement(a, b, density, seed):
+    """Complement of two random chordal graphs side by side: the clique
+    tree of its complement is a forest of two trees."""
+    h1 = gen_random_chordal(a, density, seed)
+    h2 = gen_random_chordal(b, density, seed + 1)
+    edges = list(h1.edges()) + [(u + a, v + a) for u, v in h2.edges()]
+    return Graph(a + b, edges).complement()
+
+
+def _sides(bicliques):
+    return [(b.left, b.right) for b in bicliques]
+
+
+def test_partitions_and_levels_match_cut_loop_reference():
+    # the rank-ordered sweep against the top-down cut loop: same members in
+    # the same order with the same sides, and the same (biclique, ord)
+    # items per level
+    rng = random.Random(10)
+    graphs = [gen_copath(n).graph for n in range(3, 61)]
+    for k in range(200):
+        density = rng.random()
+        if k % 4 == 0:
+            graphs.append(_cochordal_with_split_complement(
+                rng.randrange(1, 20), rng.randrange(1, 20), density, k))
+        else:
+            graphs.append(random_cochordal(rng.randrange(2, 40), density, k))
+    forests = 0
+    for g in graphs:
+        base = clique_tree(g.complement())
+        forests += len(join_clique_forest(base).edges) > len(base.edges)
+        for policy in ("balanced", "first"):
+            assert _sides(find_partition(base, policy)) == _sides(
+                naive_find_partition(base, policy)
+            )
+        tree = max_weight_clique_tree(base.nodes)
+        work = join_clique_forest(tree)
+        if work.node_count < 2:
+            continue
+        order = bfs_leaf_order(work)
+        shape = Tree(work.node_count, work.edges)
+        for ranking, r in (optimal_edge_ranking(shape),
+                           heuristic_edge_ranking(shape)):
+            levels = find_biclique_levels(tree, ranking, order, r)
+            want = naive_biclique_levels(tree, ranking, order, r)
+            assert sorted(levels) == sorted(want)
+            for level, items in want.items():
+                items = sorted(items, key=lambda item: item[1])
+                assert [(b.left, b.right, o) for b, o in levels[level]] == [
+                    (b.left, b.right, o) for b, o in items
+                ]
+    assert forests >= 40
+
+
+def test_find_biclique_levels_rejects_exactly_the_invalid_rankings():
+    rng = random.Random(11)
+    valid = invalid = 0
+    for seed in range(120):
+        g = random_cochordal(rng.randrange(3, 10), rng.random(), seed)
+        work = join_clique_forest(clique_tree(g.complement()))
+        if work.node_count < 2:
+            continue
+        order = bfs_leaf_order(work)
+        shape = Tree(work.node_count, work.edges)
+        for _ in range(6):
+            ranking = EdgeRanking({e: rng.randint(1, 3) for e in work.edges})
+            if is_valid_edge_ranking(shape, ranking):
+                valid += 1
+                levels = find_biclique_levels(work, ranking, order, 3)
+                assert sum(map(len, levels.values())) == len(work.edges)
+            else:
+                invalid += 1
+                with pytest.raises(ValueError):
+                    find_biclique_levels(work, ranking, order, 3)
+    assert valid >= 100 and invalid >= 100
+
+
+def test_find_biclique_levels_rejects_malformed_ranks():
+    # ValueError, never KeyError or TypeError
+    _, tree, _, order = fig2_setup()
+    for ranks in (
+        {(0, 1): 1, (1, 2): 2},  # (2, 3) has no rank
+        {(0, 1): 0, (1, 2): 2, (2, 3): 1},
+        {(0, 1): 1, (1, 2): 1.5, (2, 3): 1},
+        {(0, 1): 1, (1, 2): "2", (2, 3): 1},
+    ):
+        with pytest.raises(ValueError):
+            find_biclique_levels(tree, EdgeRanking(ranks), order, 2)
+
+
+def test_sweep_guards_run_under_optimize():
+    # the sweep's ranking check and the cover's own check are not asserts
+    script = (
+        "import sys\n"
+        "from bccover import (EdgeRanking, bfs_leaf_order, clique_tree,\n"
+        "    cover_cochordal, find_biclique_levels, gen_copath, gen_fig_graph)\n"
+        "print(sys.flags.optimize)\n"
+        "tree = clique_tree(gen_fig_graph('fig2').graph.complement())\n"
+        "bad = EdgeRanking({(0, 1): 1, (1, 2): 1, (2, 3): 2})\n"
+        "try:\n"
+        "    find_biclique_levels(tree, bad, bfs_leaf_order(tree), 2)\n"
+        "    print('accepted')\n"
+        "except ValueError:\n"
+        "    print('rejected')\n"
+        "print(cover_cochordal(gen_copath(40).graph)[1].verified)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(bccover.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "rejected", "True"]
 
 
 def test_merge_fig2_level_two():

@@ -15,7 +15,7 @@ from bccover import (
     optimal_edge_ranking,
 )
 from bccover.gen import random_tree
-from bccover.ranking import balanced_cuts, combine_children
+from bccover.ranking import balanced_cut, combine_children
 from helpers import (
     enumerate_trees,
     naive_balanced_cuts,
@@ -240,9 +240,10 @@ def test_balanced_cuts_match_per_edge_reference(case):
     tree, vertices = case
     adj = [tree.neighbors(v) for v in range(tree.n)]
     inner = [(u, v) for u, v in tree.edges if u in vertices and v in vertices]
-    assert list(balanced_cuts(adj, vertices)) == naive_balanced_cuts(
-        adj, vertices, inner
-    )
+    if inner:  # a one-vertex subtree has no cut
+        assert balanced_cut(adj, vertices) == naive_balanced_cuts(
+            adj, vertices, inner
+        )[0]
 
 
 @settings(derandomize=True, max_examples=200)

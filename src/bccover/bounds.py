@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chordal import complement_clique_tree
-from .cover import CoverMetadata, cover_cochordal
+from .cover import CoverMetadata, cover_cochordal, cover_to_json_dict
 from .errors import BudgetExceededError, NotChordalError
 from .graph import Graph
 from .oracle import (
@@ -342,17 +342,7 @@ def report_to_json_dict(report):
     }
     cover = None
     if report.cover is not None:
-        meta = report.cover_meta
-        cover = {
-            "size": report.cover_size,
-            "bicliques": [
-                [sorted(b.canonical().left), sorted(b.canonical().right)]
-                for b in report.cover
-            ],
-            "ranking_r": meta.ranking_r,
-            "ranking_optimal": meta.ranking_optimal,
-            "all_leq2_flag": meta.all_le_two,
-        }
+        cover = cover_to_json_dict(report.cover, report.cover_meta)
     oracle = None
     if report.oracle_bc is not None or report.oracle_bp is not None:
         bc = report.oracle_bc

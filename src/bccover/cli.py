@@ -25,6 +25,7 @@ from .cover import (
     bicliques_to_text,
     cover_cochordal,
     cover_defects,
+    cover_to_json_dict,
     find_partition,
     verify_cover,
     verify_partition,
@@ -227,16 +228,7 @@ def cmd_cover(args):
         print("internal error: produced cover failed verification", file=sys.stderr)
         return EXIT_INCONSISTENT
     if args.format == "json":
-        payload = {
-            "size": len(cover),
-            "bicliques": [
-                [sorted(b.canonical().left), sorted(b.canonical().right)]
-                for b in cover
-            ],
-            "ranking_r": meta.ranking_r,
-            "ranking_optimal": meta.ranking_optimal,
-            "all_leq2_flag": meta.all_le_two,
-        }
+        payload = cover_to_json_dict(cover, meta)
         _write_output(json.dumps(payload, sort_keys=True) + "\n", args.out)
     else:
         header = (

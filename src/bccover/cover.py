@@ -8,6 +8,12 @@ with d nodes into a biclique partition of size d - 1.  Driving the cuts by an
 edge-ranking groups the partition into levels, and bicliques within one level
 can often be merged into a single larger biclique, which is where covers
 smaller than d - 1 come from.
+
+A :class:`Biclique` keeps its sides as vertex masks, and the cuts, the merge
+and the verification work on those masks alone.  A cut is a biclique by
+construction, so the merge tests each item only with the mask test it merges
+by, and the final :func:`verify_cover` of :func:`cover_cochordal` is the one
+check of the result.
 """
 
 from __future__ import annotations
@@ -27,32 +33,60 @@ from .graph import find_root, mask_vertices, vertex_mask
 from .ranking import Tree, heuristic_edge_ranking, optimal_edge_ranking
 
 
-@dataclass(frozen=True)
 class Biclique:
-    """An unordered pair of nonempty disjoint vertex sets."""
+    """An unordered pair of nonempty disjoint sets of non-negative vertices.
 
-    left: frozenset
-    right: frozenset
+    Each side is kept as an ``int`` vertex mask (bit v set iff v is on that
+    side), which cannot hold a negative vertex; ``left`` and ``right`` build
+    a frozenset from it on each read.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "left", frozenset(self.left))
-        object.__setattr__(self, "right", frozenset(self.right))
-        if not self.left or not self.right:
+    __slots__ = ("_left", "_right")
+
+    def __init__(self, left, right):
+        try:
+            left, right = vertex_mask(left), vertex_mask(right)
+        except ValueError:  # a negative shift count
+            raise ValueError("biclique vertices must be non-negative") from None
+        self._set(left, right)
+
+    @classmethod
+    def _from_masks(cls, left, right):
+        """Biclique with side masks ``left`` and ``right``."""
+        b = cls.__new__(cls)
+        b._set(left, right)
+        return b
+
+    def _set(self, left, right):
+        if not left or not right:
             raise ValueError("both sides of a biclique must be nonempty")
-        if self.left & self.right:
+        if left & right:
             raise ValueError("biclique sides must be disjoint")
+        self._left, self._right = left, right
+
+    @property
+    def left(self):
+        return frozenset(mask_vertices(self._left))
+
+    @property
+    def right(self):
+        return frozenset(mask_vertices(self._right))
 
     def canonical(self):
         """Copy with the side containing the smallest vertex first."""
-        if min(self.right) < min(self.left):
-            return Biclique(self.right, self.left)
+        if self._right & -self._right < self._left & -self._left:
+            return Biclique._from_masks(self._right, self._left)
         return self
+
+    def _sorted_sides(self):
+        """Both sides as sorted vertex lists, in canonical order."""
+        b = self.canonical()
+        return mask_vertices(b._left), mask_vertices(b._right)
 
     def edge_set(self):
         """Edges of the biclique as normalized (u, v) pairs."""
-        return {
-            (min(u, v), max(u, v)) for u in self.left for v in self.right
-        }
+        left, right = mask_vertices(self._left), mask_vertices(self._right)
+        return {(min(u, v), max(u, v)) for u in left for v in right}
 
     def sides(self):
         return self.left, self.right
@@ -60,15 +94,15 @@ class Biclique:
     def __eq__(self, other):
         if not isinstance(other, Biclique):
             return NotImplemented
-        return {self.left, self.right} == {other.left, other.right}
+        return {self._left, self._right} == {other._left, other._right}
 
     def __hash__(self):
-        return hash(frozenset((self.left, self.right)))
+        return hash(frozenset((self._left, self._right)))
 
     def __repr__(self):
-        fmt = lambda s: "{%s}" % ",".join(str(v) for v in sorted(s))
-        a, b = self.canonical().sides()
-        return "Biclique(%s, %s)" % (fmt(a), fmt(b))
+        return "Biclique(%s)" % ", ".join(
+            "{%s}" % ",".join(map(str, side)) for side in self._sorted_sides()
+        )
 
 
 def clique_split_biclique(cliques, left_index, right_index):
@@ -88,13 +122,13 @@ def clique_split_biclique(cliques, left_index, right_index):
         range(len(cliques))
     ):
         raise ValueError("index groups must partition the clique list")
-    union_l = set().union(*(set(cliques[i]) for i in left_index))
-    union_r = set().union(*(set(cliques[j]) for j in right_index))
-    left = union_l - union_r
-    right = union_r - union_l
+    unions = [0, 0]  # vertex masks of the left and of the right cliques
+    for i, clique in enumerate(cliques):
+        unions[i in right_index] |= vertex_mask(clique)
+    left, right = unions[0] & ~unions[1], unions[1] & ~unions[0]
     if not left or not right:
         return None
-    return Biclique(frozenset(left), frozenset(right))
+    return Biclique._from_masks(left, right)
 
 
 # -- working trees ------------------------------------------------------------
@@ -224,19 +258,18 @@ def _ranked_cuts(work, ranks, order):
             raise ValueError("edge %r needs a positive integer rank" % (e,))
     d = work.node_count
     parent = list(range(d))
-    masks = [vertex_mask(clique) for clique in work.nodes]
+    nodes = [vertex_mask(clique) for clique in work.nodes]
+    masks = nodes[:]
     low = [order[i] for i in range(d)]
     top = [-1] * d
     cuts = []
-    for (i, j), mid in sorted(zip(work.edges, work.mids),
-                              key=lambda em: (ranks[em[0]], em[0])):
+    for i, j in sorted(work.edges, key=lambda e: (ranks[e], e)):
         k = ranks[(i, j)]
         a, b = find_root(parent, i), find_root(parent, j)
         if k in (cuts[c][0] for c in (top[a], top[b]) if c >= 0):
             raise ValueError("not an edge-ranking: two edges of rank %d meet" % k)
-        keep = ~vertex_mask(mid)
-        biclique = Biclique(mask_vertices(masks[a] & keep),
-                            mask_vertices(masks[b] & keep))
+        keep = ~(nodes[i] & nodes[j])  # everything but mid(e)
+        biclique = Biclique._from_masks(masks[a] & keep, masks[b] & keep)
         cuts.append((k, biclique, min(low[a], low[b]), (top[a], top[b])))
         parent[a] = b
         masks[b] |= masks[a]
@@ -306,31 +339,23 @@ def find_biclique_levels(tree, ranking, order, r):
 def merge_bicliques(items, g):
     """Greedy left-to-right merge of one level's bicliques.
 
-    ``items`` is a list of ``(biclique, ord)`` pairs, every biclique already a
-    biclique subgraph of ``g``.  Sorted by ``ord``, each incoming biclique is
-    unioned into any already-kept member for which one of the two side
-    orientations stays a biclique of ``g``; if no merge succeeds it is kept
-    as a new member.
+    ``items`` is a list of ``(biclique, ord)`` pairs.  Sorted by ``ord``,
+    each incoming biclique is unioned into any already-kept member for which
+    one of the two side orientations stays a biclique of ``g``; if no merge
+    succeeds it is kept as a new member.  Raises ValueError when an item is
+    not a biclique subgraph of ``g``.
 
     A member is kept as four masks: its sides L and R and their common
     neighbourhoods N(L) and N(R).  Joining sides L' and R' to it keeps a
-    biclique iff ``R | R'`` lies inside ``N(L) & N(L')``, one mask test.
+    biclique iff ``R | R'`` lies inside ``N(L) & N(L')``, one mask test; an
+    item (L', R') is a biclique iff R' lies inside N(L').
     """
-    for b, _ in items:
-        if not g.is_biclique_subgraph(b.left, b.right):
-            raise ValueError("%r is not a biclique subgraph of the host" % (b,))
-    masks = g.neighbor_masks()
-
-    def common(side):
-        out = -1
-        for u in side:
-            out &= masks[u]
-        return out
-
     kept = []
     for b, _ in sorted(items, key=lambda t: t[1]):
-        left, right = vertex_mask(b.left), vertex_mask(b.right)
-        common_l, common_r = common(b.left), common(b.right)
+        left, right = b._left, b._right
+        common_l, common_r = g.common_neighbors(left), g.common_neighbors(right)
+        if right & ~common_l:
+            raise ValueError("%r is not a biclique subgraph of the host" % (b,))
         append = True
         for entry in kept:
             kept_l, kept_r, kept_cl, kept_cr = entry
@@ -344,10 +369,7 @@ def merge_bicliques(items, g):
                 append = False
         if append:
             kept.append([left, right, common_l, common_r])
-    return [
-        Biclique(frozenset(mask_vertices(l)), frozenset(mask_vertices(r)))
-        for l, r, _, _ in kept
-    ]
+    return [Biclique._from_masks(l, r) for l, r, _, _ in kept]
 
 
 @dataclass
@@ -421,20 +443,22 @@ def cover_cochordal(g, rebuild_tree=True):
 
 
 def _coverage(g, bicliques):
-    """Per-vertex masks of the edges the members cover: ``covered[u]`` has
-    bit v set when some member covers (u, v), ``twice[u]`` when at least two
-    do.  None when a member is not a biclique subgraph of ``g``."""
+    """``(covered, twice, bad)``: per-vertex masks of the edges the members
+    cover, where ``covered[u]`` has bit v set when some member covers (u, v)
+    and ``twice[u]`` when at least two do, and the indices of the members
+    that are not biclique subgraphs of ``g``, which cover nothing."""
     covered = [0] * g.n
     twice = [0] * g.n
-    for b in bicliques:
-        if not g.is_biclique_subgraph(b.left, b.right):
-            return None
-        for side, other in ((b.left, b.right), (b.right, b.left)):
-            mask = vertex_mask(other)
-            for u in side:
-                twice[u] |= covered[u] & mask
-                covered[u] |= mask
-    return covered, twice
+    bad = []
+    for index, b in enumerate(bicliques):
+        if b._right & ~g.common_neighbors(b._left):
+            bad.append(index)
+            continue
+        for side, other in ((b._left, b._right), (b._right, b._left)):
+            for u in mask_vertices(side):
+                twice[u] |= covered[u] & other
+                covered[u] |= other
+    return covered, twice, bad
 
 
 def _first_edge(rows):
@@ -450,29 +474,23 @@ def _first_edge(rows):
 def verify_cover(g, bicliques):
     """True iff every member is a biclique of ``g`` and every edge of ``g``
     is covered at least once."""
-    coverage = _coverage(g, bicliques)
-    return coverage is not None and tuple(coverage[0]) == g.neighbor_masks()
+    covered, _, bad = _coverage(g, bicliques)
+    return not bad and tuple(covered) == g.neighbor_masks()
 
 
 def verify_partition(g, bicliques):
     """True iff every member is a biclique of ``g`` and every edge of ``g``
     is covered exactly once."""
-    coverage = _coverage(g, bicliques)
-    if coverage is None:
-        return False
-    covered, twice = coverage
-    return tuple(covered) == g.neighbor_masks() and not any(twice)
+    covered, twice, bad = _coverage(g, bicliques)
+    return not bad and tuple(covered) == g.neighbor_masks() and not any(twice)
 
 
 def cover_defects(g, bicliques, partition=False):
     """Human-readable list of violations (empty when valid)."""
+    covered, twice, bad = _coverage(g, bicliques)
+    if bad:
+        return ["member %d is not a biclique subgraph" % index for index in bad]
     problems = []
-    for idx, b in enumerate(bicliques):
-        if not g.is_biclique_subgraph(b.left, b.right):
-            problems.append("member %d is not a biclique subgraph" % idx)
-    if problems:
-        return problems
-    covered, twice = _coverage(g, bicliques)
     masks = g.neighbor_masks()
     uncovered = _first_edge([m & ~c for m, c in zip(masks, covered)])
     if uncovered is not None:
@@ -480,9 +498,9 @@ def cover_defects(g, bicliques, partition=False):
     repeated = _first_edge(twice) if partition else None
     if repeated is not None:
         u, v = repeated
+        edge = 1 << u | 1 << v
         times = sum(
-            (u in b.left and v in b.right) or (u in b.right and v in b.left)
-            for b in bicliques
+            edge & b._left != 0 and edge & b._right != 0 for b in bicliques
         )
         problems.append("edge %d %d is covered %d times" % (u, v, times))
     return problems
@@ -492,17 +510,22 @@ def cover_defects(g, bicliques, partition=False):
 
 
 def bicliques_to_text(bicliques):
-    lines = []
-    for b in bicliques:
-        a, c = b.canonical().sides()
-        lines.append(
-            "L: %s | R: %s"
-            % (
-                " ".join(str(v) for v in sorted(a)),
-                " ".join(str(v) for v in sorted(c)),
-            )
-        )
+    lines = [
+        "L: %s | R: %s" % tuple(" ".join(map(str, side)) for side in b._sorted_sides())
+        for b in bicliques
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def cover_to_json_dict(cover, meta):
+    """Fixed-schema JSON form of a cover and its :class:`CoverMetadata`."""
+    return {
+        "size": len(cover),
+        "bicliques": [list(b._sorted_sides()) for b in cover],
+        "ranking_r": meta.ranking_r,
+        "ranking_optimal": meta.ranking_optimal,
+        "all_leq2_flag": meta.all_le_two,
+    }
 
 
 def bicliques_from_text(text):
@@ -515,7 +538,7 @@ def bicliques_from_text(text):
             left_part, right_part = line.split("|")
             left = [int(x) for x in left_part.split(":", 1)[1].split()]
             right = [int(x) for x in right_part.split(":", 1)[1].split()]
-            out.append(Biclique(frozenset(left), frozenset(right)))
+            out.append(Biclique(left, right))
         except (ValueError, IndexError):
             raise ValueError(
                 "line %d: expected 'L: ... | R: ...'" % lineno

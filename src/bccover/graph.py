@@ -9,16 +9,16 @@ Each vertex's neighbourhood is stored once, as a Python ``int`` bit mask (bit
 v set iff v is a neighbour); everything else is derived from the masks.
 :meth:`Graph.neighborhood`, :meth:`Graph.edges` and :func:`mask_vertices` read
 a mask's set bits in O(bits set) steps, so a sparse graph such as a path costs
-O(n + m) to walk however large n is.  Set-valued questions about many vertices
-at once are single mask operations: :meth:`Graph.is_biclique_subgraph` ANDs
-the masks of one side and compares the result with the other side's mask, so
-it costs O(|L| + |R|) big-int operations of n bits instead of |L| * |R|
-lookups, and cover verification ORs each member's side masks into per-vertex
-coverage masks.  :meth:`Graph.complement` flips each mask against the full
-vertex set and lists no edges.  The constructor builds a dense neighbourhood
-from bytes rather than bit by bit, and the edge list only on the first call to
-:meth:`Graph.edges` (equality and hashing read the masks), so building a graph
-does not pay for an edge list that nothing reads.
+O(n + m) to walk however large n is.  Questions about a set of vertices take
+it as a mask too: :meth:`Graph.common_neighbors` ANDs the masks of its
+vertices, so testing a biclique (L, R) costs O(|L|) big-int operations of n
+bits instead of |L| * |R| lookups.  The cover layer's bicliques keep their
+sides as masks and are tested that way; :meth:`Graph.is_biclique_subgraph`
+does the same for vertex iterables.  :meth:`Graph.complement` flips each mask
+against the full vertex set and lists no edges.  The constructor builds a
+dense neighbourhood from bytes rather than bit by bit, and the edge list only
+on the first call to :meth:`Graph.edges` (equality and hashing read the
+masks), so building a graph does not pay for an edge list that nothing reads.
 
 The on-disk edge-list format is one header line ``p <n> <m>`` followed by one
 ``u v`` line per edge; lines starting with ``c`` are comments.  Files written
@@ -142,17 +142,26 @@ class Graph:
         must lie inside the common neighbourhood of ``left``; that also
         rules out overlapping sides, since no vertex is its own neighbour.
         """
+        try:
+            left, right = vertex_mask(left), vertex_mask(right)
+        except ValueError:  # a negative vertex
+            return False
+        return bool(left and right) and not right & ~self.common_neighbors(left)
+
+    def common_neighbors(self, side):
+        """Mask of the vertices adjacent to every vertex of the mask
+        ``side``, read one lowest bit at a time until none is left: -1
+        (every bit) for an empty ``side``, 0 when it holds a vertex out of
+        range."""
+        if side >> self.n:
+            return 0
         masks = self._masks
         common = -1
-        left_mask = 0
-        try:
-            for u in left:
-                left_mask |= 1 << u  # a negative vertex raises ValueError
-                common &= masks[u]  # a vertex >= n raises IndexError
-            right_mask = vertex_mask(right)
-        except (ValueError, IndexError):
-            return False
-        return bool(left_mask and right_mask) and not right_mask & ~common
+        while side and common:
+            low = side & -side
+            common &= masks[low.bit_length() - 1]
+            side ^= low
+        return common
 
     # -- dunder ------------------------------------------------------------
 

@@ -164,34 +164,21 @@ def enumerate_maximal_bicliques(g, budget=None):
     budget = budget or DEFAULT_SEARCH_BUDGET
     _check_caps(g, budget)
     deadline = _Deadline(budget.time_cap)
-    n = g.n
-    nbr_mask = g.neighbor_masks()
-    full = (1 << n) - 1
-
-    def common(mask):
-        acc = full
-        m = mask
-        while m and acc:
-            v = (m & -m).bit_length() - 1
-            acc &= nbr_mask[v]
-            m &= m - 1
-        return acc if mask else 0
-
     found = []
     try:
-        for mask in range(1, 1 << n):
+        for mask in range(1, 1 << g.n):
             deadline.check(every=4096)
-            right = common(mask)
+            right = g.common_neighbors(mask)
             if right == 0:
                 continue
-            if common(right) != mask:
+            if g.common_neighbors(right) != mask:
                 continue
-            if (mask & -mask) < (right & -right):  # keep one orientation only
-                found.append(Biclique(_vertices(mask), _vertices(right)).canonical())
+            if (mask & -mask) < (right & -right):  # keep the canonical orientation
+                found.append((mask, right))
     except _Timeout:
         raise BudgetExceededError("maximal biclique enumeration timed out") from None
-    found.sort(key=lambda b: (sorted(b.left), sorted(b.right)))
-    return found
+    found.sort(key=lambda lr: (mask_vertices(lr[0]), mask_vertices(lr[1])))
+    return [Biclique._from_masks(left, right) for left, right in found]
 
 
 # -- biclique cover number ----------------------------------------------------
@@ -349,10 +336,6 @@ def _branch_options(masks, deadline):
     return options
 
 
-def _vertices(mask):
-    return frozenset(mask_vertices(mask))
-
-
 def exact_bp(g, budget=None):
     """Minimum biclique partition, as a window with a certificate partition.
 
@@ -374,8 +357,7 @@ def exact_bp(g, budget=None):
     budget = budget or DEFAULT_SEARCH_BUDGET
     _check_caps(g, budget)
     stats = {"nodes": 0, "pruned": 0, "stop": "root"}
-    edges = g.edges()
-    if not edges:
+    if not g.m:
         return OracleResult(0, 0, [], stats)
 
     gc = g.complement()
@@ -385,11 +367,10 @@ def exact_bp(g, budget=None):
 
     # initial partitions: per-vertex stars, and the clique-tree construction
     # when the complement is chordal
-    by_min = {}
-    for u, v in edges:
-        by_min.setdefault(u, set()).add(v)
     best_parts = [
-        Biclique(frozenset([u]), frozenset(vs)) for u, vs in sorted(by_min.items())
+        Biclique._from_masks(1 << u, mask >> (u + 1) << (u + 1))
+        for u, mask in enumerate(masks)
+        if mask >> (u + 1)
     ]
     try:
         tree_parts = find_partition(clique_tree(gc))
@@ -410,7 +391,7 @@ def exact_bp(g, budget=None):
         stats["nodes"] += 1
         if not any(masks):
             best = len(members)
-            best_parts = [Biclique(_vertices(l), _vertices(r)) for l, r in members]
+            best_parts = [Biclique._from_masks(l, r) for l, r in members]
             return
         floor = len(members) + 1
         if floor < best:

@@ -131,6 +131,19 @@ def test_cover_fig2_text_and_verify_round_trip(tmp_path, capsys):
     assert "uncovered" in out
 
 
+def test_verify_rejects_negative_vertex_as_parse_error(tmp_path, capsys):
+    # a biclique cannot hold a negative vertex, so the cover file fails to
+    # parse (exit 1), as a graph file with an invalid vertex does
+    graph_path = tmp_path / "copath6.graph"
+    write_graph(gen_copath(6).graph, graph_path)
+    cover_path = tmp_path / "neg.cover"
+    cover_path.write_text("L: -1 | R: 2\n")
+    assert main(["verify", str(graph_path), str(cover_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parse error: line 1" in captured.err
+
+
 def test_cover_of_c4_succeeds(tmp_path, capsys):
     # complement of C4 is a perfect matching, which is chordal
     path = tmp_path / "c4.graph"

@@ -69,6 +69,8 @@ def test_biclique_validation_and_equality():
     assert B([1], [2]) != B([1], [3])
     assert len({B([1], [2]), B([2], [1])}) == 1
     assert B([5], [0]).canonical().left == frozenset({0})
+    with pytest.raises(ValueError):
+        B([-1], [2])  # a vertex mask holds no negative vertex
 
 
 def test_clique_split_on_c4_cliques():
@@ -534,7 +536,7 @@ def test_verify_cover_examples():
 def graphs_with_members(draw):
     """A graph and a member list mixing a partition into single edges,
     stars that cover some edges twice, and random vertex-set pairs that are
-    mostly not bicliques and may hold out-of-range vertices."""
+    mostly not bicliques and may hold the out-of-range vertices n and n + 1."""
     n = draw(st.integers(min_value=0, max_value=8))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     g = Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
@@ -550,7 +552,7 @@ def graphs_with_members(draw):
                 ).map(lambda right: B([u], right))
             )
         )
-    vertex = st.integers(min_value=-1, max_value=n + 1)
+    vertex = st.integers(min_value=0, max_value=n + 1)
     options.append(
         st.sets(vertex, min_size=1, max_size=4).flatmap(
             lambda left: st.sets(

@@ -26,6 +26,7 @@ from bccover import (
     optimal_edge_ranking,
     verify_cover,
 )
+from bccover.graph import mask_vertices
 
 inst = gen_copath(5)
 g = inst.graph
@@ -34,14 +35,15 @@ print("graph: vertices a..e, edges",
       " ".join(name(u) + name(v) for u, v in g.edges()))
 
 # Stage 1: clique tree of the complement (a path a-b-c-d-e, so its maximal
-# cliques are the four consecutive pairs).
+# cliques are the four consecutive pairs).  Each clique is a vertex mask, and
+# each tree edge's middle set is the mask of its two cliques' intersection.
 
 tree = clique_tree(g.complement())
 print("\nclique tree of the complement:")
 for i, node in enumerate(tree.nodes):
-    print("  K%d = {%s}" % (i, ",".join(name(v) for v in sorted(node))))
+    print("  K%d = {%s}" % (i, ",".join(map(name, mask_vertices(node)))))
 print("  tree edges:", tree.edges, "middle sets:",
-      [set(map(name, m)) for m in tree.mids])
+      [set(map(name, mask_vertices(m))) for m in tree.mids])
 
 # Stage 2: optimal edge-ranking of the clique tree.  A path with 4 nodes
 # needs ceil(log2(4)) = 2 ranks.

@@ -4,8 +4,10 @@ MCS labels vertices from position n down to 1, always taking an unlabeled
 vertex with the largest number of labeled neighbors (ties broken by smallest
 index, for determinism).  On a chordal graph the resulting ordering is a
 perfect elimination ordering, and the same sweep can be extended to emit the
-maximal cliques together with a tree on them whose every edge carries the
-intersection of its endpoint cliques (the "middle set").
+maximal cliques together with a tree on them.  Each clique is an ``int``
+vertex mask (bit v set iff v is in it) from the sweep on; the "middle set" of
+a tree edge, the intersection of its end cliques, is derived from the two
+masks when it is read.
 
 A disconnected chordal graph yields a clique *forest* with one tree per
 component; ``CliqueTree`` holds forests as well.
@@ -13,7 +15,6 @@ component; ``CliqueTree`` holds forests as well.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import NotChordalError
@@ -41,21 +42,23 @@ class Ordering:
 class CliqueTree:
     """Maximal cliques of a chordal graph arranged in a tree (or forest).
 
-    ``nodes[i]`` is a maximal clique as a frozenset; ``edges`` are pairs of
-    node indices with i < j; ``mids[k]`` is the intersection of the two
-    endpoint cliques of ``edges[k]``.
+    ``nodes[i]`` is a maximal clique as an ``int`` vertex mask; ``edges``
+    are pairs of node indices with i < j.  ``mids[k]``, the middle set of
+    ``edges[k]``, is derived: the mask of the two end cliques' intersection,
+    computed on each read.
     """
 
     nodes: tuple
     edges: tuple
-    mids: tuple
 
     @property
     def node_count(self):
         return len(self.nodes)
 
-    def neighbors(self, i):
-        return tree_adjacency(self)[i]
+    @property
+    def mids(self):
+        nodes = self.nodes
+        return tuple(nodes[i] & nodes[j] for i, j in self.edges)
 
 
 def tree_adjacency(tree):
@@ -175,24 +178,47 @@ def clique_tree(g):
         labeled |= 1 << v
         prev_card = new_card
 
-    nodes = tuple(frozenset(mask_vertices(k)) for k in cliques)
-    edges = tuple(sorted(tree_edges))
-    mids = tuple(nodes[i] & nodes[j] for i, j in edges)
-    return CliqueTree(nodes, edges, mids)
+    return CliqueTree(tuple(cliques), tuple(sorted(tree_edges)))
 
 
 def verify_clique_tree(g, tree):
     """Check every clique-tree invariant of ``tree`` against ``g``.
 
-    Validates the forest structure (one tree per component of ``g``), that
-    nodes are exactly maximal cliques covering all edges, the middle sets,
-    and the clique-intersection property along every path.
+    Validates that the nodes are distinct maximal cliques covering all
+    edges, the forest structure (one tree per component of ``g``), and the
+    clique-intersection property: the nodes holding each vertex v form one
+    subtree.  In a forest, the nodes holding v span as many subtrees as they
+    outnumber the edges between them, and those are the edges whose middle
+    set holds v; so the property is one count per vertex, with no walk
+    along tree paths.
     """
     nodes = tree.nodes
     d = len(nodes)
     for i, j in tree.edges:
         if not (0 <= i < d and 0 <= j < d and i != j):
             return False
+
+    # nodes are distinct maximal cliques covering all edges
+    n = g.n
+    masks = g.neighbor_masks()
+    reach = [0] * n  # reach[u]: union of the nodes containing u
+    holding = [0] * n  # nodes holding u, less the edges whose mid holds u
+    for clique in nodes:
+        if clique >> n:
+            return False  # a vertex out of range
+        common = (1 << n) - 1  # common neighbours of the node's members
+        for u in mask_vertices(clique):
+            if clique & ~masks[u] & ~(1 << u):
+                return False  # not a clique
+            common &= masks[u]
+            reach[u] |= clique
+            holding[u] += 1
+        if common:
+            return False  # extendable, not maximal
+    if len(set(nodes)) != d:
+        return False  # a node repeated; one inside another is not maximal
+    if any(mask & ~r for mask, r in zip(masks, reach)):
+        return False  # an edge lies in no node
 
     # forest structure: acyclic, one tree per component of g
     parent = list(range(d))
@@ -201,64 +227,19 @@ def verify_clique_tree(g, tree):
         if ri == rj:
             return False  # cycle
         parent[ri] = rj
-    tree_roots = {find_root(parent, i) for i in range(d)}
-    comps = connected_components(g)
-    if len(tree_roots) != len(comps):
-        return False
-    comp_sets = {frozenset(c) for c in comps}
     by_root = {}
-    for i in range(d):
-        by_root.setdefault(find_root(parent, i), set()).update(nodes[i])
-    if {frozenset(s) for s in by_root.values()} != comp_sets:
+    for i, clique in enumerate(nodes):
+        root = find_root(parent, i)
+        by_root[root] = by_root.get(root, 0) | clique
+    comps = [vertex_mask(c) for c in connected_components(g)]
+    if sorted(by_root.values()) != sorted(comps):
         return False
 
-    # nodes are maximal cliques, pairwise incomparable, covering all edges
-    masks = g.neighbor_masks()
-    reach = [0] * g.n  # reach[u]: union of the nodes containing u
-    for k in nodes:
-        if not all(0 <= u < g.n for u in k):
-            return False
-        clique = vertex_mask(k)
-        common = (1 << g.n) - 1  # common neighbours of the node's members
-        for u in k:
-            if clique & ~masks[u] & ~(1 << u):
-                return False  # not a clique
-            common &= masks[u]
-            reach[u] |= clique
-        if common:
-            return False  # extendable, not maximal
-    for a in range(d):
-        for b in range(a + 1, d):
-            if nodes[a] <= nodes[b] or nodes[b] <= nodes[a]:
-                return False
-    if any(mask & ~r for mask, r in zip(masks, reach)):
-        return False  # an edge lies in no node
-
-    # middle sets and clique-intersection property
-    for (i, j), mid in zip(tree.edges, tree.mids):
-        if mid != nodes[i] & nodes[j]:
-            return False
-    adj = tree_adjacency(tree)
-    for a in range(d):
-        # BFS tree from a; check every pair (a, b) along recovered paths
-        prev = {a: None}
-        queue = deque([a])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in prev:
-                    prev[y] = x
-                    queue.append(y)
-        for b in range(a + 1, d):
-            if b not in prev:
-                continue
-            need = nodes[a] & nodes[b]
-            x = b
-            while x is not None:
-                if not need <= nodes[x]:
-                    return False
-                x = prev[x]
-    return True
+    # clique-intersection property
+    for mid in tree.mids:
+        for u in mask_vertices(mid):
+            holding[u] -= 1
+    return all(count == 1 for count in holding)
 
 
 def complement_clique_tree(g):
@@ -278,8 +259,8 @@ def clique_membership_counts(tree, n):
     """Per-vertex count of the nodes of ``tree`` containing it, for vertices
     0..n-1.  Returns ``(counts, all_le_two)``."""
     counts = [0] * n
-    for k in tree.nodes:
-        for v in k:
+    for clique in tree.nodes:
+        for v in mask_vertices(clique):
             counts[v] += 1
     return tuple(counts), all(c <= 2 for c in counts)
 
@@ -299,10 +280,10 @@ def clique_tree_to_text(tree):
     """Serialize a clique tree: one ``K<i>:`` line per node, one ``T:`` line
     per tree edge with its middle set."""
     lines = []
-    for i, k in enumerate(tree.nodes):
-        lines.append("K%d: %s" % (i, " ".join(str(v) for v in sorted(k))))
+    for i, clique in enumerate(tree.nodes):
+        lines.append("K%d: %s" % (i, " ".join(map(str, mask_vertices(clique)))))
     for (i, j), mid in zip(tree.edges, tree.mids):
         lines.append(
-            "T: %d %d | mid: %s" % (i, j, " ".join(str(v) for v in sorted(mid)))
+            "T: %d %d | mid: %s" % (i, j, " ".join(map(str, mask_vertices(mid))))
         )
     return "\n".join(lines) + "\n"

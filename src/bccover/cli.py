@@ -251,7 +251,7 @@ def cmd_verify(args):
     g = read_graph(args.graph)
     try:
         with open(args.cover_file, "r", encoding="utf-8") as fh:
-            bicliques = bicliques_from_text(fh.read())
+            bicliques = bicliques_from_text(fh.read(), g.n)
     except (OSError, ValueError) as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE

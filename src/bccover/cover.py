@@ -153,14 +153,12 @@ def join_clique_forest(tree):
     if len(chain) == 1:
         return tree
     extra = [(chain[k], chain[k + 1]) for k in range(len(chain) - 1)]
-    edges = tuple(sorted(tree.edges + tuple(extra)))
-    mids = tuple(tree.nodes[i] & tree.nodes[j] for i, j in edges)
-    return CliqueTree(tree.nodes, edges, mids)
+    return CliqueTree(tree.nodes, tuple(sorted(tree.edges + tuple(extra))))
 
 
 def max_weight_clique_tree(nodes):
-    """Rebuild a clique tree over ``nodes`` as a maximum-weight spanning
-    forest of the clique intersection graph.
+    """Rebuild a clique tree over the clique masks ``nodes`` as a
+    maximum-weight spanning forest of the clique intersection graph.
 
     Any maximum-weight spanning tree of the intersection graph is a valid
     clique tree, so within each weight class we are free to pick edges that
@@ -183,7 +181,7 @@ def max_weight_clique_tree(nodes):
     d = len(nodes)
     holders = {}
     for i, clique in enumerate(nodes):
-        for v in clique:
+        for v in mask_vertices(clique):
             holders.setdefault(v, []).append(i)
     shared = Counter()
     for cliques in holders.values():
@@ -212,9 +210,7 @@ def max_weight_clique_tree(nodes):
             degree[i] += 1
             degree[j] += 1
             edges.append((i, j))
-    edges = tuple(sorted(edges))
-    mids = tuple(nodes[i] & nodes[j] for i, j in edges)
-    return CliqueTree(tuple(nodes), edges, mids)
+    return CliqueTree(tuple(nodes), tuple(sorted(edges)))
 
 
 def bfs_leaf_order(tree):
@@ -258,8 +254,8 @@ def _ranked_cuts(work, ranks, order):
             raise ValueError("edge %r needs a positive integer rank" % (e,))
     d = work.node_count
     parent = list(range(d))
-    nodes = [vertex_mask(clique) for clique in work.nodes]
-    masks = nodes[:]
+    nodes = work.nodes
+    masks = list(nodes)
     low = [order[i] for i in range(d)]
     top = [-1] * d
     cuts = []
@@ -528,7 +524,11 @@ def cover_to_json_dict(cover, meta):
     }
 
 
-def bicliques_from_text(text):
+def bicliques_from_text(text, n):
+    """Bicliques of a cover file for a graph on ``n`` vertices.  Raises
+    ValueError on a malformed line, and on a vertex of n or more before any
+    mask is built for it."""
+    malformed = "line %d: expected 'L: ... | R: ...'"
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -538,9 +538,13 @@ def bicliques_from_text(text):
             left_part, right_part = line.split("|")
             left = [int(x) for x in left_part.split(":", 1)[1].split()]
             right = [int(x) for x in right_part.split(":", 1)[1].split()]
-            out.append(Biclique(left, right))
         except (ValueError, IndexError):
-            raise ValueError(
-                "line %d: expected 'L: ... | R: ...'" % lineno
-            ) from None
+            raise ValueError(malformed % lineno) from None
+        for v in left + right:
+            if v >= n:
+                raise ValueError("line %d: vertex %d out of range" % (lineno, v))
+        try:
+            out.append(Biclique(left, right))
+        except ValueError:
+            raise ValueError(malformed % lineno) from None
     return out

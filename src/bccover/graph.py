@@ -138,14 +138,15 @@ class Graph:
         """True iff ``left``/``right`` are nonempty, disjoint, in range, and
         every cross pair is an edge.
 
-        Reads each argument once, so one-shot iterators are fine.  ``right``
-        must lie inside the common neighbourhood of ``left``; that also
-        rules out overlapping sides, since no vertex is its own neighbour.
+        Reads each argument once, so one-shot iterators are fine, and
+        checks the range before it builds a mask.  ``right`` must lie inside
+        the common neighbourhood of ``left``; that also rules out
+        overlapping sides, since no vertex is its own neighbour.
         """
-        try:
-            left, right = vertex_mask(left), vertex_mask(right)
-        except ValueError:  # a negative vertex
+        left, right = tuple(left), tuple(right)
+        if not all(0 <= v < self.n for v in left + right):
             return False
+        left, right = vertex_mask(left), vertex_mask(right)
         return bool(left and right) and not right & ~self.common_neighbors(left)
 
     def common_neighbors(self, side):

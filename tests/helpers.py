@@ -371,6 +371,96 @@ def naive_mcs_order(g):
     return tuple(order)
 
 
+def vertex_set(mask):
+    """The vertices of a vertex mask, one bit test per position."""
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def naive_verify_clique_tree(g, tree):
+    """Clique-tree check over frozensets: the edges form a forest with one
+    tree per component of ``g``; the nodes are maximal cliques, pairwise
+    incomparable and covering every edge; and for every pair of nodes in
+    one tree, each node on the path between them (one BFS and a path walk
+    per pair) holds their intersection."""
+    nodes = [vertex_set(k) for k in tree.nodes]
+    d = len(nodes)
+    for i, j in tree.edges:
+        if not (0 <= i < d and 0 <= j < d and i != j):
+            return False
+
+    # forest structure: acyclic, one tree per component of g
+    parent = list(range(d))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j in tree.edges:
+        ri, rj = root(i), root(j)
+        if ri == rj:
+            return False  # cycle
+        parent[ri] = rj
+    by_root = {}
+    for i in range(d):
+        by_root.setdefault(root(i), set()).update(nodes[i])
+    comps, seen = set(), set()
+    for start in range(g.n):
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            for y in g.neighborhood(stack.pop()):
+                if y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        seen |= comp
+        comps.add(frozenset(comp))
+    if len(by_root) != len(comps):
+        return False
+    if {frozenset(s) for s in by_root.values()} != comps:
+        return False
+
+    # nodes are maximal cliques, pairwise incomparable, covering all edges
+    for k in nodes:
+        if not all(0 <= u < g.n for u in k):
+            return False
+        if not all(g.has_edge(u, v) for u, v in combinations(sorted(k), 2)):
+            return False  # not a clique
+        if any(all(g.has_edge(u, x) for u in k) for x in range(g.n) if x not in k):
+            return False  # extendable, not maximal
+    for a in range(d):
+        for b in range(a + 1, d):
+            if nodes[a] <= nodes[b] or nodes[b] <= nodes[a]:
+                return False
+    if not all(any(u in k and v in k for k in nodes) for u, v in g.edges()):
+        return False  # an edge lies in no node
+
+    # clique-intersection property along every path
+    adj = [[] for _ in range(d)]
+    for i, j in tree.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    for a in range(d):
+        prev = {a: None}
+        queue = [a]
+        for x in queue:
+            for y in adj[x]:
+                if y not in prev:
+                    prev[y] = x
+                    queue.append(y)
+        for b in range(a + 1, d):
+            if b not in prev:
+                continue
+            need = nodes[a] & nodes[b]
+            x = b
+            while x is not None:
+                if not need <= nodes[x]:
+                    return False
+                x = prev[x]
+    return True
+
+
 # -- naive tree layer ------------------------------------------------------------
 
 
@@ -405,9 +495,11 @@ def naive_balanced_cuts(adj, vertices, edges):
 
 
 def _naive_joined_tree(tree):
-    """``(nodes, edges, mids)`` of a clique forest joined into one tree: the
-    lowest node of each component is chained to the next one, in ascending
-    order, and every edge's middle set is its two cliques' intersection."""
+    """``(nodes, edges, mids)`` of a clique forest joined into one tree, as
+    frozensets: the lowest node of each component is chained to the next
+    one, in ascending order, and every edge's middle set is its two cliques'
+    intersection."""
+    nodes = [vertex_set(k) for k in tree.nodes]
     d = tree.node_count
     adj = [[] for _ in range(d)]
     for i, j in tree.edges:
@@ -420,7 +512,7 @@ def _naive_joined_tree(tree):
             lowest.append(i)
             seen |= _naive_component(adj, everything, i, None)
     edges = sorted(list(tree.edges) + list(zip(lowest, lowest[1:])))
-    return tree.nodes, edges, [tree.nodes[i] & tree.nodes[j] for i, j in edges]
+    return nodes, edges, [nodes[i] & nodes[j] for i, j in edges]
 
 
 def _naive_cut_loop(tree, choose):
@@ -578,11 +670,13 @@ def naive_combine_children(lists):
 
 
 def naive_max_weight_clique_tree(nodes):
-    """Maximum-weight spanning forest of the clique intersection graph,
-    from all d^2/2 intersections: each weight class, heaviest first, is
-    rescanned for the pair in different components with the smallest
-    (larger degree, degree sum, pair) after every edge it gives.  Returns
-    ``(nodes, edges, mids)``."""
+    """Maximum-weight spanning forest of the clique intersection graph of
+    the clique masks ``nodes``, from all d^2/2 intersections of their
+    vertex sets: each weight class, heaviest first, is rescanned for the
+    pair in different components with the smallest (larger degree, degree
+    sum, pair) after every edge it gives.  Returns ``(nodes, edges, mids)``
+    as frozensets."""
+    nodes = tuple(vertex_set(k) for k in nodes)
     d = len(nodes)
     pairs = {}
     for i in range(d):
@@ -618,7 +712,7 @@ def naive_max_weight_clique_tree(nodes):
             edges.append((i, j))
     edges = tuple(sorted(edges))
     mids = tuple(nodes[i] & nodes[j] for i, j in edges)
-    return tuple(nodes), edges, mids
+    return nodes, edges, mids
 
 
 # -- naive edge-ranking validity ----------------------------------------------

@@ -39,9 +39,9 @@ from bccover import (
     verify_cover,
     verify_partition,
 )
-from bccover.chordal import CliqueTree
+from bccover.chordal import CliqueTree, tree_adjacency
 from bccover.gen import caterpillar_tree, path_tree, random_tree, star_tree
-from bccover.graph import Graph
+from bccover.graph import Graph, mask_vertices, vertex_mask
 from bccover.ranking import Tree
 from helpers import enumerate_trees, er_graph
 
@@ -313,7 +313,7 @@ def _suite_subtrees_are_clique_trees(cases):
         t = clique_tree(g)
         if t.node_count < 2:
             continue
-        adj = {i: t.neighbors(i) for i in range(t.node_count)}
+        adj = tree_adjacency(t)
         chosen = {rng.randrange(t.node_count)}
         frontier = set(adj[next(iter(chosen))])
         while frontier and rng.random() < 0.7:
@@ -323,17 +323,18 @@ def _suite_subtrees_are_clique_trees(cases):
             frontier.discard(nxt)
         sub_nodes = sorted(chosen)
         relabel = {old: new for new, old in enumerate(sub_nodes)}
-        union = sorted(set().union(*(t.nodes[i] for i in chosen)))
+        union = sorted(set().union(*(mask_vertices(t.nodes[i]) for i in chosen)))
         induced, mapping = g.induced_subgraph(union)
         to_new = {orig: i for i, orig in enumerate(mapping)}
-        nodes = tuple(frozenset(to_new[v] for v in t.nodes[i]) for i in sub_nodes)
+        nodes = tuple(
+            vertex_mask(to_new[v] for v in mask_vertices(t.nodes[i]))
+            for i in sub_nodes
+        )
         edges = tuple(sorted(
             (relabel[i], relabel[j])
             for i, j in t.edges
             if i in chosen and j in chosen
         ))
-        sub_tree = CliqueTree(
-            nodes, edges, tuple(nodes[i] & nodes[j] for i, j in edges)
-        )
+        sub_tree = CliqueTree(nodes, edges)
         assert verify_clique_tree(induced, sub_tree)
         done += 1

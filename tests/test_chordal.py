@@ -1,5 +1,6 @@
 import random
-from itertools import permutations
+from collections import Counter
+from itertools import combinations, permutations
 
 import networkx as nx
 import pytest
@@ -17,13 +18,15 @@ from bccover import (
     gen_random_chordal,
     is_chordal,
     is_perfect_elimination_order,
+    max_weight_clique_tree,
     mcs_order,
     mis_membership_counts,
     path_graph,
     verify_clique_tree,
 )
-from bccover.graph import Graph
-from helpers import er_graph, naive_mcs_order
+from bccover.chordal import tree_adjacency
+from bccover.graph import Graph, mask_vertices, vertex_mask
+from helpers import er_graph, naive_mcs_order, naive_verify_clique_tree
 
 
 def to_nx(g):
@@ -122,7 +125,8 @@ def test_random_chordal_generator_outputs_are_chordal():
 
 def test_clique_tree_examples():
     t = clique_tree(path_graph(5))
-    assert sorted(sorted(k) for k in t.nodes) == [[0, 1], [1, 2], [2, 3], [3, 4]]
+    assert all(isinstance(k, int) for k in t.nodes)
+    assert sorted(map(mask_vertices, t.nodes)) == [[0, 1], [1, 2], [2, 3], [3, 4]]
     degrees = [sum(1 for e in t.edges if i in e) for i in range(4)]
     assert sorted(degrees) == [1, 1, 2, 2]  # a path of cliques
 
@@ -131,11 +135,11 @@ def test_clique_tree_examples():
 
     g3c = gen_fig_graph("fig3").graph.complement()
     t = clique_tree(g3c)
-    assert [sorted(k) for k in t.nodes] == [
+    assert [mask_vertices(k) for k in t.nodes] == [
         [0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 5],
     ]
     assert t.edges == ((0, 1), (1, 2), (2, 3))
-    assert [sorted(m) for m in t.mids] == [[1, 2], [2, 3], [3, 4]]
+    assert [mask_vertices(m) for m in t.mids] == [[1, 2], [2, 3], [3, 4]]
 
 
 def test_clique_tree_rejects_non_chordal_with_certificate():
@@ -158,7 +162,7 @@ def test_clique_tree_node_sets_match_networkx_cliques():
     for seed in range(60):
         g = gen_random_chordal(rng.randrange(2, 13), rng.random(), seed)
         t = clique_tree(g)
-        ours = sorted(sorted(k) for k in t.nodes)
+        ours = sorted(map(mask_vertices, t.nodes))
         theirs = sorted(sorted(c) for c in nx.find_cliques(to_nx(g)))
         assert ours == theirs
         assert t.node_count <= g.n
@@ -176,23 +180,102 @@ def test_verify_rejects_star_rewiring_of_fig3_tree():
     t = clique_tree(g3c)
     hub = 3  # {d,e,f}
     edges = tuple(sorted((min(i, hub), max(i, hub)) for i in range(3)))
-    star = CliqueTree(
-        t.nodes, edges, tuple(t.nodes[i] & t.nodes[j] for i, j in edges)
-    )
+    star = CliqueTree(t.nodes, edges)
     assert not verify_clique_tree(g3c, star)
 
 
 def test_verify_rejects_single_node_tree_for_wrong_graph():
     assert verify_clique_tree(complete_graph(3), clique_tree(complete_graph(3)))
-    bad = CliqueTree((frozenset({0, 1}),), (), ())
+    bad = CliqueTree((vertex_mask({0, 1}),), ())
     assert not verify_clique_tree(complete_graph(3), bad)
+    out_of_range = CliqueTree((vertex_mask({0, 1, 2, 3}),), ())
+    assert not verify_clique_tree(complete_graph(3), out_of_range)
+
+
+def _clique_tree_variants(t, n, rng):
+    """Trees over the cliques of ``t`` (a clique tree of a graph on ``n``
+    vertices), some valid and some not: ``t`` itself, its low-degree
+    rebuild and a relabelling, then a duplicated, shrunk, dropped or
+    out-of-range node, random rewirings, dropped, repeated and extra edges,
+    and random forests over the nodes."""
+    nodes, edges, d = list(t.nodes), list(t.edges), t.node_count
+    yield t
+    yield max_weight_clique_tree(nodes)
+    perm = list(range(d))
+    rng.shuffle(perm)
+    yield CliqueTree(
+        tuple(nodes[perm.index(i)] for i in range(d)),
+        tuple(sorted((perm[i], perm[j])[:: rng.choice((1, -1))] for i, j in edges)),
+    )
+    k = rng.randrange(d)
+    yield CliqueTree(tuple(nodes + [nodes[k]]), tuple(edges + [(k, d)]))
+    yield CliqueTree(tuple(nodes + [nodes[k]]), tuple(edges))
+    low = nodes[k] & -nodes[k]
+    shrunk = nodes[:k] + [nodes[k] ^ low] + nodes[k + 1:]
+    yield CliqueTree(tuple(shrunk), tuple(edges))
+    yield CliqueTree(tuple(nodes + [nodes[k] ^ low]), tuple(edges + [(k, d)]))
+    wider = nodes[:k] + [nodes[k] | 1 << n] + nodes[k + 1:]
+    yield CliqueTree(tuple(wider), tuple(edges))
+    yield CliqueTree(tuple(nodes + [1 << n]), tuple(edges))
+    relabel = lambda i: i - (i > k)
+    yield CliqueTree(
+        tuple(nodes[:k] + nodes[k + 1:]),
+        tuple((relabel(i), relabel(j)) for i, j in edges if k not in (i, j)),
+    )
+    if d < 2:
+        return
+    for _ in range(3):  # replace one edge by a random one
+        rewired = edges[:]
+        if rewired:
+            rewired.pop(rng.randrange(len(rewired)))
+        i, j = rng.sample(range(d), 2)
+        yield CliqueTree(tuple(nodes), tuple(rewired + [(min(i, j), max(i, j))]))
+    i, j = rng.sample(range(d), 2)  # an extra edge closes a cycle
+    yield CliqueTree(tuple(nodes), tuple(edges + [(min(i, j), max(i, j))]))
+    if edges:
+        yield CliqueTree(tuple(nodes), tuple(edges[1:]))
+        yield CliqueTree(tuple(nodes), tuple(edges + [edges[0]]))
+    for _ in range(3):  # a random forest over the nodes
+        parent = list(range(d))
+        forest = []
+        pairs = list(combinations(range(d), 2))
+        rng.shuffle(pairs)
+        for i, j in pairs[:d]:
+            while parent[i] != i:
+                i = parent[i]
+            while parent[j] != j:
+                j = parent[j]
+            if i != j:
+                parent[i] = j
+                forest.append((min(i, j), max(i, j)))
+        yield CliqueTree(tuple(nodes), tuple(sorted(forest)))
+
+
+def test_verify_clique_tree_matches_pairwise_reference():
+    # the per-vertex count agrees with the pairwise BFS path check, on
+    # trees over the cliques of random chordal graphs (some disconnected)
+    rng = random.Random(1993)
+    verdicts = Counter()
+    for seed in range(120):
+        g = gen_random_chordal(rng.randrange(1, 10), rng.random(), seed)
+        if seed % 3 == 0:
+            h = gen_random_chordal(rng.randrange(1, 5), rng.random(), seed + 1)
+            g = Graph(g.n + h.n, list(g.edges())
+                      + [(u + g.n, v + g.n) for u, v in h.edges()])
+        for tree in _clique_tree_variants(clique_tree(g), g.n, rng):
+            expected = naive_verify_clique_tree(g, tree)
+            assert verify_clique_tree(g, tree) is expected, (seed, tree)
+            verdicts[expected] += 1
+    assert verdicts[True] >= 300 and verdicts[False] >= 600
 
 
 def test_counting_identity_mids_plus_n_equals_clique_sizes():
     for seed in range(80):
         g = gen_random_chordal(2 + seed % 12, (seed % 4) / 3, seed)
         t = clique_tree(g)
-        assert sum(len(m) for m in t.mids) + g.n == sum(len(k) for k in t.nodes)
+        assert sum(m.bit_count() for m in t.mids) + g.n == sum(
+            k.bit_count() for k in t.nodes
+        )
 
 
 def test_subtrees_of_clique_trees_are_clique_trees():
@@ -203,7 +286,7 @@ def test_subtrees_of_clique_trees_are_clique_trees():
         if t.node_count < 2 or len(t.edges) == 0:
             continue
         # grow a random connected subtree
-        adj = {i: t.neighbors(i) for i in range(t.node_count)}
+        adj = tree_adjacency(t)
         start = rng.randrange(t.node_count)
         chosen = {start}
         frontier = set(adj[start])
@@ -214,11 +297,12 @@ def test_subtrees_of_clique_trees_are_clique_trees():
             frontier.discard(nxt)
         sub_nodes = sorted(chosen)
         relabel = {old: new for new, old in enumerate(sub_nodes)}
-        union = sorted(set().union(*(t.nodes[i] for i in chosen)))
+        union = sorted(set().union(*(mask_vertices(t.nodes[i]) for i in chosen)))
         induced, mapping = g.induced_subgraph(union)
         to_new = {orig: i for i, orig in enumerate(mapping)}
         new_nodes = tuple(
-            frozenset(to_new[v] for v in t.nodes[i]) for i in sub_nodes
+            vertex_mask(to_new[v] for v in mask_vertices(t.nodes[i]))
+            for i in sub_nodes
         )
         new_edges = tuple(
             sorted(
@@ -227,11 +311,7 @@ def test_subtrees_of_clique_trees_are_clique_trees():
                 if i in chosen and j in chosen
             )
         )
-        sub_tree = CliqueTree(
-            new_nodes,
-            new_edges,
-            tuple(new_nodes[i] & new_nodes[j] for i, j in new_edges),
-        )
+        sub_tree = CliqueTree(new_nodes, new_edges)
         assert verify_clique_tree(induced, sub_tree)
 
 

@@ -2,6 +2,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -110,13 +111,14 @@ def test_cover_copath12(tmp_path, capsys):
 
 
 def test_cover_fig2_text_and_verify_round_trip(tmp_path, capsys):
+    g = gen_fig_graph("fig2").graph
     graph_path = tmp_path / "fig2.graph"
-    write_graph(gen_fig_graph("fig2").graph, graph_path)
+    write_graph(g, graph_path)
     cover_path = tmp_path / "fig2.cover"
     assert main(["cover", str(graph_path), "--out", str(cover_path)]) == 0
-    bicliques = bicliques_from_text(cover_path.read_text())
+    bicliques = bicliques_from_text(cover_path.read_text(), g.n)
     assert len(bicliques) == 2
-    assert verify_cover(gen_fig_graph("fig2").graph, bicliques)
+    assert verify_cover(g, bicliques)
 
     assert main(["verify", str(graph_path), str(cover_path)]) == 0
     assert main(["verify", str(graph_path), str(cover_path),
@@ -144,6 +146,26 @@ def test_verify_rejects_negative_vertex_as_parse_error(tmp_path, capsys):
     assert "parse error: line 1" in captured.err
 
 
+def test_verify_rejects_huge_vertex_before_building_a_mask(tmp_path, capsys):
+    # a vertex of n or more is a parse error (exit 1), found before any mask
+    # is built: a mask holding vertex 10**8 alone would take 12.5 MB
+    graph_path = tmp_path / "copath6.graph"
+    write_graph(gen_copath(6).graph, graph_path)
+    cover_path = tmp_path / "huge.cover"
+    cover_path.write_text("L: 100000000 | R: 1\n")
+    tracemalloc.start()
+    try:
+        code = main(["verify", str(graph_path), str(cover_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert peak < 1 << 20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parse error: line 1: vertex 100000000 out of range" in captured.err
+
+
 def test_cover_of_c4_succeeds(tmp_path, capsys):
     # complement of C4 is a perfect matching, which is chordal
     path = tmp_path / "c4.graph"
@@ -159,7 +181,8 @@ def test_cover_of_c4_succeeds(tmp_path, capsys):
                 % (" ".join(map(str, l)), " ".join(map(str, r)))
                 for l, r in payload["bicliques"]
             )
-            + "\n"
+            + "\n",
+            cycle_graph(4).n,
         ),
     )
 
@@ -175,7 +198,7 @@ def test_partition_command(tmp_path, capsys):
     path = tmp_path / "fig2.graph"
     write_graph(gen_fig_graph("fig2").graph, path)
     assert main(["partition", str(path)]) == 0
-    parts = bicliques_from_text(capsys.readouterr().out)
+    parts = bicliques_from_text(capsys.readouterr().out, gen_fig_graph("fig2").graph.n)
     assert len(parts) == 3
 
 

@@ -53,6 +53,7 @@ from helpers import (
     naive_verify_cover,
     naive_verify_partition,
     random_cochordal,
+    vertex_set,
 )
 
 
@@ -465,7 +466,7 @@ def test_join_clique_forest_chains_components():
     work = join_clique_forest(tree)
     assert work.node_count == 4
     assert len(work.edges) == 3
-    assert all(m == frozenset() for m in work.mids)
+    assert all(m == 0 for m in work.mids)
 
 
 def test_max_weight_tree_rebuild_is_valid_clique_tree():
@@ -499,7 +500,9 @@ def chordal_graphs(draw):
 def test_max_weight_tree_rebuild_matches_dense_reference(gc):
     nodes = clique_tree(gc).nodes
     rebuilt = max_weight_clique_tree(nodes)
-    assert (rebuilt.nodes, rebuilt.edges, rebuilt.mids) == (
+    assert rebuilt.nodes == nodes
+    sets = lambda masks: tuple(map(vertex_set, masks))
+    assert (sets(rebuilt.nodes), rebuilt.edges, sets(rebuilt.mids)) == (
         naive_max_weight_clique_tree(nodes)
     )
     assert verify_clique_tree(gc, rebuilt)
@@ -660,9 +663,13 @@ def test_serialization_round_trip():
     cover = [B([0, 1], [3, 4]), B([0, 4], [2])]
     text = bicliques_to_text(cover)
     assert text == "L: 0 1 | R: 3 4\nL: 0 4 | R: 2\n"
-    assert bicliques_from_text(text) == cover
+    assert bicliques_from_text(text, 5) == cover
     with pytest.raises(ValueError):
-        bicliques_from_text("L: 0 1 R: 2\n")
+        bicliques_from_text("L: 0 1 R: 2\n", 5)
+    with pytest.raises(ValueError, match="line 2: expected"):
+        bicliques_from_text("L: 0 | R: 4\nL: -1 | R: 1\n", 5)
+    with pytest.raises(ValueError, match="^line 2: vertex 5 out of range$"):
+        bicliques_from_text("L: 0 | R: 4\nL: 1 | R: 5\n", 5)
 
 
 def test_cover_never_lists_the_complement(monkeypatch):
@@ -678,6 +685,18 @@ def test_cover_never_lists_the_complement(monkeypatch):
     cover, meta = cover_cochordal(g)
     assert built == []  # no Graph was built from an edge list
     assert meta.verified and len(cover) == ceil_log2(199)
+
+
+def test_cover_pipeline_builds_no_clique_mask(monkeypatch):
+    # the clique tree's nodes are masks from the MCS sweep to the cuts
+    calls = []
+    vertex_mask = cover_module.vertex_mask
+    monkeypatch.setattr(
+        cover_module, "vertex_mask", lambda vs: calls.append(1) or vertex_mask(vs)
+    )
+    cover, meta = cover_cochordal(gen_copath(800).graph)
+    assert meta.verified and len(cover) == ceil_log2(799)
+    assert len(calls) == 0
 
 
 def test_cover_that_fails_its_check_is_flagged(monkeypatch, tmp_path, capsys):

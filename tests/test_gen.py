@@ -126,7 +126,7 @@ def test_two_membership_path_shape_is_copath_family():
     gc = inst.graph.complement()
     tree = clique_tree(gc)
     assert tree.node_count == 4
-    assert sorted(len(k) for k in tree.nodes) == [2, 2, 2, 2]
+    assert sorted(k.bit_count() for k in tree.nodes) == [2, 2, 2, 2]
     counts, flag = mis_membership_counts(inst.graph)
     assert flag
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -111,6 +112,19 @@ def test_is_biclique_subgraph_edge_cases():
     assert g.is_biclique_subgraph([], []) is False
     assert g.is_biclique_subgraph([0, 2], [2, 1]) is False
     assert g.is_biclique_subgraph([2, 2], [0, 1, 0]) is True
+
+
+def test_is_biclique_subgraph_checks_range_before_building_a_mask():
+    # a mask holding vertex 10**8 alone would take 12.5 MB
+    g = Graph(3, [(0, 2), (1, 2)])
+    tracemalloc.start()
+    try:
+        assert g.is_biclique_subgraph([2], [0, 10**8]) is False
+        assert g.is_biclique_subgraph(iter([10**8]), iter([2])) is False
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_is_biclique_subgraph_reads_one_shot_iterators_once():

@@ -12,7 +12,9 @@ Each reported bound carries a provenance tag: "exact" (proven for this graph),
 "heuristic" (from an approximation, not certified), or "conditional" (follows
 a published recipe whose edge cases keep it out of certified comparisons; the
 conflict-graph bound lives here, since its 4-cycle exclusion rule can
-overshoot on dense graphs).
+overshoot on dense graphs).  The conflict graph itself is built in
+:mod:`bccover.oracle`, whose bc search prunes with its strict variant, and is
+re-exported here.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ from fractions import Fraction
 from .chordal import complement_clique_tree
 from .cover import CoverMetadata, cover_cochordal, cover_to_json_dict
 from .errors import BudgetExceededError, NotChordalError
-from .graph import Graph
 from .oracle import (
     DEFAULT_SEARCH_BUDGET,
     DEFAULT_VALUE_BUDGET,
     OracleBudget,
     OracleResult,
     _check_caps,
+    conflict_graph,
     enumerate_maximal_cliques,
     exact_bc,
     exact_bp,
@@ -79,37 +81,6 @@ def lb_log_chi(g, budget=None):
         return ceil_log2(result.upper), False
     except BudgetExceededError:
         return ceil_log2(greedy_coloring_bound(g)), False
-
-
-def conflict_graph(g, induced_c4_only=True):
-    """Graph on the edges of ``g``: vertex i is the i-th edge (lexicographic),
-    and two vertices are adjacent when the edges share no endpoint and do not
-    sit together in a 4-cycle.
-
-    With ``induced_c4_only`` (the default) only a chordless 4-cycle counts as
-    an exclusion, which reproduces the published example values; the stricter
-    variant (any 4-cycle through both edges) never overshoots the cover
-    number and is the one safe to use for pruning.
-    """
-    edges = g.edges()
-    adjacency = []
-    for i in range(len(edges)):
-        a, b = edges[i]
-        for j in range(i + 1, len(edges)):
-            c, d = edges[j]
-            if len({a, b, c, d}) != 4:
-                continue
-            straight = g.has_edge(a, c) and g.has_edge(b, d)
-            crossed = g.has_edge(a, d) and g.has_edge(b, c)
-            if induced_c4_only:
-                in_c4 = (straight and not g.has_edge(a, d) and not g.has_edge(b, c)) or (
-                    crossed and not g.has_edge(a, c) and not g.has_edge(b, d)
-                )
-            else:
-                in_c4 = straight or crossed
-            if not in_c4:
-                adjacency.append((i, j))
-    return Graph(len(edges), adjacency)
 
 
 def lb_omega_conflict(g, budget=None):

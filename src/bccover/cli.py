@@ -7,7 +7,8 @@ that fails verification), 3 precondition failure (e.g. a non-co-chordal input
 to ``cover``), 4 budget exhausted.
 
 ``BCCOVER_VERTEX_CAP`` and ``BCCOVER_TIME_CAP`` override the default oracle
-budget; per-invocation flags override the environment.
+budget; the ``--vertex-cap``/``--time-cap`` flags of ``bounds`` and ``oracle``
+override the environment.
 """
 
 from __future__ import annotations
@@ -343,38 +344,32 @@ def cmd_oracle(args):
         except BudgetExceededError as exc:
             print("budget: %s" % exc, file=sys.stderr)
             return EXIT_BUDGET
-        print("ranking = %d" % r)
+        _write_output("ranking = %d\n" % r, args.out)
         return EXIT_OK
 
     g = read_graph(args.input)
     search = _budget_overrides(args, DEFAULT_SEARCH_BUDGET)
     value = _budget_overrides(args, DEFAULT_VALUE_BUDGET)
+    oracle, budget = {
+        "bc": (exact_bc, search),
+        "bp": (exact_bp, search),
+        "chi": (exact_chromatic, value),
+        "matching": (exact_max_matching, value),
+        "clique": (exact_clique_number, value),
+    }[args.problem]
     try:
-        if args.problem == "bc":
-            result = exact_bc(g, search)
-            label = "bc"
-        elif args.problem == "bp":
-            result = exact_bp(g, search)
-            label = "bp"
-        elif args.problem == "chi":
-            result = exact_chromatic(g, value)
-            label = "chi"
-        elif args.problem == "matching":
-            result = exact_max_matching(g, value)
-            label = "matching"
-        else:
-            result = exact_clique_number(g, value)
-            label = "clique"
+        result = oracle(g, budget)
     except BudgetExceededError as exc:
         print("budget: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
     if not result.exact:
-        print("%s in [%d, %d] (inexact)" % (label, result.lower, result.upper))
-        return EXIT_BUDGET
-    print("%s = %d" % (label, result.value))
-    if args.problem in ("bc", "bp") and result.certificate:
-        sys.stdout.write(bicliques_to_text(result.certificate))
-    return EXIT_OK
+        text = "%s in [%d, %d] (inexact)\n" % (args.problem, result.lower, result.upper)
+    else:
+        text = "%s = %d\n" % (args.problem, result.value)
+        if args.problem in ("bc", "bp") and result.certificate:
+            text += bicliques_to_text(result.certificate)
+    _write_output(text, args.out)
+    return EXIT_OK if result.exact else EXIT_BUDGET
 
 
 def cmd_tree(args):
@@ -416,6 +411,8 @@ def build_parser():
 
     def add_common(p):
         p.add_argument("--out", "-o", default=None, help="output file (default stdout)")
+
+    def add_caps(p):  # only for the commands that run a budgeted oracle
         p.add_argument("--vertex-cap", type=int, default=None)
         p.add_argument("--time-cap", type=float, default=None)
 
@@ -425,6 +422,7 @@ def build_parser():
     p.add_argument("--no-oracle", action="store_true")
     p.add_argument("--dir", action="store_true", help="batch: analyze every *.graph file, JSONL output")
     add_common(p)
+    add_caps(p)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("cover", help="biclique cover of a co-chordal graph")
@@ -484,6 +482,7 @@ def build_parser():
     p.add_argument("problem", choices=("bc", "bp", "chi", "matching", "clique", "ranking"))
     p.add_argument("input")
     add_common(p)
+    add_caps(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("tree", help="clique tree of a chordal graph")

@@ -88,9 +88,6 @@ class Biclique:
         left, right = mask_vertices(self._left), mask_vertices(self._right)
         return {(min(u, v), max(u, v)) for u in left for v in right}
 
-    def sides(self):
-        return self.left, self.right
-
     def __eq__(self, other):
         if not isinstance(other, Biclique):
             return NotImplemented
@@ -389,13 +386,13 @@ class CoverMetadata:
     verified: bool = False
 
 
-def cover_cochordal(g, rebuild_tree=True):
+def cover_cochordal(g):
     """Biclique cover of a co-chordal graph; size is at most mc(complement)-1.
 
-    Pipeline: clique tree of the complement, optionally rebuilt as a
-    low-degree maximum-weight spanning tree (star-shaped trees coming out of
-    the MCS sweep would inflate the ranking for no reason); an optimal
-    edge-ranking of that tree; level decomposition; greedy merge per level.
+    Pipeline: clique tree of the complement, rebuilt as a low-degree
+    maximum-weight spanning tree (star-shaped trees coming out of the MCS
+    sweep would inflate the ranking for no reason); an optimal edge-ranking
+    of that tree; level decomposition; greedy merge per level.
 
     Returns ``(cover, CoverMetadata)``; ``meta.verified`` says whether the
     cover passed the final check.  Raises :class:`NotChordalError` when the
@@ -403,8 +400,7 @@ def cover_cochordal(g, rebuild_tree=True):
     """
     base = complement_clique_tree(g)
     counts, all_le_two = clique_membership_counts(base, g.n)
-    tree = max_weight_clique_tree(base.nodes) if rebuild_tree else base
-    work = join_clique_forest(tree)
+    work = join_clique_forest(max_weight_clique_tree(base.nodes))
     d = work.node_count
     meta = CoverMetadata(
         mc_complement=d,

@@ -8,6 +8,10 @@ running out of time mid-search returns the best proven window flagged inexact.
 The enumerations have no window to return, so they raise
 :class:`BudgetExceededError` when their time runs out.
 
+Every search reads the graph through ``g.neighbor_masks()``: vertex sets
+are vertex masks, and edge sets (a biclique in :func:`exact_bc`, a row of
+:func:`conflict_graph`) are masks over the indices of ``g.edges()``.
+
 The one tuned search is :func:`exact_bp`, an exact cover of the edges by
 bicliques over neighbourhood bit masks of the still uncovered graph.  It
 branches on the uncovered edge that lies in the fewest bicliques of that
@@ -27,7 +31,7 @@ import numpy as np
 from .chordal import clique_tree
 from .cover import Biclique, find_partition
 from .errors import BudgetExceededError, NotChordalError
-from .graph import mask_vertices
+from .graph import Graph, mask_vertices
 from .ranking import (
     EdgeRanking,
     ceil_log2,
@@ -181,6 +185,60 @@ def enumerate_maximal_bicliques(g, budget=None):
     return [Biclique._from_masks(left, right) for left, right in found]
 
 
+# -- conflict graph -----------------------------------------------------------
+
+
+def _edges_at(g):
+    """Per vertex v, the mask of the indices, in ``g.edges()`` order, of the
+    edges at v."""
+    at = [0] * g.n
+    for i, (u, v) in enumerate(g.edges()):
+        at[u] |= 1 << i
+        at[v] |= 1 << i
+    return at
+
+
+def _touching(at, side):
+    """Mask of the edges with an endpoint in the vertex mask ``side``."""
+    out = 0
+    while side:
+        low = side & -side
+        out |= at[low.bit_length() - 1]
+        side ^= low
+    return out
+
+
+def conflict_graph(g, induced_c4_only=True):
+    """Graph on the edges of ``g``: vertex i is the i-th edge (lexicographic),
+    and two vertices are adjacent when the edges share no endpoint and do not
+    sit together in a 4-cycle.
+
+    With ``induced_c4_only`` (the default) only a chordless 4-cycle counts as
+    an exclusion, which reproduces the published example values; the stricter
+    variant (any 4-cycle through both edges) never overshoots the cover
+    number and is the one safe to use for pruning.  The edges in a 4-cycle
+    with (a, b) join X = N(a) - b to Y = N(b) - a; chordless ones join
+    X - N(b) to Y - N(a).
+    """
+    masks = g.neighbor_masks()
+    at = _edges_at(g)
+    all_edges, all_vertices = (1 << g.m) - 1, (1 << g.n) - 1
+    rows = []
+    for a, b in g.edges():
+        x, y = masks[a] & ~(1 << b), masks[b] & ~(1 << a)
+        if induced_c4_only:
+            x, y = x & ~masks[b], y & ~masks[a]
+            partners = _touching(at, x) & _touching(at, y)
+        else:
+            partners = (
+                _touching(at, x)
+                & _touching(at, y)
+                & ~_touching(at, all_vertices & ~(x | y))
+            )
+        rows.append(all_edges & ~(at[a] | at[b] | partners))
+    return Graph._from_masks(rows)
+
+
 # -- biclique cover number ----------------------------------------------------
 
 
@@ -188,26 +246,26 @@ def exact_bc(g, budget=None):
     """Minimum biclique cover, as a window with a certificate cover.
 
     Set-cover branch and bound over the maximal bicliques (any cover member
-    can be fattened to a maximal one without uncovering anything), seeded
-    with a greedy cover and pruned by the log-maximal-clique and conflict
-    lower bounds.
+    can be fattened to a maximal one without uncovering anything), each an
+    edge mask, seeded with a greedy cover and pruned by the
+    log-maximal-clique and conflict lower bounds.  Each node branches on the
+    lowest uncovered edge in the fewest bicliques.
     """
     budget = budget or DEFAULT_SEARCH_BUDGET
     _check_caps(g, budget)
-    edges = g.edges()
-    if not edges:
+    if not g.m:
         return OracleResult(0, 0, [])
     bicliques = enumerate_maximal_bicliques(g, budget)
-    sets = [frozenset(b.edge_set()) for b in bicliques]
-    universe = frozenset(edges)
+    at = _edges_at(g)
+    sets = [_touching(at, b._left) & _touching(at, b._right) for b in bicliques]
 
     # greedy upper bound
-    uncovered = set(universe)
+    universe = uncovered = (1 << g.m) - 1
     greedy = []
     while uncovered:
-        idx = max(range(len(sets)), key=lambda i: (len(sets[i] & uncovered), -i))
+        idx = max(range(len(sets)), key=lambda i: ((sets[i] & uncovered).bit_count(), -i))
         greedy.append(idx)
-        uncovered -= sets[idx]
+        uncovered &= ~sets[idx]
     best = len(greedy)
     best_cover = list(greedy)
 
@@ -215,7 +273,7 @@ def exact_bc(g, budget=None):
     if best == lb:
         return OracleResult(best, best, [bicliques[i] for i in best_cover])
 
-    covering = {e: [i for i, s in enumerate(sets) if e in s] for e in universe}
+    covering = [[i for i, s in enumerate(sets) if s >> e & 1] for e in range(g.m)]
     deadline = _Deadline(budget.time_cap)
 
     def dfs(uncovered, chosen):
@@ -228,17 +286,17 @@ def exact_bc(g, budget=None):
             return
         if len(chosen) + 1 >= best:
             return
-        e = min(uncovered, key=lambda e: len(covering[e]))
+        e = min(mask_vertices(uncovered), key=lambda e: len(covering[e]))
         options = sorted(
-            covering[e], key=lambda i: -len(sets[i] & uncovered)
+            covering[e], key=lambda i: -(sets[i] & uncovered).bit_count()
         )
         for idx in options:
-            dfs(uncovered - sets[idx], chosen + [idx])
+            dfs(uncovered & ~sets[idx], chosen + [idx])
             if best == lb:
                 return
 
     try:
-        dfs(frozenset(universe), [])
+        dfs(universe, [])
     except _Timeout:
         return OracleResult(lb, best, [bicliques[i] for i in best_cover])
     return OracleResult(best, best, [bicliques[i] for i in best_cover])
@@ -246,13 +304,11 @@ def exact_bc(g, budget=None):
 
 def _bc_lower_bound(g):
     """Sound lower bounds cheap enough to use as pruning floor."""
-    from . import bounds  # deferred; bounds builds on this module
-
     gc = g.complement()
     lb = ceil_log2(len(enumerate_maximal_cliques(gc)))
     if g.m <= 40:
         # the conflict graph has one vertex per edge of g
-        conflict = bounds.conflict_graph(g, induced_c4_only=False)
+        conflict = conflict_graph(g, induced_c4_only=False)
         if conflict.m:
             conflict_budget = OracleBudget(41, 900, 2.0)
             try:
@@ -426,7 +482,7 @@ def exact_bp(g, budget=None):
 
 
 def exact_chromatic(g, budget=None):
-    """Exact coloring via DSATUR-ordered backtracking."""
+    """Exact coloring via DSATUR-ordered backtracking over color class masks."""
     budget = budget or DEFAULT_VALUE_BUDGET
     _check_caps(g, budget)
     n = g.n
@@ -442,41 +498,40 @@ def exact_chromatic(g, budget=None):
     if best == clique_lb:
         return OracleResult(best, best, tuple(best_assign))
 
-    colors = [0] * n
-    nbrs = _neighbour_lists(g)
+    masks = g.neighbor_masks()
+    classes = [0] * best  # vertex mask of color c + 1 at index c
     deadline = _Deadline(budget.time_cap)
 
-    def select():
+    def select(uncolored):
         cand, sat, deg = -1, -1, -1
-        for v in range(n):
-            if colors[v]:
-                continue
-            s = len({colors[u] for u in nbrs[v] if colors[u]})
-            d = len(nbrs[v])
+        for v in mask_vertices(uncolored):
+            s = sum(1 for cls in classes if cls & masks[v])
+            d = masks[v].bit_count()
             if s > sat or (s == sat and d > deg):
                 cand, sat, deg = v, s, d
         return cand
 
-    def backtrack(used, colored):
+    def backtrack(used, uncolored):
         nonlocal best, best_assign
         deadline.check()
         if used >= best:
             return
-        if colored == n:
+        if not uncolored:
             best = used
-            best_assign = list(colors)
+            best_assign = _class_colors(classes, n)
             return
-        v = select()
-        for c in range(1, min(used + 1, best - 1) + 1):
-            if all(colors[u] != c for u in nbrs[v]):
-                colors[v] = c
-                backtrack(max(used, c), colored + 1)
-                colors[v] = 0
+        v = select(uncolored)
+        bit = 1 << v
+        for c in range(min(used + 1, best - 1)):
+            if not classes[c] & masks[v]:
+                classes[c] |= bit
+                backtrack(max(used, c + 1), uncolored ^ bit)
+                classes[c] ^= bit
                 if best == clique_lb:
                     return
 
     try:
-        backtrack(0, 0)
+        backtrack(0, (1 << n) - 1)
     except _Timeout:
         return OracleResult(clique_lb, best, tuple(best_assign))
     return OracleResult(best, best, tuple(best_assign))
@@ -484,34 +539,37 @@ def exact_chromatic(g, budget=None):
 
 def greedy_coloring(g):
     """Largest-first greedy coloring: colors 1.. per vertex, a proper
-    coloring of ``g`` and so an upper bound on its chromatic number."""
-    colors = [0] * g.n
-    nbrs = _neighbour_lists(g)
-    for v in sorted(range(g.n), key=lambda v: -len(nbrs[v])):
-        taken = {colors[u] for u in nbrs[v] if colors[u]}
-        c = 1
-        while c in taken:
-            c += 1
-        colors[v] = c
-    return colors
+    coloring of ``g`` and so an upper bound on its chromatic number.  Each
+    vertex joins the first color class that holds none of its neighbours."""
+    masks = g.neighbor_masks()
+    classes = []
+    for v in sorted(range(g.n), key=lambda v: -masks[v].bit_count()):
+        for c, cls in enumerate(classes):
+            if not cls & masks[v]:
+                classes[c] |= 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return _class_colors(classes, g.n)
+
+
+def _class_colors(classes, n):
+    """Color 1.. of each of the n vertices, from the color class masks."""
+    return [
+        next(c for c, cls in enumerate(classes, 1) if cls >> v & 1) for v in range(n)
+    ]
 
 
 def _greedy_clique_size(g):
     masks = g.neighbor_masks()
-    nbrs = _neighbour_lists(g)
     best = 1 if g.n else 0
     for v in range(g.n):
         clique = 1 << v
-        for u in sorted(nbrs[v], key=lambda u: -len(nbrs[u])):
+        for u in sorted(mask_vertices(masks[v]), key=lambda u: -masks[u].bit_count()):
             if not clique & ~masks[u]:
                 clique |= 1 << u
         best = max(best, clique.bit_count())
     return best
-
-
-def _neighbour_lists(g):
-    """Sorted neighbour list of each vertex, built once per call."""
-    return [mask_vertices(mask) for mask in g.neighbor_masks()]
 
 
 # -- maximum matching ---------------------------------------------------------
@@ -525,35 +583,31 @@ def exact_max_matching(g, budget=None):
     m = len(edges)
     if m == 0:
         return OracleResult(0, 0, [])
+    ends = [(1 << u) | (1 << v) for u, v in edges]
     best = 0
     best_edges = []
-    used = [False] * g.n
     chosen = []
     deadline = _Deadline(budget.time_cap)
 
-    def dfs(idx, count):
+    def dfs(idx, free, count):
         nonlocal best, best_edges
         deadline.check()
-        free = sum(1 for x in used if not x)
-        if count + free // 2 <= best:
+        if count + free.bit_count() // 2 <= best:
             return
-        while idx < m and (used[edges[idx][0]] or used[edges[idx][1]]):
+        while idx < m and ends[idx] & ~free:
             idx += 1
         if idx == m:
             if count > best:
                 best = count
                 best_edges = list(chosen)
             return
-        u, v = edges[idx]
-        used[u] = used[v] = True
-        chosen.append((u, v))
-        dfs(idx + 1, count + 1)
+        chosen.append(edges[idx])
+        dfs(idx + 1, free & ~ends[idx], count + 1)
         chosen.pop()
-        used[u] = used[v] = False
-        dfs(idx + 1, count)
+        dfs(idx + 1, free, count)
 
     try:
-        dfs(0, 0)
+        dfs(0, (1 << g.n) - 1, 0)
     except _Timeout:
         return OracleResult(best, g.n // 2, best_edges)
     return OracleResult(best, best, best_edges)
@@ -580,10 +634,22 @@ def exhaustive_edge_ranking(tree, budget=None):
         return 0
     deadline = _Deadline(budget.time_cap)
 
-    between = {}
+    # up[x]: mask of the edges from node x to node 0, so the path between
+    # x and y is up[x] ^ up[y]; the edges strictly between two edges are
+    # those on all four paths between their ends
     index_of = {e: i for i, e in enumerate(tree.edges)}
+    up, queue = {0: 0}, [0]
+    for x in queue:
+        for y in tree.neighbors(x):
+            if y not in up:
+                up[y] = up[x] | 1 << index_of[(min(x, y), max(x, y))]
+                queue.append(y)
+    between = {}
     for i, j in combinations(range(m), 2):
-        between[(i, j)] = _edges_between(tree, tree.edges[i], tree.edges[j], index_of)
+        (a, b), (c, d) = tree.edges[i], tree.edges[j]
+        between[(i, j)] = mask_vertices(
+            (up[a] ^ up[c]) & (up[a] ^ up[d]) & (up[b] ^ up[c]) & (up[b] ^ up[d])
+        )
 
     assignment = [0] * m
 
@@ -627,37 +693,3 @@ def exhaustive_edge_ranking(tree, budget=None):
     except _Timeout:
         raise BudgetExceededError("exhaustive edge-ranking timed out") from None
     return m
-
-
-def _edges_between(tree, e1, e2, index_of):
-    """Indices of the edges strictly between e1 and e2 (path between their
-    closest endpoints)."""
-    best = None
-    for s in e1:
-        paths = _bfs_paths(tree, s)
-        for t in e2:
-            path = paths[t]
-            if best is None or len(path) < len(best):
-                best = path
-    out = []
-    for a, b in zip(best, best[1:]):
-        out.append(index_of[(min(a, b), max(a, b))])
-    return out
-
-
-def _bfs_paths(tree, start):
-    prev = {start: None}
-    queue = [start]
-    for x in queue:
-        for y in tree.neighbors(x):
-            if y not in prev:
-                prev[y] = x
-                queue.append(y)
-    paths = {}
-    for t in prev:
-        node, path = t, [t]
-        while prev[node] is not None:
-            node = prev[node]
-            path.append(node)
-        paths[t] = path[::-1]
-    return paths

@@ -91,9 +91,6 @@ class EdgeRanking:
     def r(self):
         return max(self.ranks.values(), default=0)
 
-    def rank_of(self, u, v):
-        return self.ranks[(min(u, v), max(u, v))]
-
 
 def edge_ranking_lower_bound(tree):
     """max(maximum degree, ceil(log2 of the vertex count)); 0 for one node."""

@@ -15,11 +15,15 @@ from bccover import (
     Biclique,
     Graph,
     NotChordalError,
+    BudgetExceededError,
+    OracleBudget,
     OracleResult,
     Tree,
     ceil_log2,
     clique_tree,
+    enumerate_maximal_bicliques,
     enumerate_maximal_cliques,
+    exact_clique_number,
     find_partition,
 )
 
@@ -340,6 +344,222 @@ def reference_exact_bp(g, time_cap=10.0):
     except _ReferenceTimeout:
         return OracleResult(lb, best, best_parts)
     return OracleResult(best, best, best_parts)
+
+
+# -- reference oracles: the edge-tuple and list searches the mask ones replace --
+
+
+def reference_conflict_graph(g, induced_c4_only=True):
+    """The pairwise conflict graph that ``conflict_graph`` used to build:
+    every pair of disjoint edges looked up with ``has_edge``."""
+    edges = g.edges()
+    adjacency = []
+    for i in range(len(edges)):
+        a, b = edges[i]
+        for j in range(i + 1, len(edges)):
+            c, d = edges[j]
+            if len({a, b, c, d}) != 4:
+                continue
+            straight = g.has_edge(a, c) and g.has_edge(b, d)
+            crossed = g.has_edge(a, d) and g.has_edge(b, c)
+            if induced_c4_only:
+                in_c4 = (straight and not g.has_edge(a, d) and not g.has_edge(b, c)) or (
+                    crossed and not g.has_edge(a, c) and not g.has_edge(b, d)
+                )
+            else:
+                in_c4 = straight or crossed
+            if not in_c4:
+                adjacency.append((i, j))
+    return Graph(len(edges), adjacency)
+
+
+def _reference_bc_lower_bound(g):
+    lb = ceil_log2(len(enumerate_maximal_cliques(g.complement())))
+    if g.m <= 40:
+        conflict = reference_conflict_graph(g, induced_c4_only=False)
+        if conflict.m:
+            try:
+                lb = max(lb, exact_clique_number(conflict, OracleBudget(41, 900, 2.0)).value)
+            except BudgetExceededError:
+                pass
+    return lb
+
+
+def reference_exact_bc(g, time_cap=10.0):
+    """The frozenset set-cover search that ``exact_bc`` used to be: each
+    maximal biclique as a frozenset of edge tuples, and a ``covering`` dict
+    keyed by edge.  Ties between equally rare edges follow frozenset order.
+    Shares the biclique enumeration and the clique-number oracle with the
+    package, not the conflict graph or the search."""
+    edges = g.edges()
+    if not edges:
+        return OracleResult(0, 0, [])
+    bicliques = enumerate_maximal_bicliques(g)
+    sets = [frozenset(b.edge_set()) for b in bicliques]
+    universe = frozenset(edges)
+
+    uncovered = set(universe)
+    greedy = []
+    while uncovered:
+        idx = max(range(len(sets)), key=lambda i: (len(sets[i] & uncovered), -i))
+        greedy.append(idx)
+        uncovered -= sets[idx]
+    best = len(greedy)
+    best_cover = list(greedy)
+
+    lb = max(1, _reference_bc_lower_bound(g))
+    if best == lb:
+        return OracleResult(best, best, [bicliques[i] for i in best_cover])
+
+    covering = {e: [i for i, s in enumerate(sets) if e in s] for e in universe}
+    deadline = _ReferenceDeadline(time_cap)
+
+    def dfs(uncovered, chosen):
+        nonlocal best, best_cover
+        deadline.check()
+        if not uncovered:
+            if len(chosen) < best:
+                best = len(chosen)
+                best_cover = list(chosen)
+            return
+        if len(chosen) + 1 >= best:
+            return
+        e = min(uncovered, key=lambda e: len(covering[e]))
+        options = sorted(covering[e], key=lambda i: -len(sets[i] & uncovered))
+        for idx in options:
+            dfs(uncovered - sets[idx], chosen + [idx])
+            if best == lb:
+                return
+
+    try:
+        dfs(universe, [])
+    except _ReferenceTimeout:
+        return OracleResult(lb, best, [bicliques[i] for i in best_cover])
+    return OracleResult(best, best, [bicliques[i] for i in best_cover])
+
+
+def reference_max_matching(g, time_cap=10.0):
+    """The include/exclude edge branching that ``exact_max_matching`` used
+    to be, over a ``used`` list of booleans."""
+    edges = g.edges()
+    m = len(edges)
+    if m == 0:
+        return OracleResult(0, 0, [])
+    best = 0
+    best_edges = []
+    used = [False] * g.n
+    chosen = []
+    deadline = _ReferenceDeadline(time_cap)
+
+    def dfs(idx, count):
+        nonlocal best, best_edges
+        deadline.check()
+        free = sum(1 for x in used if not x)
+        if count + free // 2 <= best:
+            return
+        while idx < m and (used[edges[idx][0]] or used[edges[idx][1]]):
+            idx += 1
+        if idx == m:
+            if count > best:
+                best = count
+                best_edges = list(chosen)
+            return
+        u, v = edges[idx]
+        used[u] = used[v] = True
+        chosen.append((u, v))
+        dfs(idx + 1, count + 1)
+        chosen.pop()
+        used[u] = used[v] = False
+        dfs(idx + 1, count)
+
+    try:
+        dfs(0, 0)
+    except _ReferenceTimeout:
+        return OracleResult(best, g.n // 2, best_edges)
+    return OracleResult(best, best, best_edges)
+
+
+def _reference_neighbour_lists(g):
+    return [sorted(g.neighborhood(v)) for v in range(g.n)]
+
+
+def reference_greedy_coloring(g):
+    """Largest-first greedy coloring over neighbour lists and a color list."""
+    colors = [0] * g.n
+    nbrs = _reference_neighbour_lists(g)
+    for v in sorted(range(g.n), key=lambda v: -len(nbrs[v])):
+        taken = {colors[u] for u in nbrs[v] if colors[u]}
+        c = 1
+        while c in taken:
+            c += 1
+        colors[v] = c
+    return colors
+
+
+def _reference_greedy_clique_size(g):
+    nbrs = _reference_neighbour_lists(g)
+    best = 1 if g.n else 0
+    for v in range(g.n):
+        clique = [v]
+        for u in sorted(nbrs[v], key=lambda u: -len(nbrs[u])):
+            if all(g.has_edge(u, w) for w in clique):
+                clique.append(u)
+        best = max(best, len(clique))
+    return best
+
+
+def reference_chromatic(g, time_cap=10.0):
+    """The DSATUR backtracking that ``exact_chromatic`` used to be, over
+    neighbour lists and one color per vertex."""
+    n = g.n
+    if n == 0:
+        return OracleResult(0, 0, ())
+    if g.m == 0:
+        return OracleResult(1, 1, (1,) * n)
+    best_assign = reference_greedy_coloring(g)
+    best = max(best_assign)
+    clique_lb = _reference_greedy_clique_size(g)
+    if best == clique_lb:
+        return OracleResult(best, best, tuple(best_assign))
+
+    colors = [0] * n
+    nbrs = _reference_neighbour_lists(g)
+    deadline = _ReferenceDeadline(time_cap)
+
+    def select():
+        cand, sat, deg = -1, -1, -1
+        for v in range(n):
+            if colors[v]:
+                continue
+            s = len({colors[u] for u in nbrs[v] if colors[u]})
+            d = len(nbrs[v])
+            if s > sat or (s == sat and d > deg):
+                cand, sat, deg = v, s, d
+        return cand
+
+    def backtrack(used, colored):
+        nonlocal best, best_assign
+        deadline.check()
+        if used >= best:
+            return
+        if colored == n:
+            best = used
+            best_assign = list(colors)
+            return
+        v = select()
+        for c in range(1, min(used + 1, best - 1) + 1):
+            if all(colors[u] != c for u in nbrs[v]):
+                colors[v] = c
+                backtrack(max(used, c), colored + 1)
+                colors[v] = 0
+                if best == clique_lb:
+                    return
+
+    try:
+        backtrack(0, 0)
+    except _ReferenceTimeout:
+        return OracleResult(clique_lb, best, tuple(best_assign))
+    return OracleResult(best, best, tuple(best_assign))
 
 
 # -- naive chordal layer ---------------------------------------------------------

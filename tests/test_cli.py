@@ -243,6 +243,32 @@ def test_oracle_bc_fig3(fig3_path, capsys):
     assert sum(1 for l in out.splitlines() if l.startswith("L:")) == 3
 
 
+def test_oracle_output_flag_writes_the_file(fig3_path, tmp_path, capsys):
+    out = tmp_path / "bc.txt"
+    assert main(["oracle", "bc", fig3_path, "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["oracle", "bc", fig3_path]) == 0
+    assert out.read_text() == capsys.readouterr().out
+    assert out.read_text().splitlines()[0] == "bc = 3"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cover", "{g}", "--time-cap", "3"],
+        ["partition", "{g}", "--vertex-cap", "5"],
+        ["tree", "{g}", "--vertex-cap", "0"],
+        ["rank", "--tree", "{g}", "--time-cap", "3"],
+        ["gen", "copath", "--n", "4", "--vertex-cap", "5"],
+    ],
+)
+def test_cap_flags_only_on_commands_that_read_them(fig3_path, capsys, argv):
+    # only bounds and oracle run a budgeted oracle; elsewhere a cap flag
+    # would be silently ignored, so it is a usage error
+    assert main([a.format(g=fig3_path) for a in argv]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_oracle_ranking(tmp_path, capsys):
     tree_path = tmp_path / "p5.tree"
     tree_path.write_text(tree_to_text(Tree(5, [(i, i + 1) for i in range(4)])))

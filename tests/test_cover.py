@@ -452,12 +452,19 @@ def test_cover_pipeline_is_deterministic():
 
 def test_cover_valid_without_tree_rebuild():
     # the pipeline's size guarantees hold for any clique tree; the rebuild
-    # only helps the ranking, so disabling it must still verify
+    # only helps the ranking, so the levels and merges of the joined MCS
+    # tree must still give a cover
     for instance_id in ("fig2", "fig3"):
         g = gen_fig_graph(instance_id).graph
-        cover, meta = cover_cochordal(g, rebuild_tree=False)
+        work = join_clique_forest(clique_tree(g.complement()))
+        ranking, r = optimal_edge_ranking(Tree(work.node_count, work.edges))
+        levels = find_biclique_levels(work, ranking, bfs_leaf_order(work), r)
+        cover = [
+            b for level in range(1, r + 1)
+            for b in merge_bicliques(levels.get(level, []), g)
+        ]
         assert verify_cover(g, cover)
-        assert len(cover) <= meta.mc_complement - 1
+        assert len(cover) <= work.node_count - 1
 
 
 def test_join_clique_forest_chains_components():

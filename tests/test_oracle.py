@@ -12,6 +12,7 @@ from bccover import (
     Tree,
     ceil_log2,
     complete_graph,
+    conflict_graph,
     cycle_graph,
     enumerate_maximal_bicliques,
     enumerate_maximal_cliques,
@@ -29,14 +30,20 @@ from bccover import (
     verify_partition,
 )
 from bccover.graph import Graph
-from bccover.oracle import DEFAULT_SEARCH_BUDGET
+from bccover.oracle import DEFAULT_SEARCH_BUDGET, greedy_coloring
 from helpers import (
     er_graph,
     naive_bc,
     naive_bp,
     naive_maximal_bicliques,
+    random_cochordal,
     random_tree_edges,
+    reference_chromatic,
+    reference_conflict_graph,
+    reference_exact_bc,
     reference_exact_bp,
+    reference_greedy_coloring,
+    reference_max_matching,
 )
 
 
@@ -363,3 +370,83 @@ def test_inexact_window_value_raises():
     assert not window.exact
     with pytest.raises(BudgetExceededError):
         window.value
+
+
+# -- mask searches against the edge-tuple and list searches they replace -----
+
+
+def _reference_cases():
+    """Seeded graphs: two G(n, p) per n <= 12 and p in 0.2, 0.5, 0.8, the
+    co-paths on 2-19 vertices, and random co-chordal graphs with n = 12."""
+    graphs = []
+    for p in (0.2, 0.5, 0.8):
+        rng = random.Random(int(p * 10))
+        for n in range(1, 13):
+            graphs += [er_graph(n, p, rng) for _ in range(2)]
+    graphs += [gen_copath(n).graph for n in range(2, 20)]
+    graphs += [
+        random_cochordal(12, density, seed)
+        for density in (0.2, 0.35, 0.5)
+        for seed in range(4)
+    ]
+    return graphs
+
+
+def test_conflict_graph_matches_pairwise_reference():
+    for g in _reference_cases():
+        for induced in (True, False):
+            assert conflict_graph(g, induced) == reference_conflict_graph(g, induced)
+
+
+def test_exact_bc_window_matches_frozenset_reference():
+    budget = DEFAULT_SEARCH_BUDGET
+    checked = 0
+    for g in _reference_cases():
+        if g.n > budget.vertex_cap or g.m > budget.edge_cap:
+            continue
+        result, reference = exact_bc(g), reference_exact_bc(g)
+        assert (result.lower, result.upper) == (reference.lower, reference.upper)
+        # ties between equally rare edges may pick other members of the
+        # same size than the reference did
+        assert len(result.certificate) == result.upper
+        assert verify_cover(g, result.certificate)
+        checked += 1
+    assert checked >= 80
+
+
+def test_matching_and_coloring_match_list_references():
+    # most small cases stop at the greedy bounds, so the value oracles also
+    # get G(n, p) up to their vertex cap of 20, where the searches branch
+    graphs = _reference_cases()
+    for p in (0.2, 0.5, 0.8):
+        rng = random.Random(int(p * 10) + 100)
+        for n in range(13, 21):
+            graphs += [er_graph(n, p, rng) for _ in range(3)]
+    for g in graphs:
+        for result, reference in (
+            (exact_max_matching(g), reference_max_matching(g)),
+            (exact_chromatic(g), reference_chromatic(g)),
+        ):
+            assert (result.lower, result.upper, result.certificate) == (
+                reference.lower, reference.upper, reference.certificate
+            )
+        assert greedy_coloring(g) == reference_greedy_coloring(g)
+
+
+def test_conflict_graph_makes_no_pairwise_calls(monkeypatch):
+    g, small = gen_copath(40).graph, gen_copath(6).graph
+    calls = {"has_edge": 0, "__init__": 0}
+    for name in calls:
+        original = getattr(Graph, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(Graph, name, counted)
+    for induced in (True, False):
+        conflict_graph(g, induced)
+    assert calls == {"has_edge": 0, "__init__": 0}
+    # the counters do count: the pairwise reference makes both calls
+    reference_conflict_graph(small)
+    assert calls["has_edge"] > 0 and calls["__init__"] == 1

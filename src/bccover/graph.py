@@ -50,10 +50,7 @@ class Graph:
                 raise ValueError("self-loop at vertex %d" % u)
             adj[u].add(v)
             adj[v].add(u)
-        # bytes pay off once a neighbourhood holds about one vertex in sixteen
-        self._masks = tuple(
-            _dense_mask(s, n) if 16 * len(s) > n else vertex_mask(s) for s in adj
-        )
+        self._masks = _set_masks(adj)
         self._m = sum(map(len, adj)) // 2
         self._edges = None  # listed on first use; many graphs never need it
 
@@ -202,6 +199,16 @@ def mask_vertices(mask):
     return list(compress(range(len(digits)), digits))
 
 
+def _set_masks(adj):
+    """Tuple of the masks of the neighbourhood sets ``adj``, whose vertices
+    must lie in 0..len(adj)-1.  Bytes pay off once a neighbourhood holds
+    about one vertex in sixteen."""
+    n = len(adj)
+    return tuple(
+        _dense_mask(s, n) if 16 * len(s) > n else vertex_mask(s) for s in adj
+    )
+
+
 def _dense_mask(vertices, n):
     """:func:`vertex_mask` for vertices known to lie in 0..n-1.  Setting
     bytes and parsing them once is about twice as fast as shifting in each
@@ -269,14 +276,16 @@ def graph_to_text(g):
 
 
 def graph_from_text(text):
+    """Parse the edge-list format.  Each edge line is checked once, with the
+    line number in its error, and goes straight into the neighbourhood sets,
+    which the header sizes; the masks are built from the sets as
+    :class:`Graph` builds them."""
     n = None
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
-        if line.startswith("p"):
+        if not parts or parts[0][0] == "c":
+            continue
+        if parts[0][0] == "p":
             if n is not None:
                 raise GraphFormatError("duplicate header", lineno)
             if len(parts) != 3:
@@ -287,6 +296,7 @@ def graph_from_text(text):
                 raise GraphFormatError("non-integer header field", lineno) from None
             if n < 0 or m < 0:
                 raise GraphFormatError("negative header field", lineno)
+            adj = [set() for _ in range(n)]
             continue
         if n is None:
             raise GraphFormatError("edge before 'p' header", lineno)
@@ -298,10 +308,11 @@ def graph_from_text(text):
             raise GraphFormatError("non-integer vertex", lineno) from None
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise GraphFormatError("invalid edge %d %d" % (u, v), lineno)
-        edges.append((u, v))
+        adj[u].add(v)
+        adj[v].add(u)
     if n is None:
         raise GraphFormatError("missing 'p <n> <m>' header")
-    g = Graph(n, edges)
+    g = Graph._from_masks(_set_masks(adj))
     if g.m != m:
         raise GraphFormatError(
             "header claims %d edges, file has %d distinct edges" % (m, g.m)

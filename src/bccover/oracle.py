@@ -26,8 +26,6 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, islice
 
-import numpy as np
-
 from .chordal import clique_tree
 from .cover import Biclique, find_partition
 from .errors import BudgetExceededError, NotChordalError
@@ -325,6 +323,9 @@ def _inertia(masks):
     """max(#positive, #negative eigenvalues) of the adjacency matrix whose
     rows are the neighbourhood ``masks``: every biclique partition of its
     edges has at least that many members (Graham-Pollak)."""
+    # imported here: numpy is half the CLI's start-up, and only this needs it
+    import numpy as np
+
     active = [u for u, mask in enumerate(masks) if mask]
     if not active:
         return 0
@@ -418,6 +419,7 @@ def exact_bp(g, budget=None):
 
     gc = g.complement()
     masks = list(g.neighbor_masks())
+    # ahead of the deadline: a process's first call imports numpy here
     lb = max(1, _inertia(masks))
     lb = max(lb, ceil_log2(len(enumerate_maximal_cliques(gc))))
 

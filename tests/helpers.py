@@ -1,16 +1,21 @@
-"""Shared test utilities: naive reference oracles and instance enumeration.
+"""Shared test utilities: naive reference oracles, instance enumeration and
+a runner for scripts in a fresh interpreter.
 
 The naive computations here are deliberately brute force and share no code
 with the package internals they certify.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from itertools import combinations
 
 import numpy as np
 
+import bccover
 from bccover import (
     Biclique,
     Graph,
@@ -26,6 +31,20 @@ from bccover import (
     exact_clique_number,
     find_partition,
 )
+
+
+def run_python(script, *args):
+    """Run ``script`` with ``args`` in a fresh interpreter that imports
+    bccover from the same ``src`` as this process; returns its stdout once it
+    has exited 0."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(bccover.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def er_graph(n, p, rng):

@@ -19,6 +19,7 @@ from bccover import (
 from bccover.cli import main
 from bccover.gen import random_tree
 from bccover.ranking import EdgeRanking, Tree, is_valid_edge_ranking, tree_to_text
+from helpers import run_python
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -312,6 +313,40 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("p 4 3")
+
+
+_CLI_IN_CHILD = """import contextlib, io, json, sys
+from bccover.cli import main
+graph, cover, folder = sys.argv[1:]
+runs = [["cover", graph, "-o", cover], ["verify", graph, cover],
+        ["partition", graph], ["bounds", graph, "--no-oracle", "--format", "json"],
+        ["bounds", folder, "--dir", "--no-oracle"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_commands_without_the_oracle_never_load_numpy(tmp_path):
+    """Only exact_bp needs numpy, and importing it took about half of each
+    CLI call, so no command that skips exact_bp may load it."""
+    graph = tmp_path / "copath12.graph"
+    write_graph(gen_copath(12).graph, graph)
+    cover = tmp_path / "c.cover"
+    out = run_python(_CLI_IN_CHILD, str(graph), str(cover), str(tmp_path))
+    assert json.loads(out) == {"codes": [0, 0, 0, 0, 0], "numpy": False}
+
+
+def test_oracle_bp_loads_numpy_and_prints_the_partition(fig3_path):
+    script = (
+        "import sys\n"
+        "from bccover.cli import main\n"
+        "code = main(['oracle', 'bp', sys.argv[1]])\n"
+        "print('exit', code, 'numpy' in sys.modules)\n"
+    )
+    assert run_python(script, fig3_path) == (
+        "bp = 3\nL: 0 | R: 3 4 5\nL: 1 | R: 4 5\nL: 2 | R: 5\nexit 0 True\n"
+    )
 
 
 @pytest.mark.parametrize(

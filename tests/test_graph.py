@@ -261,15 +261,66 @@ def test_text_round_trip_bit_exact():
         assert graph_to_text(again) == text
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("p 3 0\np 3 0\n", 2, "duplicate header"),
+        ("p 3\n", 1, "header must be 'p <n> <m>'"),
+        ("p 3 0 0\n", 1, "header must be 'p <n> <m>'"),
+        ("p x 0\n", 1, "non-integer header field"),
+        ("p 3 1.0\n", 1, "non-integer header field"),
+        ("p -1 0\n", 1, "negative header field"),
+        ("p 3 -2\n", 1, "negative header field"),
+        ("c note\n0 1\np 3 1\n", 2, "edge before 'p' header"),
+        ("p 3 1\n\n0 1 2\n", 3, "edge line must be 'u v'"),
+        ("p 3 1\n0\n", 2, "edge line must be 'u v'"),
+        ("p 3 1\n0 a\n", 2, "non-integer vertex"),
+        ("p 3 1\n0 5\n", 2, "invalid edge 0 5"),
+        ("p 3 1\n-1 2\n", 2, "invalid edge -1 2"),
+        ("p 3 1\n0 1\n3 0\n", 3, "invalid edge 3 0"),
+        ("p 3 1\n1 1\n", 2, "invalid edge 1 1"),
+        ("p 3 2\n0 1\n", None, "header claims 2 edges, file has 1 distinct edges"),
+        ("p 3 2\n0 1\n1 0\n", None, "header claims 2 edges, file has 1 distinct edges"),
+        ("", None, "missing 'p <n> <m>' header"),
+        ("c only a comment\n\n", None, "missing 'p <n> <m>' header"),
+        # the first bad line is the one reported, whatever follows it
+        ("p 3 1\n0 x\n0 5\n", 2, "non-integer vertex"),
+    ],
+)
+def test_graph_from_text_errors(text, line, message):
+    with pytest.raises(GraphFormatError) as err:
+        graph_from_text(text)
+    assert err.value.line == line
+    expected = message if line is None else "line %d: %s" % (line, message)
+    assert str(err.value) == expected
+
+
+@pytest.mark.parametrize(
+    "text, n, edges",
+    [
+        ("  c indented comment\np 2 1\n\t c tab\n0 1\n", 2, [(0, 1)]),
+        ("p 3 1\n0 1\n1 0\n0 1\n", 3, [(0, 1)]),  # a duplicate edge counts once
+        ("  p 3 1  \n 2   0 \n", 3, [(0, 2)]),
+        ("p 0 0\n", 0, []),
+        ("p 4 0\n", 4, []),
+    ],
+)
+def test_graph_from_text_accepts(text, n, edges):
+    assert graph_from_text(text) == Graph(n, edges)
+
+
+def test_graph_from_text_matches_constructor_on_both_mask_kinds():
+    """Sparse and dense neighbourhoods (one vertex in sixteen is the switch)
+    come out as Graph.__init__ builds them."""
+    rng = random.Random(3)
+    for n, p in ((40, 0.02), (40, 0.5), (200, 0.05), (64, 1.0)):
+        g = er_graph(n, p, rng)
+        lines = ["%d %d" % (v, u) for u, v in g.edges()]
+        rng.shuffle(lines)
+        again = graph_from_text("p %d %d\n%s" % (n, g.m, "\n".join(lines)))
+        assert again == g and again.m == g.m and again.edges() == g.edges()
+
+
 def test_text_format_parsing():
     g = graph_from_text("c comment\np 3 2\n0 1\nc another\n1 2\n")
     assert g == path_graph(3)
-    with pytest.raises(GraphFormatError) as err:
-        graph_from_text("p 3 1\n0 5\n")
-    assert err.value.line == 2
-    with pytest.raises(GraphFormatError):
-        graph_from_text("0 1\np 3 1\n")
-    with pytest.raises(GraphFormatError):
-        graph_from_text("p 3 2\n0 1\n")  # edge count mismatch
-    with pytest.raises(GraphFormatError):
-        graph_from_text("")

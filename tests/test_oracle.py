@@ -1,3 +1,4 @@
+import json
 import random
 import time
 
@@ -44,6 +45,7 @@ from helpers import (
     reference_exact_bp,
     reference_greedy_coloring,
     reference_max_matching,
+    run_python,
 )
 
 
@@ -252,6 +254,41 @@ def test_exact_bp_keeps_near_its_time_cap_on_a_dense_graph():
     assert verify_partition(g, result.certificate)
     if not result.exact:
         assert result.stats["stop"] == "deadline"
+
+
+_FIRST_BP_IN_CHILD = """import importlib.abc, json, random, sys, time
+
+class SlowNumpy(importlib.abc.MetaPathFinder):
+    # the import of numpy takes at least 0.6 s here, on any machine
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            time.sleep(0.6)
+        return None
+
+sys.meta_path.insert(0, SlowNumpy())
+from bccover import Graph, OracleBudget, exact_bp
+rng = random.Random(10)
+g = Graph(12, [(u, v) for u in range(12) for v in range(u + 1, 12)
+               if rng.random() < 0.5])
+budget = OracleBudget(14, 96, 0.2)
+runs = []
+for _ in range(2):
+    loaded = "numpy" in sys.modules
+    r = exact_bp(g, budget)
+    runs.append([loaded, r.lower, r.upper, r.stats])
+print(json.dumps(runs))
+"""
+
+
+def test_first_exact_bp_imports_numpy_outside_its_time_cap():
+    """The first exact_bp call in a process imports numpy for the root
+    inertia bound.  G(12, 0.5) seed 10 proves in 9 nodes in a few ms, far
+    inside the 0.2 s cap; an import timed against the cap would cut the
+    first search short."""
+    first, second = json.loads(run_python(_FIRST_BP_IN_CHILD))
+    assert first[0] is False and second[0] is True
+    proved = [8, 8, {"nodes": 9, "pruned": 0, "stop": "proved"}]
+    assert first[1:] == second[1:] == proved
 
 
 def test_exact_bc_matches_naive_on_six_vertex_graphs():

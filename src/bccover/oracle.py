@@ -1,18 +1,24 @@
-"""Brute-force oracles for desk-scale graphs.
+"""Exact oracles for desk-scale graphs.
 
-Everything in this module prefers being obviously correct over being fast:
-these are the reference computations that certify the constructive algorithms
-and the bounds.  Each call takes an :class:`OracleBudget`; exceeding a vertex
-or edge cap raises :class:`BudgetExceededError` before any work happens, while
-running out of time mid-search returns the best proven window flagged inexact.
-The enumerations have no window to return, so they raise
-:class:`BudgetExceededError` when their time runs out.
+These are the reference computations that certify the constructive
+algorithms and the bounds.  Each call takes an :class:`OracleBudget`;
+exceeding a vertex or edge cap raises :class:`BudgetExceededError` before any
+work happens, while running out of time mid-search returns the best proven
+window flagged inexact.  The enumerations have no window to return, so they
+raise :class:`BudgetExceededError` when their time runs out.
 
 Every search reads the graph through ``g.neighbor_masks()``: vertex sets
 are vertex masks, and edge sets (a biclique in :func:`exact_bc`, a row of
 :func:`conflict_graph`) are masks over the indices of ``g.edges()``.
 
-The one tuned search is :func:`exact_bp`, an exact cover of the edges by
+Where a polynomial algorithm exists the oracle uses it: the maximum
+matching is Edmonds' blossom algorithm, and the maximal bicliques are
+listed from their sides alone, the intersections of neighbourhoods, with n
+mask operations per side.  The clique number is a colouring-bounded branch
+and bound (MCQ).  The clique searches keep an explicit stack, so a clique of
+any size costs no Python recursion.
+
+The most tuned search is :func:`exact_bp`, an exact cover of the edges by
 bicliques over neighbourhood bit masks of the still uncovered graph.  It
 branches on the uncovered edge that lies in the fewest bicliques of that
 graph, and prunes every node by the Graham-Pollak inertia bound of that graph:
@@ -110,7 +116,10 @@ def _check_caps(g, budget):
 def enumerate_maximal_cliques(g, budget=None):
     """All maximal cliques, each as a sorted tuple, in lexicographic order.
 
-    Bron-Kerbosch with pivoting, on vertex masks.
+    Bron-Kerbosch with pivoting, on vertex masks and an explicit stack, so a
+    clique of any size costs no Python recursion.  A frame holds the clique
+    so far, its candidates and excluded vertices, and the vertices it has
+    still to branch on (``None`` until the pivot is chosen).
     """
     budget = budget or DEFAULT_VALUE_BUDGET
     _check_caps(g, budget)
@@ -119,38 +128,95 @@ def enumerate_maximal_cliques(g, budget=None):
         return []
     masks = g.neighbor_masks()
     out = []
-
-    def expand(current, candidates, excluded):
-        deadline.check(every=64)
-        if not candidates and not excluded:
-            out.append(tuple(mask_vertices(current)))
-            return
-        most = -1
-        for u in mask_vertices(candidates | excluded):
-            count = (masks[u] & candidates).bit_count()
-            if count > most:
-                most, pivot = count, u
-        for v in mask_vertices(candidates & ~masks[pivot]):
-            bit = 1 << v
-            expand(current | bit, candidates & masks[v], excluded & masks[v])
-            candidates ^= bit
-            excluded |= bit
-
+    stack = [[0, (1 << g.n) - 1, 0, None]]
     try:
-        expand(0, (1 << g.n) - 1, 0)
+        while stack:
+            frame = stack[-1]
+            current, candidates, excluded, todo = frame
+            if todo is None:
+                deadline.check(every=64)
+                if not candidates and not excluded:
+                    out.append(tuple(mask_vertices(current)))
+                    stack.pop()
+                    continue
+                most = -1
+                for u in mask_vertices(candidates | excluded):
+                    count = (masks[u] & candidates).bit_count()
+                    if count > most:
+                        most, pivot = count, u
+                todo = candidates & ~masks[pivot]
+            if not todo:
+                stack.pop()
+                continue
+            bit = todo & -todo
+            nbrs = masks[bit.bit_length() - 1]
+            frame[1:] = candidates ^ bit, excluded | bit, todo ^ bit
+            stack.append([current | bit, candidates & nbrs, excluded & nbrs, None])
     except _Timeout:
         raise BudgetExceededError("maximal clique enumeration timed out") from None
     return sorted(out)
 
 
+def _colour_order(candidates, masks):
+    """Greedy colouring of the vertex mask ``candidates``, lowest vertex
+    first into the first colour class that holds none of its neighbours:
+    (vertex bit, colour 1..) pairs, by colour class."""
+    order = []
+    colour = 0
+    while candidates:
+        colour += 1
+        free = candidates
+        while free:
+            bit = free & -free
+            free &= ~masks[bit.bit_length() - 1]
+            free ^= bit
+            candidates ^= bit
+            order.append((bit, colour))
+    return order
+
+
 def exact_clique_number(g, budget=None):
-    """Clique number via full maximal-clique enumeration."""
+    """Clique number by a colouring-bounded branch and bound (Tomita and
+    Seki's MCQ), on vertex masks and an explicit stack.
+
+    Each node greedily colours its candidates and branches on them from the
+    highest colour down: a vertex of colour c can grow the clique by at most
+    c, so a node stops once its size plus that colour reaches the best
+    clique found.  The certificate is a largest clique, as a sorted tuple.
+    On its deadline the result is the window [best found, colours of the
+    whole graph], flagged inexact.
+    """
     budget = budget or DEFAULT_VALUE_BUDGET
+    _check_caps(g, budget)
     if g.n == 0:
         return OracleResult(0, 0, ())
-    cliques = enumerate_maximal_cliques(g, budget)
-    best = max(cliques, key=len)
-    return OracleResult(len(best), len(best), best)
+    masks = g.neighbor_masks()
+    everyone = (1 << g.n) - 1
+    root = _colour_order(everyone, masks)
+    upper = root[-1][1]
+    best, best_clique = 1, 1  # vertex 0 alone
+    deadline = _Deadline(budget.time_cap)
+    # a frame: clique size, clique, the candidates not yet branched on and
+    # their colour order
+    stack = [[0, 0, everyone, root]]
+    try:
+        while stack and best < upper:
+            frame = stack[-1]
+            size, clique, candidates, order = frame
+            if not order or size + order[-1][1] <= best:
+                stack.pop()
+                continue
+            deadline.check(every=1)
+            bit = order.pop()[0]
+            frame[2] = candidates = candidates ^ bit
+            below = candidates & masks[bit.bit_length() - 1]
+            if below:
+                stack.append([size + 1, clique | bit, below, _colour_order(below, masks)])
+            elif size + 1 > best:
+                best, best_clique = size + 1, clique | bit
+    except _Timeout:
+        return OracleResult(best, upper, tuple(mask_vertices(best_clique)))
+    return OracleResult(best, best, tuple(mask_vertices(best_clique)))
 
 
 # -- maximal bicliques --------------------------------------------------------
@@ -159,24 +225,33 @@ def exact_clique_number(g, budget=None):
 def enumerate_maximal_bicliques(g, budget=None):
     """All inclusion-maximal biclique subgraphs, canonically ordered.
 
-    A pair (L, R) is maximal exactly when R is the common neighborhood of L
-    and vice versa, so scanning all vertex subsets L and keeping the closed
-    pairs enumerates every maximal biclique (twice; once per orientation).
+    A pair (L, R) is maximal exactly when R is the common neighbourhood of L
+    and vice versa, and the sides R of such pairs, the closed sets, are
+    exactly the nonempty intersections of neighbourhoods.  A worklist seeded
+    with the nonzero neighbourhood masks and closed under ``& masks[v]``
+    lists each closed set once; each pairs with L = N(R), so each maximal
+    biclique comes out twice, once per orientation, and is kept in the one
+    whose left side holds the lower vertex.
     """
     budget = budget or DEFAULT_SEARCH_BUDGET
     _check_caps(g, budget)
     deadline = _Deadline(budget.time_cap)
+    masks = {mask for mask in g.neighbor_masks() if mask}
+    seen = set(masks)
+    todo = list(masks)
     found = []
     try:
-        for mask in range(1, 1 << g.n):
-            deadline.check(every=4096)
-            right = g.common_neighbors(mask)
-            if right == 0:
-                continue
-            if g.common_neighbors(right) != mask:
-                continue
-            if (mask & -mask) < (right & -right):  # keep the canonical orientation
-                found.append((mask, right))
+        while todo:
+            deadline.check(every=1)
+            right = todo.pop()
+            left = g.common_neighbors(right)
+            if (left & -left) < (right & -right):  # keep the canonical orientation
+                found.append((left, right))
+            for mask in masks:
+                closed = right & mask
+                if closed and closed not in seen:
+                    seen.add(closed)
+                    todo.append(closed)
     except _Timeout:
         raise BudgetExceededError("maximal biclique enumeration timed out") from None
     found.sort(key=lambda lr: (mask_vertices(lr[0]), mask_vertices(lr[1])))
@@ -578,41 +653,109 @@ def _greedy_clique_size(g):
 
 
 def exact_max_matching(g, budget=None):
-    """Maximum matching size via include/exclude branching on edges."""
+    """Maximum matching by Edmonds' blossom algorithm ("Paths, trees, and
+    flowers", 1965), iteratively.
+
+    A greedy matching to start, then one search for an augmenting path from
+    each vertex still unmatched, in vertex order: a vertex unmatched after
+    its own search stays unmatched (Berge), so one pass proves the result
+    maximum.  The certificate is the matching as sorted (u, v) pairs, u < v.
+    The deadline is checked once per search; on it the result is the window
+    [size found, n // 2].
+    """
     budget = budget or DEFAULT_VALUE_BUDGET
     _check_caps(g, budget)
-    edges = g.edges()
-    m = len(edges)
-    if m == 0:
+    if g.m == 0:
         return OracleResult(0, 0, [])
-    ends = [(1 << u) | (1 << v) for u, v in edges]
-    best = 0
-    best_edges = []
-    chosen = []
+    adj = [mask_vertices(mask) for mask in g.neighbor_masks()]
+    mate = [-1] * g.n
+    for u in range(g.n):
+        if mate[u] < 0:
+            v = next((v for v in adj[u] if mate[v] < 0), -1)
+            if v >= 0:
+                mate[u], mate[v] = v, u
     deadline = _Deadline(budget.time_cap)
-
-    def dfs(idx, free, count):
-        nonlocal best, best_edges
-        deadline.check()
-        if count + free.bit_count() // 2 <= best:
-            return
-        while idx < m and ends[idx] & ~free:
-            idx += 1
-        if idx == m:
-            if count > best:
-                best = count
-                best_edges = list(chosen)
-            return
-        chosen.append(edges[idx])
-        dfs(idx + 1, free & ~ends[idx], count + 1)
-        chosen.pop()
-        dfs(idx + 1, free, count)
-
     try:
-        dfs(0, (1 << g.n) - 1, 0)
+        for root in range(g.n):
+            if mate[root] < 0:
+                deadline.check(every=1)
+                _augment(adj, mate, root)
     except _Timeout:
-        return OracleResult(best, g.n // 2, best_edges)
-    return OracleResult(best, best, best_edges)
+        pairs = [(u, v) for u, v in enumerate(mate) if u < v]
+        return OracleResult(len(pairs), g.n // 2, pairs)
+    pairs = [(u, v) for u, v in enumerate(mate) if u < v]
+    return OracleResult(len(pairs), len(pairs), pairs)
+
+
+def _augment(adj, mate, root):
+    """Grow an alternating tree from the unmatched ``root`` by breadth-first
+    search, contracting each odd cycle (blossom) into its base, and flip the
+    first augmenting path found; ``mate`` is updated in place.
+
+    ``outer`` marks the even vertices of the tree, ``parent`` the tree edge
+    into each odd vertex, and ``base`` the base of the blossom holding each
+    vertex (itself outside any blossom)."""
+    n = len(adj)
+    base = list(range(n))
+    parent = [-1] * n
+    outer = [False] * n
+    outer[root] = True
+    queue = [root]
+    for v in queue:
+        for w in adj[v]:
+            if base[v] == base[w] or mate[v] == w:
+                continue
+            if w == root or (mate[w] >= 0 and parent[mate[w]] >= 0):
+                # v and w are both even: contract the cycle through them
+                b = _blossom_base(base, mate, parent, v, w)
+                blossom = [False] * n
+                _mark_path(base, mate, parent, blossom, v, b, w)
+                _mark_path(base, mate, parent, blossom, w, b, v)
+                for x in range(n):
+                    if blossom[base[x]]:
+                        base[x] = b
+                        if not outer[x]:
+                            outer[x] = True
+                            queue.append(x)
+            elif parent[w] < 0:
+                parent[w] = v
+                if mate[w] < 0:
+                    while w >= 0:  # flip the path from w back to the root
+                        v = parent[w]
+                        after = mate[v]
+                        mate[v], mate[w] = w, v
+                        w = after
+                    return
+                outer[mate[w]] = True
+                queue.append(mate[w])
+
+
+def _blossom_base(base, mate, parent, v, w):
+    """The base of the smallest blossom holding the even vertices v and w:
+    the first base on the tree path from w to the root that also lies on the
+    path from v."""
+    on_path = set()
+    while True:
+        v = base[v]
+        on_path.add(v)
+        if mate[v] < 0:
+            break
+        v = parent[mate[v]]
+    while True:
+        w = base[w]
+        if w in on_path:
+            return w
+        w = parent[mate[w]]
+
+
+def _mark_path(base, mate, parent, blossom, v, b, child):
+    """Mark the blossoms on the tree path from v down to the base b, and
+    point each odd vertex on it at its even neighbour across the cycle."""
+    while base[v] != b:
+        blossom[base[v]] = blossom[base[mate[v]]] = True
+        parent[v] = child
+        child = mate[v]
+        v = parent[mate[v]]
 
 
 # -- edge-ranking -------------------------------------------------------------

@@ -184,6 +184,22 @@ def naive_maximal_bicliques(g):
     return out
 
 
+def reference_maximal_bicliques(g):
+    """The subset scan that ``enumerate_maximal_bicliques`` used to be: every
+    vertex subset L whose common neighbourhood R is nonempty and has L as its
+    own common neighbourhood, kept in the orientation whose left side holds
+    the lower vertex."""
+    found = []
+    for left in range(1, 1 << g.n):
+        right = g.common_neighbors(left)
+        if right == 0 or g.common_neighbors(right) != left:
+            continue
+        if (left & -left) < (right & -right):
+            found.append((left, right))
+    found.sort(key=lambda lr: (sorted(vertex_set(lr[0])), sorted(vertex_set(lr[1]))))
+    return [Biclique(vertex_set(left), vertex_set(right)) for left, right in found]
+
+
 def naive_bc(g):
     """Minimum biclique cover size by searching over all bicliques."""
     edges = set(g.edges())

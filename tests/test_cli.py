@@ -286,6 +286,17 @@ def test_oracle_budget_exit_4(tmp_path, capsys):
     assert main(["oracle", "matching", str(path)]) == 0
 
 
+def test_oracle_clique_prints_its_window_on_the_time_cap(fig3_path, capsys):
+    # the search checks its deadline at every node; the greedy colouring of
+    # fig3 bounds its clique number by 2, and one vertex is a clique
+    assert main(["oracle", "clique", fig3_path, "--time-cap", "1e-9"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "clique in [1, 2] (inexact)\n"
+    assert captured.err == ""
+    assert main(["oracle", "clique", fig3_path]) == 0
+    assert capsys.readouterr().out == "clique = 2\n"
+
+
 def test_tree_command(tmp_path, capsys):
     path = tmp_path / "p3.graph"
     path.write_text("p 3 2\n0 1\n1 2\n")

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import time
 
 import networkx as nx
@@ -26,7 +27,9 @@ from bccover import (
     full_report,
     gen_copath,
     gen_fig_graph,
+    lb_omega_conflict,
     path_graph,
+    report_to_json_dict,
     verify_cover,
     verify_partition,
 )
@@ -45,6 +48,7 @@ from helpers import (
     reference_exact_bp,
     reference_greedy_coloring,
     reference_max_matching,
+    reference_maximal_bicliques,
     run_python,
 )
 
@@ -104,8 +108,42 @@ def test_maximal_bicliques_match_naive_scan():
         assert enumerate_maximal_bicliques(g) == naive_maximal_bicliques(g)
 
 
+def _biclique_cases():
+    """The G(12, 0.5) seeds and the co-chordal graphs of the oracle
+    benchmark, and 120 seeded G(n, p) with n <= 14."""
+    graphs = [er_graph(12, 0.5, random.Random(seed)) for seed in range(20)]
+    graphs += [random_cochordal(12, 0.3, seed) for seed in range(40)]
+    rng = random.Random(15)
+    graphs += [er_graph(rng.randrange(1, 15), rng.random(), rng) for _ in range(120)]
+    return graphs
+
+
+def test_maximal_bicliques_match_subset_scan_in_order():
+    # exact_bc's windows and certificates follow this order
+    for g in _biclique_cases():
+        assert enumerate_maximal_bicliques(g) == reference_maximal_bicliques(g)
+
+
+def test_maximal_bicliques_read_each_closed_set_once(monkeypatch):
+    calls = [0]
+    original = Graph.common_neighbors
+
+    def counted(self, side):
+        calls[0] += 1
+        return original(self, side)
+
+    monkeypatch.setattr(Graph, "common_neighbors", counted)
+    for seed in range(20):
+        g = er_graph(12, 0.5, random.Random(seed))
+        calls[0] = 0
+        found = enumerate_maximal_bicliques(g)
+        # each maximal biclique has two closed sides, and each closed set is
+        # a side of exactly one; a subset scan makes 2 calls per subset
+        assert 0 < calls[0] <= 2 * len(found), seed
+
+
 def test_search_timeout_raises_documented_error():
-    # 2^14 subsets to scan: the deadline check fires long before the end
+    # one deadline check per closed set: a 1e-9 s cap fires at the first
     rng = random.Random(1)
     g = Graph(14, [(u, v) for u in range(14) for v in range(u + 1, 14)
                    if rng.random() < 0.4])
@@ -351,14 +389,56 @@ def test_exact_matching_examples():
     assert exact_max_matching(Graph(3)).value == 0
 
 
+def _assert_matching(g, pairs, size):
+    assert len(pairs) == size and pairs == sorted(pairs)
+    assert all(u < v and g.has_edge(u, v) for u, v in pairs)
+    ends = [x for pair in pairs for x in pair]
+    assert len(set(ends)) == len(ends)
+
+
+def _assert_matching_matches_networkx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    result = exact_max_matching(g, OracleBudget(max(g.n, 1), max(g.m, 1), 10.0))
+    assert result.value == len(nx.max_weight_matching(h, maxcardinality=True))
+    _assert_matching(g, result.certificate, result.value)
+
+
 def test_exact_matching_matches_networkx():
     rng = random.Random(14)
-    for _ in range(60):
-        g = er_graph(rng.randrange(1, 10), rng.random(), rng)
-        h = nx.Graph()
-        h.add_nodes_from(range(g.n))
-        h.add_edges_from(g.edges())
-        assert exact_max_matching(g).value == len(nx.max_weight_matching(h))
+    for _ in range(200):
+        g = er_graph(rng.randrange(1, 21), rng.random(), rng)
+        _assert_matching_matches_networkx(g)
+
+
+def _from_networkx(h, rng=None):
+    labels = list(h.nodes())
+    if rng is not None:
+        rng.shuffle(labels)
+    index = {x: i for i, x in enumerate(labels)}
+    return Graph(len(labels), [tuple(sorted((index[u], index[v]))) for u, v in h.edges()])
+
+
+def test_exact_matching_through_blossoms():
+    # graphs made of odd cycles, each under 40 labellings: without blossom
+    # contraction a few percent of the labellings of the joined triangles
+    # come out one edge short
+    cases = [nx.cycle_graph(k) for k in (3, 5, 7, 9, 11)]
+    cases.append(nx.petersen_graph())
+    cases += [nx.wheel_graph(k + 1) for k in (5, 7, 9)]  # hub and an odd rim
+    for k in range(5):
+        # two triangles joined by a path of k inner vertices
+        h = nx.Graph([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        nx.add_path(h, [2] + [6 + i for i in range(k)] + [3])
+        cases.append(h)
+    # a pentagon and a triangle sharing a vertex, with pendant paths
+    cases.append(nx.Graph([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 5),
+                           (5, 6), (6, 2), (0, 7), (7, 8), (4, 9)]))
+    rng = random.Random(7)
+    for h in cases:
+        for shuffle in range(40):
+            _assert_matching_matches_networkx(_from_networkx(h, rng if shuffle else None))
 
 
 def test_exact_clique_number_examples():
@@ -366,6 +446,92 @@ def test_exact_clique_number_examples():
     assert exact_clique_number(cycle_graph(5)).value == 2
     assert exact_clique_number(Graph(3)).value == 1
     assert exact_clique_number(Graph(0)).value == 0
+
+
+def _assert_clique_number_matches_enumeration(g, budget=None):
+    result = exact_clique_number(g, budget)
+    omega = max(map(len, enumerate_maximal_cliques(g, budget)), default=0)
+    assert result.exact and result.value == omega
+    clique = result.certificate
+    assert len(clique) == omega and list(clique) == sorted(set(clique))
+    assert all(g.has_edge(u, v) for i, u in enumerate(clique) for v in clique[i + 1:])
+
+
+@st.composite
+def graphs_up_to_25(draw):
+    n = draw(st.integers(min_value=0, max_value=25))
+    density = draw(st.floats(min_value=0.0, max_value=1.0))
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    return er_graph(n, density, random.Random(seed))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(graphs_up_to_25())
+def test_exact_clique_number_matches_largest_maximal_clique(g):
+    _assert_clique_number_matches_enumeration(g, OracleBudget(25, 300, 10.0))
+
+
+def test_exact_clique_number_on_conflict_graphs():
+    graphs = [gen_copath(n).graph for n in range(6, 15)]
+    graphs += [er_graph(12, 0.5, random.Random(seed)) for seed in range(20)]
+    for g in graphs:
+        for induced in (True, False):
+            conflict = conflict_graph(g, induced)
+            budget = OracleBudget(max(conflict.n, 1), max(conflict.m, 1), 10.0)
+            _assert_clique_number_matches_enumeration(conflict, budget)
+
+
+def test_exact_clique_number_window_on_its_deadline():
+    g = gen_copath(14).graph
+    conflict = conflict_graph(g)
+    omega = exact_clique_number(conflict, OracleBudget(78, 2101, 10.0)).value
+    assert omega == 7
+    window = exact_clique_number(conflict, OracleBudget(78, 2101, 1e-9))
+    assert not window.exact
+    assert window.lower <= omega <= window.upper
+    assert len(window.certificate) == window.lower
+    with pytest.raises(BudgetExceededError):
+        window.value
+    report = full_report(g, value_budget=OracleBudget(20, 190, 1e-9), run_oracle=False)
+    assert report.lb_omega_conflict is None
+    assert report_to_json_dict(report)["bounds"]["omega_conflict"] is None
+
+
+def test_exact_clique_number_lists_no_cliques(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_maximal_cliques called")
+
+    monkeypatch.setattr("bccover.oracle.enumerate_maximal_cliques", refuse)
+    assert exact_clique_number(complete_graph(6)).value == 6
+    assert exact_clique_number(er_graph(20, 0.5, random.Random(1))).exact
+
+
+def test_conflict_bound_proves_copath16():
+    # the published recipe overshoots bc = 4 here (see ROADMAP item 5); the
+    # point is that the default budget now proves it on any machine load
+    assert lb_omega_conflict(gen_copath(16).graph) == 8
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_clique_searches_take_no_frame_per_clique_vertex():
+    g = complete_graph(200)
+    budget = OracleBudget(200, g.m, 60.0)
+    limit = sys.getrecursionlimit()
+    # 100 frames to spare: far fewer than the 200 of one frame per vertex
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        cliques = enumerate_maximal_cliques(g, budget)
+        omega = exact_clique_number(g, budget)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cliques == [tuple(range(200))]
+    assert (omega.value, omega.certificate) == (200, tuple(range(200)))
 
 
 def test_exhaustive_ranking_examples():
@@ -460,13 +626,15 @@ def test_matching_and_coloring_match_list_references():
         for n in range(13, 21):
             graphs += [er_graph(n, p, rng) for _ in range(3)]
     for g in graphs:
-        for result, reference in (
-            (exact_max_matching(g), reference_max_matching(g)),
-            (exact_chromatic(g), reference_chromatic(g)),
-        ):
-            assert (result.lower, result.upper, result.certificate) == (
-                reference.lower, reference.upper, reference.certificate
-            )
+        # Edmonds' algorithm need not find the branching search's first
+        # optimum: the windows agree and the certificate is a matching
+        result, reference = exact_max_matching(g), reference_max_matching(g)
+        assert (result.lower, result.upper) == (reference.lower, reference.upper)
+        _assert_matching(g, result.certificate, result.value)
+        result, reference = exact_chromatic(g), reference_chromatic(g)
+        assert (result.lower, result.upper, result.certificate) == (
+            reference.lower, reference.upper, reference.certificate
+        )
         assert greedy_coloring(g) == reference_greedy_coloring(g)
 
 

@@ -271,6 +271,9 @@ def full_report(g, value_budget=None, search_budget=None, run_oracle=True):
     if run_oracle:
         try:
             report.oracle_bc = exact_bc(g, search_budget)
+        except BudgetExceededError:
+            pass
+        try:
             report.oracle_bp = exact_bp(g, search_budget)
         except BudgetExceededError:
             pass

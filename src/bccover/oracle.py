@@ -23,14 +23,16 @@ bicliques over neighbourhood bit masks of the still uncovered graph.  It
 branches on the uncovered edge that lies in the fewest bicliques of that
 graph, and prunes every node by the Graham-Pollak inertia bound of that graph:
 the members still to come partition exactly its edges, so they number at least
-its inertia.
+its inertia.  A node counts the bicliques through its candidate edges, each
+count capped at the fewest found, and lists only those through the chosen
+edge.  :func:`exact_chromatic` backtracks on an explicit stack too.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 
 from .chordal import clique_tree
 from .cover import Biclique, find_partition
@@ -322,7 +324,8 @@ def exact_bc(g, budget=None):
     can be fattened to a maximal one without uncovering anything), each an
     edge mask, seeded with a greedy cover and pruned by the
     log-maximal-clique and conflict lower bounds.  Each node branches on the
-    lowest uncovered edge in the fewest bicliques.
+    lowest uncovered edge in the fewest bicliques: the search numbers the
+    edges in that order, so it is the lowest uncovered bit.
     """
     budget = budget or DEFAULT_SEARCH_BUDGET
     _check_caps(g, budget)
@@ -346,30 +349,40 @@ def exact_bc(g, budget=None):
     if best == lb:
         return OracleResult(best, best, [bicliques[i] for i in best_cover])
 
+    # relabel the edges by (bicliques covering it, index), so that the
+    # lowest uncovered edge in the fewest bicliques is the lowest set bit
     covering = [[i for i, s in enumerate(sets) if s >> e & 1] for e in range(g.m)]
+    order = sorted(range(g.m), key=lambda e: len(covering[e]))
+    covering = [covering[e] for e in order]
+    relabelled = [0] * len(sets)
+    for pos, e in enumerate(order):
+        for i in covering[pos]:
+            relabelled[i] |= 1 << pos
+    sets = relabelled
     deadline = _Deadline(budget.time_cap)
+    chosen = []
 
-    def dfs(uncovered, chosen):
+    def dfs(uncovered):
+        # entered with edges left to cover and room for one more member
         nonlocal best, best_cover
         deadline.check()
-        if not uncovered:
-            if len(chosen) < best:
-                best = len(chosen)
-                best_cover = list(chosen)
-            return
-        if len(chosen) + 1 >= best:
-            return
-        e = min(mask_vertices(uncovered), key=lambda e: len(covering[e]))
         options = sorted(
-            covering[e], key=lambda i: -(sets[i] & uncovered).bit_count()
+            covering[(uncovered & -uncovered).bit_length() - 1],
+            key=lambda i: -(sets[i] & uncovered).bit_count(),
         )
         for idx in options:
-            dfs(uncovered & ~sets[idx], chosen + [idx])
-            if best == lb:
+            rest = uncovered & ~sets[idx]
+            chosen.append(idx)
+            if not rest:
+                best, best_cover = len(chosen), list(chosen)
+            elif len(chosen) + 1 < best:
+                dfs(rest)
+            chosen.pop()
+            if best == lb or len(chosen) + 1 >= best:
                 return
 
     try:
-        dfs(universe, [])
+        dfs(universe)
     except _Timeout:
         return OracleResult(lb, best, [bicliques[i] for i in best_cover])
     return OracleResult(best, best, [bicliques[i] for i in best_cover])
@@ -397,15 +410,31 @@ def _bc_lower_bound(g):
 def _inertia(masks):
     """max(#positive, #negative eigenvalues) of the adjacency matrix whose
     rows are the neighbourhood ``masks``: every biclique partition of its
-    edges has at least that many members (Graham-Pollak)."""
+    edges has at least that many members (Graham-Pollak).
+
+    The 0/1 matrix A of the k non-isolated vertices is unpacked from the
+    masks' bytes.  ``eigvalsh`` is backward stable: its eigenvalues are
+    exact for some A + E with ||E||_2 within a small multiple of
+    k eps ||A||_2, so by Weyl's inequality each lies that close to the true
+    one.  ||A||_2 <= k, so the error is about k^2 eps, below the tolerance
+    1e-8 n up to about n = 10^4: no zero eigenvalue is counted as nonzero,
+    which would overstate the bound, while a tiny nonzero one counted as
+    zero only understates it.
+    """
     # imported here: numpy is half the CLI's start-up, and only this needs it
     import numpy as np
 
     active = [u for u, mask in enumerate(masks) if mask]
     if not active:
         return 0
-    a = np.array([[masks[u] >> v & 1 for v in active] for u in active], dtype=float)
-    eig = np.linalg.eigvalsh(a)
+    width = (len(masks) + 7) // 8
+    rows = b"".join(masks[u].to_bytes(width, "little") for u in active)
+    bits = np.unpackbits(
+        np.frombuffer(rows, dtype=np.uint8).reshape(len(active), width),
+        axis=1,
+        bitorder="little",
+    )
+    eig = np.linalg.eigvalsh(bits[:, active].astype(float))
     tol = 1e-8 * len(masks)
     return int(max((eig > tol).sum(), (eig < -tol).sum()))
 
@@ -436,15 +465,53 @@ def _bicliques_through(masks, u, v, deadline):
             stack.append((left | w, right, to_left & ~w, to_right & nbrs))
 
 
+def _count_through(masks, u, v, cap, deadline):
+    """The number of bicliques that ``_bicliques_through`` yields for u and
+    v, or ``cap`` once it reaches ``cap`` (``None``: no cap).
+
+    With X = N(v) - u and Y = N(u) - v, each such biclique is u plus a
+    subset L of X on the left and v plus a subset of the common
+    neighbours of L in Y on the right.  Each step decides the lowest vertex
+    w of X: not on the left, leaving (X - w, Y), or on the left, leaving
+    (X - w, Y & N(w)).  An empty X leaves 2^|Y| bicliques, and an X
+    disjoint from Y and complete to it leaves 2^(|X| + |Y|).
+    """
+    total = 0
+    stack = [(masks[v] & ~(1 << u), masks[u] & ~(1 << v))]
+    while stack:
+        deadline.check()
+        x, y = stack.pop()
+        complete = not x & y
+        rest = x
+        while complete and rest:
+            w = rest & -rest
+            complete = not y & ~masks[w.bit_length() - 1]
+            rest ^= w
+        if complete:
+            total += 1 << (x.bit_count() + y.bit_count())
+            if cap is not None and total >= cap:
+                return cap
+        else:
+            w = x & -x
+            x ^= w
+            stack.append((x, y & masks[w.bit_length() - 1]))
+            stack.append((x, y))
+    return total
+
+
 def _branch_options(masks, deadline):
     """The bicliques through the edge (u, v), u < v, of the graph with
     neighbourhood ``masks`` that lies in the fewest of them, counted with u
     on the left; the most edges first, ties in the order they were found.
 
-    u and v alone, plus any one more neighbour of either, are already
-    deg(u) + deg(v) - 1 bicliques, so edges are tried in that order and the
-    scan stops once that floor reaches the fewest found; each listing stops
-    there too.
+    Edges are counted before any is listed, and only the chosen edge is
+    listed.  u and v alone, plus any one more neighbour of either, are
+    already deg(u) + deg(v) - 1 bicliques, so edges are tried in that order
+    and the scan stops once that floor reaches the fewest found.  Every
+    subset of X = N(v) - u joins u on the left of v, and every subset of
+    Y = N(u) - v joins v on the right of u, so an edge whose
+    2^|X| + 2^|Y| - 1 reaches the fewest found is skipped uncounted; each
+    count stops at the fewest found too.
     """
     floors = []
     for u, mask in enumerate(masks):
@@ -456,14 +523,18 @@ def _branch_options(masks, deadline):
             floors.append((du + masks[v].bit_count() - 1, u, v))
             later ^= bit
     floors.sort()
-    options = None
+    fewest, chosen = None, None
     for floor, u, v in floors:
-        if options is not None and floor >= len(options):
-            break
-        limit = None if options is None else len(options)
-        found = list(islice(_bicliques_through(masks, u, v, deadline), limit))
-        if options is None or len(found) < len(options):
-            options = found
+        if fewest is not None:
+            if floor >= fewest:
+                break
+            x, y = masks[v].bit_count() - 1, masks[u].bit_count() - 1
+            if (1 << x) + (1 << y) - 1 >= fewest:
+                continue
+        count = _count_through(masks, u, v, fewest, deadline)
+        if fewest is None or count < fewest:
+            fewest, chosen = count, (u, v)
+    options = list(_bicliques_through(masks, *chosen, deadline))
     options.sort(key=lambda lr: -lr[0].bit_count() * lr[1].bit_count())
     return options
 
@@ -559,7 +630,9 @@ def exact_bp(g, budget=None):
 
 
 def exact_chromatic(g, budget=None):
-    """Exact coloring via DSATUR-ordered backtracking over color class masks."""
+    """Exact coloring via DSATUR-ordered backtracking over color class masks,
+    on an explicit stack, so a colouring of any length costs no Python
+    recursion."""
     budget = budget or DEFAULT_VALUE_BUDGET
     _check_caps(g, budget)
     n = g.n
@@ -588,27 +661,37 @@ def exact_chromatic(g, budget=None):
                 cand, sat, deg = v, s, d
         return cand
 
-    def backtrack(used, uncolored):
-        nonlocal best, best_assign
-        deadline.check()
-        if used >= best:
-            return
-        if not uncolored:
-            best = used
-            best_assign = _class_colors(classes, n)
-            return
-        v = select(uncolored)
-        bit = 1 << v
-        for c in range(min(used + 1, best - 1)):
-            if not classes[c] & masks[v]:
-                classes[c] |= bit
-                backtrack(max(used, c + 1), uncolored ^ bit)
-                classes[c] ^= bit
-                if best == clique_lb:
-                    return
-
+    # a frame: colours used, uncoloured vertices, then once it branches the
+    # vertex it colours, the colour index it tries and its colour limit
+    stack = [[0, (1 << n) - 1, None, 0, 0]]
     try:
-        backtrack(0, (1 << n) - 1)
+        while stack and best > clique_lb:
+            frame = stack[-1]
+            used, uncolored, v, c, limit = frame
+            if v is None:
+                deadline.check()
+                if used >= best:
+                    stack.pop()
+                    continue
+                if not uncolored:
+                    best = used
+                    best_assign = _class_colors(classes, n)
+                    stack.pop()
+                    continue
+                v = select(uncolored)
+                limit = min(used + 1, best - 1)
+                frame[2], frame[4] = v, limit
+            else:
+                classes[c] ^= 1 << v
+                c += 1
+            while c < limit and classes[c] & masks[v]:
+                c += 1
+            if c == limit:
+                stack.pop()
+                continue
+            classes[c] |= 1 << v
+            frame[3] = c
+            stack.append([max(used, c + 1), uncolored ^ 1 << v, None, 0, 0])
     except _Timeout:
         return OracleResult(clique_lb, best, tuple(best_assign))
     return OracleResult(best, best, tuple(best_assign))

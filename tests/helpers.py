@@ -11,7 +11,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -30,6 +30,16 @@ from bccover import (
     enumerate_maximal_cliques,
     exact_clique_number,
     find_partition,
+)
+from bccover.graph import mask_vertices
+from bccover.oracle import (
+    _bc_lower_bound,
+    _bicliques_through,
+    _class_colors,
+    _edges_at,
+    _greedy_clique_size,
+    _touching,
+    greedy_coloring,
 )
 
 
@@ -595,6 +605,131 @@ def reference_chromatic(g, time_cap=10.0):
     except _ReferenceTimeout:
         return OracleResult(clique_lb, best, tuple(best_assign))
     return OracleResult(best, best, tuple(best_assign))
+
+
+def reference_recursive_chromatic(g, time_cap=10.0):
+    """The recursive DSATUR backtracking over colour class masks that
+    ``exact_chromatic`` used to be: one Python frame per coloured vertex.
+    Shares the greedy start bounds with the package, not the search."""
+    n = g.n
+    if n == 0:
+        return OracleResult(0, 0, ())
+    if g.m == 0:
+        return OracleResult(1, 1, (1,) * n)
+    best_assign = greedy_coloring(g)
+    best = max(best_assign)
+    clique_lb = _greedy_clique_size(g)
+    if best == clique_lb:
+        return OracleResult(best, best, tuple(best_assign))
+
+    masks = g.neighbor_masks()
+    classes = [0] * best
+    deadline = _ReferenceDeadline(time_cap)
+
+    def select(uncolored):
+        cand, sat, deg = -1, -1, -1
+        for v in mask_vertices(uncolored):
+            s = sum(1 for cls in classes if cls & masks[v])
+            d = masks[v].bit_count()
+            if s > sat or (s == sat and d > deg):
+                cand, sat, deg = v, s, d
+        return cand
+
+    def backtrack(used, uncolored):
+        nonlocal best, best_assign
+        deadline.check()
+        if used >= best:
+            return
+        if not uncolored:
+            best = used
+            best_assign = _class_colors(classes, n)
+            return
+        v = select(uncolored)
+        bit = 1 << v
+        for c in range(min(used + 1, best - 1)):
+            if not classes[c] & masks[v]:
+                classes[c] |= bit
+                backtrack(max(used, c + 1), uncolored ^ bit)
+                classes[c] ^= bit
+                if best == clique_lb:
+                    return
+
+    try:
+        backtrack(0, (1 << n) - 1)
+    except _ReferenceTimeout:
+        return OracleResult(clique_lb, best, tuple(best_assign))
+    return OracleResult(best, best, tuple(best_assign))
+
+
+def reference_branch_options(masks, deadline):
+    """The option chooser that ``exact_bp`` used to have: it lists the
+    bicliques through each candidate edge, up to the fewest found, where the
+    package counts them.  A drop-in for ``oracle._branch_options`` that
+    shares the lister ``_bicliques_through`` with the package."""
+    floors = []
+    for u, mask in enumerate(masks):
+        for v in mask_vertices(mask >> (u + 1) << (u + 1)):
+            floors.append((mask.bit_count() + masks[v].bit_count() - 1, u, v))
+    floors.sort()
+    options = None
+    for floor, u, v in floors:
+        if options is not None and floor >= len(options):
+            break
+        limit = None if options is None else len(options)
+        found = list(islice(_bicliques_through(masks, u, v, deadline), limit))
+        if options is None or len(found) < len(options):
+            options = found
+    options.sort(key=lambda lr: -lr[0].bit_count() * lr[1].bit_count())
+    return options
+
+
+def reference_mask_exact_bc(g, time_cap=10.0):
+    """The edge-mask set cover that ``exact_bc`` used to be: each node scans
+    its uncovered edges for the one in the fewest bicliques, and each child
+    gets a fresh copy of the chosen list.  Shares the biclique enumeration,
+    the edge masks and the lower bound with the package, not the search."""
+    if not g.m:
+        return OracleResult(0, 0, [])
+    bicliques = enumerate_maximal_bicliques(g)
+    at = _edges_at(g)
+    sets = [_touching(at, b._left) & _touching(at, b._right) for b in bicliques]
+    universe = uncovered = (1 << g.m) - 1
+    greedy = []
+    while uncovered:
+        idx = max(range(len(sets)), key=lambda i: ((sets[i] & uncovered).bit_count(), -i))
+        greedy.append(idx)
+        uncovered &= ~sets[idx]
+    best = len(greedy)
+    best_cover = list(greedy)
+    lb = max(1, _bc_lower_bound(g))
+    if best == lb:
+        return OracleResult(best, best, [bicliques[i] for i in best_cover])
+
+    covering = [[i for i, s in enumerate(sets) if s >> e & 1] for e in range(g.m)]
+    deadline = _ReferenceDeadline(time_cap)
+
+    def dfs(uncovered, chosen):
+        nonlocal best, best_cover
+        deadline.check()
+        if not uncovered:
+            if len(chosen) < best:
+                best = len(chosen)
+                best_cover = list(chosen)
+            return
+        if len(chosen) + 1 >= best:
+            return
+        e = min(mask_vertices(uncovered), key=lambda e: len(covering[e]))
+        options = sorted(covering[e], key=lambda i: -(sets[i] & uncovered).bit_count())
+        for idx in options:
+            dfs(uncovered & ~sets[idx], chosen + [idx])
+            if best == lb:
+                return
+
+    try:
+        dfs(universe, [])
+    except _ReferenceTimeout:
+        return OracleResult(lb, best, [bicliques[i] for i in best_cover])
+    return OracleResult(best, best, [bicliques[i] for i in best_cover])
 
 
 # -- naive chordal layer ---------------------------------------------------------

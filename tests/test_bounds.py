@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import bccover
 import bccover.bounds as bounds_module
 from bccover import (
     NotChordalError,
@@ -249,3 +250,14 @@ def test_bp_above_what_bc_allows_marks_report_inconsistent(monkeypatch, tmp_path
     path = tmp_path / "fig3.graph"
     write_graph(g, path)
     assert main(["bounds", str(path)]) == 2
+
+
+def test_bp_runs_when_bc_gives_up(monkeypatch):
+    def give_up(g, budget):
+        raise bccover.BudgetExceededError("bc gave up")
+
+    monkeypatch.setattr(bounds_module, "exact_bc", give_up)
+    report = full_report(path_graph(4))
+    assert report.oracle_bc is None
+    assert report.oracle_bp.value == 2
+    assert report.bp_window.bc_lower_from_bp == 2

@@ -34,8 +34,10 @@ from bccover import (
     verify_partition,
 )
 from bccover.graph import Graph
+from bccover import oracle
 from bccover.oracle import DEFAULT_SEARCH_BUDGET, greedy_coloring
 from helpers import (
+    _reference_eigen_partition_bound,
     er_graph,
     naive_bc,
     naive_bp,
@@ -48,7 +50,10 @@ from helpers import (
     reference_exact_bp,
     reference_greedy_coloring,
     reference_max_matching,
+    reference_branch_options,
+    reference_mask_exact_bc,
     reference_maximal_bicliques,
+    reference_recursive_chromatic,
     run_python,
 )
 
@@ -655,3 +660,138 @@ def test_conflict_graph_makes_no_pairwise_calls(monkeypatch):
     # the counters do count: the pairwise reference makes both calls
     reference_conflict_graph(small)
     assert calls["has_edge"] > 0 and calls["__init__"] == 1
+
+
+# -- counted branch options, relabelled bc edges, stacked colouring --------
+
+
+class _CountedDeadline:
+    """A deadline that never fires and counts its checks."""
+
+    def __init__(self):
+        self.checks = 0
+
+    def check(self, every=256):
+        self.checks += 1
+
+
+def test_capped_count_matches_the_listing():
+    rng = random.Random(16)
+    for _ in range(200):
+        g = er_graph(rng.randrange(2, 11), rng.random(), rng)
+        masks = list(g.neighbor_masks())
+        for a, b in g.edges():
+            for u, v in ((a, b), (b, a)):
+                listed = len(list(oracle._bicliques_through(masks, u, v, _CountedDeadline())))
+                for cap in (None, 1, listed // 2 or 1, listed, listed + 1):
+                    count = oracle._count_through(masks, u, v, cap, _CountedDeadline())
+                    assert count == (listed if cap is None else min(cap, listed))
+
+
+def _bp_reference_cases():
+    """The G(12, 0.5) seeds and the co-chordal graphs of the oracle
+    benchmark, and 120 seeded G(n, p) with n <= 13 and p <= 0.9: on the
+    denser 14-vertex graphs of ``_biclique_cases`` the references take
+    seconds each."""
+    graphs = [er_graph(12, 0.5, random.Random(seed)) for seed in range(20)]
+    graphs += [random_cochordal(12, 0.3, seed) for seed in range(40)]
+    rng = random.Random(17)
+    graphs += [er_graph(rng.randrange(4, 14), rng.uniform(0.2, 0.9), rng) for _ in range(120)]
+    return graphs
+
+
+def _bp_run(g):
+    result = exact_bp(g)
+    return result.lower, result.upper, result.certificate, result.stats
+
+
+def test_exact_bp_matches_the_listing_chooser(monkeypatch):
+    graphs = _bp_reference_cases()
+    counted = [_bp_run(g) for g in graphs]
+    monkeypatch.setattr(oracle, "_branch_options", reference_branch_options)
+    for g, run in zip(graphs, counted):
+        assert run == _bp_run(g)
+        assert run[3]["stop"] in ("root", "proved")
+
+
+def test_dense_exact_bp_counts_before_it_lists(monkeypatch):
+    # a step guard, not a clock guard: the listing chooser takes 2.35 M
+    # deadline checks here, one per step of each count and listing
+    checks = [0]
+    original = oracle._Deadline.check
+
+    def counted(self, every=256):
+        checks[0] += 1
+        return original(self, every)
+
+    monkeypatch.setattr(oracle._Deadline, "check", counted)
+    result = exact_bp(er_graph(14, 0.87, random.Random(1)))
+    assert result.value == 10
+    assert result.stats == {"nodes": 18, "pruned": 2, "stop": "proved"}
+    assert checks[0] < 200_000
+
+
+def test_exact_bc_matches_the_per_node_scan():
+    for g in _bp_reference_cases():
+        result, reference = exact_bc(g), reference_mask_exact_bc(g)
+        assert (result.lower, result.upper, result.certificate) == (
+            reference.lower, reference.upper, reference.certificate
+        )
+
+
+def test_exact_chromatic_matches_the_recursive_search():
+    graphs = [er_graph(12, 0.5, random.Random(seed)) for seed in range(20)]
+    rng = random.Random(19)
+    graphs += [er_graph(rng.randrange(1, 21), rng.random(), rng) for _ in range(100)]
+    for g in graphs:
+        result, reference = exact_chromatic(g), reference_recursive_chromatic(g)
+        assert (result.lower, result.upper, result.certificate) == (
+            reference.lower, reference.upper, reference.certificate
+        )
+
+
+def test_exact_chromatic_takes_no_frame_per_vertex():
+    # an odd cycle: the greedy colouring uses 3 colours and the search
+    # colours all 301 vertices with 2 before it fails
+    g = cycle_graph(301)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        result = exact_chromatic(g, OracleBudget(301, 301, 60.0))
+        with pytest.raises(RecursionError):
+            reference_recursive_chromatic(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (result.lower, result.upper) == (3, 3)
+
+
+def _complete_bipartite(a, b, isolated=0):
+    return Graph(a + b + isolated, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+def test_inertia_on_near_singular_graphs():
+    def inertia(g):
+        return oracle._inertia(list(g.neighbor_masks()))
+
+    # K_{a,b} has eigenvalues +-sqrt(ab) and a + b - 2 zeros
+    for a, b in [(1, 1), (1, 5), (2, 3), (4, 4), (3, 7)]:
+        assert inertia(_complete_bipartite(a, b)) == 1
+    # isolated vertices add zero rows and columns
+    assert inertia(_complete_bipartite(2, 3, isolated=4)) == 1
+    assert inertia(Graph(6, [(0, 1), (1, 2), (0, 2)])) == 2  # 2, -1, -1
+    assert inertia(Graph(5)) == 0
+    # co-paths are eigensharp: inertia = bp = ceil(2(n - 2) / 3)
+    for n in range(4, 17):
+        assert inertia(gen_copath(n).graph) == -(-2 * (n - 2) // 3), n
+
+
+def test_inertia_beyond_one_machine_word():
+    def inertia(g):
+        return oracle._inertia(list(g.neighbor_masks()))
+
+    assert inertia(_complete_bipartite(40, 41, isolated=3)) == 1
+    assert inertia(gen_copath(100).graph) == 66
+    rng = random.Random(20)
+    for n in (63, 64, 65, 72, 130):
+        g = er_graph(n, 0.3, rng)
+        assert inertia(g) == _reference_eigen_partition_bound(g)

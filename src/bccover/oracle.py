@@ -23,9 +23,14 @@ bicliques over neighbourhood bit masks of the still uncovered graph.  It
 branches on the uncovered edge that lies in the fewest bicliques of that
 graph, and prunes every node by the Graham-Pollak inertia bound of that graph:
 the members still to come partition exactly its edges, so they number at least
-its inertia.  A node counts the bicliques through its candidate edges, each
-count capped at the fewest found, and lists only those through the chosen
-edge.  :func:`exact_chromatic` backtracks on an explicit stack too.
+its inertia.  Half the GF(2) rank of the same masks, integer work only, is a
+lower floor that settles most nodes before numpy is called.  A node counts
+the bicliques through its candidate edges, each count capped at the fewest
+found, and lists only those through the chosen edge.  The search starts
+from the stars, the clique-tree partition or a greedy false-twin
+elimination, which on co-chordal graphs nearly always meets the root bound
+and so ends the search there.  :func:`exact_chromatic` backtracks on an
+explicit stack too.
 """
 
 from __future__ import annotations
@@ -366,10 +371,17 @@ def exact_bc(g, budget=None):
         # entered with edges left to cover and room for one more member
         nonlocal best, best_cover
         deadline.check()
-        options = sorted(
-            covering[(uncovered & -uncovered).bit_length() - 1],
-            key=lambda i: -(sets[i] & uncovered).bit_count(),
-        )
+        options = covering[(uncovered & -uncovered).bit_length() - 1]
+        if len(chosen) + 2 >= best:
+            # no child can recurse: only an option covering every remaining
+            # edge helps, and the first of them is the one a sort would
+            # have put first
+            for idx in options:
+                if not uncovered & ~sets[idx]:
+                    best, best_cover = len(chosen) + 1, chosen + [idx]
+                    return
+            return
+        options = sorted(options, key=lambda i: -(sets[i] & uncovered).bit_count())
         for idx in options:
             rest = uncovered & ~sets[idx]
             chosen.append(idx)
@@ -437,6 +449,61 @@ def _inertia(masks):
     eig = np.linalg.eigvalsh(bits[:, active].astype(float))
     tol = 1e-8 * len(masks)
     return int(max((eig > tol).sum(), (eig < -tol).sum()))
+
+
+def _gf2_rank(masks):
+    """Rank over GF(2) of the 0/1 matrix whose rows are ``masks``, by
+    pivoting each row on its top bit.  A minor that is odd is nonzero, so
+    this is at most the real rank n+ + n-, and (rank + 1) // 2 is at most
+    the inertia bound."""
+    pivots = {}
+    for row in masks:
+        while row:
+            top = row.bit_length()
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+    return len(pivots)
+
+
+def _twin_partition(masks):
+    """Greedy false-twin elimination: a biclique partition of the edges of
+    the graph with neighbourhood ``masks``.
+
+    The vertices that have neighbours fall into false-twin classes, those
+    with the same neighbourhood; a class C and its neighbourhood N(C) form a
+    biclique holding every edge at C.  Each step takes out the class that
+    leaves the fewest classes, ties to the most edges |C| |N(C)|, then to
+    the lowest vertex.
+    """
+    masks = list(masks)
+    parts = []
+
+    def classes_left(nbrs, twins):
+        rest = {
+            mask & ~twins if nbrs >> u & 1 else mask
+            for u, mask in enumerate(masks)
+            if not twins >> u & 1
+        }
+        return len(rest - {0})
+
+    while True:
+        classes = {}  # neighbourhood -> class, by lowest vertex
+        for u, mask in enumerate(masks):
+            if mask:
+                classes[mask] = classes.get(mask, 0) | 1 << u
+        if not classes:
+            return parts
+        nbrs, twins = min(
+            classes.items(),
+            key=lambda c: (classes_left(*c), -c[0].bit_count() * c[1].bit_count()),
+        )
+        parts.append(Biclique._from_masks(twins, nbrs))
+        for u in mask_vertices(twins):
+            masks[u] = 0
+        for v in mask_vertices(nbrs):
+            masks[v] &= ~twins
 
 
 def _bicliques_through(masks, u, v, deadline):
@@ -551,7 +618,15 @@ def exact_bp(g, budget=None):
     the most edges first.  The members still to come partition the
     uncovered edges, so the inertia bound of the uncovered graph holds for
     them and a node with k members is pruned once k plus that bound
-    reaches the best partition found.
+    reaches the best partition found.  A node tries the cheaper floor
+    k + (r + 1) // 2 first, r the GF(2) rank of its masks, and computes the
+    inertia only where that floor does not prune.
+
+    The search starts from the smallest of three partitions: the stars, the
+    clique-tree construction when the complement is chordal, and, when both
+    miss the root bound, the greedy false-twin elimination.  On co-chordal
+    graphs that last one meets the inertia bound almost always, so the
+    search ends at the root.
 
     ``stats`` counts the search nodes visited and pruned, and says why the
     search stopped: ``root`` (the start partition meets the lower bound),
@@ -569,8 +644,8 @@ def exact_bp(g, budget=None):
     lb = max(1, _inertia(masks))
     lb = max(lb, ceil_log2(len(enumerate_maximal_cliques(gc))))
 
-    # initial partitions: per-vertex stars, and the clique-tree construction
-    # when the complement is chordal
+    # start partitions: per-vertex stars, the clique-tree construction when
+    # the complement is chordal, and the twin elimination when both miss lb
     best_parts = [
         Biclique._from_masks(1 << u, mask >> (u + 1) << (u + 1))
         for u, mask in enumerate(masks)
@@ -582,6 +657,10 @@ def exact_bp(g, budget=None):
             best_parts = tree_parts
     except NotChordalError:
         pass
+    if len(best_parts) > lb:
+        twin_parts = _twin_partition(masks)
+        if len(twin_parts) < len(best_parts):
+            best_parts = twin_parts
     best = len(best_parts)
     if best == lb:
         return OracleResult(best, best, best_parts, stats)
@@ -597,7 +676,9 @@ def exact_bp(g, budget=None):
             best = len(members)
             best_parts = [Biclique._from_masks(l, r) for l, r in members]
             return
-        floor = len(members) + 1
+        # the GF(2) floor, then the inertia only where that floor does not
+        # prune: the same decisions as the inertia alone
+        floor = len(members) + (_gf2_rank(masks) + 1) // 2
         if floor < best:
             floor = len(members) + _inertia(masks)
         if floor >= best:

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import random
 import sys
 import time
@@ -27,13 +28,14 @@ from bccover import (
     full_report,
     gen_copath,
     gen_fig_graph,
+    gen_random_chordal,
     lb_omega_conflict,
     path_graph,
     report_to_json_dict,
     verify_cover,
     verify_partition,
 )
-from bccover.graph import Graph
+from bccover.graph import Graph, mask_vertices
 from bccover import oracle
 from bccover.oracle import DEFAULT_SEARCH_BUDGET, greedy_coloring
 from helpers import (
@@ -285,18 +287,19 @@ def test_exact_bp_stats():
 
 
 def test_exact_bp_keeps_near_its_time_cap_on_a_dense_graph():
-    # 79 of 91 edges: counting the bicliques through one edge alone takes
-    # longer than the cap, so the deadline must reach inside that count
-    g = er_graph(14, 0.9, random.Random(0))
-    assert g.m == 79
+    # 167 of 190 edges: no start partition meets the root bound, the search
+    # runs past 30 s (over 900 k nodes) without proving bp, and counting the
+    # bicliques through the first node's candidate edges alone takes longer
+    # than the cap, so the deadline must reach inside that count
+    g = er_graph(20, 0.9, random.Random(0))
+    assert g.m == 167
     start = time.monotonic()
-    result = exact_bp(g, OracleBudget(14, 96, 0.05))
+    result = exact_bp(g, OracleBudget(20, 190, 0.05))
     assert time.monotonic() - start < 0.5
     assert result.lower <= result.upper
     assert len(result.certificate) == result.upper
     assert verify_partition(g, result.certificate)
-    if not result.exact:
-        assert result.stats["stop"] == "deadline"
+    assert result.stats["stop"] == "deadline"
 
 
 _FIRST_BP_IN_CHILD = """import importlib.abc, json, random, sys, time
@@ -310,7 +313,7 @@ class SlowNumpy(importlib.abc.MetaPathFinder):
 
 sys.meta_path.insert(0, SlowNumpy())
 from bccover import Graph, OracleBudget, exact_bp
-rng = random.Random(10)
+rng = random.Random(8)
 g = Graph(12, [(u, v) for u in range(12) for v in range(u + 1, 12)
                if rng.random() < 0.5])
 budget = OracleBudget(14, 96, 0.2)
@@ -325,12 +328,12 @@ print(json.dumps(runs))
 
 def test_first_exact_bp_imports_numpy_outside_its_time_cap():
     """The first exact_bp call in a process imports numpy for the root
-    inertia bound.  G(12, 0.5) seed 10 proves in 9 nodes in a few ms, far
+    inertia bound.  G(12, 0.5) seed 8 proves in 7 nodes in a few ms, far
     inside the 0.2 s cap; an import timed against the cap would cut the
     first search short."""
     first, second = json.loads(run_python(_FIRST_BP_IN_CHILD))
     assert first[0] is False and second[0] is True
-    proved = [8, 8, {"nodes": 9, "pruned": 0, "stop": "proved"}]
+    proved = [6, 6, {"nodes": 7, "pruned": 0, "stop": "proved"}]
     assert first[1:] == second[1:] == proved
 
 
@@ -715,8 +718,9 @@ def test_exact_bp_matches_the_listing_chooser(monkeypatch):
 
 
 def test_dense_exact_bp_counts_before_it_lists(monkeypatch):
-    # a step guard, not a clock guard: the listing chooser takes 2.35 M
-    # deadline checks here, one per step of each count and listing
+    # a step guard, not a clock guard: the listing chooser takes 0.62 M
+    # deadline checks here, one per step of each count and listing, and the
+    # counting one 22 k
     checks = [0]
     original = oracle._Deadline.check
 
@@ -725,9 +729,9 @@ def test_dense_exact_bp_counts_before_it_lists(monkeypatch):
         return original(self, every)
 
     monkeypatch.setattr(oracle._Deadline, "check", counted)
-    result = exact_bp(er_graph(14, 0.87, random.Random(1)))
-    assert result.value == 10
-    assert result.stats == {"nodes": 18, "pruned": 2, "stop": "proved"}
+    result = exact_bp(er_graph(14, 0.9, random.Random(2)))
+    assert result.value == 8
+    assert result.stats == {"nodes": 39, "pruned": 30, "stop": "proved"}
     assert checks[0] < 200_000
 
 
@@ -795,3 +799,84 @@ def test_inertia_beyond_one_machine_word():
     for n in (63, 64, 65, 72, 130):
         g = er_graph(n, 0.3, rng)
         assert inertia(g) == _reference_eigen_partition_bound(g)
+
+
+def test_gf2_rank_examples():
+    def rank(g):
+        return oracle._gf2_rank(list(g.neighbor_masks()))
+
+    # J - I is its own inverse over GF(2) when n is even; when n is odd its
+    # rows sum to zero
+    for n in range(1, 9):
+        assert rank(complete_graph(n)) == n - n % 2
+    assert rank(_complete_bipartite(3, 4, isolated=2)) == 2
+    assert rank(Graph(5)) == 0
+    assert rank(gen_copath(5).graph) == 4
+
+
+@st.composite
+def graphs_up_to_130_vertices(draw):
+    n = draw(st.integers(min_value=1, max_value=130))
+    p = draw(st.floats(min_value=0.0, max_value=1.0))
+    return er_graph(n, p, random.Random(draw(st.integers(0, 2**32))))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(graphs_up_to_130_vertices())
+def test_gf2_rank_floor_is_below_the_inertia(g):
+    # an odd minor is a nonzero integer, so the GF(2) rank is at most the
+    # real rank, n+ + n-
+    masks = list(g.neighbor_masks())
+    assert (oracle._gf2_rank(masks) + 1) // 2 <= oracle._inertia(masks)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(small_graphs())
+def test_twin_partition_is_a_partition(g):
+    assert verify_partition(g, oracle._twin_partition(list(g.neighbor_masks())))
+
+
+WITHOUT_TWIN_START = pathlib.Path(__file__).parent / "data" / "exact_bp_without_twin_start.json"
+
+
+def test_exact_bp_without_the_twin_start_keeps_its_search(monkeypatch):
+    """With the twin start replaced by one member per edge, never fewer than
+    the stars, exact_bp gives on every reference case the window,
+    certificate and stats pinned in ``data/exact_bp_without_twin_start.json``
+    from the search before the twin start and the GF(2) pre-prune: the
+    pre-prune changes no prune decision."""
+
+    def one_per_edge(masks):
+        return [Biclique._from_masks(1 << u, 1 << v)
+                for u, mask in enumerate(masks) for v in mask_vertices(mask) if u < v]
+
+    monkeypatch.setattr(oracle, "_twin_partition", one_per_edge)
+    pinned = json.loads(WITHOUT_TWIN_START.read_text())
+    graphs = _bp_reference_cases()
+    assert len(pinned) == len(graphs)
+    for g, (lower, upper, certificate, stats) in zip(graphs, pinned):
+        result = exact_bp(g)
+        sides = [[mask_vertices(b._left), mask_vertices(b._right)] for b in result.certificate]
+        assert [result.lower, result.upper, sides, result.stats] == [
+            lower, upper, certificate, stats
+        ]
+
+
+def _eigensharp_cases():
+    """The co-chordal graphs of the bp measurements: complements of random
+    chordal graphs with 6 to 14 vertices, and the co-paths on 4 to 15."""
+    graphs = [gen_random_chordal(n, d, s).complement()
+              for n in range(6, 15) for d in (0.1, 0.2, 0.35, 0.5, 0.7) for s in range(12)]
+    return graphs + [gen_copath(n).graph for n in range(4, 16)]
+
+
+def test_exact_bp_stops_at_the_root_on_cochordal_graphs():
+    graphs = _eigensharp_cases()
+    assert len(graphs) == 552
+    roots = 0
+    for g in graphs:
+        result = exact_bp(g, OracleBudget(15, 96, 10.0))
+        assert result.exact
+        assert verify_partition(g, result.certificate)
+        roots += result.stats["stop"] == "root"
+    assert roots >= 550

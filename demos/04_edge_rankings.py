@@ -15,7 +15,6 @@ from bccover import (
     Tree,
     ceil_log2,
     edge_ranking_lower_bound,
-    exhaustive_edge_ranking,
     heuristic_edge_ranking,
     is_valid_edge_ranking,
     optimal_edge_ranking,
@@ -36,16 +35,15 @@ for m in (3, 5, 8):
     print("  star with %d edges: r=%d" % (m, r))
     assert r == m
 
-print("\nrandom trees: exact vs balanced-separator heuristic vs brute force")
+print("\nrandom trees: exact vs balanced-separator heuristic")
 rng = random.Random(1)
 for _ in range(6):
-    n = rng.randrange(5, 10)
+    n = rng.randrange(5, 40)
     tree = Tree(n, [(rng.randrange(v), v) for v in range(1, n)])
     opt_ranking, opt = optimal_edge_ranking(tree)
     heur_ranking, heur = heuristic_edge_ranking(tree)
-    brute = exhaustive_edge_ranking(tree)
-    print("  n=%d  lower bound %d  exact %d  heuristic %d  brute force %d"
-          % (n, edge_ranking_lower_bound(tree), opt, heur, brute))
+    print("  n=%-2d  lower bound %d  exact %d  heuristic %d"
+          % (n, edge_ranking_lower_bound(tree), opt, heur))
     assert is_valid_edge_ranking(tree, opt_ranking)
     assert is_valid_edge_ranking(tree, heur_ranking)
-    assert edge_ranking_lower_bound(tree) <= opt == brute <= heur
+    assert edge_ranking_lower_bound(tree) <= opt <= heur

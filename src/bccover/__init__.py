@@ -10,7 +10,6 @@ from .bounds import (
     BoundReport,
     bp_bc_window,
     conflict_graph,
-    first_clique_coloring,
     full_report,
     lb_log_chi,
     lb_log_mc,
@@ -35,7 +34,6 @@ from .cover import (
     bfs_leaf_order,
     bicliques_from_text,
     bicliques_to_text,
-    clique_split_biclique,
     cover_cochordal,
     find_biclique_levels,
     find_partition,
@@ -74,7 +72,6 @@ from .oracle import (
     exact_chromatic,
     exact_clique_number,
     exact_max_matching,
-    exhaustive_edge_ranking,
 )
 from .ranking import (
     EdgeRanking,

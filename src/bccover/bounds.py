@@ -60,11 +60,6 @@ def lb_log_mc(g, budget=None):
     return ceil_log2(maximal_clique_count_complement(g, budget))
 
 
-def greedy_coloring_bound(g):
-    """Largest-first greedy coloring; an upper bound on the chromatic number."""
-    return max(greedy_coloring(g), default=0)
-
-
 def lb_log_chi(g, budget=None):
     """ceil(log2(chromatic number)) and whether it is certified.
 
@@ -80,7 +75,7 @@ def lb_log_chi(g, budget=None):
             return ceil_log2(result.value), True
         return ceil_log2(result.upper), False
     except BudgetExceededError:
-        return ceil_log2(greedy_coloring_bound(g)), False
+        return ceil_log2(max(greedy_coloring(g), default=0)), False
 
 
 def lb_omega_conflict(g, budget=None):
@@ -109,23 +104,6 @@ def lb_matching(g, budget=None):
         return Fraction(0)
     matching = exact_max_matching(g, budget).value
     return Fraction(matching * matching, g.m)
-
-
-def first_clique_coloring(g, budget=None):
-    """Color every vertex by the index of the first maximal clique of the
-    complement containing it (1-based).
-
-    Always a proper coloring of ``g``, which is why mc(complement) bounds the
-    chromatic number from above.
-    """
-    cliques = enumerate_maximal_cliques(g.complement(), budget or DEFAULT_VALUE_BUDGET)
-    colors = [0] * g.n
-    for v in range(g.n):
-        for i, k in enumerate(cliques, start=1):
-            if v in k:
-                colors[v] = i
-                break
-    return tuple(colors)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands: ``bounds``, ``cover``, ``verify``, ``gen``, ``rank``, ``oracle``,
-``tree``.  Exit codes are fixed so harnesses can tell failure classes apart:
-1 parse error, 2 inconsistency (a certified bound crossing, or a cover file
-that fails verification), 3 precondition failure (e.g. a non-co-chordal input
-to ``cover``), 4 budget exhausted.
+Subcommands: ``bounds``, ``cover``, ``partition``, ``verify``, ``gen``,
+``rank``, ``oracle``, ``tree``.  Exit codes are fixed so harnesses can tell
+failure classes apart: 1 parse error, 2 inconsistency (a certified bound
+crossing, or a cover file that fails verification), 3 precondition failure
+(e.g. a non-co-chordal input to ``cover``), 4 budget exhausted.
 
 ``BCCOVER_VERTEX_CAP`` and ``BCCOVER_TIME_CAP`` override the default oracle
 budget; the ``--vertex-cap``/``--time-cap`` flags of ``bounds`` and ``oracle``
@@ -34,7 +34,6 @@ from .cover import (
 from .errors import BudgetExceededError, GraphFormatError, NotChordalError
 from .graph import graph_to_text, read_graph, write_graph
 from .oracle import (
-    DEFAULT_RANKING_BUDGET,
     DEFAULT_SEARCH_BUDGET,
     DEFAULT_VALUE_BUDGET,
     OracleBudget,
@@ -43,7 +42,6 @@ from .oracle import (
     exact_chromatic,
     exact_clique_number,
     exact_max_matching,
-    exhaustive_edge_ranking,
 )
 from .ranking import optimal_edge_ranking, ranking_to_text, read_tree
 
@@ -335,18 +333,6 @@ def cmd_rank(args):
 
 
 def cmd_oracle(args):
-    if args.problem == "ranking":
-        tree = read_tree(args.input)
-        try:
-            r = exhaustive_edge_ranking(
-                tree, _budget_overrides(args, DEFAULT_RANKING_BUDGET)
-            )
-        except BudgetExceededError as exc:
-            print("budget: %s" % exc, file=sys.stderr)
-            return EXIT_BUDGET
-        _write_output("ranking = %d\n" % r, args.out)
-        return EXIT_OK
-
     g = read_graph(args.input)
     search = _budget_overrides(args, DEFAULT_SEARCH_BUDGET)
     value = _budget_overrides(args, DEFAULT_VALUE_BUDGET)
@@ -394,7 +380,7 @@ def cmd_partition(args):
             file=sys.stderr,
         )
         return EXIT_PRECONDITION
-    parts = find_partition(tree, policy=args.policy)
+    parts = find_partition(tree)
     if not verify_partition(g, parts):
         print("internal error: partition failed verification", file=sys.stderr)
         return EXIT_INCONSISTENT
@@ -433,7 +419,6 @@ def build_parser():
 
     p = sub.add_parser("partition", help="biclique partition of a co-chordal graph")
     p.add_argument("input")
-    p.add_argument("--policy", choices=("balanced", "first"), default="balanced")
     add_common(p)
     p.set_defaults(func=cmd_partition)
 
@@ -478,8 +463,8 @@ def build_parser():
     add_common(p)
     p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("oracle", help="exact brute-force values")
-    p.add_argument("problem", choices=("bc", "bp", "chi", "matching", "clique", "ranking"))
+    p = sub.add_parser("oracle", help="exact values by branch and bound; matching is polynomial")
+    p.add_argument("problem", choices=("bc", "bp", "chi", "matching", "clique"))
     p.add_argument("input")
     add_common(p)
     add_caps(p)

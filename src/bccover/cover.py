@@ -102,32 +102,6 @@ class Biclique:
         )
 
 
-def clique_split_biclique(cliques, left_index, right_index):
-    """Biclique induced by a bipartition of a maximal-clique list.
-
-    ``cliques`` are the maximal cliques of the *complement* of the target
-    graph; ``left_index``/``right_index`` must partition ``range(len(cliques))``
-    into two nonempty groups.  Returns the biclique
-    (union of left cliques minus union of right, and vice versa), or None if
-    either difference is empty.
-    """
-    left_index = set(left_index)
-    right_index = set(right_index)
-    if not left_index or not right_index:
-        raise ValueError("both index groups must be nonempty")
-    if left_index & right_index or left_index | right_index != set(
-        range(len(cliques))
-    ):
-        raise ValueError("index groups must partition the clique list")
-    unions = [0, 0]  # vertex masks of the left and of the right cliques
-    for i, clique in enumerate(cliques):
-        unions[i in right_index] |= vertex_mask(clique)
-    left, right = unions[0] & ~unions[1], unions[1] & ~unions[0]
-    if not left or not right:
-        return None
-    return Biclique._from_masks(left, right)
-
-
 # -- working trees ------------------------------------------------------------
 
 
@@ -271,29 +245,22 @@ def _ranked_cuts(work, ranks, order):
     return cuts
 
 
-def find_partition(tree, policy="balanced"):
+def find_partition(tree):
     """Biclique partition of G from a clique tree of its complement.
 
     The members are the cuts of the tree along an edge-ranking, one per
     tree edge, so there are always (node count - 1) of them.  Each subtree
-    is cut first at its top-ranked edge: "balanced" ranks by
+    is cut first at its top-ranked edge under
     :func:`heuristic_edge_ranking`, whose top edge minimizes the larger
-    side (ties going to the lexicographically smallest edge), and "first"
-    ranks the smallest edge highest.  Members come in pre-order: a cut,
-    then its first endpoint's side, then the other side.  A forest input
-    is first joined into one tree.
+    side (ties going to the lexicographically smallest edge).  Members come
+    in pre-order: a cut, then its first endpoint's side, then the other
+    side.  A forest input is first joined into one tree.
     """
-    if policy not in ("balanced", "first"):
-        raise ValueError("unknown edge policy %r" % policy)
     work = join_clique_forest(tree)
     d = work.node_count
     if d <= 1:
         return []
-    if policy == "balanced":
-        ranks = heuristic_edge_ranking(Tree(d, work.edges))[0].ranks
-    else:
-        edges = sorted(work.edges)
-        ranks = {e: len(edges) - i for i, e in enumerate(edges)}
+    ranks = heuristic_edge_ranking(Tree(d, work.edges))[0].ranks
     cuts = _ranked_cuts(work, ranks, range(d))
     out = []
     stack = [len(cuts) - 1]

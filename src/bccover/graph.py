@@ -114,23 +114,6 @@ class Graph:
             [full & ~mask & ~(1 << u) for u, mask in enumerate(self._masks)]
         )
 
-    def induced_subgraph(self, vertices):
-        """Subgraph induced by ``vertices``, relabeled to 0..|S|-1.
-
-        Returns ``(graph, mapping)`` where ``mapping[i]`` is the original
-        index of the new vertex ``i``.
-        """
-        mapping = tuple(sorted(set(vertices)))
-        for v in mapping:
-            self._check_vertex(v)
-        index = {v: i for i, v in enumerate(mapping)}
-        edges = [
-            (index[u], index[v])
-            for u, v in self.edges()
-            if u in index and v in index
-        ]
-        return Graph(len(mapping), edges), mapping
-
     def is_biclique_subgraph(self, left, right):
         """True iff ``left``/``right`` are nonempty, disjoint, in range, and
         every cross pair is an edge.

@@ -37,18 +37,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
 
 from .chordal import clique_tree
 from .cover import Biclique, find_partition
 from .errors import BudgetExceededError, NotChordalError
 from .graph import Graph, mask_vertices
-from .ranking import (
-    EdgeRanking,
-    ceil_log2,
-    edge_ranking_lower_bound,
-    is_valid_edge_ranking,
-)
+from .ranking import ceil_log2
 
 @dataclass(frozen=True)
 class OracleBudget:
@@ -65,7 +59,6 @@ class OracleBudget:
 # number) cope with slightly larger graphs
 DEFAULT_SEARCH_BUDGET = OracleBudget(vertex_cap=14, edge_cap=96, time_cap=10.0)
 DEFAULT_VALUE_BUDGET = OracleBudget(vertex_cap=20, edge_cap=190, time_cap=10.0)
-DEFAULT_RANKING_BUDGET = OracleBudget(vertex_cap=10, edge_cap=9, time_cap=10.0)
 
 
 @dataclass
@@ -400,10 +393,20 @@ def exact_bc(g, budget=None):
     return OracleResult(best, best, [bicliques[i] for i in best_cover])
 
 
+def _log_mc(gc):
+    """ceil(log2) of the number of maximal cliques of ``gc``.
+
+    ``gc`` is the complement of a graph that the caller's caps admitted, so
+    the enumeration takes its vertex and edge caps from ``gc`` itself; it
+    keeps the value budget's time cap.
+    """
+    budget = OracleBudget(gc.n, max(gc.m, 1), DEFAULT_VALUE_BUDGET.time_cap)
+    return ceil_log2(len(enumerate_maximal_cliques(gc, budget)))
+
+
 def _bc_lower_bound(g):
     """Sound lower bounds cheap enough to use as pruning floor."""
-    gc = g.complement()
-    lb = ceil_log2(len(enumerate_maximal_cliques(gc)))
+    lb = _log_mc(g.complement())
     if g.m <= 40:
         # the conflict graph has one vertex per edge of g
         conflict = conflict_graph(g, induced_c4_only=False)
@@ -642,7 +645,7 @@ def exact_bp(g, budget=None):
     masks = list(g.neighbor_masks())
     # ahead of the deadline: a process's first call imports numpy here
     lb = max(1, _inertia(masks))
-    lb = max(lb, ceil_log2(len(enumerate_maximal_cliques(gc))))
+    lb = max(lb, _log_mc(gc))
 
     # start partitions: per-vertex stars, the clique-tree construction when
     # the complement is chordal, and the twin elimination when both miss lb
@@ -920,85 +923,3 @@ def _mark_path(base, mate, parent, blossom, v, b, child):
         parent[v] = child
         child = mate[v]
         v = parent[mate[v]]
-
-
-# -- edge-ranking -------------------------------------------------------------
-
-
-def exhaustive_edge_ranking(tree, budget=None):
-    """Minimum rank count over all rank assignments, by direct search.
-
-    Tries r = lower bound, lower bound + 1, ... and backtracks over edges in
-    order; a partial assignment is rejected as soon as two equal ranks have
-    a fully assigned path with no larger rank between them.  Independent of
-    the bottom-up optimal ranking, so it can certify it.
-    """
-    budget = budget or DEFAULT_RANKING_BUDGET
-    m = len(tree.edges)
-    if m > budget.edge_cap:
-        raise BudgetExceededError(
-            "tree has %d edges, exhaustive cap is %d" % (m, budget.edge_cap)
-        )
-    if m == 0:
-        return 0
-    deadline = _Deadline(budget.time_cap)
-
-    # up[x]: mask of the edges from node x to node 0, so the path between
-    # x and y is up[x] ^ up[y]; the edges strictly between two edges are
-    # those on all four paths between their ends
-    index_of = {e: i for i, e in enumerate(tree.edges)}
-    up, queue = {0: 0}, [0]
-    for x in queue:
-        for y in tree.neighbors(x):
-            if y not in up:
-                up[y] = up[x] | 1 << index_of[(min(x, y), max(x, y))]
-                queue.append(y)
-    between = {}
-    for i, j in combinations(range(m), 2):
-        (a, b), (c, d) = tree.edges[i], tree.edges[j]
-        between[(i, j)] = mask_vertices(
-            (up[a] ^ up[c]) & (up[a] ^ up[d]) & (up[b] ^ up[c]) & (up[b] ^ up[d])
-        )
-
-    assignment = [0] * m
-
-    def ok_so_far(idx):
-        # sound pruning only: a pair whose path still has unassigned edges
-        # cannot be rejected yet (a larger rank may land there later)
-        rank = assignment[idx]
-        for prev in range(idx):
-            if assignment[prev] != rank:
-                continue
-            path = between[(prev, idx)]
-            if all(assignment[k] for k in path) and not any(
-                assignment[k] > rank for k in path
-            ):
-                return False
-        return True
-
-    def complete_assignment_valid():
-        ranking = EdgeRanking(
-            {e: assignment[i] for i, e in enumerate(tree.edges)}
-        )
-        return is_valid_edge_ranking(tree, ranking)
-
-    def backtrack(idx, r):
-        deadline.check()
-        if idx == m:
-            return complete_assignment_valid()
-        for rank in range(1, r + 1):
-            assignment[idx] = rank
-            if ok_so_far(idx) and backtrack(idx + 1, r):
-                return True
-        assignment[idx] = 0
-        return False
-
-    try:
-        for r in range(edge_ranking_lower_bound(tree), m + 1):
-            for i in range(m):
-                assignment[i] = 0
-            if backtrack(0, r):
-                return r
-    except _Timeout:
-        raise BudgetExceededError("exhaustive edge-ranking timed out") from None
-    return m

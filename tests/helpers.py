@@ -732,6 +732,66 @@ def reference_mask_exact_bc(g, time_cap=10.0):
     return OracleResult(best, best, [bicliques[i] for i in best_cover])
 
 
+# -- small constructions the library does not use -------------------------------
+
+
+def induced_subgraph(g, vertices):
+    """Subgraph of ``g`` induced by ``vertices``, relabeled to 0..|S|-1.
+
+    Returns ``(graph, mapping)`` where ``mapping[i]`` is the original index
+    of the new vertex ``i``.
+    """
+    mapping = tuple(sorted(set(vertices)))
+    for v in mapping:
+        if not 0 <= v < g.n:
+            raise ValueError("vertex %r out of range for n=%d" % (v, g.n))
+    index = {v: i for i, v in enumerate(mapping)}
+    edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+    return Graph(len(mapping), edges), mapping
+
+
+def first_clique_coloring(g, budget=None):
+    """Color every vertex by the index of the first maximal clique of the
+    complement containing it (1-based).
+
+    Always a proper coloring of ``g``, which is why mc(complement) bounds the
+    chromatic number from above.
+    """
+    cliques = enumerate_maximal_cliques(g.complement(), budget)
+    colors = [0] * g.n
+    for v in range(g.n):
+        for i, k in enumerate(cliques, start=1):
+            if v in k:
+                colors[v] = i
+                break
+    return tuple(colors)
+
+
+def clique_split_biclique(cliques, left_index, right_index):
+    """Biclique induced by a bipartition of a maximal-clique list.
+
+    ``cliques`` are the maximal cliques of the *complement* of the target
+    graph; ``left_index``/``right_index`` must partition ``range(len(cliques))``
+    into two nonempty groups.  Returns the biclique
+    (union of left cliques minus union of right, and vice versa), or None if
+    either difference is empty.
+    """
+    left_index = set(left_index)
+    right_index = set(right_index)
+    if not left_index or not right_index:
+        raise ValueError("both index groups must be nonempty")
+    if left_index & right_index or left_index | right_index != set(
+        range(len(cliques))
+    ):
+        raise ValueError("index groups must partition the clique list")
+    union_l = set().union(*(cliques[i] for i in left_index))
+    union_r = set().union(*(cliques[i] for i in right_index))
+    left, right = union_l - union_r, union_r - union_l
+    if not left or not right:
+        return None
+    return Biclique(left, right)
+
+
 # -- naive chordal layer ---------------------------------------------------------
 
 
@@ -934,13 +994,10 @@ def _naive_cut_loop(tree, choose):
         stack.append(side)
 
 
-def naive_find_partition(tree, policy):
-    """The cut loop's partition: "balanced" cuts each subtree at its first
-    :func:`naive_balanced_cuts` entry, "first" at its smallest edge."""
-    if policy == "first":
-        choose = lambda part, inner, adj: min(inner)
-    else:
-        choose = lambda part, inner, adj: naive_balanced_cuts(adj, part, inner)[0][1]
+def naive_find_partition(tree):
+    """The cut loop's partition: each subtree is cut at its first
+    :func:`naive_balanced_cuts` entry."""
+    choose = lambda part, inner, adj: naive_balanced_cuts(adj, part, inner)[0][1]
     return [b for _, _, b in _naive_cut_loop(tree, choose)]
 
 

@@ -15,7 +15,6 @@ from bccover import (
     exact_bc,
     exact_bp,
     exact_chromatic,
-    first_clique_coloring,
     full_report,
     gen_copath,
     gen_cowindmill,
@@ -32,7 +31,7 @@ from bccover import (
 from bccover.cli import main
 from bccover.graph import Graph
 from bccover.oracle import OracleResult
-from helpers import er_graph
+from helpers import er_graph, first_clique_coloring
 
 
 def test_lb_log_mc_examples():

@@ -26,7 +26,12 @@ from bccover import (
 )
 from bccover.chordal import tree_adjacency
 from bccover.graph import Graph, mask_vertices, vertex_mask
-from helpers import er_graph, naive_mcs_order, naive_verify_clique_tree
+from helpers import (
+    er_graph,
+    induced_subgraph,
+    naive_mcs_order,
+    naive_verify_clique_tree,
+)
 
 
 def to_nx(g):
@@ -298,7 +303,7 @@ def test_subtrees_of_clique_trees_are_clique_trees():
         sub_nodes = sorted(chosen)
         relabel = {old: new for new, old in enumerate(sub_nodes)}
         union = sorted(set().union(*(mask_vertices(t.nodes[i]) for i in chosen)))
-        induced, mapping = g.induced_subgraph(union)
+        induced, mapping = induced_subgraph(g, union)
         to_new = {orig: i for i, orig in enumerate(mapping)}
         new_nodes = tuple(
             vertex_mask(to_new[v] for v in mask_vertices(t.nodes[i]))

@@ -270,11 +270,12 @@ def test_cap_flags_only_on_commands_that_read_them(fig3_path, capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_oracle_ranking(tmp_path, capsys):
-    tree_path = tmp_path / "p5.tree"
-    tree_path.write_text(tree_to_text(Tree(5, [(i, i + 1) for i in range(4)])))
-    assert main(["oracle", "ranking", str(tree_path)]) == 0
-    assert capsys.readouterr().out.strip() == "ranking = 3"
+def test_oracle_ranking_and_partition_policy_are_usage_errors(fig3_path, capsys):
+    # both were removed; the exact ranking is ``rank``, the partition has one policy
+    assert main(["oracle", "ranking", fig3_path]) == 1
+    assert "invalid choice: 'ranking'" in capsys.readouterr().err
+    assert main(["partition", fig3_path, "--policy", "first"]) == 1
+    assert "unrecognized arguments: --policy first" in capsys.readouterr().err
 
 
 def test_oracle_budget_exit_4(tmp_path, capsys):
@@ -284,6 +285,16 @@ def test_oracle_budget_exit_4(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
     # raising the cap via flag lets it through
     assert main(["oracle", "matching", str(path)]) == 0
+
+
+@pytest.mark.parametrize("problem, value", [("bc", 5), ("bp", 14)])
+def test_oracle_bc_bp_follow_a_raised_vertex_cap(tmp_path, capsys, problem, value):
+    # the complement's clique count inside the search follows the caps too
+    path = tmp_path / "copath22.graph"
+    write_graph(gen_copath(22).graph, path)
+    assert main(["oracle", problem, str(path), "--vertex-cap", "30"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "%s = %d" % (problem, value)
 
 
 def test_oracle_clique_prints_its_window_on_the_time_cap(fig3_path, capsys):

@@ -17,7 +17,6 @@ from bccover import (
     bicliques_from_text,
     bicliques_to_text,
     ceil_log2,
-    clique_split_biclique,
     clique_tree,
     complete_graph,
     cover_cochordal,
@@ -43,8 +42,11 @@ from bccover import (
 )
 from bccover.cli import main
 from bccover.cover import cover_defects
-from bccover.graph import Graph, path_graph
+from bccover.gen import windmill_graph
+from bccover.graph import Graph
 from helpers import (
+    clique_split_biclique,
+    induced_subgraph,
     naive_biclique_levels,
     naive_cover_defects,
     naive_find_partition,
@@ -116,15 +118,6 @@ def test_find_partition_fig2_balanced():
     assert verify_partition(g, parts)
 
 
-def test_find_partition_first_edge_policy_still_partitions():
-    g = gen_fig_graph("fig2").graph
-    parts = find_partition(clique_tree(g.complement()), policy="first")
-    assert verify_partition(g, parts)
-    assert len(parts) == 3
-    with pytest.raises(ValueError):
-        find_partition(clique_tree(g.complement()), policy="wat")
-
-
 def test_find_partition_complete_graphs():
     for n in range(2, 9):
         g = complete_graph(n)
@@ -139,10 +132,10 @@ def test_find_partition_single_node_tree():
 
 
 def test_find_partition_deep_tree_does_not_recurse():
-    # the clique tree of a long path is a path; "first" cuts peel one node
-    # at a time, 1499 cuts deep
-    parts = find_partition(clique_tree(path_graph(1501)), policy="first")
-    assert len(parts) == 1499
+    # the clique tree of a star is a star; its balanced cuts peel one leaf
+    # at a time, 1099 cuts deep
+    parts = find_partition(clique_tree(windmill_graph(1100, 2)))
+    assert len(parts) == 1099
 
 
 def test_find_partition_random_cochordal():
@@ -228,10 +221,7 @@ def test_partitions_and_levels_match_cut_loop_reference():
     for g in graphs:
         base = clique_tree(g.complement())
         forests += len(join_clique_forest(base).edges) > len(base.edges)
-        for policy in ("balanced", "first"):
-            assert _sides(find_partition(base, policy)) == _sides(
-                naive_find_partition(base, policy)
-            )
+        assert _sides(find_partition(base)) == _sides(naive_find_partition(base))
         tree = max_weight_clique_tree(base.nodes)
         work = join_clique_forest(tree)
         if work.node_count < 2:
@@ -662,7 +652,7 @@ def test_two_maximal_cliques_of_complement_span_an_edge():
         for a in range(len(cliques)):
             for b in range(a + 1, len(cliques)):
                 union = sorted(set(cliques[a]) | set(cliques[b]))
-                induced, _ = g.induced_subgraph(union)
+                induced, _ = induced_subgraph(g, union)
                 assert induced.m >= 1
 
 

@@ -17,7 +17,7 @@ from bccover import (
     path_graph,
 )
 from bccover.graph import connected_components, mask_vertices, vertex_mask
-from helpers import er_graph, graph_from_labels, naive_is_biclique
+from helpers import er_graph, graph_from_labels, induced_subgraph, naive_is_biclique
 
 
 @st.composite
@@ -65,24 +65,24 @@ def test_complement_involution_and_edge_count(g):
 
 
 def test_induced_subgraph_examples():
-    empty, mapping = cycle_graph(4).induced_subgraph([])
+    empty, mapping = induced_subgraph(cycle_graph(4), [])
     assert empty.n == 0 and mapping == ()
-    sub, mapping = cycle_graph(4).induced_subgraph([0, 1, 2])
+    sub, mapping = induced_subgraph(cycle_graph(4), [0, 1, 2])
     assert mapping == (0, 1, 2)
     assert sub == path_graph(3)
     # triangle inside the complement of the fig3 graph
     g3c = gen_fig_graph("fig3").graph.complement()
-    tri, mapping = g3c.induced_subgraph([1, 2, 3])  # b, c, d
+    tri, mapping = induced_subgraph(g3c, [1, 2, 3])  # b, c, d
     assert tri == complete_graph(3)
     with pytest.raises(ValueError):
-        cycle_graph(4).induced_subgraph([0, 9])
+        induced_subgraph(cycle_graph(4), [0, 9])
 
 
 @given(graphs())
 def test_induced_subgraph_preserves_adjacency(g):
     rng = random.Random(g.n * 31 + g.m)
     subset = [v for v in range(g.n) if rng.random() < 0.6]
-    sub, mapping = g.induced_subgraph(subset)
+    sub, mapping = induced_subgraph(g, subset)
     for i in range(sub.n):
         for j in range(i + 1, sub.n):
             assert sub.has_edge(i, j) == g.has_edge(mapping[i], mapping[j])
@@ -247,7 +247,7 @@ def test_empty_graph_is_legal_everywhere():
     g = Graph(0)
     assert g.edges() == []
     assert g.complement() == g
-    sub, mapping = g.induced_subgraph([])
+    sub, mapping = induced_subgraph(g, [])
     assert sub.n == 0
 
 

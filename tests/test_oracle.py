@@ -12,7 +12,6 @@ from bccover import (
     Biclique,
     BudgetExceededError,
     OracleBudget,
-    Tree,
     ceil_log2,
     complete_graph,
     conflict_graph,
@@ -24,7 +23,6 @@ from bccover import (
     exact_chromatic,
     exact_clique_number,
     exact_max_matching,
-    exhaustive_edge_ranking,
     full_report,
     gen_copath,
     gen_fig_graph,
@@ -45,7 +43,6 @@ from helpers import (
     naive_bp,
     naive_maximal_bicliques,
     random_cochordal,
-    random_tree_edges,
     reference_chromatic,
     reference_conflict_graph,
     reference_exact_bc,
@@ -171,6 +168,19 @@ def test_exact_bc_examples():
         assert exact_bc(gen_copath(n).graph).value == ceil_log2(n - 1)
     assert exact_bc(Graph(3)).value == 0
     assert exact_bc(Graph(2, [(0, 1)])).value == 1
+
+
+def test_bc_and_bp_count_the_complements_cliques_under_the_callers_caps():
+    # the log-mc floor lists the cliques of the complement of a graph that
+    # the caller's caps admitted; the 20-vertex value budget must not refuse it
+    g = gen_copath(22).graph
+    budget = OracleBudget(30, 435, 10.0)
+    bc = exact_bc(g, budget)
+    assert (bc.lower, bc.upper) == (5, 5)  # ceil(log2(21))
+    assert verify_cover(g, bc.certificate)
+    bp = exact_bp(g, budget)
+    assert (bp.lower, bp.upper) == (14, 14)  # ceil(2 (n - 2) / 3)
+    assert verify_partition(g, bp.certificate)
 
 
 def test_exact_bc_certificate_is_a_cover():
@@ -540,16 +550,6 @@ def test_clique_searches_take_no_frame_per_clique_vertex():
         sys.setrecursionlimit(limit)
     assert cliques == [tuple(range(200))]
     assert (omega.value, omega.certificate) == (200, tuple(range(200)))
-
-
-def test_exhaustive_ranking_examples():
-    p5 = Tree(5, [(i, i + 1) for i in range(4)])
-    assert exhaustive_edge_ranking(p5) == 3
-    star4 = Tree(5, [(0, i) for i in range(1, 5)])
-    assert exhaustive_edge_ranking(star4) == 4
-    assert exhaustive_edge_ranking(Tree(1, [])) == 0
-    with pytest.raises(BudgetExceededError):
-        exhaustive_edge_ranking(Tree(12, [(i, i + 1) for i in range(11)]))
 
 
 def test_cochordal_window_theorems():

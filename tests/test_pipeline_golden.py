@@ -1,7 +1,7 @@
 """Golden record of the cover and partition pipeline on small seeded graphs.
 
 ``data/pipeline_golden.json`` holds, per graph, the text of
-``cover_cochordal``'s cover and of both ``find_partition`` policies, plus the
+``cover_cochordal``'s cover and of ``find_partition``'s partition, plus the
 cover's ranking r and level sizes.  Any change to what the pipeline builds
 shows up here as a diff.  After a deliberate change of output, rewrite the
 record with ``PYTHONPATH=src python tests/test_pipeline_golden.py``.
@@ -49,8 +49,7 @@ def pipeline_record(g):
     tree = complement_clique_tree(g)
     return {
         "cover": bicliques_to_text(cover),
-        "partition_balanced": bicliques_to_text(find_partition(tree, "balanced")),
-        "partition_first": bicliques_to_text(find_partition(tree, "first")),
+        "partition_balanced": bicliques_to_text(find_partition(tree)),
         "mc_complement": meta.mc_complement,
         "ranking_r": meta.ranking_r,
         "level_sizes_before": [meta.level_sizes_before[k]

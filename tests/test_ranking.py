@@ -9,7 +9,6 @@ from bccover import (
     Tree,
     ceil_log2,
     edge_ranking_lower_bound,
-    exhaustive_edge_ranking,
     heuristic_edge_ranking,
     is_valid_edge_ranking,
     optimal_edge_ranking,
@@ -108,12 +107,12 @@ def test_exhaustive_oracle_on_adversarial_edge_orderings():
     # relabeled paths whose separating middle edges sort last lexicographically;
     # a prefix-only separation check would accept invalid assignments here
     relabeled_p4 = Tree(5, [(0, 3), (1, 4), (3, 4), (2, 0)])
-    assert exhaustive_edge_ranking(relabeled_p4) == 3  # it is a 5-vertex path
+    assert naive_optimal_ranks(relabeled_p4)[1] == 3  # it is a 5-vertex path
     _, r = optimal_edge_ranking(relabeled_p4)
     assert r == 3
     zigzag = Tree(6, [(0, 4), (1, 5), (2, 4), (3, 5), (4, 5)])
     _, r = optimal_edge_ranking(zigzag)
-    assert exhaustive_edge_ranking(zigzag) == r
+    assert naive_optimal_ranks(zigzag)[1] == r
 
 
 def test_optimal_matches_exhaustive_oracle_on_random_trees():
@@ -122,7 +121,7 @@ def test_optimal_matches_exhaustive_oracle_on_random_trees():
         n = rng.randrange(2, 11)
         tree = Tree(n, random_tree_edges(n, rng))
         _, r = optimal_edge_ranking(tree)
-        assert r == exhaustive_edge_ranking(tree)
+        assert r == naive_optimal_ranks(tree)[1]
 
 
 def test_recursion_characterization_on_all_small_trees():

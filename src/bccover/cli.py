@@ -278,7 +278,7 @@ def cmd_gen(args):
         elif args.family == "random-chordal":
             g = gen_mod.gen_random_chordal(args.n, args.density, args.seed)
             inst = gen_mod.NamedInstance(
-                name="random-chordal-%d-%s" % (args.n, args.seed),
+                name="random-chordal-%d-%s-%d" % (args.n, args.density, args.seed),
                 graph=g,
                 labels=tuple("v%d" % i for i in range(g.n)),
                 expected={},

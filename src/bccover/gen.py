@@ -3,6 +3,13 @@
 The named instances carry their known cover numbers so tests and the CLI can
 pin results without re-deriving them.  All random generators are
 deterministic functions of their seed.
+
+Graphs are built as neighbourhood masks, as :class:`Graph` stores them, and
+no edge list is made.  A clique or windmill blade is one vertex mask that
+each member ORs into its own; :func:`gen_random_chordal` grows each clique
+by ANDing its members' masks, O(n * k) big-int steps for k-vertex cliques.
+Every seeded output is the graph that the earlier set-based generators
+gave, bit for bit.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ import random
 import string
 from dataclasses import dataclass, field
 
-from .graph import Graph, complete_graph, path_graph
+from .graph import Graph, complete_graph, mask_vertices, path_graph, vertex_mask
 from .ranking import Tree, ceil_log2
 
 
@@ -56,13 +63,21 @@ def windmill_graph(m, k):
     """m copies of K_k sharing vertex 0."""
     if m < 1 or k < 2:
         raise ValueError("windmill needs m >= 1 blades of size k >= 2")
-    edges = []
-    for blade in range(m):
-        members = [0] + [1 + blade * (k - 1) + t for t in range(k - 1)]
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                edges.append((members[i], members[j]))
-    return Graph(1 + m * (k - 1), edges)
+    blade = (1 << (k - 1)) - 1
+    return _clique_union(
+        1 + m * (k - 1), (blade << (1 + b * (k - 1)) | 1 for b in range(m))
+    )
+
+
+def _clique_union(n, cliques):
+    """Graph on 0..n-1 whose edges are the pairs inside some vertex mask of
+    ``cliques``: each member ORs in its clique's mask, one big-int step per
+    member."""
+    masks = [0] * n
+    for clique in cliques:
+        for u in mask_vertices(clique):
+            masks[u] |= clique
+    return Graph._from_masks([mask & ~(1 << u) for u, mask in enumerate(masks)])
 
 
 def gen_cowindmill(m, k):
@@ -130,29 +145,35 @@ def gen_random_chordal(n, density=0.5, seed=0):
     the density knob scales the target clique size (0 gives a tree, 1 the
     complete graph).  Chordal by construction: the reverse insertion order is
     a perfect elimination ordering.
+
+    The clique grows from a random anchor; each next member is drawn from
+    the ascending list of vertices adjacent to every member so far, the set
+    bits of ``common``, the AND of the members' neighbourhood masks.  A
+    k-vertex clique costs O(k) big-int steps and k candidate listings, so
+    the graph costs O(n * k) big-int steps; the draws, and so every seeded
+    graph, are those of the earlier set-based loop.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
     if not 0 <= density <= 1:
         raise ValueError("density must be in [0, 1]")
     rng = random.Random(seed)
-    adj = [set() for _ in range(n)]
+    masks = [0] * n
     for v in range(1, n):
         target = 1 + round(density * (v - 1))
         anchor = rng.randrange(v)
-        clique = {anchor}
-        while len(clique) < target:
-            candidates = [
-                u for u in range(v)
-                if u not in clique and all(u in adj[w] for w in clique)
-            ]
-            if not candidates:
+        clique = 1 << anchor
+        common = masks[anchor]
+        for _ in range(target - 1):
+            if not common:
                 break
-            clique.add(rng.choice(candidates))
-        for u in clique:
-            adj[v].add(u)
-            adj[u].add(v)
-    return Graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+            u = rng.choice(mask_vertices(common))
+            clique |= 1 << u
+            common &= masks[u]
+        masks[v] = clique
+        for u in mask_vertices(clique):
+            masks[u] |= 1 << v
+    return Graph._from_masks(masks)
 
 
 def gen_two_membership_cochordal(tree, node_sizes, mid_sizes, seed=0):
@@ -172,50 +193,32 @@ def gen_two_membership_cochordal(tree, node_sizes, mid_sizes, seed=0):
         raise ValueError("need one size per tree edge")
     if any(s < 1 for s in node_sizes) or any(s < 1 for s in mid_sizes):
         raise ValueError("sizes must be at least 1")
-    incident = {i: [] for i in range(d)}
-    for e, size in zip(tree.edges, mid_sizes):
-        incident[e[0]].append(size)
-        incident[e[1]].append(size)
+    members = [[] for _ in range(d)]
+    n = 0
+    for (i, j), size in zip(tree.edges, mid_sizes):
+        mid = range(n, n + size)
+        members[i].append(mid)
+        members[j].append(mid)
+        n += size
     for i in range(d):
-        total = sum(incident[i])
+        total = sum(map(len, members[i]))
         if node_sizes[i] < total:
             raise ValueError(
                 "clique %d of size %d cannot hold middle sets totalling %d"
                 % (i, node_sizes[i], total)
             )
-        if len(incident[i]) == 1 and node_sizes[i] == total:
+        if len(members[i]) == 1 and node_sizes[i] == total:
             raise ValueError(
                 "leaf clique %d equals its middle set and would not be maximal" % i
             )
+        members[i].append(range(n, n + node_sizes[i] - total))
+        n += node_sizes[i] - total
 
-    counter = 0
-
-    def take(k):
-        nonlocal counter
-        ids = list(range(counter, counter + k))
-        counter += k
-        return ids
-
-    mids = {e: take(size) for e, size in zip(tree.edges, mid_sizes)}
-    cliques = []
-    for i in range(d):
-        members = []
-        for e in tree.edges:
-            if i in e:
-                members.extend(mids[e])
-        members.extend(take(node_sizes[i] - len(members)))
-        cliques.append(members)
-
-    n = counter
     perm = list(range(n))
     random.Random(seed).shuffle(perm)
-    edges = set()
-    for members in cliques:
-        relabeled = [perm[v] for v in members]
-        for i in range(len(relabeled)):
-            for j in range(i + 1, len(relabeled)):
-                edges.add((relabeled[i], relabeled[j]))
-    chordal = Graph(n, edges)
+    chordal = _clique_union(
+        n, (vertex_mask(perm[v] for part in parts for v in part) for parts in members)
+    )
     return NamedInstance(
         name="two-membership-%d-%d" % (d, seed),
         graph=chordal.complement(),

@@ -1259,3 +1259,60 @@ def random_cochordal(n, density, seed):
     from bccover import gen_random_chordal
 
     return gen_random_chordal(n, density, seed).complement()
+
+
+def reference_random_chordal(n, density=0.5, seed=0):
+    """The set-based ``gen_random_chordal``: each clique grows by a draw from
+    the ascending list of vertices adjacent to all of it, found by scanning
+    every earlier vertex; O(n^2 * k) for k-vertex cliques."""
+    rng = random.Random(seed)
+    adj = [set() for _ in range(n)]
+    for v in range(1, n):
+        target = 1 + round(density * (v - 1))
+        anchor = rng.randrange(v)
+        clique = {anchor}
+        while len(clique) < target:
+            candidates = [
+                u for u in range(v)
+                if u not in clique and all(u in adj[w] for w in clique)
+            ]
+            if not candidates:
+                break
+            clique.add(rng.choice(candidates))
+        for u in clique:
+            adj[v].add(u)
+            adj[u].add(v)
+    return Graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+
+
+def reference_two_membership(tree, node_sizes, mid_sizes, seed=0):
+    """The edge-set ``gen_two_membership_cochordal`` for valid sizes: the
+    complement graph, with every clique listed pair by pair."""
+    counter = 0
+
+    def take(k):
+        nonlocal counter
+        ids = list(range(counter, counter + k))
+        counter += k
+        return ids
+
+    mids = {e: take(size) for e, size in zip(tree.edges, mid_sizes)}
+    cliques = []
+    for i in range(tree.n):
+        members = []
+        for e in tree.edges:
+            if i in e:
+                members.extend(mids[e])
+        members.extend(take(node_sizes[i] - len(members)))
+        cliques.append(members)
+
+    n = counter
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    edges = set()
+    for members in cliques:
+        relabeled = [perm[v] for v in members]
+        for i in range(len(relabeled)):
+            for j in range(i + 1, len(relabeled)):
+                edges.add((relabeled[i], relabeled[j]))
+    return Graph(n, edges).complement()

@@ -50,6 +50,17 @@ def test_gen_random_requires_seed(capsys):
     assert main(["gen", "random-chordal", "--n", "6"]) == 1
 
 
+def test_gen_random_chordal_sidecar_name_carries_the_density(tmp_path):
+    names = []
+    for density in ("0.2", "0.7"):
+        out = tmp_path / ("d%s.graph" % density)
+        assert main(["gen", "random-chordal", "--n", "30", "--density", density,
+                     "--seed", "1", "--out", str(out)]) == 0
+        sidecar = tmp_path / ("d%s.graph.expected.json" % density)
+        names.append(json.loads(sidecar.read_text())["name"])
+    assert names == ["random-chordal-30-0.2-1", "random-chordal-30-0.7-1"]
+
+
 def test_gen_two_membership(tmp_path, capsys):
     assert main(["gen", "two-membership", "--shape", "star", "--nodes", "4",
                  "--seed", "3"]) == 0

@@ -5,6 +5,7 @@ import pytest
 
 from bccover import (
     Graph,
+    Ordering,
     ceil_log2,
     clique_tree,
     clique_tree_to_text,
@@ -17,6 +18,7 @@ from bccover import (
     gen_two_membership_cochordal,
     graph_to_text,
     is_chordal,
+    is_perfect_elimination_order,
     mis_membership_counts,
     path_graph,
     verify_clique_tree,
@@ -28,6 +30,7 @@ from bccover.gen import (
     star_tree,
     windmill_graph,
 )
+from helpers import reference_random_chordal, reference_two_membership
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -117,6 +120,56 @@ def test_random_chordal_golden_file():
     assert clique_tree_to_text(clique_tree(g)) == (
         DATA / "random_chordal_n10_s7.tree.txt"
     ).read_text()
+
+
+def test_mask_generators_match_the_set_based_references():
+    # A changed draw order, or a changed candidate order, moves these masks.
+    grid = [
+        (n, density, seed)
+        for n in range(1, 31)
+        for density in (0, 0.02, 0.1, 0.3, 0.5, 0.7, 1)
+        for seed in range(3)
+    ]
+    # the benchmark's random co-chordal families
+    grid += [(100, 0.1, seed) for seed in range(12)]
+    grid += [(60, 0.1, seed) for seed in range(10)]
+    grid += [(12, 0.3, seed) for seed in range(40)]
+    grid += [(150, 0.02, 150)]
+    for n, density, seed in grid:
+        assert (
+            gen_random_chordal(n, density, seed).neighbor_masks()
+            == reference_random_chordal(n, density, seed).neighbor_masks()
+        ), (n, density, seed)
+
+    # the benchmark's two-membership shapes, plus larger middle sets
+    shapes = [(random_tree(20, k), k) for k in range(10)]
+    shapes += [(caterpillar_tree(d // 2, d - d // 2), seed)
+               for d in (60, 100) for seed in (0, d, 2 ** 31 - 1)]
+    for tree, seed in shapes:
+        degrees = [len(tree.neighbors(i)) for i in range(tree.n)]
+        for mid, extra in ((1, 2), (2, 1)):
+            sizes = [mid * deg + extra for deg in degrees]
+            mids = [mid] * len(tree.edges)
+            inst = gen_two_membership_cochordal(tree, sizes, mids, seed=seed)
+            assert (
+                inst.graph.neighbor_masks()
+                == reference_two_membership(tree, sizes, mids, seed).neighbor_masks()
+            ), (tree.edges, seed, mid)
+
+    for m in range(1, 6):
+        for k in range(2, 6):
+            blades = [[0] + list(range(1 + b * (k - 1), 1 + (b + 1) * (k - 1)))
+                      for b in range(m)]
+            edges = [(u, v) for blade in blades for u in blade for v in blade if u < v]
+            assert windmill_graph(m, k) == Graph(1 + m * (k - 1), edges), (m, k)
+
+
+def test_random_chordal_at_scale_keeps_its_elimination_order():
+    n = 600
+    for seed in range(3):
+        h = gen_random_chordal(n, 0.3, seed)
+        assert is_perfect_elimination_order(h, Ordering(tuple(range(n - 1, -1, -1))))
+        assert verify_clique_tree(h, clique_tree(h))
 
 
 def test_two_membership_path_shape_is_copath_family():

@@ -19,17 +19,14 @@ re-exported here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-
+from ._record import FrozenRecord, Record, setfield
 from .chordal import complement_clique_tree
-from .cover import CoverMetadata, cover_cochordal, cover_to_json_dict
+from .cover import cover_cochordal, cover_to_json_dict
 from .errors import BudgetExceededError, NotChordalError
 from .oracle import (
     DEFAULT_SEARCH_BUDGET,
     DEFAULT_VALUE_BUDGET,
     OracleBudget,
-    OracleResult,
     _check_caps,
     conflict_graph,
     enumerate_maximal_cliques,
@@ -100,14 +97,15 @@ def lb_omega_conflict(g, budget=None):
 
 def lb_matching(g, budget=None):
     """|maximum matching|^2 / |E| as an exact fraction (0 for no edges)."""
+    from fractions import Fraction  # imports decimal; only this bound needs it
+
     if g.m == 0:
         return Fraction(0)
     matching = exact_max_matching(g, budget).value
     return Fraction(matching * matching, g.m)
 
 
-@dataclass(frozen=True)
-class BpBcWindow:
+class BpBcWindow(FrozenRecord):
     """What is known about the partition number of a co-chordal graph.
 
     ``bp_upper_context`` is the older (3**bc - 1)/2 bound, carried for
@@ -115,9 +113,12 @@ class BpBcWindow:
     never used in any certified check.
     """
 
-    bp_upper: int
-    bc_lower_from_bp: int | None = None
-    bp_upper_context: int | None = None
+    __slots__ = ("bp_upper", "bc_lower_from_bp", "bp_upper_context")
+
+    def __init__(self, bp_upper, bc_lower_from_bp=None, bp_upper_context=None):
+        setfield(self, "bp_upper", bp_upper)
+        setfield(self, "bc_lower_from_bp", bc_lower_from_bp)
+        setfield(self, "bp_upper_context", bp_upper_context)
 
 
 def bp_bc_window(g, bc_value=None, bp_value=None):
@@ -147,29 +148,42 @@ def _window(mc, bc_value, bp_value):
 # -- aggregated report --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundEntry:
-    value: object
-    tag: str  # "exact" | "heuristic" | "conditional"
+class BoundEntry(FrozenRecord):
+    __slots__ = ("value", "tag")
+
+    def __init__(self, value, tag):
+        setfield(self, "value", value)
+        setfield(self, "tag", tag)  # "exact" | "heuristic" | "conditional"
 
 
-@dataclass
-class BoundReport:
-    n: int
-    m: int
-    lb_log_mc: BoundEntry | None = None
-    lb_log_chi: BoundEntry | None = None
-    lb_omega_conflict: BoundEntry | None = None
-    lb_matching: BoundEntry | None = None
-    ub_mc_minus_one: BoundEntry | None = None
-    ub_edge_ranking: BoundEntry | None = None
-    cover_size: int | None = None
-    cover: list | None = None
-    cover_meta: CoverMetadata | None = field(default=None, repr=False)
-    oracle_bc: OracleResult | None = None
-    oracle_bp: OracleResult | None = None
-    bp_window: BpBcWindow | None = None
-    inconsistent: bool = False
+class BoundReport(Record):
+    __slots__ = (
+        "n", "m", "lb_log_mc", "lb_log_chi", "lb_omega_conflict", "lb_matching",
+        "ub_mc_minus_one", "ub_edge_ranking", "cover_size", "cover",
+        "cover_meta", "oracle_bc", "oracle_bp", "bp_window", "inconsistent",
+    )
+    _hidden = ("cover_meta",)
+
+    def __init__(self, n, m, lb_log_mc=None, lb_log_chi=None,
+                 lb_omega_conflict=None, lb_matching=None, ub_mc_minus_one=None,
+                 ub_edge_ranking=None, cover_size=None, cover=None,
+                 cover_meta=None, oracle_bc=None, oracle_bp=None,
+                 bp_window=None, inconsistent=False):
+        self.n = n
+        self.m = m
+        self.lb_log_mc = lb_log_mc
+        self.lb_log_chi = lb_log_chi
+        self.lb_omega_conflict = lb_omega_conflict
+        self.lb_matching = lb_matching
+        self.ub_mc_minus_one = ub_mc_minus_one
+        self.ub_edge_ranking = ub_edge_ranking
+        self.cover_size = cover_size
+        self.cover = cover
+        self.cover_meta = cover_meta
+        self.oracle_bc = oracle_bc
+        self.oracle_bp = oracle_bp
+        self.bp_window = bp_window
+        self.inconsistent = inconsistent
 
     def certified_lower_bounds(self):
         out = []

@@ -15,20 +15,21 @@ component; ``CliqueTree`` holds forests as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import FrozenRecord, setfield
 from .errors import NotChordalError
 from .graph import connected_components, find_root, mask_vertices, vertex_mask
 
 
-@dataclass(frozen=True)
-class Ordering:
+class Ordering(FrozenRecord):
     """A bijection between positions 1..n and vertices.
 
     ``order[i]`` is the vertex at position i+1.
     """
 
-    order: tuple
+    __slots__ = ("order",)
+
+    def __init__(self, order):
+        setfield(self, "order", order)
 
     @property
     def n(self):
@@ -38,8 +39,7 @@ class Ordering:
         return self.order[position - 1]
 
 
-@dataclass(frozen=True)
-class CliqueTree:
+class CliqueTree(FrozenRecord):
     """Maximal cliques of a chordal graph arranged in a tree (or forest).
 
     ``nodes[i]`` is a maximal clique as an ``int`` vertex mask; ``edges``
@@ -48,8 +48,11 @@ class CliqueTree:
     computed on each read.
     """
 
-    nodes: tuple
-    edges: tuple
+    __slots__ = ("nodes", "edges")
+
+    def __init__(self, nodes, edges):
+        setfield(self, "nodes", nodes)
+        setfield(self, "edges", edges)
 
     @property
     def node_count(self):

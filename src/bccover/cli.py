@@ -14,7 +14,6 @@ override the environment.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -62,8 +61,8 @@ class _Parser(argparse.ArgumentParser):
 def _cap_override(args, attr, variable, kind):
     """A budget cap from its flag, else its environment variable, else None.
 
-    A value that is not a positive ``kind`` raises :class:`GraphFormatError`
-    naming the flag or variable it came from.
+    A value that is not a positive ``kind`` (NaN included) raises
+    :class:`GraphFormatError` naming the flag or variable it came from.
     """
     source = "--" + attr.replace("_", "-")
     value = getattr(args, attr, None)
@@ -71,7 +70,7 @@ def _cap_override(args, attr, variable, kind):
         if value is None and os.environ.get(variable):
             source, value = variable, os.environ[variable]
             value = kind(value)
-        if value is not None and value <= 0:
+        if value is not None and not value > 0:
             raise ValueError(value)
     except ValueError:
         raise GraphFormatError(
@@ -92,6 +91,14 @@ def _budget_overrides(args, base):
         edge_cap=edge,
         time_cap=time_cap if time_cap is not None else base.time_cap,
     )
+
+
+def _json(payload, indent=None):
+    """``payload`` as JSON text with sorted keys.  Only the commands that
+    write JSON import :mod:`json`, so the others start without it."""
+    import json
+
+    return json.dumps(payload, sort_keys=True, indent=indent)
 
 
 def _write_output(text, out_path):
@@ -188,16 +195,13 @@ def cmd_bounds(args):
         for path in paths:
             name, payload, code = _safe_report(path, args, value_budget, search_budget)
             payload["file"] = name
-            out_lines.append(json.dumps(payload, sort_keys=True))
+            out_lines.append(_json(payload))
             worst = max(worst, code)
         _write_output("\n".join(out_lines) + "\n", args.out)
         return worst
     report = _one_report(args.input, args, value_budget, search_budget)
     if args.format == "json":
-        _write_output(
-            json.dumps(bounds_mod.report_to_json_dict(report), sort_keys=True) + "\n",
-            args.out,
-        )
+        _write_output(_json(bounds_mod.report_to_json_dict(report)) + "\n", args.out)
     else:
         _write_output(_report_text(report), args.out)
     return EXIT_INCONSISTENT if report.inconsistent else EXIT_OK
@@ -227,8 +231,7 @@ def cmd_cover(args):
         print("internal error: produced cover failed verification", file=sys.stderr)
         return EXIT_INCONSISTENT
     if args.format == "json":
-        payload = cover_to_json_dict(cover, meta)
-        _write_output(json.dumps(payload, sort_keys=True) + "\n", args.out)
+        _write_output(_json(cover_to_json_dict(cover, meta)) + "\n", args.out)
     else:
         header = (
             "c cover size %d | mc(complement) %d | ranking r %d (optimal) | all-le-2 %s\n"
@@ -305,8 +308,7 @@ def cmd_gen(args):
             "source": inst.source,
         }
         with open(args.out + ".expected.json", "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(_json(sidecar, indent=2) + "\n")
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -19,10 +19,10 @@ check of the result.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
+from ._record import Record
 from .chordal import (
     CliqueTree,
     clique_membership_counts,
@@ -332,8 +332,7 @@ def merge_bicliques(items, g):
     return [Biclique._from_masks(l, r) for l, r, _, _ in kept]
 
 
-@dataclass
-class CoverMetadata:
+class CoverMetadata(Record):
     """What the cover pipeline did and saw along the way.
 
     ``verified`` records the pipeline's own check of its result: the cover
@@ -342,15 +341,26 @@ class CoverMetadata:
     ``ranking_optimal`` is always True: the ranking is exact at every size.
     """
 
-    mc_complement: int
-    ranking_r: int
-    ranking_optimal: bool
-    all_le_two: bool
-    membership_counts: tuple
-    level_sizes_before: dict = field(default_factory=dict)
-    level_sizes_after: dict = field(default_factory=dict)
-    tree: CliqueTree | None = None
-    verified: bool = False
+    __slots__ = (
+        "mc_complement", "ranking_r", "ranking_optimal", "all_le_two",
+        "membership_counts", "level_sizes_before", "level_sizes_after",
+        "tree", "verified",
+    )
+
+    def __init__(self, mc_complement, ranking_r, ranking_optimal, all_le_two,
+                 membership_counts, level_sizes_before=None,
+                 level_sizes_after=None, tree=None, verified=False):
+        self.mc_complement = mc_complement
+        self.ranking_r = ranking_r
+        self.ranking_optimal = ranking_optimal
+        self.all_le_two = all_le_two
+        self.membership_counts = membership_counts
+        self.level_sizes_before = (
+            {} if level_sizes_before is None else level_sizes_before
+        )
+        self.level_sizes_after = {} if level_sizes_after is None else level_sizes_after
+        self.tree = tree
+        self.verified = verified
 
 
 def cover_cochordal(g):

@@ -15,29 +15,30 @@ gave, bit for bit.
 from __future__ import annotations
 
 import random
-import string
-from dataclasses import dataclass, field
 
+from ._record import FrozenRecord, setfield
 from .graph import Graph, complete_graph, mask_vertices, path_graph, vertex_mask
 from .ranking import Tree, ceil_log2
 
 
 def _letters(n):
     if n <= 26:
-        return tuple(string.ascii_lowercase[:n])
+        return tuple("abcdefghijklmnopqrstuvwxyz"[:n])
     return tuple("v%d" % i for i in range(n))
 
 
-@dataclass(frozen=True)
-class NamedInstance:
+class NamedInstance(FrozenRecord):
     """A generated graph with its label table and known values."""
 
-    name: str
-    graph: Graph
-    labels: tuple
-    expected: dict = field(default_factory=dict)
-    source: str = ""
-    shape: Tree | None = None
+    __slots__ = ("name", "graph", "labels", "expected", "source", "shape")
+
+    def __init__(self, name, graph, labels, expected=None, source="", shape=None):
+        setfield(self, "name", name)
+        setfield(self, "graph", graph)
+        setfield(self, "labels", labels)
+        setfield(self, "expected", {} if expected is None else expected)
+        setfield(self, "source", source)
+        setfield(self, "shape", shape)
 
     def label_of(self, v):
         return self.labels[v]

@@ -303,9 +303,18 @@ def graph_from_text(text):
     return g
 
 
-def read_graph(path):
+def read_text(path):
+    """The UTF-8 text of the file at ``path``; bytes that are not UTF-8
+    raise :class:`GraphFormatError`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_text(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError("not UTF-8 text: %s" % exc) from None
+
+
+def read_graph(path):
+    return graph_from_text(read_text(path))
 
 
 def write_graph(g, path):

@@ -36,23 +36,24 @@ explicit stack too.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
+from ._record import FrozenRecord, Record, setfield
 from .chordal import clique_tree
 from .cover import Biclique, find_partition
 from .errors import BudgetExceededError, NotChordalError
 from .graph import Graph, mask_vertices
 from .ranking import ceil_log2
 
-@dataclass(frozen=True)
-class OracleBudget:
-    vertex_cap: int
-    edge_cap: int
-    time_cap: float
+class OracleBudget(FrozenRecord):
+    __slots__ = ("vertex_cap", "edge_cap", "time_cap")
 
-    def __post_init__(self):
-        if self.vertex_cap <= 0 or self.edge_cap <= 0 or self.time_cap <= 0:
+    def __init__(self, vertex_cap, edge_cap, time_cap):
+        # "not > 0" also refuses a NaN time cap, which no deadline would reach
+        if not (vertex_cap > 0 and edge_cap > 0 and time_cap > 0):
             raise ValueError("budget caps must be positive")
+        setfield(self, "vertex_cap", vertex_cap)
+        setfield(self, "edge_cap", edge_cap)
+        setfield(self, "time_cap", time_cap)
 
 
 # bc/bp searches blow up fastest; value oracles (coloring, matching, clique
@@ -61,14 +62,19 @@ DEFAULT_SEARCH_BUDGET = OracleBudget(vertex_cap=14, edge_cap=96, time_cap=10.0)
 DEFAULT_VALUE_BUDGET = OracleBudget(vertex_cap=20, edge_cap=190, time_cap=10.0)
 
 
-@dataclass
-class OracleResult:
-    """Lower/upper window with an optional certificate for the upper side."""
+class OracleResult(Record):
+    """Lower/upper window with an optional certificate for the upper side.
 
-    lower: int
-    upper: int
-    certificate: object = None
-    stats: dict | None = None  # search counters, where the oracle keeps them
+    ``stats`` holds search counters, where the oracle keeps them.
+    """
+
+    __slots__ = ("lower", "upper", "certificate", "stats")
+
+    def __init__(self, lower, upper, certificate=None, stats=None):
+        self.lower = lower
+        self.upper = upper
+        self.certificate = certificate
+        self.stats = stats
 
     @property
     def exact(self):

@@ -23,10 +23,9 @@ once to learn the balance of all of its k - 1 cuts.  Its ranks drive the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._record import FrozenRecord, setfield
 from .errors import GraphFormatError
-from .graph import find_root
+from .graph import find_root, read_text
 
 
 def ceil_log2(n):
@@ -81,11 +80,13 @@ class Tree:
         return "Tree(n=%d)" % self.n
 
 
-@dataclass(frozen=True)
-class EdgeRanking:
+class EdgeRanking(FrozenRecord):
     """Rank assignment for the edges of one tree; ranks are 1..r."""
 
-    ranks: dict = field(default_factory=dict)
+    __slots__ = ("ranks",)
+
+    def __init__(self, ranks=None):
+        setfield(self, "ranks", {} if ranks is None else ranks)
 
     @property
     def r(self):
@@ -394,5 +395,4 @@ def tree_from_text(text):
 
 
 def read_tree(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return tree_from_text(fh.read())
+    return tree_from_text(read_text(path))

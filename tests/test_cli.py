@@ -388,6 +388,9 @@ def test_oracle_bp_loads_numpy_and_prints_the_partition(fig3_path):
         ({"BCCOVER_VERTEX_CAP": "abc"}, [], "BCCOVER_VERTEX_CAP"),
         ({"BCCOVER_TIME_CAP": "x"}, [], "BCCOVER_TIME_CAP"),
         ({}, ["--vertex-cap", "0"], "--vertex-cap"),
+        # NaN is not > 0; accepted, it was a cap that no deadline passes
+        ({"BCCOVER_TIME_CAP": "nan"}, [], "BCCOVER_TIME_CAP"),
+        ({}, ["--time-cap", "nan"], "--time-cap"),
     ],
 )
 def test_bad_budget_value_is_a_parse_error(
@@ -399,3 +402,36 @@ def test_bad_budget_value_is_a_parse_error(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("parse error:") and named in err[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cover"], ["partition"], ["bounds"], ["bounds", "--no-oracle"], ["tree"],
+     ["oracle", "clique"], ["verify"]],
+)
+def test_a_graph_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, argv):
+    path = tmp_path / "bad.graph"
+    path.write_bytes(b"p 2 1\n0 1\nc \xff\n")
+    cover = tmp_path / "c.cover"
+    cover.write_text("L: 0 | R: 1\n")
+    paths = [str(path), str(cover)] if argv == ["verify"] else [str(path)]
+    assert main(argv + paths) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and "UTF-8" in err
+
+
+def test_a_tree_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.tree"
+    path.write_bytes(b"t 2\n\xff 1\n")
+    assert main(["rank", "--tree", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("parse error:")
+
+
+def test_bounds_dir_reports_a_file_that_is_not_utf8_and_goes_on(tmp_path, capsys):
+    write_graph(gen_copath(5).graph, tmp_path / "a.graph")
+    (tmp_path / "b.graph").write_bytes(b"p 2 1\n\xff 1\n")
+    assert main(["bounds", str(tmp_path), "--dir", "--no-oracle"]) == 1
+    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert [l["file"] for l in lines] == ["a.graph", "b.graph"]
+    assert lines[0]["cover"]["size"] == 2
+    assert set(lines[1]) == {"error", "file"} and "UTF-8" in lines[1]["error"]

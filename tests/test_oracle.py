@@ -64,6 +64,13 @@ def test_budget_validation():
         enumerate_maximal_cliques(complete_graph(5), OracleBudget(4, 99, 5.0))
 
 
+@pytest.mark.parametrize("time_cap", [0.0, -1.0, float("nan")])
+def test_budget_refuses_a_time_cap_that_is_not_positive(time_cap):
+    # a NaN cap was accepted, and no deadline ever passes NaN
+    with pytest.raises(ValueError):
+        OracleBudget(14, 96, time_cap)
+
+
 def test_maximal_cliques_examples():
     assert enumerate_maximal_cliques(cycle_graph(4)) == [
         (0, 1), (0, 3), (1, 2), (2, 3),

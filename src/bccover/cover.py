@@ -499,8 +499,8 @@ def cover_to_json_dict(cover, meta):
 
 def bicliques_from_text(text, n):
     """Bicliques of a cover file for a graph on ``n`` vertices.  Raises
-    ValueError on a malformed line, and on a vertex of n or more before any
-    mask is built for it."""
+    ValueError on a malformed line, and on a vertex outside 0..n-1 before
+    any mask is built for it."""
     malformed = "line %d: expected 'L: ... | R: ...'"
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -514,7 +514,7 @@ def bicliques_from_text(text, n):
         except (ValueError, IndexError):
             raise ValueError(malformed % lineno) from None
         for v in left + right:
-            if v >= n:
+            if not 0 <= v < n:
                 raise ValueError("line %d: vertex %d out of range" % (lineno, v))
         try:
             out.append(Biclique(left, right))

@@ -7,7 +7,8 @@ deterministic functions of their seed.
 Graphs are built as neighbourhood masks, as :class:`Graph` stores them, and
 no edge list is made.  A clique or windmill blade is one vertex mask that
 each member ORs into its own; :func:`gen_random_chordal` grows each clique
-by ANDing its members' masks, O(n * k) big-int steps for k-vertex cliques.
+by ANDing its members' masks and draws each member by halving the mask
+on its bit count, O(n * k log n) big-int steps for k-vertex cliques.
 Every seeded output is the graph that the earlier set-based generators
 gave, bit for bit.
 """
@@ -148,11 +149,13 @@ def gen_random_chordal(n, density=0.5, seed=0):
     a perfect elimination ordering.
 
     The clique grows from a random anchor; each next member is drawn from
-    the ascending list of vertices adjacent to every member so far, the set
-    bits of ``common``, the AND of the members' neighbourhood masks.  A
-    k-vertex clique costs O(k) big-int steps and k candidate listings, so
-    the graph costs O(n * k) big-int steps; the draws, and so every seeded
-    graph, are those of the earlier set-based loop.
+    the vertices adjacent to every member so far, the set bits of
+    ``common``, the AND of the members' neighbourhood masks: the i-th of
+    them in ascending order for i = ``randrange(common.bit_count())``,
+    found by halving the mask without listing them.  ``rng.choice`` on the
+    listed candidates draws i the same way, so the draws, and so every
+    seeded graph, are those of the earlier set-based loop.  A k-vertex
+    clique costs O(k log n) big-int steps on ever shorter masks.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
@@ -168,13 +171,31 @@ def gen_random_chordal(n, density=0.5, seed=0):
         for _ in range(target - 1):
             if not common:
                 break
-            u = rng.choice(mask_vertices(common))
+            u = _nth_vertex(common, rng.randrange(common.bit_count()))
             clique |= 1 << u
             common &= masks[u]
         masks[v] = clique
         for u in mask_vertices(clique):
             masks[u] |= 1 << v
     return Graph._from_masks(masks)
+
+
+def _nth_vertex(mask, i):
+    """The ``i``-th lowest set bit of ``mask``, counted from 0.  Each step
+    keeps the low or the high half of the mask, whichever holds that bit by
+    ``bit_count``, so the mask halves at each step and no bit is listed."""
+    base = 0
+    while i:
+        half = mask.bit_length() >> 1
+        low = mask & (1 << half) - 1
+        count = low.bit_count()
+        if i < count:
+            mask = low
+        else:
+            mask >>= half
+            base += half
+            i -= count
+    return base + (mask & -mask).bit_length() - 1
 
 
 def gen_two_membership_cochordal(tree, node_sizes, mid_sizes, seed=0):

@@ -23,11 +23,18 @@ masks), so building a graph does not pay for an edge list that nothing reads.
 The on-disk edge-list format is one header line ``p <n> <m>`` followed by one
 ``u v`` line per edge; lines starting with ``c`` are comments.  Files written
 by :func:`graph_to_text` are canonical (header, then edges in lexicographic
-order) and round-trip bit-exactly.
+order) and round-trip bit-exactly.  :func:`graph_from_text` reads a text in
+that form in blocks: one regular-expression check per block, then one split
+per block and a lookup of each token in a table of the ids 0..n-1.  Every
+other text (comments, tabs, CRLF, a missing final newline, ids such as
+``007``) and every invalid one goes to the line loop, which defines the
+format and writes each error with its line number; both paths give the same
+graph for the same text.
 """
 
 from __future__ import annotations
 
+import re
 from itertools import compress
 
 from .errors import GraphFormatError
@@ -259,11 +266,71 @@ def graph_to_text(g):
 
 
 def graph_from_text(text):
-    """Parse the edge-list format.  Each edge line is checked once, with the
-    line number in its error, and goes straight into the neighbourhood sets,
-    which the header sizes; the masks are built from the sets as
+    """Parse the edge-list format.  A canonical text, as
+    :func:`graph_to_text` writes it, is read in blocks by
+    :func:`_read_canonical`; every other text, and a canonical one that
+    breaks a rule the blocks do not check, goes to :func:`_read_lines`,
+    which defines the format and writes every error.  Both give the same
+    graph for the same text."""
+    g = _read_canonical(text)
+    return _read_lines(text) if g is None else g
+
+
+# A canonical text: the header, then one "u v" line per edge, with ASCII
+# digits, single spaces and a newline after every line.  A header field may
+# carry leading zeros, which int() reads as the line loop does.
+_CANONICAL_HEADER = re.compile(r"p ([0-9]+) ([0-9]+)\n")
+_CANONICAL_EDGES = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
+# A whole-text match keeps state for each repeat (12.9 MB on a 324 KB file)
+# and a whole-text split a string per token, so the body goes in blocks of
+# about this many characters, each cut just after a newline.
+_BLOCK = 1 << 14
+
+
+def _read_canonical(text):
+    """The graph of a canonical ``text``, or None for any other text and
+    for one whose ids, self-loops or edge count the line loop must judge.
+
+    Every block is checked before anything is sized from the header, then
+    each block is split and its tokens looked up in a table of the
+    canonical ids 0..n-1, which is several times faster than int(); an id
+    not in the table (n or more, or ``007``) ends the read."""
+    head = _CANONICAL_HEADER.match(text)
+    if head is None:
+        return None
+    cuts = [head.end()]
+    while cuts[-1] < len(text):
+        start = cuts[-1]
+        end = text.find("\n", start + _BLOCK) + 1 or len(text)
+        if not _CANONICAL_EDGES.fullmatch(text, start, end):
+            return None
+        cuts.append(end)
+    n, m = int(head[1]), int(head[2])
+    adj = [set() for _ in range(n)]
+    if len(cuts) > 1:
+        vertex = {str(v): v for v in range(n)}.__getitem__
+        try:
+            for start, end in zip(cuts, cuts[1:]):
+                ids = map(vertex, text[start:end].split())
+                for u, v in zip(ids, ids):
+                    adj[u].add(v)
+                    adj[v].add(u)
+        except KeyError:
+            return None
+    if any(v in s for v, s in enumerate(adj)):
+        return None
+    g = Graph._from_masks(_set_masks(adj))
+    return g if g.m == m else None
+
+
+def _read_lines(text):
+    """Parse the edge-list format line by line.  Each edge line is checked
+    once, with the line number in its error, and its pair is kept in a set
+    per vertex that it names; nothing is sized from the header until every
+    line has passed, and the masks are built from the sets as
     :class:`Graph` builds them."""
     n = None
+    adj = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
         if not parts or parts[0][0] == "c":
@@ -279,7 +346,6 @@ def graph_from_text(text):
                 raise GraphFormatError("non-integer header field", lineno) from None
             if n < 0 or m < 0:
                 raise GraphFormatError("negative header field", lineno)
-            adj = [set() for _ in range(n)]
             continue
         if n is None:
             raise GraphFormatError("edge before 'p' header", lineno)
@@ -291,11 +357,11 @@ def graph_from_text(text):
             raise GraphFormatError("non-integer vertex", lineno) from None
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise GraphFormatError("invalid edge %d %d" % (u, v), lineno)
-        adj[u].add(v)
-        adj[v].add(u)
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
     if n is None:
         raise GraphFormatError("missing 'p <n> <m>' header")
-    g = Graph._from_masks(_set_masks(adj))
+    g = Graph._from_masks(_set_masks([adj.get(v, ()) for v in range(n)]))
     if g.m != m:
         raise GraphFormatError(
             "header claims %d edges, file has %d distinct edges" % (m, g.m)

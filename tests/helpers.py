@@ -1285,6 +1285,29 @@ def reference_random_chordal(n, density=0.5, seed=0):
     return Graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
 
 
+def reference_listing_random_chordal(n, density=0.5, seed=0):
+    """The mask-native ``gen_random_chordal`` that lists its candidates:
+    each draw is ``rng.choice`` over the ascending set bits of ``common``;
+    O(n^3) at a fixed density."""
+    rng = random.Random(seed)
+    masks = [0] * n
+    for v in range(1, n):
+        target = 1 + round(density * (v - 1))
+        anchor = rng.randrange(v)
+        clique = 1 << anchor
+        common = masks[anchor]
+        for _ in range(target - 1):
+            if not common:
+                break
+            u = rng.choice(mask_vertices(common))
+            clique |= 1 << u
+            common &= masks[u]
+        masks[v] = clique
+        for u in mask_vertices(clique):
+            masks[u] |= 1 << v
+    return Graph._from_masks(masks)
+
+
 def reference_two_membership(tree, node_sizes, mid_sizes, seed=0):
     """The edge-set ``gen_two_membership_cochordal`` for valid sizes: the
     complement graph, with every clique listed pair by pair."""

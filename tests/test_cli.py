@@ -146,8 +146,8 @@ def test_cover_fig2_text_and_verify_round_trip(tmp_path, capsys):
 
 
 def test_verify_rejects_negative_vertex_as_parse_error(tmp_path, capsys):
-    # a biclique cannot hold a negative vertex, so the cover file fails to
-    # parse (exit 1), as a graph file with an invalid vertex does
+    # a negative vertex is out of range, so the cover file fails to parse
+    # (exit 1) with an error that names the vertex, as for one of n or more
     graph_path = tmp_path / "copath6.graph"
     write_graph(gen_copath(6).graph, graph_path)
     cover_path = tmp_path / "neg.cover"
@@ -155,7 +155,7 @@ def test_verify_rejects_negative_vertex_as_parse_error(tmp_path, capsys):
     assert main(["verify", str(graph_path), str(cover_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "parse error: line 1" in captured.err
+    assert captured.err == "parse error: line 1: vertex -1 out of range\n"
 
 
 def test_verify_rejects_huge_vertex_before_building_a_mask(tmp_path, capsys):

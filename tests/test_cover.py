@@ -663,8 +663,10 @@ def test_serialization_round_trip():
     assert bicliques_from_text(text, 5) == cover
     with pytest.raises(ValueError):
         bicliques_from_text("L: 0 1 R: 2\n", 5)
-    with pytest.raises(ValueError, match="line 2: expected"):
+    with pytest.raises(ValueError, match="^line 2: vertex -1 out of range$"):
         bicliques_from_text("L: 0 | R: 4\nL: -1 | R: 1\n", 5)
+    with pytest.raises(ValueError, match="^line 1: vertex -3 out of range$"):
+        bicliques_from_text("L: 0 | R: 1 -3\n", 5)
     with pytest.raises(ValueError, match="^line 2: vertex 5 out of range$"):
         bicliques_from_text("L: 0 | R: 4\nL: 1 | R: 5\n", 5)
 

@@ -30,7 +30,11 @@ from bccover.gen import (
     star_tree,
     windmill_graph,
 )
-from helpers import reference_random_chordal, reference_two_membership
+from helpers import (
+    reference_listing_random_chordal,
+    reference_random_chordal,
+    reference_two_membership,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -162,6 +166,22 @@ def test_mask_generators_match_the_set_based_references():
                       for b in range(m)]
             edges = [(u, v) for blade in blades for u in blade for v in blade if u < v]
             assert windmill_graph(m, k) == Graph(1 + m * (k - 1), edges), (m, k)
+
+
+def test_random_chordal_draws_as_the_listing_loop_does():
+    # The i-th set bit for i = randrange(k) is what rng.choice draws from
+    # the k listed candidates, so not one graph may move.
+    grid = [
+        (n, density, seed)
+        for n in range(1, 41)
+        for density in (0, 0.3, 1)
+        for seed in range(5)
+    ]
+    grid += [(300, density, seed) for density in (0.02, 0.3, 0.8) for seed in (0, 1)]
+    for n, density, seed in grid:
+        assert gen_random_chordal(n, density, seed) == reference_listing_random_chordal(
+            n, density, seed
+        ), (n, density, seed)
 
 
 def test_random_chordal_at_scale_keeps_its_elimination_order():

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import networkx as nx
@@ -11,6 +12,7 @@ from bccover import (
     GraphFormatError,
     complete_graph,
     cycle_graph,
+    gen_copath,
     gen_fig_graph,
     graph_from_text,
     graph_to_text,
@@ -324,3 +326,106 @@ def test_graph_from_text_matches_constructor_on_both_mask_kinds():
 def test_text_format_parsing():
     g = graph_from_text("c comment\np 3 2\n0 1\nc another\n1 2\n")
     assert g == path_graph(3)
+
+
+def _outcome(read, text):
+    """What ``read`` makes of ``text``: the graph, or the error's message
+    and line."""
+    try:
+        return read(text)
+    except GraphFormatError as exc:
+        return str(exc), exc.line
+
+
+def _mutants(text, n, m, rng):
+    """Texts one edit away from the canonical ``text`` of a graph with
+    ``n`` vertices and ``m`` edges."""
+    body = text.index("\n") + 1
+    lines = [body] + [i + 1 for i in range(body, len(text) - 1) if text[i] == "\n"]
+    tokens = [t.start() for t in re.finditer("[0-9]+", text)]
+    spaces = [i for i in range(len(text)) if text[i] == " "]
+    digits = [i for i in range(len(text)) if text[i].isdigit()]
+
+    def put(i, s, cut=0):
+        return text[:i] + s + text[i + cut:]
+
+    out = [
+        put(rng.randrange(len(text)), "", 1),
+        put(rng.randrange(len(text) + 1), rng.choice("0123456789 \npc-+\t")),
+        put(rng.choice(tokens), "0"),
+        put(rng.choice(tokens), "+"),
+        put(rng.choice(spaces), "\t", 1),
+        text.replace("\n", "\r\n"),
+        put(rng.choice(lines) - 1, "\r"),
+        text[:-1],
+        put(rng.choice(lines), "c a comment\n"),
+        put(rng.choice(lines), "p %d %d\n" % (n, m)),
+        put(rng.choice(lines), "%d %d\n" % ((rng.randrange(n),) * 2 if n else (0, 0))),
+        put(rng.choice(lines), "%d 0\n" % (n + rng.randrange(3))),
+        put(rng.choice(lines), "0 %d\n" % (n + rng.randrange(3))),
+        text.replace("p %d %d\n" % (n, m), "p %d %d\n" % (n, m + 1), 1),
+        text.replace("p %d %d\n" % (n, m), "p %d %d\n" % (n, m - 1), 1),
+        text.replace("p %d %d\n" % (n, m), "p %d %d\n" % (n + 1, m), 1),
+    ]
+    if digits:
+        i = rng.choice(digits)
+        out.append(put(i, chr(0x660 + int(text[i])), 1))  # an Arabic-Indic digit
+    if len(lines) > 1:
+        i = rng.choice(lines[:-1])
+        u, v = text[i:text.index("\n", i)].split()
+        out.append(put(i, "%s %s\n" % (v, u)))  # a repeated edge, reversed
+        out.append(put(i, "%s %s\n" % (v, u), text.index("\n", i) + 1 - i))  # reversed
+    return out
+
+
+def test_bulk_reader_matches_line_loop(monkeypatch):
+    line_loop = graph_module._read_lines
+    entered = []
+    monkeypatch.setattr(
+        graph_module, "_read_lines", lambda text: entered.append(1) or line_loop(text)
+    )
+    rng = random.Random(21)
+    graphs = [gen_copath(n).graph for n in list(range(3, 41)) + [60, 100, 150, 300]]
+    graphs += [er_graph(n, p, rng) for n in range(13) for p in (0.0, 0.3, 1.0)]
+    graphs += [er_graph(120, 0.5, rng), Graph(5000, [(0, 4999)])]
+    for g in graphs:
+        text = graph_to_text(g)
+        assert graph_from_text(text) == g
+        assert entered == [], text[:20]
+        for mutant in _mutants(text, g.n, g.m, rng):
+            assert _outcome(graph_from_text, mutant) == _outcome(line_loop, mutant), (
+                mutant[:40]
+            )
+        entered.clear()
+    # the largest bodies span many blocks
+    assert len(graph_to_text(gen_copath(300).graph)) > 16 * graph_module._BLOCK
+
+
+def _parse_peak(read, text):
+    tracemalloc.start()
+    try:
+        read(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bulk_reader_peaks_no_higher_than_line_loop():
+    for g in (er_graph(300, 0.8, random.Random(4)), gen_copath(150).graph):
+        text = graph_to_text(g)
+        assert graph_module._read_canonical(text) == g
+        bulk = _parse_peak(graph_from_text, text)
+        assert bulk <= _parse_peak(graph_module._read_lines, text), g
+
+
+def test_graph_from_text_sizes_nothing_from_a_header_before_a_bad_line():
+    # 200000 vertices' neighbourhood sets alone would take about 40 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphFormatError) as err:
+            graph_from_text("p 200000 0\np 1 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "line 2: duplicate header" and err.value.line == 2
+    assert peak < 1 << 20

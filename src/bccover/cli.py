@@ -298,7 +298,6 @@ def cmd_gen(args):
     except ValueError as exc:
         print("precondition failed: %s" % exc, file=sys.stderr)
         return EXIT_PRECONDITION
-    text = graph_to_text(inst.graph)
     if args.out:
         write_graph(inst.graph, args.out)
         sidecar = {
@@ -310,7 +309,7 @@ def cmd_gen(args):
         with open(args.out + ".expected.json", "w", encoding="utf-8") as fh:
             fh.write(_json(sidecar, indent=2) + "\n")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(graph_to_text(inst.graph))
     return EXIT_OK
 
 

@@ -16,26 +16,30 @@ bits instead of |L| * |R| lookups.  The cover layer's bicliques keep their
 sides as masks and are tested that way; :meth:`Graph.is_biclique_subgraph`
 does the same for vertex iterables.  :meth:`Graph.complement` flips each mask
 against the full vertex set and lists no edges.  The constructor builds a
-dense neighbourhood from bytes rather than bit by bit, and the edge list only
-on the first call to :meth:`Graph.edges` (equality and hashing read the
-masks), so building a graph does not pay for an edge list that nothing reads.
+dense neighbourhood from bytes rather than bit by bit.  A graph holds its
+vertex count, its edge count and its masks, and nothing else: equality and
+hashing read the masks, and :meth:`Graph.edges` lists the edges afresh on
+each call, one vertex's row at a time, so no graph keeps an edge list alive.
 
 The on-disk edge-list format is one header line ``p <n> <m>`` followed by one
 ``u v`` line per edge; lines starting with ``c`` are comments.  Files written
-by :func:`graph_to_text` are canonical (header, then edges in lexicographic
-order) and round-trip bit-exactly.  :func:`graph_from_text` reads a text in
-that form in blocks: one regular-expression check per block, then one split
-per block and a lookup of each token in a table of the ids 0..n-1.  Every
-other text (comments, tabs, CRLF, a missing final newline, ids such as
-``007``) and every invalid one goes to the line loop, which defines the
-format and writes each error with its line number; both paths give the same
-graph for the same text.
+by :func:`graph_to_text` and :func:`write_graph` are canonical (header, then
+edges in lexicographic order) and round-trip bit-exactly.  Both take the
+text one vertex's edge lines at a time from :func:`_text_rows`, so writing
+a graph builds neither its edge list nor a string per edge.
+:func:`graph_from_text` reads a text in that form in blocks: one
+regular-expression check per block, then one split per block and a lookup
+of each token in a table of the ids that the text names, with a
+neighbourhood set for each of them only.  Every other text (comments, tabs,
+CRLF, a missing final newline, ids such as ``007``) and every invalid one
+goes to the line loop, which defines the format and writes each error with
+its line number; both paths give the same graph for the same text.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import compress
+from itertools import compress, repeat
 
 from .errors import GraphFormatError
 
@@ -43,7 +47,7 @@ from .errors import GraphFormatError
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_m", "_masks", "_edges")
+    __slots__ = ("n", "_m", "_masks")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -59,7 +63,6 @@ class Graph:
             adj[v].add(u)
         self._masks = _set_masks(adj)
         self._m = sum(map(len, adj)) // 2
-        self._edges = None  # listed on first use; many graphs never need it
 
     @classmethod
     def _from_masks(cls, masks):
@@ -69,7 +72,6 @@ class Graph:
         g.n = len(masks)
         g._masks = tuple(masks)
         g._m = sum(mask.bit_count() for mask in g._masks) // 2
-        g._edges = None
         return g
 
     # -- accessors ---------------------------------------------------------
@@ -80,14 +82,12 @@ class Graph:
         return self._m
 
     def edges(self):
-        """All edges as (u, v) pairs with u < v, in lexicographic order."""
-        if self._edges is None:
-            self._edges = tuple(
-                (u, v)
-                for u, mask in enumerate(self._masks)
-                for v in mask_vertices(mask >> (u + 1) << (u + 1))
-            )
-        return list(self._edges)
+        """All edges as (u, v) pairs with u < v, in lexicographic order: a
+        new list on each call, which the graph does not keep."""
+        out = []
+        for u, later in _later_neighbors(self._masks):
+            out += zip(repeat(u), later)
+        return out
 
     def degree(self, v):
         self._check_vertex(v)
@@ -189,6 +189,12 @@ def mask_vertices(mask):
     return list(compress(range(len(digits)), digits))
 
 
+def _later_neighbors(masks):
+    """(u, sorted neighbours of u above u) for each vertex u, in order."""
+    for u, mask in enumerate(masks):
+        yield u, mask_vertices(mask >> (u + 1) << (u + 1))
+
+
 def _set_masks(adj):
     """Tuple of the masks of the neighbourhood sets ``adj``, whose vertices
     must lie in 0..len(adj)-1.  Bytes pay off once a neighbourhood holds
@@ -260,9 +266,20 @@ def connected_components(g):
 
 
 def graph_to_text(g):
-    lines = ["p %d %d" % (g.n, g.m)]
-    lines.extend("%d %d" % e for e in g.edges())
-    return "\n".join(lines) + "\n"
+    """The canonical text of ``g``: the header, then its edges in
+    lexicographic order."""
+    return "".join(_text_rows(g))
+
+
+def _text_rows(g):
+    """The canonical text of ``g`` in pieces: the header line, then the edge
+    lines of each vertex u with a later neighbour as one string, ``"u v\n"``
+    for each neighbour v above u, in order."""
+    yield "p %d %d\n" % (g.n, g.m)
+    for u, later in _later_neighbors(g.neighbor_masks()):
+        if later:
+            head = "%d " % u
+            yield head + ("\n" + head).join(map(str, later)) + "\n"
 
 
 def graph_from_text(text):
@@ -292,9 +309,9 @@ def _read_canonical(text):
     for one whose ids, self-loops or edge count the line loop must judge.
 
     Every block is checked before anything is sized from the header, then
-    each block is split and its tokens looked up in a table of the
-    canonical ids 0..n-1, which is several times faster than int(); an id
-    not in the table (n or more, or ``007``) ends the read."""
+    each block is split and its tokens looked up in a :class:`_NamedIds`
+    table, which is several times faster than int(); a token that is not a
+    canonical id below n (``007``, or n or more) ends the read."""
     head = _CANONICAL_HEADER.match(text)
     if head is None:
         return None
@@ -305,22 +322,47 @@ def _read_canonical(text):
         if not _CANONICAL_EDGES.fullmatch(text, start, end):
             return None
         cuts.append(end)
-    n, m = int(head[1]), int(head[2])
-    adj = [set() for _ in range(n)]
-    if len(cuts) > 1:
-        vertex = {str(v): v for v in range(n)}.__getitem__
-        try:
-            for start, end in zip(cuts, cuts[1:]):
-                ids = map(vertex, text[start:end].split())
-                for u, v in zip(ids, ids):
-                    adj[u].add(v)
-                    adj[v].add(u)
-        except KeyError:
-            return None
+    try:
+        n, m = int(head[1]), int(head[2])
+    except ValueError:  # int() refuses 4301 digits; the line loop says why
+        return None
+    adj = [()] * n
+    vertex = _NamedIds(adj).__getitem__
+    try:
+        for start, end in zip(cuts, cuts[1:]):
+            ids = map(vertex, text[start:end].split())
+            for u, v in zip(ids, ids):
+                adj[u].add(v)
+                adj[v].add(u)
+    except KeyError:
+        return None
     if any(v in s for v, s in enumerate(adj)):
         return None
     g = Graph._from_masks(_set_masks(adj))
     return g if g.m == m else None
+
+
+class _NamedIds(dict):
+    """Token -> vertex id, for the canonical ids below ``len(adj)`` that a
+    text names.  Each is converted on first sight, when its vertex also
+    gets an empty neighbourhood set in ``adj``; any other token (too large,
+    or ``007``) is a KeyError.  So a text sizes one set and one table entry
+    per vertex it names, whatever its header says."""
+
+    __slots__ = ("adj",)
+
+    def __init__(self, adj):
+        self.adj = adj
+
+    def __missing__(self, token):
+        if len(token) > len(str(len(self.adj))):
+            raise KeyError(token)  # no id below n; int() refuses 4301 digits
+        v = int(token)
+        if v >= len(self.adj) or str(v) != token:
+            raise KeyError(token)
+        self.adj[v] = set()
+        self[token] = v
+        return v
 
 
 def _read_lines(text):
@@ -384,5 +426,7 @@ def read_graph(path):
 
 
 def write_graph(g, path):
+    """Write the text of :func:`graph_to_text` to ``path``, one vertex's
+    edge lines at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(graph_to_text(g))
+        fh.writelines(_text_rows(g))

@@ -267,11 +267,11 @@ def enumerate_maximal_bicliques(g, budget=None):
 # -- conflict graph -----------------------------------------------------------
 
 
-def _edges_at(g):
-    """Per vertex v, the mask of the indices, in ``g.edges()`` order, of the
-    edges at v."""
-    at = [0] * g.n
-    for i, (u, v) in enumerate(g.edges()):
+def _edges_at(n, edges):
+    """Per vertex v of 0..n-1, the mask of the indices, in the order of the
+    list ``edges``, of the edges at v."""
+    at = [0] * n
+    for i, (u, v) in enumerate(edges):
         at[u] |= 1 << i
         at[v] |= 1 << i
     return at
@@ -300,10 +300,11 @@ def conflict_graph(g, induced_c4_only=True):
     X - N(b) to Y - N(a).
     """
     masks = g.neighbor_masks()
-    at = _edges_at(g)
+    edges = g.edges()
+    at = _edges_at(g.n, edges)
     all_edges, all_vertices = (1 << g.m) - 1, (1 << g.n) - 1
     rows = []
-    for a, b in g.edges():
+    for a, b in edges:
         x, y = masks[a] & ~(1 << b), masks[b] & ~(1 << a)
         if induced_c4_only:
             x, y = x & ~masks[b], y & ~masks[a]
@@ -336,7 +337,7 @@ def exact_bc(g, budget=None):
     if not g.m:
         return OracleResult(0, 0, [])
     bicliques = enumerate_maximal_bicliques(g, budget)
-    at = _edges_at(g)
+    at = _edges_at(g.n, g.edges())
     sets = [_touching(at, b._left) & _touching(at, b._right) for b in bicliques]
 
     # greedy upper bound

@@ -691,7 +691,7 @@ def reference_mask_exact_bc(g, time_cap=10.0):
     if not g.m:
         return OracleResult(0, 0, [])
     bicliques = enumerate_maximal_bicliques(g)
-    at = _edges_at(g)
+    at = _edges_at(g.n, g.edges())
     sets = [_touching(at, b._left) & _touching(at, b._right) for b in bicliques]
     universe = uncovered = (1 << g.m) - 1
     greedy = []
@@ -1339,3 +1339,14 @@ def reference_two_membership(tree, node_sizes, mid_sizes, seed=0):
             for j in range(i + 1, len(relabeled)):
                 edges.add((relabeled[i], relabeled[j]))
     return Graph(n, edges).complement()
+
+
+# -- reference writer: the edge-list text that graph_to_text replaces --------
+
+
+def reference_graph_to_text(g):
+    """The canonical text as ``graph_to_text`` used to build it: the whole
+    edge list, then one string per edge."""
+    lines = ["p %d %d" % (g.n, g.m)]
+    lines.extend("%d %d" % e for e in g.edges())
+    return "\n".join(lines) + "\n"

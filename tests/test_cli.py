@@ -19,7 +19,7 @@ from bccover import (
 from bccover.cli import main
 from bccover.gen import random_tree
 from bccover.ranking import EdgeRanking, Tree, is_valid_edge_ranking, tree_to_text
-from helpers import run_python
+from helpers import reference_graph_to_text, run_python
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -35,6 +35,25 @@ def test_gen_copath_stdout_matches_golden(capsys):
     assert main(["gen", "copath", "--n", "5"]) == 0
     out = capsys.readouterr().out
     assert out == (DATA / "copath5.graph").read_text()
+
+
+def test_gen_out_streams_the_graph_once(tmp_path):
+    # the text built for stdout and a second one for the file took the
+    # child to a 272 MB peak on copath-1600, for an 11 MB file
+    path = tmp_path / "copath1600.graph"
+    script = (
+        "import sys\n"
+        "from bccover.cli import main\n"
+        "code = main(['gen', 'copath', '--n', '1600', '--out', sys.argv[1]])\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    kb = next(line.split()[1] for line in fh if line.startswith('VmHWM:'))\n"
+        "print(code, kb)\n"
+    )
+    code, kb = run_python(script, str(path)).split()
+    assert code == "0"
+    assert int(kb) < 60 * 1024
+    expected = reference_graph_to_text(gen_copath(1600).graph).encode()
+    assert path.read_bytes() == expected
 
 
 def test_gen_writes_sidecar_expected_values(tmp_path):

@@ -1,3 +1,4 @@
+import pathlib
 import random
 import re
 import tracemalloc
@@ -14,12 +15,23 @@ from bccover import (
     cycle_graph,
     gen_copath,
     gen_fig_graph,
+    gen_random_chordal,
     graph_from_text,
     graph_to_text,
     path_graph,
+    read_graph,
+    write_graph,
 )
 from bccover.graph import connected_components, mask_vertices, vertex_mask
-from helpers import er_graph, graph_from_labels, induced_subgraph, naive_is_biclique
+from helpers import (
+    er_graph,
+    graph_from_labels,
+    induced_subgraph,
+    naive_is_biclique,
+    reference_graph_to_text,
+)
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 @st.composite
@@ -429,3 +441,69 @@ def test_graph_from_text_sizes_nothing_from_a_header_before_a_bad_line():
         tracemalloc.stop()
     assert str(err.value) == "line 2: duplicate header" and err.value.line == 2
     assert peak < 1 << 20
+
+
+def test_canonical_reader_sizes_nothing_from_a_large_header():
+    # a set per header vertex, or an id table over all of them, took 67 MB
+    # for the first text and 99 MB for the second
+    for text in ("p 300000 0\n", "p 300000 1\n0 299999\n"):
+        tracemalloc.start()
+        try:
+            g = graph_from_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, text
+        assert g == graph_module._read_lines(text) and g.n == 300000
+
+
+def test_canonical_reader_hands_an_overlong_id_to_the_line_loop():
+    # int() refuses a number of more than 4300 digits; a header with one
+    # raised ValueError from the block reader
+    for text in ("p 3 1\n%s 0\n" % ("1" * 5000), "p %s 1\n0 1\n" % ("9" * 5000)):
+        assert _outcome(graph_from_text, text) == _outcome(graph_module._read_lines, text)
+
+
+def test_graph_holds_only_n_m_and_masks():
+    assert Graph.__slots__ == ("n", "_m", "_masks")
+
+
+def test_edges_leave_nothing_behind():
+    # the edge tuple once kept by the first call took 6.2 MB on copath-400
+    g = gen_copath(400).graph
+    tracemalloc.start()
+    try:
+        assert len(g.edges()) == g.m
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
+
+
+def test_graph_to_text_lists_no_edges():
+    # the whole edge list and a string per edge peaked at 52 MB on
+    # copath-800, for a text of 2.3 MB
+    g = gen_copath(800).graph
+    tracemalloc.start()
+    try:
+        text = graph_to_text(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 2 << 20
+    assert peak < 8 << 20
+
+
+def test_writers_match_the_edge_list_writer(tmp_path):
+    graphs = [Graph(0), Graph(1), Graph(7)]
+    graphs += [gen_copath(n).graph for n in range(3, 301)]
+    for n, density, seed in ((10, 0.5, 7), (30, 0.2, 1), (60, 0.4, 2), (120, 0.3, 3)):
+        h = gen_random_chordal(n, density, seed)
+        graphs += [h, h.complement()]
+    graphs += [read_graph(path) for path in sorted(DATA.glob("*.graph"))]
+    path = tmp_path / "g.graph"
+    for g in graphs:
+        text = reference_graph_to_text(g)
+        assert graph_to_text(g) == text, g
+        write_graph(g, path)
+        assert path.read_bytes() == text.encode(), g

@@ -13,8 +13,8 @@ Each reported bound carries a provenance tag: "exact" (proven for this graph),
 a published recipe whose edge cases keep it out of certified comparisons; the
 conflict-graph bound lives here, since its 4-cycle exclusion rule can
 overshoot on dense graphs).  The conflict graph itself is built in
-:mod:`bccover.oracle`, whose bc search prunes with its strict variant, and is
-re-exported here.
+:mod:`bccover.oracle` and re-exported here; no oracle search prunes with it,
+so the bc search's floor is the log-mc bound alone.
 """
 
 from __future__ import annotations

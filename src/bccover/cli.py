@@ -211,7 +211,7 @@ def _safe_report(path, args, value_budget, search_budget):
     name = os.path.basename(path)
     try:
         report = _one_report(path, args, value_budget, search_budget)
-    except GraphFormatError as exc:
+    except (GraphFormatError, OSError) as exc:
         return name, {"error": str(exc)}, EXIT_PARSE
     payload = bounds_mod.report_to_json_dict(report)
     return name, payload, EXIT_INCONSISTENT if report.inconsistent else EXIT_OK

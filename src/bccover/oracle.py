@@ -30,7 +30,7 @@ found, and lists only those through the chosen edge.  The search starts
 from the stars, the clique-tree partition or a greedy false-twin
 elimination, which on co-chordal graphs nearly always meets the root bound
 and so ends the search there.  :func:`exact_chromatic` backtracks on an
-explicit stack too.
+explicit stack too, down to the largest clique that MCQ finds.
 """
 
 from __future__ import annotations
@@ -196,12 +196,19 @@ def exact_clique_number(g, budget=None):
     _check_caps(g, budget)
     if g.n == 0:
         return OracleResult(0, 0, ())
-    masks = g.neighbor_masks()
-    everyone = (1 << g.n) - 1
+    clique, upper = _max_clique(g.neighbor_masks(), _Deadline(budget.time_cap))
+    return OracleResult(clique.bit_count(), upper, tuple(mask_vertices(clique)))
+
+
+def _max_clique(masks, deadline):
+    """The MCQ search of :func:`exact_clique_number` over the neighbourhood
+    ``masks`` of at least one vertex: the largest clique found, as a vertex
+    mask, and an upper bound on the clique number, which is that clique's
+    size unless ``deadline`` cut the search short."""
+    everyone = (1 << len(masks)) - 1
     root = _colour_order(everyone, masks)
     upper = root[-1][1]
     best, best_clique = 1, 1  # vertex 0 alone
-    deadline = _Deadline(budget.time_cap)
     # a frame: clique size, clique, the candidates not yet branched on and
     # their colour order
     stack = [[0, 0, everyone, root]]
@@ -221,8 +228,8 @@ def exact_clique_number(g, budget=None):
             elif size + 1 > best:
                 best, best_clique = size + 1, clique | bit
     except _Timeout:
-        return OracleResult(best, upper, tuple(mask_vertices(best_clique)))
-    return OracleResult(best, best, tuple(mask_vertices(best_clique)))
+        return best_clique, upper
+    return best_clique, best
 
 
 # -- maximal bicliques --------------------------------------------------------
@@ -287,34 +294,25 @@ def _touching(at, side):
     return out
 
 
-def conflict_graph(g, induced_c4_only=True):
+def conflict_graph(g):
     """Graph on the edges of ``g``: vertex i is the i-th edge (lexicographic),
     and two vertices are adjacent when the edges share no endpoint and do not
-    sit together in a 4-cycle.
+    sit together in a chordless 4-cycle.
 
-    With ``induced_c4_only`` (the default) only a chordless 4-cycle counts as
-    an exclusion, which reproduces the published example values; the stricter
-    variant (any 4-cycle through both edges) never overshoots the cover
-    number and is the one safe to use for pruning.  The edges in a 4-cycle
-    with (a, b) join X = N(a) - b to Y = N(b) - a; chordless ones join
-    X - N(b) to Y - N(a).
+    This exclusion rule reproduces the published example values, but its
+    clique number can overshoot the cover number on dense graphs, so no
+    search prunes with it.  The edges in a chordless 4-cycle with (a, b)
+    join N(a) - N[b] to N(b) - N[a].
     """
     masks = g.neighbor_masks()
     edges = g.edges()
     at = _edges_at(g.n, edges)
-    all_edges, all_vertices = (1 << g.m) - 1, (1 << g.n) - 1
+    all_edges = (1 << g.m) - 1
     rows = []
     for a, b in edges:
-        x, y = masks[a] & ~(1 << b), masks[b] & ~(1 << a)
-        if induced_c4_only:
-            x, y = x & ~masks[b], y & ~masks[a]
-            partners = _touching(at, x) & _touching(at, y)
-        else:
-            partners = (
-                _touching(at, x)
-                & _touching(at, y)
-                & ~_touching(at, all_vertices & ~(x | y))
-            )
+        x = masks[a] & ~masks[b] & ~(1 << b)
+        y = masks[b] & ~masks[a] & ~(1 << a)
+        partners = _touching(at, x) & _touching(at, y)
         rows.append(all_edges & ~(at[a] | at[b] | partners))
     return Graph._from_masks(rows)
 
@@ -327,10 +325,11 @@ def exact_bc(g, budget=None):
 
     Set-cover branch and bound over the maximal bicliques (any cover member
     can be fattened to a maximal one without uncovering anything), each an
-    edge mask, seeded with a greedy cover and pruned by the
-    log-maximal-clique and conflict lower bounds.  Each node branches on the
+    edge mask, seeded with a greedy cover and pruned by the paper's lower
+    bound ceil(log2 mc(complement)), at least 1.  Each node branches on the
     lowest uncovered edge in the fewest bicliques: the search numbers the
-    edges in that order, so it is the lowest uncovered bit.
+    edges in that order, so it is the lowest uncovered bit.  On its
+    deadline the result is the window [that bound, best cover found].
     """
     budget = budget or DEFAULT_SEARCH_BUDGET
     _check_caps(g, budget)
@@ -350,7 +349,7 @@ def exact_bc(g, budget=None):
     best = len(greedy)
     best_cover = list(greedy)
 
-    lb = max(1, _bc_lower_bound(g))
+    lb = max(1, _log_mc(g.complement()))
     if best == lb:
         return OracleResult(best, best, [bicliques[i] for i in best_cover])
 
@@ -409,21 +408,6 @@ def _log_mc(gc):
     """
     budget = OracleBudget(gc.n, max(gc.m, 1), DEFAULT_VALUE_BUDGET.time_cap)
     return ceil_log2(len(enumerate_maximal_cliques(gc, budget)))
-
-
-def _bc_lower_bound(g):
-    """Sound lower bounds cheap enough to use as pruning floor."""
-    lb = _log_mc(g.complement())
-    if g.m <= 40:
-        # the conflict graph has one vertex per edge of g
-        conflict = conflict_graph(g, induced_c4_only=False)
-        if conflict.m:
-            conflict_budget = OracleBudget(41, 900, 2.0)
-            try:
-                lb = max(lb, exact_clique_number(conflict, conflict_budget).value)
-            except BudgetExceededError:
-                pass
-    return lb
 
 
 # -- biclique partition number ------------------------------------------------
@@ -723,7 +707,10 @@ def exact_bp(g, budget=None):
 def exact_chromatic(g, budget=None):
     """Exact coloring via DSATUR-ordered backtracking over color class masks,
     on an explicit stack, so a colouring of any length costs no Python
-    recursion."""
+    recursion.  It starts from the greedy colouring and stops at the size of
+    the largest clique that MCQ (:func:`exact_clique_number`) finds in at
+    most the first half of the time cap; a cut-short window runs from that
+    size to the best colouring found."""
     budget = budget or DEFAULT_VALUE_BUDGET
     _check_caps(g, budget)
     n = g.n
@@ -735,13 +722,13 @@ def exact_chromatic(g, budget=None):
     best_assign = greedy_coloring(g)
     best = max(best_assign)
 
-    clique_lb = _greedy_clique_size(g)
+    masks = g.neighbor_masks()
+    deadline = _Deadline(budget.time_cap)
+    clique_lb = _max_clique(masks, _Deadline(budget.time_cap / 2))[0].bit_count()
     if best == clique_lb:
         return OracleResult(best, best, tuple(best_assign))
 
-    masks = g.neighbor_masks()
     classes = [0] * best  # vertex mask of color c + 1 at index c
-    deadline = _Deadline(budget.time_cap)
 
     def select(uncolored):
         cand, sat, deg = -1, -1, -1
@@ -809,18 +796,6 @@ def _class_colors(classes, n):
     return [
         next(c for c, cls in enumerate(classes, 1) if cls >> v & 1) for v in range(n)
     ]
-
-
-def _greedy_clique_size(g):
-    masks = g.neighbor_masks()
-    best = 1 if g.n else 0
-    for v in range(g.n):
-        clique = 1 << v
-        for u in sorted(mask_vertices(masks[v]), key=lambda u: -masks[u].bit_count()):
-            if not clique & ~masks[u]:
-                clique |= 1 << u
-        best = max(best, clique.bit_count())
-    return best
 
 
 # -- maximum matching ---------------------------------------------------------

@@ -33,11 +33,9 @@ from bccover import (
 )
 from bccover.graph import mask_vertices
 from bccover.oracle import (
-    _bc_lower_bound,
     _bicliques_through,
     _class_colors,
     _edges_at,
-    _greedy_clique_size,
     _touching,
     greedy_coloring,
 )
@@ -419,6 +417,9 @@ def reference_conflict_graph(g, induced_c4_only=True):
 
 
 def _reference_bc_lower_bound(g):
+    """The floor that ``exact_bc`` used to prune with: log-mc, raised to
+    the clique number of the strict conflict graph (any 4-cycle through
+    two edges keeps them apart) when g has at most 40 edges."""
     lb = ceil_log2(len(enumerate_maximal_cliques(g.complement())))
     if g.m <= 40:
         conflict = reference_conflict_graph(g, induced_c4_only=False)
@@ -610,7 +611,9 @@ def reference_chromatic(g, time_cap=10.0):
 def reference_recursive_chromatic(g, time_cap=10.0):
     """The recursive DSATUR backtracking over colour class masks that
     ``exact_chromatic`` used to be: one Python frame per coloured vertex.
-    Shares the greedy start bounds with the package, not the search."""
+    Shares the greedy colouring with the package, not the search; its floor
+    is the greedy clique that ``exact_chromatic`` used to start from, so a
+    match also shows that the package's MCQ floor changes no result."""
     n = g.n
     if n == 0:
         return OracleResult(0, 0, ())
@@ -618,7 +621,7 @@ def reference_recursive_chromatic(g, time_cap=10.0):
         return OracleResult(1, 1, (1,) * n)
     best_assign = greedy_coloring(g)
     best = max(best_assign)
-    clique_lb = _greedy_clique_size(g)
+    clique_lb = _reference_greedy_clique_size(g)
     if best == clique_lb:
         return OracleResult(best, best, tuple(best_assign))
 
@@ -686,8 +689,10 @@ def reference_branch_options(masks, deadline):
 def reference_mask_exact_bc(g, time_cap=10.0):
     """The edge-mask set cover that ``exact_bc`` used to be: each node scans
     its uncovered edges for the one in the fewest bicliques, and each child
-    gets a fresh copy of the chosen list.  Shares the biclique enumeration,
-    the edge masks and the lower bound with the package, not the search."""
+    gets a fresh copy of the chosen list.  Shares the biclique enumeration
+    and the edge masks with the package, not the search; its floor is the
+    strict conflict bound that ``exact_bc`` used to prune with as well, so a
+    match also shows that log-mc alone changes no result."""
     if not g.m:
         return OracleResult(0, 0, [])
     bicliques = enumerate_maximal_bicliques(g)
@@ -701,7 +706,7 @@ def reference_mask_exact_bc(g, time_cap=10.0):
         uncovered &= ~sets[idx]
     best = len(greedy)
     best_cover = list(greedy)
-    lb = max(1, _bc_lower_bound(g))
+    lb = max(1, _reference_bc_lower_bound(g))
     if best == lb:
         return OracleResult(best, best, [bicliques[i] for i in best_cover])
 

@@ -80,11 +80,6 @@ def test_conflict_graph_fig3_triple():
     assert exact_bc(g).value == 3  # the conflict bound is tight here
 
 
-def test_conflict_graph_strict_variant_is_sparser():
-    strict = conflict_graph(complete_graph(5), induced_c4_only=False)
-    assert strict.m == 0  # every disjoint pair shares a 4-cycle in K5
-
-
 def test_lb_matching_examples():
     assert lb_matching(complete_graph(5)) == Fraction(4, 10)
     assert lb_matching(Graph(7)) == 0

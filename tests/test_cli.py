@@ -454,3 +454,14 @@ def test_bounds_dir_reports_a_file_that_is_not_utf8_and_goes_on(tmp_path, capsys
     assert [l["file"] for l in lines] == ["a.graph", "b.graph"]
     assert lines[0]["cover"]["size"] == 2
     assert set(lines[1]) == {"error", "file"} and "UTF-8" in lines[1]["error"]
+
+
+def test_bounds_dir_reports_an_entry_it_cannot_read_and_goes_on(tmp_path, capsys):
+    write_graph(gen_copath(5).graph, tmp_path / "a.graph")
+    (tmp_path / "b.graph").mkdir()  # listed by its name, but not a file
+    write_graph(gen_copath(6).graph, tmp_path / "c.graph")
+    assert main(["bounds", str(tmp_path), "--dir", "--no-oracle"]) == 1
+    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert [l["file"] for l in lines] == ["a.graph", "b.graph", "c.graph"]
+    assert lines[0]["cover"]["size"] == 2 and "cover" in lines[2]
+    assert set(lines[1]) == {"error", "file"} and "directory" in lines[1]["error"]

@@ -38,6 +38,7 @@ from bccover import oracle
 from bccover.oracle import DEFAULT_SEARCH_BUDGET, greedy_coloring
 from helpers import (
     _reference_eigen_partition_bound,
+    _reference_greedy_clique_size,
     er_graph,
     naive_bc,
     naive_bp,
@@ -500,8 +501,9 @@ def test_exact_clique_number_on_conflict_graphs():
     graphs = [gen_copath(n).graph for n in range(6, 15)]
     graphs += [er_graph(12, 0.5, random.Random(seed)) for seed in range(20)]
     for g in graphs:
-        for induced in (True, False):
-            conflict = conflict_graph(g, induced)
+        # the strict variant (any 4-cycle keeps two edges apart) is sparser
+        strict = reference_conflict_graph(g, induced_c4_only=False)
+        for conflict in (conflict_graph(g), strict):
             budget = OracleBudget(max(conflict.n, 1), max(conflict.m, 1), 10.0)
             _assert_clique_number_matches_enumeration(conflict, budget)
 
@@ -612,8 +614,7 @@ def _reference_cases():
 
 def test_conflict_graph_matches_pairwise_reference():
     for g in _reference_cases():
-        for induced in (True, False):
-            assert conflict_graph(g, induced) == reference_conflict_graph(g, induced)
+        assert conflict_graph(g) == reference_conflict_graph(g)
 
 
 def test_exact_bc_window_matches_frozenset_reference():
@@ -664,8 +665,7 @@ def test_conflict_graph_makes_no_pairwise_calls(monkeypatch):
             return original(*args, **kwargs)
 
         monkeypatch.setattr(Graph, name, counted)
-    for induced in (True, False):
-        conflict_graph(g, induced)
+    conflict_graph(g)
     assert calls == {"has_edge": 0, "__init__": 0}
     # the counters do count: the pairwise reference makes both calls
     reference_conflict_graph(small)
@@ -759,6 +759,55 @@ def test_exact_chromatic_matches_the_recursive_search():
         assert (result.lower, result.upper, result.certificate) == (
             reference.lower, reference.upper, reference.certificate
         )
+
+
+def test_exact_bc_builds_no_conflict_graph(monkeypatch):
+    # fig3 has 6 edges: its floor is log-mc, with no conflict graph and no
+    # clique search (MCQ starts with a colouring of the whole graph)
+    calls = []
+    for name in ("conflict_graph", "exact_clique_number", "_colour_order"):
+        original = getattr(oracle, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, counted)
+    assert exact_bc(gen_fig_graph("fig3").graph).value == 3
+    assert calls == []
+
+
+def test_exact_chromatic_returns_at_the_clique_floor_without_branching(monkeypatch):
+    # the greedy colouring uses 6 colours and omega = 6, but a greedy clique
+    # finds only 5; the MCQ floor ends the call before the colouring search,
+    # which checks its deadline with the default stride at every node
+    g = er_graph(13, 0.7, random.Random(4))
+    assert max(greedy_coloring(g)) == 6 and _reference_greedy_clique_size(g) == 5
+    strides = []
+    original = oracle._Deadline.check
+
+    def check(self, every=256):
+        strides.append(every)
+        return original(self, every)
+
+    monkeypatch.setattr(oracle._Deadline, "check", check)
+    result = exact_chromatic(g)
+    assert (result.lower, result.upper) == (6, 6)
+    assert strides and set(strides) == {1}  # the clique search alone
+
+
+def test_exact_chromatic_keeps_one_time_cap_for_both_searches():
+    # G(300, 0.5) under a 1 s cap: the clique floor and the colouring search
+    # share that second, and the colouring search gets its part of it (a
+    # fresh second after the floor took 2 s in all)
+    g = er_graph(300, 0.5, random.Random(1))
+    start = time.monotonic()
+    result = exact_chromatic(g, OracleBudget(300, g.m, 1.0))
+    assert time.monotonic() - start < 1.8
+    assert not result.exact
+    assert result.lower >= 11  # the greedy clique's size
+    assert result.upper < max(greedy_coloring(g))
+    assert max(result.certificate) == result.upper
 
 
 def test_exact_chromatic_takes_no_frame_per_vertex():

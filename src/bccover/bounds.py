@@ -40,21 +40,20 @@ from .oracle import (
 from .ranking import ceil_log2
 
 
-def maximal_clique_count_complement(g, budget=None):
-    """mc of the complement: via its clique tree when chordal, else by
-    enumeration within the budget."""
-    try:
-        return complement_clique_tree(g).node_count
-    except NotChordalError:
-        budget = budget or DEFAULT_VALUE_BUDGET
-        return len(enumerate_maximal_cliques(g.complement(), budget))
-
-
 def lb_log_mc(g, budget=None):
-    """ceil(log2(mc(complement))); 0 when the complement has one clique."""
+    """ceil(log2(mc(complement))); 0 when the complement has one clique.
+
+    mc comes from the complement's clique tree when it is chordal, else by
+    enumeration within the budget.
+    """
     if g.n == 0:
         return 0
-    return ceil_log2(maximal_clique_count_complement(g, budget))
+    try:
+        mc = complement_clique_tree(g).node_count
+    except NotChordalError:
+        budget = budget or DEFAULT_VALUE_BUDGET
+        mc = len(enumerate_maximal_cliques(g.complement(), budget))
+    return ceil_log2(mc)
 
 
 def lb_log_chi(g, budget=None):

@@ -6,9 +6,8 @@ failure classes apart: 1 parse error, 2 inconsistency (a certified bound
 crossing, or a cover file that fails verification), 3 precondition failure
 (e.g. a non-co-chordal input to ``cover``), 4 budget exhausted.
 
-``BCCOVER_VERTEX_CAP`` and ``BCCOVER_TIME_CAP`` override the default oracle
-budget; the ``--vertex-cap``/``--time-cap`` flags of ``bounds`` and ``oracle``
-override the environment.
+The ``--vertex-cap``/``--time-cap`` flags of ``bounds`` and ``oracle``
+override the default oracle budget.
 """
 
 from __future__ import annotations
@@ -58,30 +57,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, "%s: error: %s\n" % (self.prog, message))
 
 
-def _cap_override(args, attr, variable, kind):
-    """A budget cap from its flag, else its environment variable, else None.
+def _cap_override(args, attr):
+    """A budget cap from its flag, else None.
 
-    A value that is not a positive ``kind`` (NaN included) raises
-    :class:`GraphFormatError` naming the flag or variable it came from.
+    A value that is not positive (NaN included) raises
+    :class:`GraphFormatError` naming the flag.
     """
-    source = "--" + attr.replace("_", "-")
     value = getattr(args, attr, None)
-    try:
-        if value is None and os.environ.get(variable):
-            source, value = variable, os.environ[variable]
-            value = kind(value)
-        if value is not None and not value > 0:
-            raise ValueError(value)
-    except ValueError:
+    if value is not None and not value > 0:
         raise GraphFormatError(
-            "%s must be a positive %s, got %r" % (source, kind.__name__, value)
-        ) from None
+            "--%s must be a positive %s, got %r"
+            % (attr.replace("_", "-"), type(value).__name__, value)
+        )
     return value
 
 
 def _budget_overrides(args, base):
-    vertex = _cap_override(args, "vertex_cap", "BCCOVER_VERTEX_CAP", int)
-    time_cap = _cap_override(args, "time_cap", "BCCOVER_TIME_CAP", float)
+    vertex = _cap_override(args, "vertex_cap")
+    time_cap = _cap_override(args, "time_cap")
     if vertex is None and time_cap is None:
         return base
     vertex = vertex if vertex is not None else base.vertex_cap

@@ -27,10 +27,11 @@ its inertia.  Half the GF(2) rank of the same masks, integer work only, is a
 lower floor that settles most nodes before numpy is called.  A node counts
 the bicliques through its candidate edges, each count capped at the fewest
 found, and lists only those through the chosen edge.  The search starts
-from the stars, the clique-tree partition or a greedy false-twin
-elimination, which on co-chordal graphs nearly always meets the root bound
-and so ends the search there.  :func:`exact_chromatic` backtracks on an
-explicit stack too, down to the largest clique that MCQ finds.
+from the stars or a greedy false-twin elimination, which on co-chordal
+graphs nearly always meets the root bound and so ends the search there;
+neither runs the clique-tree construction that the oracle checks.
+:func:`exact_chromatic` backtracks on an explicit stack too, down to the
+largest clique that MCQ finds.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ from __future__ import annotations
 import time
 
 from ._record import FrozenRecord, Record, setfield
-from .chordal import clique_tree
-from .cover import Biclique, find_partition
-from .errors import BudgetExceededError, NotChordalError
+from .cover import Biclique
+from .errors import BudgetExceededError
 from .graph import Graph, mask_vertices
 from .ranking import ceil_log2
 
@@ -616,11 +616,11 @@ def exact_bp(g, budget=None):
     k + (r + 1) // 2 first, r the GF(2) rank of its masks, and computes the
     inertia only where that floor does not prune.
 
-    The search starts from the smallest of three partitions: the stars, the
-    clique-tree construction when the complement is chordal, and, when both
-    miss the root bound, the greedy false-twin elimination.  On co-chordal
-    graphs that last one meets the inertia bound almost always, so the
-    search ends at the root.
+    The search starts from the smaller of two partitions: the stars and,
+    when they miss the root bound, the greedy false-twin elimination.  On
+    co-chordal graphs that one meets the inertia bound almost always, so the
+    search ends at the root.  The start reads the graph alone, not the
+    clique-tree construction that this oracle checks.
 
     ``stats`` counts the search nodes visited and pruned, and says why the
     search stopped: ``root`` (the start partition meets the lower bound),
@@ -632,25 +632,17 @@ def exact_bp(g, budget=None):
     if not g.m:
         return OracleResult(0, 0, [], stats)
 
-    gc = g.complement()
     masks = list(g.neighbor_masks())
     # ahead of the deadline: a process's first call imports numpy here
-    lb = max(1, _inertia(masks))
-    lb = max(lb, _log_mc(gc))
+    lb = max(1, _inertia(masks), _log_mc(g.complement()))
 
-    # start partitions: per-vertex stars, the clique-tree construction when
-    # the complement is chordal, and the twin elimination when both miss lb
+    # start partitions: per-vertex stars, and the twin elimination when they
+    # miss lb
     best_parts = [
         Biclique._from_masks(1 << u, mask >> (u + 1) << (u + 1))
         for u, mask in enumerate(masks)
         if mask >> (u + 1)
     ]
-    try:
-        tree_parts = find_partition(clique_tree(gc))
-        if len(tree_parts) < len(best_parts):
-            best_parts = tree_parts
-    except NotChordalError:
-        pass
     if len(best_parts) > lb:
         twin_parts = _twin_partition(masks)
         if len(twin_parts) < len(best_parts):
@@ -747,7 +739,8 @@ def exact_chromatic(g, budget=None):
             frame = stack[-1]
             used, uncolored, v, c, limit = frame
             if v is None:
-                deadline.check()
+                # every node: a node's select scans every uncoloured vertex
+                deadline.check(every=1)
                 if used >= best:
                     stack.pop()
                     continue

@@ -1,3 +1,4 @@
+import ast
 import json
 import pathlib
 import random
@@ -780,20 +781,44 @@ def test_exact_bc_builds_no_conflict_graph(monkeypatch):
 def test_exact_chromatic_returns_at_the_clique_floor_without_branching(monkeypatch):
     # the greedy colouring uses 6 colours and omega = 6, but a greedy clique
     # finds only 5; the MCQ floor ends the call before the colouring search,
-    # which checks its deadline with the default stride at every node
+    # which checks its own deadline at every node
     g = er_graph(13, 0.7, random.Random(4))
     assert max(greedy_coloring(g)) == 6 and _reference_greedy_clique_size(g) == 5
-    strides = []
+    checked = set()
     original = oracle._Deadline.check
 
     def check(self, every=256):
-        strides.append(every)
+        checked.add(self)
         return original(self, every)
 
     monkeypatch.setattr(oracle._Deadline, "check", check)
     result = exact_chromatic(g)
     assert (result.lower, result.upper) == (6, 6)
-    assert strides and set(strides) == {1}  # the clique search alone
+    assert len(checked) == 1  # the clique search's deadline alone
+
+
+def test_exact_chromatic_stops_at_the_first_node_past_its_deadline(monkeypatch):
+    # a crown graph (u_i ~ v_j for i != j) numbered u_0, v_0, u_1, v_1, ...:
+    # greedy needs 5 colours, omega = chi = 2, and the colouring search finds
+    # 2 colours within a few nodes.  The clock stands still until the clique
+    # floor is found and then reads past the cap, so the colouring search
+    # must stop at its first node; reading the clock every 256th node, it
+    # used to run on and prove chi = 2
+    g = Graph(10, [(2 * i, 2 * j + 1) for i in range(5) for j in range(5) if i != j])
+    assert max(greedy_coloring(g)) == 5
+    now = [0.0]
+    monkeypatch.setattr(oracle.time, "monotonic", lambda: now[0])
+    max_clique = oracle._max_clique
+
+    def clique_then_late(masks, deadline):
+        found = max_clique(masks, deadline)
+        now[0] = 100.0  # past the default 10 s cap
+        return found
+
+    monkeypatch.setattr(oracle, "_max_clique", clique_then_late)
+    result = exact_chromatic(g)
+    assert (result.lower, result.upper) == (2, 5)
+    assert result.certificate == tuple(greedy_coloring(g))
 
 
 def test_exact_chromatic_keeps_one_time_cap_for_both_searches():
@@ -896,17 +921,23 @@ WITHOUT_TWIN_START = pathlib.Path(__file__).parent / "data" / "exact_bp_without_
 
 
 def test_exact_bp_without_the_twin_start_keeps_its_search(monkeypatch):
-    """With the twin start replaced by one member per edge, never fewer than
-    the stars, exact_bp gives on every reference case the window,
-    certificate and stats pinned in ``data/exact_bp_without_twin_start.json``
-    from the search before the twin start and the GF(2) pre-prune: the
-    pre-prune changes no prune decision."""
+    """With the twin start replaced by the clique-tree start it had before,
+    the clique-tree partition when the complement is chordal, else one
+    member per edge (never fewer than the stars), exact_bp gives on every
+    reference case the window, certificate and stats pinned in
+    ``data/exact_bp_without_twin_start.json`` from the search before the
+    twin start and the GF(2) pre-prune: the pre-prune changes no prune
+    decision."""
+    from bccover import NotChordalError, clique_tree, find_partition
 
-    def one_per_edge(masks):
-        return [Biclique._from_masks(1 << u, 1 << v)
-                for u, mask in enumerate(masks) for v in mask_vertices(mask) if u < v]
+    def tree_start(masks):
+        try:
+            return find_partition(clique_tree(Graph._from_masks(masks).complement()))
+        except NotChordalError:
+            return [Biclique._from_masks(1 << u, 1 << v)
+                    for u, mask in enumerate(masks) for v in mask_vertices(mask) if u < v]
 
-    monkeypatch.setattr(oracle, "_twin_partition", one_per_edge)
+    monkeypatch.setattr(oracle, "_twin_partition", tree_start)
     pinned = json.loads(WITHOUT_TWIN_START.read_text())
     graphs = _bp_reference_cases()
     assert len(pinned) == len(graphs)
@@ -916,6 +947,19 @@ def test_exact_bp_without_the_twin_start_keeps_its_search(monkeypatch):
         assert [result.lower, result.upper, sides, result.stats] == [
             lower, upper, certificate, stats
         ]
+
+
+def test_exact_bp_does_not_run_the_construction_it_checks():
+    """The oracle's start partitions read the graph alone: ``oracle.py``
+    imports nothing from ``.chordal`` and only ``Biclique`` from ``.cover``."""
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported = {
+        node.module: sorted(alias.name for alias in node.names)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+    assert "chordal" not in imported
+    assert imported["cover"] == ["Biclique"]
 
 
 def _eigensharp_cases():

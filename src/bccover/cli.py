@@ -140,18 +140,17 @@ def _report_text(report):
             % (report.cover_size, meta.ranking_r, meta.all_le_two)
         )
         lines.extend("  " + l for l in bicliques_to_text(report.cover).splitlines())
-    if report.oracle_bc is not None:
-        bc = report.oracle_bc
-        bp = report.oracle_bp
+    bc, bp = report.oracle_bc, report.oracle_bp
+    if bc is not None or bp is not None:
+
+        def window(result):
+            if result is None:
+                return "-"
+            return result.upper if result.exact else "[%d,%d]" % (result.lower, result.upper)
+
+        exact = bc is not None and bc.exact and bp is not None and bp.exact
         lines.append(
-            "oracle: bc=%s bp=%s%s"
-            % (
-                bc.upper if bc.exact else "[%d,%d]" % (bc.lower, bc.upper),
-                "-" if bp is None else (
-                    bp.upper if bp.exact else "[%d,%d]" % (bp.lower, bp.upper)
-                ),
-                "" if (bc.exact and bp is not None and bp.exact) else " (inexact)",
-            )
+            "oracle: bc=%s bp=%s%s" % (window(bc), window(bp), "" if exact else " (inexact)")
         )
     if report.bp_window is not None:
         w = report.bp_window
@@ -215,11 +214,7 @@ def _safe_report(path, args, value_budget, search_budget):
 
 def cmd_cover(args):
     g = read_graph(args.input)
-    try:
-        cover, meta = cover_cochordal(g)
-    except NotChordalError as exc:
-        print("precondition failed: %s" % exc, file=sys.stderr)
-        return EXIT_PRECONDITION
+    cover, meta = cover_cochordal(g)
     if not meta.verified:  # checked by the pipeline; write nothing unverified
         print("internal error: produced cover failed verification", file=sys.stderr)
         return EXIT_INCONSISTENT
@@ -354,27 +349,13 @@ def cmd_oracle(args):
 
 def cmd_tree(args):
     g = read_graph(args.input)
-    try:
-        tree = clique_tree(g)
-    except NotChordalError as exc:
-        print("precondition failed: %s" % exc, file=sys.stderr)
-        return EXIT_PRECONDITION
-    _write_output(clique_tree_to_text(tree), args.out)
+    _write_output(clique_tree_to_text(clique_tree(g)), args.out)
     return EXIT_OK
 
 
 def cmd_partition(args):
     g = read_graph(args.input)
-    try:
-        tree = complement_clique_tree(g)
-    except NotChordalError as exc:
-        # this command has always named the failure "complement not chordal"
-        print(
-            "precondition failed: complement not chordal: %s" % exc.__cause__,
-            file=sys.stderr,
-        )
-        return EXIT_PRECONDITION
-    parts = find_partition(tree)
+    parts = find_partition(complement_clique_tree(g))
     if not verify_partition(g, parts):
         print("internal error: partition failed verification", file=sys.stderr)
         return EXIT_INCONSISTENT
@@ -489,6 +470,9 @@ def main(argv=None):
     except BudgetExceededError as exc:
         print("budget: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
+    except NotChordalError as exc:
+        print("precondition failed: %s" % exc, file=sys.stderr)
+        return EXIT_PRECONDITION
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from .chordal import (
     tree_adjacency,
 )
 from .graph import find_root, mask_vertices, vertex_mask
-from .ranking import Tree, heuristic_edge_ranking, optimal_edge_ranking
+from .ranking import Tree, optimal_edge_ranking
 
 
 class Biclique:
@@ -215,9 +215,8 @@ def _ranked_cuts(work, ranks, order):
     the two sides of that cut are the parts it joins.  A part keeps the
     union of its cliques as a vertex mask, its smallest position in
     ``order`` and the index of the cut that joined it last.  Returns
-    ``(rank, biclique, ord, (cut below e[0], cut below e[1]))`` per cut,
-    top cut last, with -1 for a single node below.  Raises ValueError on a
-    missing or non-positive rank, or when an edge joins a part already
+    ``(rank, biclique, ord)`` per cut, top cut last.  Raises ValueError on
+    a missing or non-positive rank, or when an edge joins a part already
     topped by its own rank: two edges of that rank meet.
     """
     for e in work.edges:
@@ -237,7 +236,7 @@ def _ranked_cuts(work, ranks, order):
             raise ValueError("not an edge-ranking: two edges of rank %d meet" % k)
         keep = ~(nodes[i] & nodes[j])  # everything but mid(e)
         biclique = Biclique._from_masks(masks[a] & keep, masks[b] & keep)
-        cuts.append((k, biclique, min(low[a], low[b]), (top[a], top[b])))
+        cuts.append((k, biclique, min(low[a], low[b])))
         parent[a] = b
         masks[b] |= masks[a]
         low[b] = min(low[a], low[b])
@@ -248,27 +247,18 @@ def _ranked_cuts(work, ranks, order):
 def find_partition(tree):
     """Biclique partition of G from a clique tree of its complement.
 
-    The members are the cuts of the tree along an edge-ranking, one per
-    tree edge, so there are always (node count - 1) of them.  Each subtree
-    is cut first at its top-ranked edge under
-    :func:`heuristic_edge_ranking`, whose top edge minimizes the larger
-    side (ties going to the lexicographically smallest edge).  Members come
-    in pre-order: a cut, then its first endpoint's side, then the other
-    side.  A forest input is first joined into one tree.
+    The members are the level cuts that :func:`cover_cochordal` merges,
+    left unmerged: the cuts of the tree along its optimal edge-ranking, one
+    per tree edge, so there are always (node count - 1) of them.  They come
+    level 1 first, each level in BFS order, which is the order
+    :func:`merge_bicliques` reads them in.  A forest input is first joined
+    into one tree.
     """
     work = join_clique_forest(tree)
-    d = work.node_count
-    if d <= 1:
+    if work.node_count <= 1:
         return []
-    ranks = heuristic_edge_ranking(Tree(d, work.edges))[0].ranks
-    cuts = _ranked_cuts(work, ranks, range(d))
-    out = []
-    stack = [len(cuts) - 1]
-    while stack:
-        _, biclique, _, (below_i, below_j) = cuts[stack.pop()]
-        out.append(biclique)
-        stack.extend(c for c in (below_j, below_i) if c >= 0)
-    return out
+    levels, r = _ranked_levels(work)
+    return [b for level in range(1, r + 1) for b, _ in levels.get(level, [])]
 
 
 def find_biclique_levels(tree, ranking, order, r):
@@ -285,7 +275,7 @@ def find_biclique_levels(tree, ranking, order, r):
     if work.node_count <= 1:
         return {}
     levels = {}
-    for k, biclique, low, _ in _ranked_cuts(work, ranking.ranks, order):
+    for k, biclique, low in _ranked_cuts(work, ranking.ranks, order):
         levels.setdefault(r + 1 - k, []).append((biclique, low))
     for level, items in levels.items():
         if not 1 <= level <= r:
@@ -294,6 +284,14 @@ def find_biclique_levels(tree, ranking, order, r):
         if any(a[1] == b[1] for a, b in zip(items, items[1:])):
             raise ValueError("two cuts in level %d share a BFS position" % level)
     return levels
+
+
+def _ranked_levels(work):
+    """``(levels, r)``: the :func:`find_biclique_levels` of the joined tree
+    ``work`` along its optimal edge-ranking, with positions from
+    :func:`bfs_leaf_order`, and that ranking's r."""
+    ranking, r = optimal_edge_ranking(Tree(work.node_count, work.edges))
+    return find_biclique_levels(work, ranking, bfs_leaf_order(work), r), r
 
 
 def merge_bicliques(items, g):
@@ -392,9 +390,7 @@ def cover_cochordal(g):
         meta.verified = verify_cover(g, [])
         return [], meta
 
-    ranking, r = optimal_edge_ranking(Tree(d, work.edges))
-    order = bfs_leaf_order(work)
-    levels = find_biclique_levels(work, ranking, order, r)
+    levels, r = _ranked_levels(work)
     cover = []
     for level in range(1, r + 1):
         items = levels.get(level, [])

@@ -620,7 +620,9 @@ def exact_bp(g, budget=None):
     when they miss the root bound, the greedy false-twin elimination.  On
     co-chordal graphs that one meets the inertia bound almost always, so the
     search ends at the root.  The start reads the graph alone, not the
-    clique-tree construction that this oracle checks.
+    clique-tree construction that this oracle checks.  Only when it misses
+    the inertia does the root bound list the complement's maximal cliques,
+    for ceil(log2 mc(G^c)) <= bc <= bp.
 
     ``stats`` counts the search nodes visited and pruned, and says why the
     search stopped: ``root`` (the start partition meets the lower bound),
@@ -634,7 +636,7 @@ def exact_bp(g, budget=None):
 
     masks = list(g.neighbor_masks())
     # ahead of the deadline: a process's first call imports numpy here
-    lb = max(1, _inertia(masks), _log_mc(g.complement()))
+    lb = max(1, _inertia(masks))
 
     # start partitions: per-vertex stars, and the twin elimination when they
     # miss lb
@@ -648,6 +650,8 @@ def exact_bp(g, budget=None):
         if len(twin_parts) < len(best_parts):
             best_parts = twin_parts
     best = len(best_parts)
+    if best > lb:
+        lb = max(lb, _log_mc(g.complement()))
     if best == lb:
         return OracleResult(best, best, best_parts, stats)
 

@@ -17,8 +17,9 @@ check :func:`is_valid_edge_ranking` makes.
 
 :func:`heuristic_edge_ranking` ranks by balanced separators: it cuts each
 subtree along :func:`balanced_cut`, which walks a subtree of k vertices
-once to learn the balance of all of its k - 1 cuts.  Its ranks drive the
-"balanced" biclique partition of ``find_partition``.
+once to learn the balance of all of its k - 1 cuts.  The cover and the
+partition both cut along the optimal ranking, so nothing in the
+construction calls it.
 """
 
 from __future__ import annotations
@@ -317,9 +318,8 @@ def heuristic_edge_ranking(tree):
     The top rank goes to an edge minimizing the larger component, ties broken
     by lexicographically smallest edge; both sides are cut the same way, and
     an edge ranks one above the highest edge cut on either of its sides, so
-    every subtree's top edge is its most balanced cut, the one that the
-    "balanced" ``find_partition`` makes.  Runs on an explicit stack, so no
-    recursion limit applies.  Returns ``(EdgeRanking, r)``.
+    every subtree's top edge is its most balanced cut.  Runs on an explicit
+    stack, so no recursion limit applies.  Returns ``(EdgeRanking, r)``.
     """
     adj = tree._adj
     cuts = []  # (edge, index of the cut that made its subtree), pre-order

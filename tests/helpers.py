@@ -29,7 +29,6 @@ from bccover import (
     enumerate_maximal_bicliques,
     enumerate_maximal_cliques,
     exact_clique_number,
-    find_partition,
 )
 from bccover.graph import mask_vertices
 from bccover.oracle import (
@@ -330,7 +329,7 @@ def reference_exact_bp(g, time_cap=10.0):
         Biclique(frozenset([u]), frozenset(vs)) for u, vs in sorted(by_min.items())
     ]
     try:
-        tree_parts = find_partition(clique_tree(gc))
+        tree_parts = naive_find_partition(clique_tree(gc))
         if len(tree_parts) < len(best_parts):
             best_parts = tree_parts
     except NotChordalError:
@@ -1000,8 +999,10 @@ def _naive_cut_loop(tree, choose):
 
 
 def naive_find_partition(tree):
-    """The cut loop's partition: each subtree is cut at its first
-    :func:`naive_balanced_cuts` entry."""
+    """The cut loop's balanced partition: each subtree is cut at its first
+    :func:`naive_balanced_cuts` entry, members in pre-order.  This is the
+    partition ``find_partition`` made along ``heuristic_edge_ranking``
+    before it cut along the optimal ranking."""
     choose = lambda part, inner, adj: naive_balanced_cuts(adj, part, inner)[0][1]
     return [b for _, _, b in _naive_cut_loop(tree, choose)]
 

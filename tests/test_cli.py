@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from bccover import (
+    BudgetExceededError,
     bicliques_from_text,
     complete_graph,
     cycle_graph,
@@ -16,6 +17,7 @@ from bccover import (
     verify_cover,
     write_graph,
 )
+from bccover import bounds as bounds_module
 from bccover.cli import main
 from bccover.gen import random_tree
 from bccover.ranking import EdgeRanking, Tree, is_valid_edge_ranking, tree_to_text
@@ -101,6 +103,20 @@ def test_bounds_k5_text(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "log-mc:" in out and "3" in out
     assert "oracle: bc=3" in out
+
+
+def test_bounds_text_shows_bp_when_bc_gives_up(monkeypatch, tmp_path, capsys):
+    def give_up(g, budget=None):
+        raise BudgetExceededError("bc search over budget")
+
+    monkeypatch.setattr(bounds_module, "exact_bc", give_up)
+    path = tmp_path / "g.graph"
+    write_graph(gen_random_chordal(12, 0.3, 1).complement(), path)
+    assert main(["bounds", str(path), "--format", "json"]) == 0
+    oracle = json.loads(capsys.readouterr().out)["oracle"]
+    assert oracle["bc"] is None and oracle["bp"] is not None
+    assert main(["bounds", str(path)]) == 0
+    assert "oracle: bc=- bp=%d (inexact)\n" % oracle["bp"] in capsys.readouterr().out
 
 
 def test_bounds_empty_graph_all_zero(tmp_path, capsys):
@@ -218,11 +234,16 @@ def test_cover_of_c4_succeeds(tmp_path, capsys):
     )
 
 
-def test_cover_non_cochordal_exit_3(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["cover", "tree", "partition"])
+def test_non_chordal_input_exits_3(command, tmp_path, capsys):
+    # C5 and its complement (another C5) are both not chordal
     path = tmp_path / "c5.graph"
     write_graph(cycle_graph(5), path)
-    assert main(["cover", str(path)]) == 3
-    assert "not chordal" in capsys.readouterr().err
+    assert main([command, str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("precondition failed: ")
+    assert "not chordal" in captured.err
 
 
 def test_partition_command(tmp_path, capsys):

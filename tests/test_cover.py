@@ -49,7 +49,6 @@ from helpers import (
     induced_subgraph,
     naive_biclique_levels,
     naive_cover_defects,
-    naive_find_partition,
     naive_max_weight_clique_tree,
     naive_merge_bicliques,
     naive_verify_cover,
@@ -111,7 +110,7 @@ def test_clique_split_rejects_bad_partition():
         clique_split_biclique(cliques, {0, 1}, {1, 2})
 
 
-def test_find_partition_fig2_balanced():
+def test_find_partition_fig2():
     g = gen_fig_graph("fig2").graph
     parts = find_partition(clique_tree(g.complement()))
     assert parts == [B([0, 1], [3, 4]), B([0], [2]), B([2], [4])]
@@ -132,10 +131,34 @@ def test_find_partition_single_node_tree():
 
 
 def test_find_partition_deep_tree_does_not_recurse():
-    # the clique tree of a star is a star; its balanced cuts peel one leaf
-    # at a time, 1099 cuts deep
+    # the clique tree of a star is a star; every edge of an optimal ranking
+    # of a star has its own rank, so the cuts nest 1099 deep
     parts = find_partition(clique_tree(windmill_graph(1100, 2)))
     assert len(parts) == 1099
+
+
+def test_construction_runs_without_the_heuristic_ranking(monkeypatch, tmp_path, capsys):
+    # partitions and covers both cut along the optimal ranking: with every
+    # binding of heuristic_edge_ranking refusing to run, all still succeed
+    def refuse(tree):
+        raise RuntimeError("heuristic_edge_ranking was called")
+
+    bound = [name for name, module in list(sys.modules.items())
+             if name.split(".")[0] == "bccover"
+             and getattr(module, "heuristic_edge_ranking", None) is heuristic_edge_ranking]
+    assert "bccover.ranking" in bound
+    for name in bound:
+        monkeypatch.setattr(sys.modules[name], "heuristic_edge_ranking", refuse)
+    for g in (gen_fig_graph("fig2").graph, gen_copath(30).graph,
+              _cochordal_with_split_complement(6, 7, 0.4, 3)):
+        tree = clique_tree(g.complement())
+        parts = find_partition(tree)
+        assert len(parts) == tree.node_count - 1 and verify_partition(g, parts)
+        assert cover_cochordal(g)[1].verified
+        path = tmp_path / "g.graph"
+        write_graph(g, path)
+        assert main(["partition", str(path)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == len(parts)
 
 
 def test_find_partition_random_cochordal():
@@ -205,9 +228,10 @@ def _sides(bicliques):
 
 
 def test_partitions_and_levels_match_cut_loop_reference():
-    # the rank-ordered sweep against the top-down cut loop: same members in
-    # the same order with the same sides, and the same (biclique, ord)
-    # items per level
+    # the rank-ordered sweep against the top-down cut loop: the partition is
+    # the loop's levels of the joined tree along its optimal ranking,
+    # flattened level 1 first and each level in BFS order, with the same
+    # sides; and the same (biclique, ord) items per level
     rng = random.Random(10)
     graphs = [gen_copath(n).graph for n in range(3, 61)]
     for k in range(200):
@@ -220,8 +244,13 @@ def test_partitions_and_levels_match_cut_loop_reference():
     forests = 0
     for g in graphs:
         base = clique_tree(g.complement())
-        forests += len(join_clique_forest(base).edges) > len(base.edges)
-        assert _sides(find_partition(base)) == _sides(naive_find_partition(base))
+        joined = join_clique_forest(base)
+        forests += len(joined.edges) > len(base.edges)
+        ranking, r = optimal_edge_ranking(Tree(joined.node_count, joined.edges))
+        want = naive_biclique_levels(base, ranking, bfs_leaf_order(joined), r)
+        flattened = [b for level in sorted(want)
+                     for b, _ in sorted(want[level], key=lambda item: item[1])]
+        assert _sides(find_partition(base)) == _sides(flattened)
         tree = max_weight_clique_tree(base.nodes)
         work = join_clique_forest(tree)
         if work.node_count < 2:

@@ -43,6 +43,7 @@ from helpers import (
     er_graph,
     naive_bc,
     naive_bp,
+    naive_find_partition,
     naive_maximal_bicliques,
     random_cochordal,
     reference_chromatic,
@@ -922,17 +923,18 @@ WITHOUT_TWIN_START = pathlib.Path(__file__).parent / "data" / "exact_bp_without_
 
 def test_exact_bp_without_the_twin_start_keeps_its_search(monkeypatch):
     """With the twin start replaced by the clique-tree start it had before,
-    the clique-tree partition when the complement is chordal, else one
-    member per edge (never fewer than the stars), exact_bp gives on every
-    reference case the window, certificate and stats pinned in
-    ``data/exact_bp_without_twin_start.json`` from the search before the
-    twin start and the GF(2) pre-prune: the pre-prune changes no prune
-    decision."""
-    from bccover import NotChordalError, clique_tree, find_partition
+    the balanced clique-tree partition (``naive_find_partition``, member for
+    member what ``find_partition`` gave then) when the complement is
+    chordal, else one member per edge (never fewer than the stars),
+    exact_bp gives on every reference case the window, certificate and
+    stats pinned in ``data/exact_bp_without_twin_start.json`` from the
+    search before the twin start and the GF(2) pre-prune: the pre-prune
+    changes no prune decision."""
+    from bccover import NotChordalError, clique_tree
 
     def tree_start(masks):
         try:
-            return find_partition(clique_tree(Graph._from_masks(masks).complement()))
+            return naive_find_partition(clique_tree(Graph._from_masks(masks).complement()))
         except NotChordalError:
             return [Biclique._from_masks(1 << u, 1 << v)
                     for u, mask in enumerate(masks) for v in mask_vertices(mask) if u < v]
@@ -947,6 +949,18 @@ def test_exact_bp_without_the_twin_start_keeps_its_search(monkeypatch):
         assert [result.lower, result.upper, sides, result.stats] == [
             lower, upper, certificate, stats
         ]
+
+
+def test_exact_bp_lists_the_complement_cliques_only_past_the_inertia(monkeypatch):
+    # on copath-9 the start partition meets the inertia bound, so the
+    # ceil(log2 mc) bound, which cannot exceed bp, is never needed
+    calls = []
+    enumerate_cliques = oracle.enumerate_maximal_cliques
+    monkeypatch.setattr(oracle, "enumerate_maximal_cliques",
+                        lambda *args: calls.append(1) or enumerate_cliques(*args))
+    result = exact_bp(gen_copath(9).graph)
+    assert result.exact and result.stats["stop"] == "root"
+    assert calls == []
 
 
 def test_exact_bp_does_not_run_the_construction_it_checks():

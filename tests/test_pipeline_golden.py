@@ -49,7 +49,7 @@ def pipeline_record(g):
     tree = complement_clique_tree(g)
     return {
         "cover": bicliques_to_text(cover),
-        "partition_balanced": bicliques_to_text(find_partition(tree)),
+        "partition": bicliques_to_text(find_partition(tree)),
         "mc_complement": meta.mc_complement,
         "ranking_r": meta.ranking_r,
         "level_sizes_before": [meta.level_sizes_before[k]

@@ -14,7 +14,8 @@ a published recipe whose edge cases keep it out of certified comparisons; the
 conflict-graph bound lives here, since its 4-cycle exclusion rule can
 overshoot on dense graphs).  The conflict graph itself is built in
 :mod:`bccover.oracle` and re-exported here; no oracle search prunes with it,
-so the bc search's floor is the log-mc bound alone.
+so the bc search's floor is the log-mc bound alone.  A report counts the
+complement's cliques and indexes the edges at most once for all readers.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .oracle import (
     DEFAULT_VALUE_BUDGET,
     OracleBudget,
     _check_caps,
+    _Facts,
     conflict_graph,
-    enumerate_maximal_cliques,
     exact_bc,
     exact_bp,
     exact_chromatic,
@@ -51,8 +52,7 @@ def lb_log_mc(g, budget=None):
     try:
         mc = complement_clique_tree(g).node_count
     except NotChordalError:
-        budget = budget or DEFAULT_VALUE_BUDGET
-        mc = len(enumerate_maximal_cliques(g.complement(), budget))
+        mc = _Facts(g).mc(budget or DEFAULT_VALUE_BUDGET)
     return ceil_log2(mc)
 
 
@@ -74,7 +74,7 @@ def lb_log_chi(g, budget=None):
         return ceil_log2(max(greedy_coloring(g), default=0)), False
 
 
-def lb_omega_conflict(g, budget=None):
+def lb_omega_conflict(g, budget=None, _facts=None):
     """Clique number of the conflict graph.
 
     The budget caps apply to the input graph; the clique search on the
@@ -83,7 +83,7 @@ def lb_omega_conflict(g, budget=None):
     """
     budget = budget or DEFAULT_VALUE_BUDGET
     _check_caps(g, budget)
-    conflict = conflict_graph(g)
+    conflict = conflict_graph(g, _facts=_facts)
     if conflict.n == 0:
         return 0
     inner = OracleBudget(
@@ -105,19 +105,13 @@ def lb_matching(g, budget=None):
 
 
 class BpBcWindow(FrozenRecord):
-    """What is known about the partition number of a co-chordal graph.
+    """What is known about the partition number of a co-chordal graph."""
 
-    ``bp_upper_context`` is the older (3**bc - 1)/2 bound, carried for
-    comparison only; it is weaker than 2**bc - 1 whenever bc > 1 and is
-    never used in any certified check.
-    """
+    __slots__ = ("bp_upper", "bc_lower_from_bp")
 
-    __slots__ = ("bp_upper", "bc_lower_from_bp", "bp_upper_context")
-
-    def __init__(self, bp_upper, bc_lower_from_bp=None, bp_upper_context=None):
+    def __init__(self, bp_upper, bc_lower_from_bp=None):
         setfield(self, "bp_upper", bp_upper)
         setfield(self, "bc_lower_from_bp", bc_lower_from_bp)
-        setfield(self, "bp_upper_context", bp_upper_context)
 
 
 def bp_bc_window(g, bc_value=None, bp_value=None):
@@ -134,14 +128,10 @@ def bp_bc_window(g, bc_value=None, bp_value=None):
 
 def _window(mc, bc_value, bp_value):
     bp_upper = max(0, mc - 1)
-    context = None
     if bc_value is not None:
         bp_upper = min(bp_upper, 2 ** bc_value - 1)
-        context = (3 ** bc_value - 1) // 2
-    bc_lower = None
-    if bp_value is not None:
-        bc_lower = ceil_log2(bp_value + 1)
-    return BpBcWindow(bp_upper, bc_lower, context)
+    bc_lower = None if bp_value is None else ceil_log2(bp_value + 1)
+    return BpBcWindow(bp_upper, bc_lower)
 
 
 # -- aggregated report --------------------------------------------------------
@@ -211,14 +201,15 @@ def full_report(g, value_budget=None, search_budget=None, run_oracle=True):
     The cover pipeline runs first: on a co-chordal graph its metadata
     supplies mc(complement) for the log-mc bound, the mc - 1 bound and the
     bp window.  Otherwise mc(complement) comes from enumerating the
-    complement's maximal cliques within ``value_budget``.
+    complement's maximal cliques within ``value_budget``, and the oracles
+    reuse that count (on a co-chordal graph they make their own).
     """
     value_budget = value_budget or DEFAULT_VALUE_BUDGET
     search_budget = search_budget or DEFAULT_SEARCH_BUDGET
     report = BoundReport(n=g.n, m=g.m)
 
-    mc = None
-    meta = None
+    facts = _Facts(g)  # shared by the bounds and both oracles
+    mc = meta = None
     try:
         cover, meta = cover_cochordal(g)
         mc = meta.mc_complement
@@ -234,7 +225,7 @@ def full_report(g, value_budget=None, search_budget=None, run_oracle=True):
             report.ub_edge_ranking = BoundEntry(meta.ranking_r, tag)
     except NotChordalError:
         try:
-            mc = len(enumerate_maximal_cliques(g.complement(), value_budget))
+            mc = facts.mc(value_budget)
         except BudgetExceededError:
             pass
     if mc is not None:
@@ -249,7 +240,7 @@ def full_report(g, value_budget=None, search_budget=None, run_oracle=True):
     try:
         # published recipe; kept out of certified comparisons (see module doc)
         report.lb_omega_conflict = BoundEntry(
-            lb_omega_conflict(g, value_budget), "conditional"
+            lb_omega_conflict(g, value_budget, _facts=facts), "conditional"
         )
     except BudgetExceededError:
         pass
@@ -261,11 +252,11 @@ def full_report(g, value_budget=None, search_budget=None, run_oracle=True):
 
     if run_oracle:
         try:
-            report.oracle_bc = exact_bc(g, search_budget)
+            report.oracle_bc = exact_bc(g, search_budget, _facts=facts)
         except BudgetExceededError:
             pass
         try:
-            report.oracle_bp = exact_bp(g, search_budget)
+            report.oracle_bp = exact_bp(g, search_budget, _facts=facts)
         except BudgetExceededError:
             pass
 

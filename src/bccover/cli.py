@@ -153,11 +153,7 @@ def _report_text(report):
             "oracle: bc=%s bp=%s%s" % (window(bc), window(bp), "" if exact else " (inexact)")
         )
     if report.bp_window is not None:
-        w = report.bp_window
-        extra = ""
-        if w.bp_upper_context is not None:
-            extra = "  (context: older bound gives %d)" % w.bp_upper_context
-        lines.append("bp window: upper %d%s" % (w.bp_upper, extra))
+        lines.append("bp window: upper %d" % report.bp_window.bp_upper)
     if report.inconsistent:
         lines.append("INCONSISTENT: a certified lower bound crosses an upper bound")
     return "\n".join(lines) + "\n"

@@ -9,7 +9,8 @@ raise :class:`BudgetExceededError` when their time runs out.
 
 Every search reads the graph through ``g.neighbor_masks()``: vertex sets
 are vertex masks, and edge sets (a biclique in :func:`exact_bc`, a row of
-:func:`conflict_graph`) are masks over the indices of ``g.edges()``.
+:func:`conflict_graph`) are masks over the indices of ``g.edges()``.  A
+``_Facts`` record keeps that edge index and the complement's clique count.
 
 Where a polynomial algorithm exists the oracle uses it: the maximum
 matching is Edmonds' blossom algorithm, and the maximal bicliques are
@@ -284,6 +285,34 @@ def _edges_at(n, edges):
     return at
 
 
+class _Facts:
+    """The complement's clique count and the edge index of ``g``, each made
+    on first use and kept while the record lives: one record per report, or
+    per call of a function that is given none."""
+
+    _mc = _edges = None
+
+    def __init__(self, g):
+        self._g = g
+
+    def mc(self, budget=None):
+        """mc(complement), unless counted already, within ``budget``: by
+        default the complement's own size as caps, with the value time cap.
+        A count that raises :class:`BudgetExceededError` keeps nothing."""
+        if self._mc is None:
+            gc = self._g.complement()
+            budget = budget or OracleBudget(gc.n, max(gc.m, 1), DEFAULT_VALUE_BUDGET.time_cap)
+            self._mc = len(enumerate_maximal_cliques(gc, budget))
+        return self._mc
+
+    def edges(self):
+        """``g.edges()`` and its ``_edges_at`` index."""
+        if self._edges is None:
+            edges = self._g.edges()
+            self._edges = edges, _edges_at(self._g.n, edges)
+        return self._edges
+
+
 def _touching(at, side):
     """Mask of the edges with an endpoint in the vertex mask ``side``."""
     out = 0
@@ -294,7 +323,7 @@ def _touching(at, side):
     return out
 
 
-def conflict_graph(g):
+def conflict_graph(g, _facts=None):
     """Graph on the edges of ``g``: vertex i is the i-th edge (lexicographic),
     and two vertices are adjacent when the edges share no endpoint and do not
     sit together in a chordless 4-cycle.
@@ -305,8 +334,7 @@ def conflict_graph(g):
     join N(a) - N[b] to N(b) - N[a].
     """
     masks = g.neighbor_masks()
-    edges = g.edges()
-    at = _edges_at(g.n, edges)
+    edges, at = (_facts or _Facts(g)).edges()
     all_edges = (1 << g.m) - 1
     rows = []
     for a, b in edges:
@@ -320,7 +348,7 @@ def conflict_graph(g):
 # -- biclique cover number ----------------------------------------------------
 
 
-def exact_bc(g, budget=None):
+def exact_bc(g, budget=None, _facts=None):
     """Minimum biclique cover, as a window with a certificate cover.
 
     Set-cover branch and bound over the maximal bicliques (any cover member
@@ -335,8 +363,9 @@ def exact_bc(g, budget=None):
     _check_caps(g, budget)
     if not g.m:
         return OracleResult(0, 0, [])
+    facts = _facts or _Facts(g)
     bicliques = enumerate_maximal_bicliques(g, budget)
-    at = _edges_at(g.n, g.edges())
+    at = facts.edges()[1]
     sets = [_touching(at, b._left) & _touching(at, b._right) for b in bicliques]
 
     # greedy upper bound
@@ -349,7 +378,7 @@ def exact_bc(g, budget=None):
     best = len(greedy)
     best_cover = list(greedy)
 
-    lb = max(1, _log_mc(g.complement()))
+    lb = max(1, ceil_log2(facts.mc()))
     if best == lb:
         return OracleResult(best, best, [bicliques[i] for i in best_cover])
 
@@ -397,17 +426,6 @@ def exact_bc(g, budget=None):
     except _Timeout:
         return OracleResult(lb, best, [bicliques[i] for i in best_cover])
     return OracleResult(best, best, [bicliques[i] for i in best_cover])
-
-
-def _log_mc(gc):
-    """ceil(log2) of the number of maximal cliques of ``gc``.
-
-    ``gc`` is the complement of a graph that the caller's caps admitted, so
-    the enumeration takes its vertex and edge caps from ``gc`` itself; it
-    keeps the value budget's time cap.
-    """
-    budget = OracleBudget(gc.n, max(gc.m, 1), DEFAULT_VALUE_BUDGET.time_cap)
-    return ceil_log2(len(enumerate_maximal_cliques(gc, budget)))
 
 
 # -- biclique partition number ------------------------------------------------
@@ -600,7 +618,7 @@ def _branch_options(masks, deadline):
     return options
 
 
-def exact_bp(g, budget=None):
+def exact_bp(g, budget=None, _facts=None):
     """Minimum biclique partition, as a window with a certificate partition.
 
     An exact cover of the edges by bicliques, searched over neighbourhood
@@ -651,7 +669,7 @@ def exact_bp(g, budget=None):
             best_parts = twin_parts
     best = len(best_parts)
     if best > lb:
-        lb = max(lb, _log_mc(g.complement()))
+        lb = max(lb, ceil_log2((_facts or _Facts(g)).mc()))
     if best == lb:
         return OracleResult(best, best, best_parts, stats)
 

@@ -103,7 +103,6 @@ def test_bp_bc_window_fig2():
     g = gen_fig_graph("fig2").graph
     window = bp_bc_window(g, bc_value=2)
     assert window.bp_upper == 3  # min(mc - 1, 2^bc - 1) = min(3, 3)
-    assert window.bp_upper_context == 4  # older bound, context only, weaker
 
 
 def test_bp_bc_window_copath6_consistent_with_oracle():
@@ -234,7 +233,7 @@ def test_report_json_non_cochordal_has_null_cover():
 def test_bp_above_what_bc_allows_marks_report_inconsistent(monkeypatch, tmp_path):
     # fig3 has bc = 3; an exact bp of 31 would force bc >= ceil(log2(32)) = 5
     monkeypatch.setattr(
-        bounds_module, "exact_bp", lambda g, budget: OracleResult(31, 31)
+        bounds_module, "exact_bp", lambda g, budget, _facts=None: OracleResult(31, 31)
     )
     g = gen_fig_graph("fig3").graph
     report = full_report(g)
@@ -247,7 +246,7 @@ def test_bp_above_what_bc_allows_marks_report_inconsistent(monkeypatch, tmp_path
 
 
 def test_bp_runs_when_bc_gives_up(monkeypatch):
-    def give_up(g, budget):
+    def give_up(g, budget, _facts=None):
         raise bccover.BudgetExceededError("bc gave up")
 
     monkeypatch.setattr(bounds_module, "exact_bc", give_up)
@@ -255,3 +254,62 @@ def test_bp_runs_when_bc_gives_up(monkeypatch):
     assert report.oracle_bc is None
     assert report.oracle_bp.value == 2
     assert report.bp_window.bc_lower_from_bp == 2
+
+
+def _report_calls(monkeypatch, g):
+    """How often one default-budget ``full_report`` of ``g`` builds a
+    complement, enumerates maximal cliques, lists the edges and indexes
+    them by vertex."""
+    import bccover.oracle as oracle_module
+
+    calls = dict.fromkeys(("complement", "cliques", "edges", "edges_at"), 0)
+
+    def count(owner, name, key):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(Graph, "complement", "complement")
+    count(Graph, "edges", "edges")
+    count(oracle_module, "_edges_at", "edges_at")
+    for module in (oracle_module, bounds_module):
+        if hasattr(module, "enumerate_maximal_cliques"):
+            count(module, "enumerate_maximal_cliques", "cliques")
+    full_report(g)
+    return calls
+
+
+def test_report_counts_the_complement_cliques_and_indexes_the_edges_once(monkeypatch):
+    calls = _report_calls(monkeypatch, er_graph(12, 0.5, random.Random(1)))
+    assert calls["complement"] <= 2  # the cover's co-chordality test, then mc
+    assert (calls["cliques"], calls["edges"], calls["edges_at"]) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("g", [gen_copath(12).graph,
+                               gen_random_chordal(12, 0.3, 1).complement()],
+                         ids=["copath-12", "cochordal-12"])
+def test_cochordal_report_keeps_one_independent_clique_count(monkeypatch, g):
+    calls = _report_calls(monkeypatch, g)
+    assert (calls["edges"], calls["edges_at"]) == (1, 1)
+    # the log-mc entry comes from the cover's clique tree; this one
+    # enumeration is the oracles' own count, which the report checks that
+    # entry against, so it must not drop to 0
+    assert calls["cliques"] == 1
+
+
+def test_report_oracles_match_the_oracles_called_alone():
+    from test_report_golden import report_graphs
+
+    budget = bounds_module.DEFAULT_SEARCH_BUDGET
+    fitting = [g for g in report_graphs().values()
+               if g.n <= budget.vertex_cap and g.m <= budget.edge_cap]
+    assert len(fitting) == 27
+    for g in fitting:
+        report = full_report(g)
+        # OracleResult compares lower, upper, certificate and stats
+        assert report.oracle_bc == exact_bc(g, budget)
+        assert report.oracle_bp == exact_bp(g, budget)

@@ -106,7 +106,7 @@ def test_bounds_k5_text(tmp_path, capsys):
 
 
 def test_bounds_text_shows_bp_when_bc_gives_up(monkeypatch, tmp_path, capsys):
-    def give_up(g, budget=None):
+    def give_up(g, budget=None, _facts=None):
         raise BudgetExceededError("bc search over budget")
 
     monkeypatch.setattr(bounds_module, "exact_bc", give_up)

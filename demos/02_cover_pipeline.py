@@ -17,7 +17,6 @@ We trace it on the 5-vertex co-path, whose complement is a plain path.
 
 from bccover import (
     Tree,
-    bfs_leaf_order,
     clique_tree,
     cover_cochordal,
     find_biclique_levels,
@@ -55,7 +54,7 @@ print("\nranking (r = %d):" % r, ranking.ranks)
 # produces the big biclique; the two rank-1 edges produce singleton pairs at
 # level 2.
 
-levels = find_biclique_levels(tree, ranking, bfs_leaf_order(tree), r)
+levels = find_biclique_levels(tree, ranking)
 for level in sorted(levels):
     rendered = [
         "({%s},{%s}) ord %d"

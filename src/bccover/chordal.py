@@ -3,8 +3,9 @@
 MCS labels vertices from position n down to 1, always taking an unlabeled
 vertex with the largest number of labeled neighbors (ties broken by smallest
 index, for determinism).  On a chordal graph the resulting ordering is a
-perfect elimination ordering, and the same sweep can be extended to emit the
-maximal cliques together with a tree on them.  Each clique is an ``int``
+perfect elimination ordering.  :func:`clique_tree` runs one sweep that emits
+the maximal cliques together with a tree on them and, with one mask test
+per vertex, proves the graph chordal as it goes.  Each clique is an ``int``
 vertex mask (bit v set iff v is in it) from the sweep on; the "middle set" of
 a tree edge, the intersection of its end cliques, is derived from the two
 masks when it is read.
@@ -34,9 +35,6 @@ class Ordering(FrozenRecord):
     @property
     def n(self):
         return len(self.order)
-
-    def vertex_at(self, position):
-        return self.order[position - 1]
 
 
 class CliqueTree(FrozenRecord):
@@ -78,31 +76,31 @@ def tree_adjacency(tree):
     return adj
 
 
-def mcs_order(g):
-    """Maximum cardinality search ordering of ``g``.
+def _mcs(g):
+    """Maximum cardinality search of ``g``: yields ``(v, k)``, the vertex
+    given the next position, n first, and its number k of labeled
+    neighbours.
 
-    Positions are filled from n down to 1; among vertices with equally many
-    labeled neighbors the smallest index wins.  The unlabeled vertices are
-    kept in one mask per labeled-neighbour count (a bucket queue): the next
-    vertex is the lowest bit of the highest non-empty bucket, and its
-    unlabeled neighbours move up one bucket.  A step that takes a vertex
-    from bucket k touches buckets 0..k, and those k sum to m over the whole
-    search, so it takes O(n + m) mask operations.
+    Among vertices with equally many labeled neighbors the smallest index
+    wins.  The unlabeled vertices are kept in one mask per labeled-neighbour
+    count (a bucket queue): the next vertex is the lowest bit of the highest
+    non-empty bucket, and its unlabeled neighbours move up one bucket.  A
+    step that takes a vertex from bucket k touches buckets 0..k, and those k
+    sum to m over the whole search, so it takes O(n + m) mask operations.
     """
     n = g.n
     masks = g.neighbor_masks()
     unlabeled = (1 << n) - 1
     buckets = [unlabeled] + [0] * n  # buckets[k]: unlabeled, k labeled neighbours
     top = 0
-    order = [0] * n
-    for pos in range(n - 1, -1, -1):
+    for _ in range(n):
         while not buckets[top]:
             top -= 1
         low = buckets[top] & -buckets[top]
         buckets[top] ^= low
         unlabeled ^= low
         v = low.bit_length() - 1
-        order[pos] = v
+        yield v, top
         moving = masks[v] & unlabeled
         for k in range(top, -1, -1):  # downwards, so no vertex moves twice
             moved = buckets[k] & moving
@@ -110,7 +108,12 @@ def mcs_order(g):
             buckets[k + 1] |= moved
         if buckets[top + 1]:
             top += 1
-    return Ordering(tuple(order))
+
+
+def mcs_order(g):
+    """Maximum cardinality search ordering of ``g``: positions filled from n
+    down to 1, ties to the smallest index (see :func:`_mcs`)."""
+    return Ordering(tuple(v for v, _ in _mcs(g))[::-1])
 
 
 def is_perfect_elimination_order(g, ordering):
@@ -138,48 +141,48 @@ def is_chordal(g):
 
 
 def clique_tree(g):
-    """Clique tree (or forest) of a chordal graph.
+    """Clique tree (or forest) of a chordal graph, from one MCS sweep.
 
-    Single MCS sweep: whenever the labeled-neighbor count fails to grow, the
-    current clique is complete and a new one starts from the new vertex's
-    labeled neighborhood; the new clique attaches to the clique of its
-    most recently labeled member.  Raises :class:`NotChordalError` with the
-    failing elimination position if ``g`` is not chordal.
+    Whenever the labeled-neighbor count fails to grow, the current clique is
+    complete and a new one starts from the new vertex's labeled
+    neighborhood; it attaches to the clique of its most recently labeled
+    member.  The sweep also proves chordality: a vertex's labeled
+    neighborhood must lie inside the current clique when it extends it (and
+    then, as large, equals it), or inside the clique it attaches to when it
+    starts one.  Both hold on a chordal graph; when both hold, every mask
+    built is a clique, so each labeled neighborhood is one and the order is
+    a perfect elimination order (Blair and Peyton).  Only a failed test runs
+    :func:`_peo_failure`, to name the position in the
+    :class:`NotChordalError` raised.
     """
-    ordering = mcs_order(g)
-    failure = _peo_failure(g, ordering)
-    if failure is not None:
-        raise NotChordalError(
-            "graph is not chordal (elimination check fails at position %d)"
-            % failure,
-            position=failure,
-        )
-
-    n = g.n
     masks = g.neighbor_masks()
     labeled = 0
-    alpha = [0] * n
-    clique_of = [0] * n
+    clique_of = [0] * g.n
     cliques = []  # as vertex masks
     tree_edges = []
     prev_card = 0
-    cur = -1
-    for pos in range(n, 0, -1):
-        v = ordering.vertex_at(pos)
-        alpha[v] = pos
+    for v, card in _mcs(g):
         base = labeled & masks[v]
-        new_card = base.bit_count()
-        if new_card <= prev_card:
-            cur += 1
+        if card > prev_card:
+            host = cliques[-1]
+        else:
+            host = 0
+            if card:  # the latest labeled member's clique is the highest
+                parent = max(map(clique_of.__getitem__, mask_vertices(base)))
+                host = cliques[parent]
+                tree_edges.append((parent, len(cliques)))
             cliques.append(base)
-            if new_card != 0:
-                u = min(mask_vertices(base), key=alpha.__getitem__)
-                parent = clique_of[u]
-                tree_edges.append((min(cur, parent), max(cur, parent)))
-        clique_of[v] = cur
-        cliques[cur] |= 1 << v
+        if base & ~host:
+            failure = _peo_failure(g, mcs_order(g))
+            raise NotChordalError(
+                "graph is not chordal (elimination check fails at position %d)"
+                % failure,
+                position=failure,
+            )
+        clique_of[v] = len(cliques) - 1
+        cliques[-1] |= 1 << v
         labeled |= 1 << v
-        prev_card = new_card
+        prev_card = card
 
     return CliqueTree(tuple(cliques), tuple(sorted(tree_edges)))
 

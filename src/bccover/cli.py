@@ -183,9 +183,9 @@ def cmd_bounds(args):
         for path in paths:
             name, payload, code = _safe_report(path, args, value_budget, search_budget)
             payload["file"] = name
-            out_lines.append(_json(payload))
+            out_lines.append(_json(payload) + "\n")
             worst = max(worst, code)
-        _write_output("\n".join(out_lines) + "\n", args.out)
+        _write_output("".join(out_lines), args.out)
         return worst
     report = _one_report(args.input, args, value_budget, search_budget)
     if args.format == "json":

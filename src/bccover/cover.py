@@ -109,10 +109,11 @@ def join_clique_forest(tree):
     """Connect a clique forest into one tree with synthetic empty middle sets.
 
     Component representatives (lowest node index each) are chained in
-    ascending order.  A connected tree is returned unchanged.
+    ascending order.  A tree, a forest with d - 1 edges on its d nodes, is
+    returned unchanged.
     """
     d = tree.node_count
-    if d <= 1:
+    if len(tree.edges) >= d - 1:
         return tree
     parent = list(range(d))
     for i, j in tree.edges:
@@ -121,8 +122,6 @@ def join_clique_forest(tree):
     for i in range(d):
         reps.setdefault(find_root(parent, i), i)
     chain = sorted(reps.values())
-    if len(chain) == 1:
-        return tree
     extra = [(chain[k], chain[k + 1]) for k in range(len(chain) - 1)]
     return CliqueTree(tree.nodes, tuple(sorted(tree.edges + tuple(extra))))
 
@@ -257,41 +256,34 @@ def find_partition(tree):
     work = join_clique_forest(tree)
     if work.node_count <= 1:
         return []
-    levels, r = _ranked_levels(work)
-    return [b for level in range(1, r + 1) for b, _ in levels.get(level, [])]
+    ranking, _ = optimal_edge_ranking(Tree(work.node_count, work.edges))
+    levels = find_biclique_levels(work, ranking)
+    return [b for level in sorted(levels) for b, _ in levels[level]]
 
 
-def find_biclique_levels(tree, ranking, order, r):
+def find_biclique_levels(tree, ranking):
     """Partition bicliques grouped by ranking level.
 
-    The cut along an edge of rank k lands in level r + 1 - k, annotated
-    with the smallest BFS position (per ``order``) of any node in the
-    subtree it cuts.  The flattened result is a biclique partition.
-    Returns ``{level: [(biclique, ord), ...]}`` with each level's list
-    sorted by ord.  Raises ValueError when ``ranking`` is not a valid
-    edge-ranking of the (joined) tree.
+    The tree (a forest is first joined into one tree) is cut along every
+    edge; with r the top rank among its edges, the cut along an edge of
+    rank k lands in level r + 1 - k, annotated with the smallest
+    :func:`bfs_leaf_order` position of any node in the subtree it cuts.
+    The flattened result is a biclique partition.  Returns
+    ``{level: [(biclique, ord), ...]}`` with each level's list sorted by
+    ord.  Raises ValueError when ``ranking`` is not a valid edge-ranking of
+    the (joined) tree.
     """
     work = join_clique_forest(tree)
     if work.node_count <= 1:
         return {}
+    cuts = _ranked_cuts(work, ranking.ranks, bfs_leaf_order(work))
+    r = cuts[-1][0]
     levels = {}
-    for k, biclique, low in _ranked_cuts(work, ranking.ranks, order):
+    for k, biclique, low in cuts:
         levels.setdefault(r + 1 - k, []).append((biclique, low))
-    for level, items in levels.items():
-        if not 1 <= level <= r:
-            raise ValueError("level %d lies outside 1..%d" % (level, r))
+    for items in levels.values():
         items.sort(key=lambda item: item[1])
-        if any(a[1] == b[1] for a, b in zip(items, items[1:])):
-            raise ValueError("two cuts in level %d share a BFS position" % level)
     return levels
-
-
-def _ranked_levels(work):
-    """``(levels, r)``: the :func:`find_biclique_levels` of the joined tree
-    ``work`` along its optimal edge-ranking, with positions from
-    :func:`bfs_leaf_order`, and that ranking's r."""
-    ranking, r = optimal_edge_ranking(Tree(work.node_count, work.edges))
-    return find_biclique_levels(work, ranking, bfs_leaf_order(work), r), r
 
 
 def merge_bicliques(items, g):
@@ -390,7 +382,8 @@ def cover_cochordal(g):
         meta.verified = verify_cover(g, [])
         return [], meta
 
-    levels, r = _ranked_levels(work)
+    ranking, r = optimal_edge_ranking(Tree(d, work.edges))
+    levels = find_biclique_levels(work, ranking)
     cover = []
     for level in range(1, r + 1):
         items = levels.get(level, [])

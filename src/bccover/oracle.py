@@ -96,13 +96,14 @@ class _Timeout(Exception):
 
 
 class _Deadline:
+    """:meth:`check` raises :class:`_Timeout` once past the time cap; each
+    check reads the clock."""
+
     def __init__(self, seconds):
         self.at = time.monotonic() + seconds
-        self._tick = 0
 
-    def check(self, every=256):
-        self._tick += 1
-        if self._tick % every == 0 and time.monotonic() > self.at:
+    def check(self):
+        if time.monotonic() > self.at:
             raise _Timeout()
 
 
@@ -141,7 +142,7 @@ def enumerate_maximal_cliques(g, budget=None):
             frame = stack[-1]
             current, candidates, excluded, todo = frame
             if todo is None:
-                deadline.check(every=64)
+                deadline.check()
                 if not candidates and not excluded:
                     out.append(tuple(mask_vertices(current)))
                     stack.pop()
@@ -220,7 +221,7 @@ def _max_clique(masks, deadline):
             if not order or size + order[-1][1] <= best:
                 stack.pop()
                 continue
-            deadline.check(every=1)
+            deadline.check()
             bit = order.pop()[0]
             frame[2] = candidates = candidates ^ bit
             below = candidates & masks[bit.bit_length() - 1]
@@ -256,7 +257,7 @@ def enumerate_maximal_bicliques(g, budget=None):
     found = []
     try:
         while todo:
-            deadline.check(every=1)
+            deadline.check()
             right = todo.pop()
             left = g.common_neighbors(right)
             if (left & -left) < (right & -right):  # keep the canonical orientation
@@ -678,7 +679,7 @@ def exact_bp(g, budget=None, _facts=None):
 
     def search():
         nonlocal best, best_parts
-        deadline.check(every=1)
+        deadline.check()
         stats["nodes"] += 1
         if not any(masks):
             best = len(members)
@@ -761,8 +762,7 @@ def exact_chromatic(g, budget=None):
             frame = stack[-1]
             used, uncolored, v, c, limit = frame
             if v is None:
-                # every node: a node's select scans every uncoloured vertex
-                deadline.check(every=1)
+                deadline.check()
                 if used >= best:
                     stack.pop()
                     continue
@@ -842,7 +842,7 @@ def exact_max_matching(g, budget=None):
     try:
         for root in range(g.n):
             if mate[root] < 0:
-                deadline.check(every=1)
+                deadline.check()
                 _augment(adj, mate, root)
     except _Timeout:
         pairs = [(u, v) for u, v in enumerate(mate) if u < v]

@@ -18,6 +18,7 @@ import numpy as np
 import bccover
 from bccover import (
     Biclique,
+    CliqueTree,
     Graph,
     NotChordalError,
     BudgetExceededError,
@@ -823,6 +824,46 @@ def naive_mcs_order(g):
             if not labeled[w]:
                 weight[w] += 1
     return tuple(order)
+
+
+def reference_clique_tree(g):
+    """Clique tree (or forest) of ``g`` in three passes: the MCS order, a
+    check that it is a perfect elimination order, then a replay of the
+    order that builds the cliques and the tree edges.  Raises
+    :class:`NotChordalError` naming the first position whose later
+    neighbours are not a clique."""
+    order = naive_mcs_order(g)
+    masks = g.neighbor_masks()
+    later = (1 << g.n) - 1  # vertices at this position or after
+    for position, v in enumerate(order, start=1):
+        later ^= 1 << v
+        nbrs = masks[v] & later
+        if any(nbrs & ~masks[u] & ~(1 << u) for u in mask_vertices(nbrs)):
+            raise NotChordalError(
+                "graph is not chordal (elimination check fails at position %d)"
+                % position,
+                position=position,
+            )
+
+    alpha = {v: position for position, v in enumerate(order, start=1)}
+    labeled = 0
+    clique_of = {}
+    cliques = []
+    tree_edges = []
+    prev_card = 0
+    for v in reversed(order):
+        base = labeled & masks[v]
+        card = base.bit_count()
+        if card <= prev_card:
+            cliques.append(base)
+            if card:
+                parent = clique_of[min(mask_vertices(base), key=alpha.get)]
+                tree_edges.append((parent, len(cliques) - 1))
+        clique_of[v] = len(cliques) - 1
+        cliques[-1] |= 1 << v
+        labeled |= 1 << v
+        prev_card = card
+    return CliqueTree(tuple(cliques), tuple(sorted(tree_edges)))
 
 
 def vertex_set(mask):

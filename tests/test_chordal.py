@@ -24,6 +24,7 @@ from bccover import (
     path_graph,
     verify_clique_tree,
 )
+import bccover.chordal as chordal_module
 from bccover.chordal import tree_adjacency
 from bccover.graph import Graph, mask_vertices, vertex_mask
 from helpers import (
@@ -31,6 +32,7 @@ from helpers import (
     induced_subgraph,
     naive_mcs_order,
     naive_verify_clique_tree,
+    reference_clique_tree,
 )
 
 
@@ -152,6 +154,53 @@ def test_clique_tree_rejects_non_chordal_with_certificate():
         clique_tree(cycle_graph(4))
     assert err.value.position is not None
     assert 1 <= err.value.position <= 4
+
+
+def _clique_tree_outcome(build, g):
+    try:
+        tree = build(g)
+    except NotChordalError as exc:
+        return str(exc), exc.position
+    return tree.nodes, tree.edges
+
+
+def test_one_sweep_matches_the_three_pass_reference():
+    # the sweep's two mask tests against MCS order, elimination check and
+    # replay: the same nodes and edges, or the same message and position
+    rng = random.Random(2358)
+    chordal = not_chordal = 0
+    for k in range(2400):
+        n = rng.randrange(0, 25)
+        if k % 3 == 0:
+            g = er_graph(n, rng.random(), rng)
+        else:
+            h = gen_random_chordal(max(n, 1), rng.random(), k)
+            g = h if k % 3 == 1 else h.complement()
+        got = _clique_tree_outcome(clique_tree, g)
+        assert got == _clique_tree_outcome(reference_clique_tree, g), k
+        if isinstance(got[1], int):
+            not_chordal += 1
+        else:
+            chordal += 1
+    assert chordal >= 500 and not_chordal >= 500
+
+
+def test_clique_tree_runs_the_elimination_check_only_on_failure(monkeypatch):
+    calls = Counter()
+    for name in ("mcs_order", "_peo_failure"):
+        original = getattr(chordal_module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(chordal_module, name, counted)
+    for g in (path_graph(9), gen_random_chordal(30, 0.4, 1), Graph(3)):
+        clique_tree(g)
+    assert calls == {}
+    with pytest.raises(NotChordalError):
+        clique_tree(cycle_graph(6))
+    assert calls == {"mcs_order": 1, "_peo_failure": 1}
 
 
 def test_clique_tree_on_disconnected_graph_is_forest():

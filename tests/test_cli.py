@@ -489,3 +489,12 @@ def test_bounds_dir_reports_an_entry_it_cannot_read_and_goes_on(tmp_path, capsys
     assert [l["file"] for l in lines] == ["a.graph", "b.graph", "c.graph"]
     assert lines[0]["cover"]["size"] == 2 and "cover" in lines[2]
     assert set(lines[1]) == {"error", "file"} and "directory" in lines[1]["error"]
+
+
+def test_bounds_dir_with_no_graph_writes_nothing(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("not a graph\n")
+    assert main(["bounds", str(tmp_path), "--dir"]) == 0
+    assert capsys.readouterr() == ("", "")
+    out = tmp_path / "out.jsonl"
+    assert main(["bounds", str(tmp_path), "--dir", "-o", str(out)]) == 0
+    assert out.read_text() == ""

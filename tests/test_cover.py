@@ -176,13 +176,12 @@ def fig2_setup():
     g = gen_fig_graph("fig2").graph
     tree = clique_tree(g.complement())
     ranking = EdgeRanking({(0, 1): 1, (1, 2): 2, (2, 3): 1})
-    order = bfs_leaf_order(tree)
-    return g, tree, ranking, order
+    return g, tree, ranking
 
 
 def test_find_biclique_levels_fig2():
-    g, tree, ranking, order = fig2_setup()
-    levels = find_biclique_levels(tree, ranking, order, 2)
+    g, tree, ranking = fig2_setup()
+    levels = find_biclique_levels(tree, ranking)
     assert set(levels) == {1, 2}
     assert levels[1] == [(B([0, 1], [3, 4]), 1)]
     assert levels[2] == [(B([0], [2]), 1), (B([2], [4]), 3)]
@@ -194,24 +193,37 @@ def test_find_biclique_levels_single_node():
     tree = clique_tree(Graph(3))  # edgeless graph: one clique per vertex?
     # a complete graph's complement-side tree: use K3 itself (single clique)
     tree = clique_tree(complete_graph(3))
-    assert find_biclique_levels(tree, EdgeRanking({}), {0: 1}, 0) == {}
+    assert find_biclique_levels(tree, EdgeRanking({})) == {}
 
 
 def test_find_biclique_levels_fig3():
     g = gen_fig_graph("fig3").graph
     tree = clique_tree(g.complement())
     ranking = EdgeRanking({(0, 1): 1, (1, 2): 2, (2, 3): 1})
-    order = bfs_leaf_order(tree)
-    levels = find_biclique_levels(tree, ranking, order, 2)
+    levels = find_biclique_levels(tree, ranking)
     assert levels[1] == [(B([0, 1], [4, 5]), 1)]
     assert levels[2] == [(B([0], [3]), 1), (B([2], [5]), 3)]
 
 
 def test_find_biclique_levels_rejects_invalid_ranking():
-    _, tree, _, order = fig2_setup()
+    _, tree, _ = fig2_setup()
     bad = EdgeRanking({(0, 1): 1, (1, 2): 1, (2, 3): 2})
     with pytest.raises(ValueError):
-        find_biclique_levels(tree, bad, order, 2)
+        find_biclique_levels(tree, bad)
+
+
+def test_find_biclique_levels_joins_a_forest_itself():
+    # K3,3: the complement is two triangles, so its clique tree is a forest
+    # of two nodes; the positions and r come from the joined tree
+    g = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    forest = clique_tree(g.complement())
+    assert forest.node_count == 2 and forest.edges == ()
+    work = join_clique_forest(forest)
+    ranking, r = optimal_edge_ranking(Tree(work.node_count, work.edges))
+    levels = find_biclique_levels(forest, ranking)
+    assert levels == find_biclique_levels(work, ranking)
+    assert levels == naive_biclique_levels(work, ranking, bfs_leaf_order(work), r)
+    assert levels == {1: [(B([0, 1, 2], [3, 4, 5]), 1)]}
 
 
 def _cochordal_with_split_complement(a, b, density, seed):
@@ -259,7 +271,7 @@ def test_partitions_and_levels_match_cut_loop_reference():
         shape = Tree(work.node_count, work.edges)
         for ranking, r in (optimal_edge_ranking(shape),
                            heuristic_edge_ranking(shape)):
-            levels = find_biclique_levels(tree, ranking, order, r)
+            levels = find_biclique_levels(tree, ranking)
             want = naive_biclique_levels(tree, ranking, order, r)
             assert sorted(levels) == sorted(want)
             for level, items in want.items():
@@ -278,24 +290,23 @@ def test_find_biclique_levels_rejects_exactly_the_invalid_rankings():
         work = join_clique_forest(clique_tree(g.complement()))
         if work.node_count < 2:
             continue
-        order = bfs_leaf_order(work)
         shape = Tree(work.node_count, work.edges)
         for _ in range(6):
             ranking = EdgeRanking({e: rng.randint(1, 3) for e in work.edges})
             if is_valid_edge_ranking(shape, ranking):
                 valid += 1
-                levels = find_biclique_levels(work, ranking, order, 3)
+                levels = find_biclique_levels(work, ranking)
                 assert sum(map(len, levels.values())) == len(work.edges)
             else:
                 invalid += 1
                 with pytest.raises(ValueError):
-                    find_biclique_levels(work, ranking, order, 3)
+                    find_biclique_levels(work, ranking)
     assert valid >= 100 and invalid >= 100
 
 
 def test_find_biclique_levels_rejects_malformed_ranks():
     # ValueError, never KeyError or TypeError
-    _, tree, _, order = fig2_setup()
+    _, tree, _ = fig2_setup()
     for ranks in (
         {(0, 1): 1, (1, 2): 2},  # (2, 3) has no rank
         {(0, 1): 0, (1, 2): 2, (2, 3): 1},
@@ -303,20 +314,20 @@ def test_find_biclique_levels_rejects_malformed_ranks():
         {(0, 1): 1, (1, 2): "2", (2, 3): 1},
     ):
         with pytest.raises(ValueError):
-            find_biclique_levels(tree, EdgeRanking(ranks), order, 2)
+            find_biclique_levels(tree, EdgeRanking(ranks))
 
 
 def test_sweep_guards_run_under_optimize():
     # the sweep's ranking check and the cover's own check are not asserts
     script = (
         "import sys\n"
-        "from bccover import (EdgeRanking, bfs_leaf_order, clique_tree,\n"
-        "    cover_cochordal, find_biclique_levels, gen_copath, gen_fig_graph)\n"
+        "from bccover import (EdgeRanking, clique_tree, cover_cochordal,\n"
+        "    find_biclique_levels, gen_copath, gen_fig_graph)\n"
         "print(sys.flags.optimize)\n"
         "tree = clique_tree(gen_fig_graph('fig2').graph.complement())\n"
         "bad = EdgeRanking({(0, 1): 1, (1, 2): 1, (2, 3): 2})\n"
         "try:\n"
-        "    find_biclique_levels(tree, bad, bfs_leaf_order(tree), 2)\n"
+        "    find_biclique_levels(tree, bad)\n"
         "    print('accepted')\n"
         "except ValueError:\n"
         "    print('rejected')\n"
@@ -449,8 +460,8 @@ def test_flattened_levels_form_a_partition_on_random_cochordal():
         tree = join_clique_forest(clique_tree(gc))
         if tree.node_count < 2:
             continue
-        ranking, r = optimal_edge_ranking(Tree(tree.node_count, tree.edges))
-        levels = find_biclique_levels(tree, ranking, bfs_leaf_order(tree), r)
+        ranking, _ = optimal_edge_ranking(Tree(tree.node_count, tree.edges))
+        levels = find_biclique_levels(tree, ranking)
         flattened = [b for items in levels.values() for b, _ in items]
         assert len(flattened) == tree.node_count - 1
         assert verify_partition(g, flattened)
@@ -477,7 +488,7 @@ def test_cover_valid_without_tree_rebuild():
         g = gen_fig_graph(instance_id).graph
         work = join_clique_forest(clique_tree(g.complement()))
         ranking, r = optimal_edge_ranking(Tree(work.node_count, work.edges))
-        levels = find_biclique_levels(work, ranking, bfs_leaf_order(work), r)
+        levels = find_biclique_levels(work, ranking)
         cover = [
             b for level in range(1, r + 1)
             for b in merge_bicliques(levels.get(level, []), g)
@@ -493,6 +504,26 @@ def test_join_clique_forest_chains_components():
     assert work.node_count == 4
     assert len(work.edges) == 3
     assert all(m == 0 for m in work.mids)
+
+
+def test_join_clique_forest_returns_a_tree_as_it_is(monkeypatch):
+    # d - 1 edges on d nodes: a tree already, so no union-find pass
+    finds = [0]
+    original = cover_module.find_root
+
+    def counted(parent, i):
+        finds[0] += 1
+        return original(parent, i)
+
+    monkeypatch.setattr(cover_module, "find_root", counted)
+    for h in (gen_copath(12).graph.complement(),
+              gen_fig_graph("fig3").graph.complement(), complete_graph(3)):
+        tree = clique_tree(h)
+        assert join_clique_forest(tree) is tree
+    assert finds[0] == 0
+    forest = clique_tree(complete_graph(4).complement())
+    assert len(join_clique_forest(forest).edges) == 3
+    assert finds[0] > 0
 
 
 def test_max_weight_tree_rebuild_is_valid_clique_tree():

@@ -683,7 +683,7 @@ class _CountedDeadline:
     def __init__(self):
         self.checks = 0
 
-    def check(self, every=256):
+    def check(self):
         self.checks += 1
 
 
@@ -733,9 +733,9 @@ def test_dense_exact_bp_counts_before_it_lists(monkeypatch):
     checks = [0]
     original = oracle._Deadline.check
 
-    def counted(self, every=256):
+    def counted(self):
         checks[0] += 1
-        return original(self, every)
+        return original(self)
 
     monkeypatch.setattr(oracle._Deadline, "check", counted)
     result = exact_bp(er_graph(14, 0.9, random.Random(2)))
@@ -788,9 +788,9 @@ def test_exact_chromatic_returns_at_the_clique_floor_without_branching(monkeypat
     checked = set()
     original = oracle._Deadline.check
 
-    def check(self, every=256):
+    def check(self):
         checked.add(self)
-        return original(self, every)
+        return original(self)
 
     monkeypatch.setattr(oracle._Deadline, "check", check)
     result = exact_chromatic(g)
@@ -994,3 +994,64 @@ def test_exact_bp_stops_at_the_root_on_cochordal_graphs():
         assert verify_partition(g, result.certificate)
         roots += result.stats["stop"] == "root"
     assert roots >= 550
+
+
+# -- one deadline rule --------------------------------------------------------
+
+
+class _Clock:
+    """Stands in for the ``time`` module: ``monotonic`` stands still until
+    ``race`` is called, and from then on each read is past any deadline
+    set before it.  ``raced_reads`` counts the reads since."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.step = 0.0
+        self.raced_reads = 0
+
+    def monotonic(self):
+        self.now += self.step
+        self.raced_reads += self.step > 0
+        return self.now
+
+    def race(self):
+        self.step = 1e9
+
+
+def test_counts_and_listings_stop_at_their_first_check_past_the_deadline(monkeypatch):
+    clock = _Clock()
+    monkeypatch.setattr(oracle, "time", clock)
+    masks = list(er_graph(10, 0.7, random.Random(0)).neighbor_masks())
+    u, v = next((u, v) for u in range(10) for v in range(10) if masks[u] >> v & 1)
+    deadline = oracle._Deadline(1.0)
+    deadline.check()  # the clock stands still: not past the deadline
+    assert oracle._count_through(masks, u, v, None, deadline) > 1
+    assert len(list(oracle._bicliques_through(masks, u, v, deadline))) > 1
+    clock.race()
+    with pytest.raises(oracle._Timeout):
+        oracle._count_through(masks, u, v, None, deadline)
+    with pytest.raises(oracle._Timeout):
+        next(oracle._bicliques_through(masks, u, v, deadline))
+
+
+def test_exact_bc_search_stops_at_its_first_check_past_the_deadline(monkeypatch):
+    # the clock passes every deadline once the bicliques are listed, so the
+    # search itself ends at its first check, on the greedy cover
+    g = er_graph(12, 0.5, random.Random(2))
+    assert exact_bc(g).value == 6
+    facts = oracle._Facts(g)
+    lb = ceil_log2(facts.mc())
+    clock = _Clock()
+    monkeypatch.setattr(oracle, "time", clock)
+    listing = oracle.enumerate_maximal_bicliques
+
+    def listed_then_race(*args):
+        found = listing(*args)
+        clock.race()
+        return found
+
+    monkeypatch.setattr(oracle, "enumerate_maximal_bicliques", listed_then_race)
+    result = exact_bc(g, _facts=facts)
+    assert clock.raced_reads == 2  # the search's deadline, then its first check
+    assert result.lower == lb < 6 < result.upper
+    assert verify_cover(g, result.certificate)

@@ -138,6 +138,11 @@ def max_weight_clique_tree(nodes):
     with the smallest key ``(larger degree, degree sum, pair)``, until none
     is left.
 
+    When every vertex lies in at most two cliques the intersection graph is
+    itself a forest and this returns its edges, the only clique forest, so
+    :func:`cover_cochordal` skips the call there and keeps the MCS sweep's
+    tree (see its docstring for why).
+
     Only pairs that share a vertex get a weight: a vertex -> cliques index
     gives them in O(sum of c_v^2), c_v being the number of cliques holding
     vertex v.  Each class is a lazy heap of keys.  Degrees only grow, so a
@@ -213,7 +218,8 @@ def _ranked_cuts(work, ranks, order):
     An edge of rank k cuts its component among the edges ranked <= k, and
     the two sides of that cut are the parts it joins.  A part keeps the
     union of its cliques as a vertex mask, its smallest position in
-    ``order`` and the index of the cut that joined it last.  Returns
+    ``order`` and the rank of the cut that joined it last (0 for a single
+    node, which no rank matches).  Returns
     ``(rank, biclique, ord)`` per cut, top cut last.  Raises ValueError on
     a missing or non-positive rank, or when an edge joins a part already
     topped by its own rank: two edges of that rank meet.
@@ -226,12 +232,12 @@ def _ranked_cuts(work, ranks, order):
     nodes = work.nodes
     masks = list(nodes)
     low = [order[i] for i in range(d)]
-    top = [-1] * d
+    top = [0] * d
     cuts = []
     for i, j in sorted(work.edges, key=lambda e: (ranks[e], e)):
         k = ranks[(i, j)]
         a, b = find_root(parent, i), find_root(parent, j)
-        if k in (cuts[c][0] for c in (top[a], top[b]) if c >= 0):
+        if k == top[a] or k == top[b]:
             raise ValueError("not an edge-ranking: two edges of rank %d meet" % k)
         keep = ~(nodes[i] & nodes[j])  # everything but mid(e)
         biclique = Biclique._from_masks(masks[a] & keep, masks[b] & keep)
@@ -239,7 +245,7 @@ def _ranked_cuts(work, ranks, order):
         parent[a] = b
         masks[b] |= masks[a]
         low[b] = min(low[a], low[b])
-        top[b] = len(cuts) - 1
+        top[b] = k
     return cuts
 
 
@@ -361,13 +367,24 @@ def cover_cochordal(g):
     sweep would inflate the ranking for no reason); an optimal edge-ranking
     of that tree; level decomposition; greedy merge per level.
 
+    The rebuild runs only when some complement vertex lies in three or more
+    cliques; ``meta.all_le_two`` says which path was taken.  When every
+    vertex lies in at most two, the clique intersection graph is a forest,
+    so the sweep's tree is the only clique tree and the rebuild would give
+    back its edges: a cycle K1...Kt of the intersection graph would pass
+    through distinct shared vertices v1...vt, each in only the two cliques
+    beside it, and these form a cycle of the complement.  For t = 3 that is
+    a triangle in no clique; for t >= 4 chordality gives a chord, and the
+    clique holding the chord puts one of its ends in a third clique.
+
     Returns ``(cover, CoverMetadata)``; ``meta.verified`` says whether the
     cover passed the final check.  Raises :class:`NotChordalError` when the
     complement is not chordal.
     """
     base = complement_clique_tree(g)
     counts, all_le_two = clique_membership_counts(base, g.n)
-    work = join_clique_forest(max_weight_clique_tree(base.nodes))
+    tree = base if all_le_two else max_weight_clique_tree(base.nodes)
+    work = join_clique_forest(tree)
     d = work.node_count
     meta = CoverMetadata(
         mc_complement=d,

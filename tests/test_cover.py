@@ -41,8 +41,16 @@ from bccover import (
     write_graph,
 )
 from bccover.cli import main
+from bccover.chordal import clique_membership_counts, complement_clique_tree
 from bccover.cover import cover_defects
-from bccover.gen import windmill_graph
+from bccover.gen import (
+    caterpillar_tree,
+    gen_cowindmill,
+    gen_two_membership_cochordal,
+    random_tree,
+    star_tree,
+    windmill_graph,
+)
 from bccover.graph import Graph
 from helpers import (
     clique_split_biclique,
@@ -56,6 +64,7 @@ from helpers import (
     random_cochordal,
     vertex_set,
 )
+from test_acceptance import _two_membership_instances
 
 
 def B(left, right):
@@ -563,6 +572,58 @@ def test_max_weight_tree_rebuild_matches_dense_reference(gc):
         naive_max_weight_clique_tree(nodes)
     )
     assert verify_clique_tree(gc, rebuilt)
+
+
+def _two_membership_complements():
+    """Co-chordal graphs whose complement's vertices each lie in at most
+    two maximal cliques: co-paths, declared two-membership instances on
+    several tree shapes, and a complement whose clique tree is a forest."""
+    graphs = [gen_copath(n).graph for n in range(3, 81)]
+    graphs += [inst.graph for inst in _two_membership_instances(200)]
+    rng = random.Random(28)
+    for seed in range(120):
+        d = rng.randrange(2, 12)
+        shape = (random_tree(d, seed), star_tree(d),
+                 caterpillar_tree(max(2, d // 2), d - max(2, d // 2)))[seed % 3]
+        mids = [rng.randrange(1, 4) for _ in shape.edges]
+        sizes = [sum(m for e, m in zip(shape.edges, mids) if node in e)
+                 + rng.randrange(1, 4) for node in range(d)]
+        graphs.append(
+            gen_two_membership_cochordal(shape, sizes, mids, seed).graph)
+    # complement: a path, a triangle and an edge (as in the pipeline golden)
+    split = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6), (7, 8)]
+    graphs.append(Graph(9, split).complement())
+    return graphs
+
+
+def test_rebuild_keeps_the_sweep_tree_on_two_membership_graphs():
+    # the clique intersection graph is a forest there, so the sweep's tree
+    # is the only clique tree and the rebuild returns its edges
+    for g in _two_membership_complements():
+        base = complement_clique_tree(g)
+        assert clique_membership_counts(base, g.n)[1]
+        rebuilt = max_weight_clique_tree(base.nodes)
+        assert rebuilt.nodes == base.nodes
+        assert join_clique_forest(rebuilt).edges == join_clique_forest(base).edges
+
+
+def test_cover_rebuilds_only_past_two_memberships(monkeypatch):
+    calls = [0]
+    original = cover_module.max_weight_clique_tree
+
+    def counted(nodes):
+        calls[0] += 1
+        return original(nodes)
+
+    monkeypatch.setattr(cover_module, "max_weight_clique_tree", counted)
+    caterpillar = gen_two_membership_cochordal(
+        caterpillar_tree(3, 4), [3, 4, 3, 2, 2, 3, 2], [1, 1, 1, 1, 1, 1], 5)
+    for g in (gen_copath(40).graph, caterpillar.graph):
+        _, meta = cover_cochordal(g)
+        assert meta.all_le_two and calls[0] == 0
+        assert meta.tree == join_clique_forest(complement_clique_tree(g))
+    _, meta = cover_cochordal(gen_cowindmill(6, 3).graph)  # centre in six
+    assert not meta.all_le_two and calls[0] == 1
 
 
 def test_bfs_leaf_order_fig2():

@@ -16,7 +16,6 @@ We trace it on the 5-vertex co-path, whose complement is a plain path.
 """
 
 from bccover import (
-    Tree,
     clique_tree,
     cover_cochordal,
     find_biclique_levels,
@@ -44,10 +43,10 @@ for i, node in enumerate(tree.nodes):
 print("  tree edges:", tree.edges, "middle sets:",
       [set(map(name, mask_vertices(m))) for m in tree.mids])
 
-# Stage 2: optimal edge-ranking of the clique tree.  A path with 4 nodes
-# needs ceil(log2(4)) = 2 ranks.
+# Stage 2: optimal edge-ranking of the clique tree, ranked as it is.  A path
+# with 4 nodes needs ceil(log2(4)) = 2 ranks.
 
-ranking, r = optimal_edge_ranking(Tree(tree.node_count, tree.edges))
+ranking, r = optimal_edge_ranking(tree)
 print("\nranking (r = %d):" % r, ranking.ranks)
 
 # Stage 3: cut top rank first.  The rank-2 edge splits the tree in half and

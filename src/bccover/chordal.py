@@ -62,20 +62,6 @@ class CliqueTree(FrozenRecord):
         return tuple(nodes[i] & nodes[j] for i, j in self.edges)
 
 
-def tree_adjacency(tree):
-    """Sorted neighbour lists of a clique tree's (or forest's) nodes in
-    O(d + edges): the second pass visits nodes in ascending order."""
-    near = [[] for _ in range(tree.node_count)]
-    for i, j in tree.edges:
-        near[i].append(j)
-        near[j].append(i)
-    adj = [[] for _ in near]
-    for v, around in enumerate(near):
-        for u in around:
-            adj[u].append(v)
-    return adj
-
-
 def _mcs(g):
     """Maximum cardinality search of ``g``: yields ``(v, k)``, the vertex
     given the next position, n first, and its number k of labeled

@@ -18,19 +18,14 @@ check of the result.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 from ._record import Record
-from .chordal import (
-    CliqueTree,
-    clique_membership_counts,
-    complement_clique_tree,
-    tree_adjacency,
-)
+from .chordal import CliqueTree, clique_membership_counts, complement_clique_tree
 from .graph import find_root, mask_vertices, vertex_mask
-from .ranking import Tree, optimal_edge_ranking
+from .ranking import bfs, neighbor_lists, optimal_edge_ranking, ranked_joins
 
 
 class Biclique:
@@ -189,64 +184,17 @@ def max_weight_clique_tree(nodes):
 
 
 def bfs_leaf_order(tree):
-    """1-based BFS positions of the tree's nodes, starting from the
-    lowest-index leaf, visiting neighbors in ascending order."""
+    """1-based BFS positions of the nodes of one tree (a clique tree or a
+    ``Tree``), starting from the lowest-index leaf, visiting neighbors in
+    ascending order.  Raises ValueError on a node left unreached (an
+    unjoined forest), an edge end out of range or a loop."""
     d = tree.node_count
     if d == 0:
         return {}
-    adj = tree_adjacency(tree)
-    leaves = [i for i in range(d) if len(adj[i]) <= 1]
-    start = min(leaves) if leaves else 0
-    order = {}
-    queue = deque([start])
-    order[start] = 1
-    pos = 1
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in order:
-                pos += 1
-                order[y] = pos
-                queue.append(y)
-    return order
-
-
-def _ranked_cuts(work, ranks, order):
-    """The cuts of the tree ``work`` along the edge-ranking ``ranks``, from
-    one union-find pass over its edges in (rank, edge) order.
-
-    An edge of rank k cuts its component among the edges ranked <= k, and
-    the two sides of that cut are the parts it joins.  A part keeps the
-    union of its cliques as a vertex mask, its smallest position in
-    ``order`` and the rank of the cut that joined it last (0 for a single
-    node, which no rank matches).  Returns
-    ``(rank, biclique, ord)`` per cut, top cut last.  Raises ValueError on
-    a missing or non-positive rank, or when an edge joins a part already
-    topped by its own rank: two edges of that rank meet.
-    """
-    for e in work.edges:
-        if not isinstance(ranks.get(e), int) or ranks[e] < 1:
-            raise ValueError("edge %r needs a positive integer rank" % (e,))
-    d = work.node_count
-    parent = list(range(d))
-    nodes = work.nodes
-    masks = list(nodes)
-    low = [order[i] for i in range(d)]
-    top = [0] * d
-    cuts = []
-    for i, j in sorted(work.edges, key=lambda e: (ranks[e], e)):
-        k = ranks[(i, j)]
-        a, b = find_root(parent, i), find_root(parent, j)
-        if k == top[a] or k == top[b]:
-            raise ValueError("not an edge-ranking: two edges of rank %d meet" % k)
-        keep = ~(nodes[i] & nodes[j])  # everything but mid(e)
-        biclique = Biclique._from_masks(masks[a] & keep, masks[b] & keep)
-        cuts.append((k, biclique, min(low[a], low[b])))
-        parent[a] = b
-        masks[b] |= masks[a]
-        low[b] = min(low[a], low[b])
-        top[b] = k
-    return cuts
+    adj = neighbor_lists(d, tree.edges)
+    start = next((i for i, around in enumerate(adj) if len(around) <= 1), 0)
+    order, _ = bfs(adj, start)
+    return {v: pos for pos, v in enumerate(order, start=1)}
 
 
 def find_partition(tree):
@@ -262,7 +210,7 @@ def find_partition(tree):
     work = join_clique_forest(tree)
     if work.node_count <= 1:
         return []
-    ranking, _ = optimal_edge_ranking(Tree(work.node_count, work.edges))
+    ranking, _ = optimal_edge_ranking(work)
     levels = find_biclique_levels(work, ranking)
     return [b for level in sorted(levels) for b, _ in levels[level]]
 
@@ -271,22 +219,40 @@ def find_biclique_levels(tree, ranking):
     """Partition bicliques grouped by ranking level.
 
     The tree (a forest is first joined into one tree) is cut along every
-    edge; with r the top rank among its edges, the cut along an edge of
-    rank k lands in level r + 1 - k, annotated with the smallest
-    :func:`bfs_leaf_order` position of any node in the subtree it cuts.
+    edge, in one union-find sweep over its edges in (rank, edge) order
+    (:func:`bccover.ranking.ranked_joins`): an edge of rank k cuts its
+    component among the edges ranked <= k, and the two sides of that cut
+    are the parts it joins.  A part keeps the union of its cliques as a
+    vertex mask and its smallest :func:`bfs_leaf_order` position.  With r
+    the top rank among the edges, the cut along an edge of rank k lands in
+    level r + 1 - k, annotated with the smaller position of its two sides.
     The flattened result is a biclique partition.  Returns
     ``{level: [(biclique, ord), ...]}`` with each level's list sorted by
-    ord.  Raises ValueError when ``ranking`` is not a valid edge-ranking of
-    the (joined) tree.
+    ord.  Raises ValueError on a missing or non-positive rank, or when two
+    edges of one rank meet: ``ranking`` is not a valid edge-ranking of the
+    (joined) tree.
     """
     work = join_clique_forest(tree)
-    if work.node_count <= 1:
+    d = work.node_count
+    if d <= 1:
         return {}
-    cuts = _ranked_cuts(work, ranking.ranks, bfs_leaf_order(work))
-    r = cuts[-1][0]
+    order = bfs_leaf_order(work)
+    ranks = ranking.ranks
+    for e in work.edges:
+        if not isinstance(ranks.get(e), int) or ranks[e] < 1:
+            raise ValueError("edge %r needs a positive integer rank" % (e,))
+    nodes = work.nodes
+    masks = list(nodes)
+    low = [order[i] for i in range(d)]
+    joins = ranked_joins(d, work.edges, ranks)
+    r = joins[-1][0]
     levels = {}
-    for k, biclique, low in cuts:
-        levels.setdefault(r + 1 - k, []).append((biclique, low))
+    for k, (i, j), a, b in joins:
+        keep = ~(nodes[i] & nodes[j])  # everything but mid(e)
+        biclique = Biclique._from_masks(masks[a] & keep, masks[b] & keep)
+        levels.setdefault(r + 1 - k, []).append((biclique, min(low[a], low[b])))
+        masks[b] |= masks[a]
+        low[b] = min(low[a], low[b])
     for items in levels.values():
         items.sort(key=lambda item: item[1])
     return levels
@@ -399,7 +365,7 @@ def cover_cochordal(g):
         meta.verified = verify_cover(g, [])
         return [], meta
 
-    ranking, r = optimal_edge_ranking(Tree(d, work.edges))
+    ranking, r = optimal_edge_ranking(work)
     levels = find_biclique_levels(work, ranking)
     cover = []
     for level in range(1, r + 1):

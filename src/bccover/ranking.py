@@ -1,4 +1,4 @@
-"""Edge-rankings of trees.
+"""Edge-rankings of trees, and the tree walks they share.
 
 An edge-ranking maps every tree edge to a rank in {1..r} so that any two
 distinct edges of equal rank are separated, on the path between them, by an
@@ -12,8 +12,15 @@ free levels in bulk, so the work at a vertex grows with its number of
 distinct child lists and visible levels rather than with its degree.
 
 A ranking is valid iff, for every k, each component of the subgraph of
-edges ranked <= k contains at most one edge ranked exactly k; that is the
-check :func:`is_valid_edge_ranking` makes.
+edges ranked <= k contains at most one edge ranked exactly k: the one
+union-find sweep :func:`ranked_joins` checks it, for
+:func:`is_valid_edge_ranking` and for the level cuts of the cover.
+
+One copy of each tree walk: :func:`neighbor_lists` and :func:`bfs` serve
+``Tree``, :func:`optimal_edge_ranking` and ``cover.bfs_leaf_order``.  The
+last two take a ``Tree`` or a clique tree that is one tree, read through
+``node_count`` and ``edges``, so the cover ranks its joined clique tree as
+it is.
 
 :func:`heuristic_edge_ranking` ranks by balanced separators: it cuts each
 subtree along :func:`balanced_cut`, which walks a subtree of k vertices
@@ -37,7 +44,7 @@ def ceil_log2(n):
 
 
 class Tree:
-    """A connected acyclic graph on vertices 0..n-1."""
+    """A connected acyclic graph on vertices 0..n-1; ``node_count`` is n."""
 
     __slots__ = ("n", "edges", "_adj")
 
@@ -49,27 +56,15 @@ class Tree:
             raise ValueError("duplicate edge")
         if len(norm) != n - 1:
             raise ValueError("a tree on %d vertices needs %d edges" % (n, n - 1))
-        adj = [[] for _ in range(n)]
-        for u, v in norm:
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise ValueError("invalid edge (%d, %d)" % (u, v))
-            adj[u].append(v)
-            adj[v].append(u)
-        # connectivity
-        if n > 0:
-            seen = {0}
-            stack = [0]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            if len(seen) != n:
-                raise ValueError("tree is not connected")
+        adj = neighbor_lists(n, norm)
+        bfs(adj, 0)  # raises unless connected
         self.n = n
         self.edges = tuple(norm)
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
+        self._adj = tuple(map(tuple, adj))
+
+    @property
+    def node_count(self):
+        return self.n
 
     def neighbors(self, v):
         return self._adj[v]
@@ -79,6 +74,57 @@ class Tree:
 
     def __repr__(self):
         return "Tree(n=%d)" % self.n
+
+
+def neighbor_lists(n, edges):
+    """Sorted neighbour lists of the nodes 0..n-1 of any graph with the pairs
+    ``edges``, forests included.  Raises ValueError on an edge with an end
+    outside 0..n-1 or both ends equal."""
+    adj = [[] for _ in range(n)]
+    for i, j in edges:
+        if not (0 <= i < n and 0 <= j < n) or i == j:
+            raise ValueError("invalid edge (%d, %d)" % (i, j))
+        adj[i].append(j)
+        adj[j].append(i)
+    return [sorted(around) for around in adj]
+
+
+def bfs(adj, start):
+    """``(order, parent)``: the nodes in BFS order from ``start`` along the
+    lists ``adj``, and the node each was reached from (``start`` is its
+    own).  Raises ValueError when a node is left unreached."""
+    parent = [-1] * len(adj)
+    parent[start] = start
+    order = [start]
+    for v in order:
+        for c in adj[v]:
+            if parent[c] < 0:
+                parent[c] = v
+                order.append(c)
+    if len(order) != len(adj):
+        raise ValueError("tree is not connected")
+    return order, parent
+
+
+def ranked_joins(n, edges, ranks):
+    """The union-find sweep of a tree's ranked edges in (rank, edge) order:
+    ``(k, edge, a, b)`` per edge, whose rank k joins the part with root a
+    into the part with root b.  Each part keeps the rank of its last join;
+    ranks only grow, so it holds an edge of rank k iff that rank is k.
+    Raises ValueError when an edge joins a part topped by its own rank: two
+    edges of that rank meet with no larger rank between them."""
+    parent = list(range(n))
+    top = [0] * n
+    joins = []
+    for e in sorted(edges, key=lambda e: (ranks[e], e)):
+        k = ranks[e]
+        a, b = find_root(parent, e[0]), find_root(parent, e[1])
+        if k == top[a] or k == top[b]:
+            raise ValueError("not an edge-ranking: two edges of rank %d meet" % k)
+        parent[a] = b
+        top[b] = k
+        joins.append((k, e, a, b))
+    return joins
 
 
 class EdgeRanking(FrozenRecord):
@@ -110,18 +156,10 @@ def is_valid_edge_ranking(tree, ranking):
         if not isinstance(ranks[e], int) or ranks[e] < 1:
             raise ValueError("rank of %r must be a positive integer" % (e,))
 
-    if not tree.edges:
-        return True
-    parent = list(range(tree.n))
-    by_rank = {}
-    for e in tree.edges:
-        by_rank.setdefault(ranks[e], []).append(e)
-    for k in sorted(by_rank):
-        for u, v in by_rank[k]:
-            parent[find_root(parent, u)] = find_root(parent, v)
-        roots = [find_root(parent, u) for u, _ in by_rank[k]]
-        if len(set(roots)) != len(roots):
-            return False  # two rank-k edges meet without a larger separator
+    try:
+        ranked_joins(tree.node_count, tree.edges, ranks)
+    except ValueError:
+        return False  # two edges of one rank meet without a larger separator
     return True
 
 
@@ -284,23 +322,26 @@ def combine_children(lists):
 def optimal_edge_ranking(tree):
     """Minimum-rank edge-ranking, in one bottom-up pass.
 
-    The tree is rooted at 0.  Children come before their parent, and each
-    vertex v combines the ``vis`` of its children (:func:`combine_children`)
-    into the smallest possible ``vis(v)``; a leaf has ``vis = 0``.  A
-    smaller ``vis`` never leaves the rest of the tree worse off, so the
-    ranking is optimal, with r the top bit of ``vis(0)``.  No recursion and
-    no size cap.  Returns ``(EdgeRanking, r)``.
+    ``tree`` is a :class:`Tree` or a clique tree that is one tree (a joined
+    one), read through ``node_count`` and ``edges``, so both give the same
+    ranking.  The tree is rooted at 0.  Children come before their parent,
+    and each vertex v combines the ``vis`` of its children
+    (:func:`combine_children`) into the smallest possible ``vis(v)``; a leaf
+    has ``vis = 0``.  A smaller ``vis`` never leaves the rest of the tree
+    worse off, so the ranking is optimal, with r the top bit of ``vis(0)``.
+    No recursion and no size cap.  Returns ``(EdgeRanking, r)``, ranks
+    keyed by ``(i, j)`` with i < j.  Raises ValueError when the input is not
+    one tree: no node, other than node count - 1 edges, an edge end out of
+    range or a loop, or a node left unreached (an unjoined forest).
     """
-    adj = tree._adj
-    parent = [-1] * tree.n
-    parent[0] = 0  # no vertex is its own neighbour: the root has no parent edge
-    order = [0]
-    for v in order:
-        for c in adj[v]:
-            if parent[c] < 0:
-                parent[c] = v
-                order.append(c)
-    vis = [0] * tree.n
+    n = tree.node_count
+    if n < 1:
+        raise ValueError("a tree needs at least one vertex")
+    if len(tree.edges) != n - 1:
+        raise ValueError("a tree on %d vertices needs %d edges" % (n, n - 1))
+    adj = neighbor_lists(n, tree.edges)
+    order, parent = bfs(adj, 0)
+    vis = [0] * n
     ranks = {}
     for v in reversed(order):
         children = [c for c in adj[v] if c != parent[v]]

@@ -37,10 +37,10 @@ from bccover import (
     verify_cover,
     verify_partition,
 )
-from bccover.chordal import CliqueTree, tree_adjacency
+from bccover.chordal import CliqueTree
 from bccover.gen import caterpillar_tree, path_tree, random_tree, star_tree
 from bccover.graph import Graph, mask_vertices, vertex_mask
-from bccover.ranking import Tree
+from bccover.ranking import Tree, neighbor_lists
 from helpers import (
     clique_split_biclique,
     enumerate_trees,
@@ -317,7 +317,7 @@ def _suite_subtrees_are_clique_trees(cases):
         t = clique_tree(g)
         if t.node_count < 2:
             continue
-        adj = tree_adjacency(t)
+        adj = neighbor_lists(t.node_count, t.edges)
         chosen = {rng.randrange(t.node_count)}
         frontier = set(adj[next(iter(chosen))])
         while frontier and rng.random() < 0.7:

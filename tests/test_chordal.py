@@ -25,7 +25,7 @@ from bccover import (
     verify_clique_tree,
 )
 import bccover.chordal as chordal_module
-from bccover.chordal import tree_adjacency
+from bccover.ranking import neighbor_lists
 from bccover.graph import Graph, mask_vertices, vertex_mask
 from helpers import (
     er_graph,
@@ -340,7 +340,7 @@ def test_subtrees_of_clique_trees_are_clique_trees():
         if t.node_count < 2 or len(t.edges) == 0:
             continue
         # grow a random connected subtree
-        adj = tree_adjacency(t)
+        adj = neighbor_lists(t.node_count, t.edges)
         start = rng.randrange(t.node_count)
         chosen = {start}
         frontier = set(adj[start])

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+import bccover
 from bccover import (
     BudgetExceededError,
     bicliques_from_text,
@@ -379,10 +381,14 @@ def test_usage_error_exit_1():
 
 
 def test_console_script_runs():
+    # the child imports bccover from the same src as this process
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(bccover.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "bccover.cli", "gen", "copath", "--n", "4"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("p 4 3")

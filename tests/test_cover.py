@@ -10,6 +10,7 @@ import bccover
 import bccover.cover as cover_module
 from bccover import (
     Biclique,
+    CliqueTree,
     EdgeRanking,
     NotChordalError,
     Tree,
@@ -629,6 +630,41 @@ def test_cover_rebuilds_only_past_two_memberships(monkeypatch):
 def test_bfs_leaf_order_fig2():
     tree = clique_tree(gen_fig_graph("fig2").graph.complement())
     assert bfs_leaf_order(tree) == {0: 1, 1: 2, 2: 3, 3: 4}
+
+
+def test_bfs_leaf_order_rejects_a_forest():
+    # the complement is a path, a triangle and an edge: five cliques, two
+    # tree edges; only the joined tree has a position for every node
+    split = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6), (7, 8)]
+    forest = clique_tree(Graph(9, split))
+    assert (forest.node_count, len(forest.edges)) == (5, 2)
+    with pytest.raises(ValueError, match="not connected"):
+        bfs_leaf_order(forest)
+    assert sorted(bfs_leaf_order(join_clique_forest(forest)).values()) == [1, 2, 3, 4, 5]
+    for edges in (((0, 5),), ((-1, 0),), ((2, 2),)):
+        with pytest.raises(ValueError, match="invalid edge"):
+            bfs_leaf_order(CliqueTree(forest.nodes, forest.edges + edges))
+
+
+def test_construction_builds_no_ranking_tree(monkeypatch):
+    # the joined clique tree is ranked and cut as it is, on the sweep's
+    # tree and on the rebuilt one
+    copath, cowindmill = gen_copath(40).graph, gen_cowindmill(6, 3).graph
+    calls = [0]
+    original = bccover.ranking.Tree.__init__
+
+    def counted(self, n, edges):
+        calls[0] += 1
+        original(self, n, edges)
+
+    monkeypatch.setattr(bccover.ranking.Tree, "__init__", counted)
+    cover, meta = cover_cochordal(copath)
+    assert meta.all_le_two and meta.verified and len(cover) == 6
+    cover, meta = cover_cochordal(cowindmill)
+    assert not meta.all_le_two and meta.verified
+    members = find_partition(complement_clique_tree(copath))
+    assert verify_partition(copath, members)
+    assert calls[0] == 0
 
 
 def test_verify_cover_examples():

@@ -5,14 +5,20 @@ from hypothesis import given, settings, strategies as st
 
 import bccover.ranking as ranking_module
 from bccover import (
+    CliqueTree,
     EdgeRanking,
     Tree,
     ceil_log2,
+    clique_tree,
     edge_ranking_lower_bound,
+    gen_random_chordal,
     heuristic_edge_ranking,
     is_valid_edge_ranking,
+    join_clique_forest,
+    max_weight_clique_tree,
     optimal_edge_ranking,
 )
+from bccover.graph import Graph
 from bccover.gen import random_tree
 from bccover.ranking import balanced_cut, combine_children
 from helpers import (
@@ -49,6 +55,56 @@ def test_tree_validation():
     with pytest.raises(ValueError):
         Tree(4, [(0, 1), (0, 1), (2, 3)])  # duplicate
     assert Tree(1, []).edges == ()
+
+
+def test_optimal_ranking_rejects_what_is_not_one_tree():
+    # ValueError for every input that is not one tree, never IndexError,
+    # KeyError or AttributeError
+    split = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6), (7, 8)]
+    forest = clique_tree(Graph(9, split))  # five cliques, two tree edges
+    nodes = (1, 2, 4, 8)
+    cases = [
+        (forest, "needs 4 edges"),
+        (CliqueTree((), ()), "at least one vertex"),
+        (CliqueTree(nodes, ((0, 1), (1, 2))), "needs 3 edges"),
+        (CliqueTree(nodes, ((0, 1), (1, 2), (2, 3), (0, 3))), "needs 3 edges"),
+        (CliqueTree(nodes, ((0, 1), (1, 2), (2, 4))), "invalid edge"),
+        (CliqueTree(nodes, ((-1, 0), (0, 1), (1, 2))), "invalid edge"),
+        (CliqueTree(nodes, ((0, 1), (1, 2), (2, 2))), "invalid edge"),
+        (CliqueTree(nodes, ((0, 1), (0, 1), (2, 3))), "not connected"),
+        (CliqueTree(nodes, ((0, 1), (1, 2), (0, 2))), "not connected"),
+    ]
+    for tree, message in cases:
+        with pytest.raises(ValueError, match=message):
+            optimal_edge_ranking(tree)
+    joined = join_clique_forest(forest)
+    assert optimal_edge_ranking(joined)[1] == 3
+
+
+def test_clique_tree_and_tree_give_one_ranking():
+    # the joined clique trees of chordal graphs, as the cover builds them
+    # for their co-chordal complements: from the sweep (some of them joined
+    # forests) and from the rebuild, ranked as they are and as a Tree give
+    # the same ranks, in the same order, and the same r
+    rng = random.Random(29)
+    joined = rebuilt = 0
+    for seed in range(150):
+        parts = [gen_random_chordal(rng.randrange(1, 16), rng.random(), seed + k)
+                 for k in range(1 + seed % 3)]  # a disjoint union of 1-3
+        n, edges = 0, []
+        for part in parts:
+            edges += [(n + u, n + v) for u, v in part.edges()]
+            n += part.n
+        base = clique_tree(Graph(n, edges))
+        for tree in (base, max_weight_clique_tree(base.nodes)):
+            work = join_clique_forest(tree)
+            joined += work is not tree
+            rebuilt += tree is not base and tree.edges != base.edges
+            ranking, r = optimal_edge_ranking(work)
+            want, want_r = optimal_edge_ranking(Tree(work.node_count, work.edges))
+            assert list(ranking.ranks.items()) == list(want.ranks.items())
+            assert r == want_r
+    assert joined >= 20 and rebuilt >= 20
 
 
 def test_ceil_log2():

@@ -51,22 +51,25 @@ print("\nranking (r = %d):" % r, ranking.ranks)
 
 # Stage 3: cut top rank first.  The rank-2 edge splits the tree in half and
 # produces the big biclique; the two rank-1 edges produce singleton pairs at
-# level 2.
+# level 2.  Each cut comes with the common neighbourhood of each side (the
+# vertices joined to all of it), read off the tree, for the merge.
 
 levels = find_biclique_levels(tree, ranking)
+names = lambda mask: ",".join(map(name, mask_vertices(mask)))
 for level in sorted(levels):
     rendered = [
-        "({%s},{%s}) ord %d"
+        "({%s},{%s}) ord %d, common {%s} and {%s}"
         % (",".join(map(name, sorted(b.left))),
-           ",".join(map(name, sorted(b.right))), o)
-        for b, o in levels[level]
+           ",".join(map(name, sorted(b.right))), o, names(cl), names(cr))
+        for b, o, cl, cr in levels[level]
     ]
     print("level %d: %s" % (level, "; ".join(rendered)))
 
 # Stage 4: merge within each level.  The two level-2 bicliques share c on
-# one side, and a-e are not adjacent in the complement, so they fuse.
+# one side, and a-e are not adjacent in the complement, so they fuse.  The
+# merge tests each join on the common neighbourhoods alone, with no graph.
 
-merged = merge_bicliques(levels[2], g)
+merged = merge_bicliques(levels[2])
 print("level 2 after merging:", merged)
 
 cover, meta = cover_cochordal(g)

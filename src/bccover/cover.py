@@ -11,9 +11,10 @@ smaller than d - 1 come from.
 
 A :class:`Biclique` keeps its sides as vertex masks, and the cuts, the merge
 and the verification work on those masks alone.  A cut is a biclique by
-construction, so the merge tests each item only with the mask test it merges
-by, and the final :func:`verify_cover` of :func:`cover_cochordal` is the one
-check of the result.
+construction, and the level sweep hands each cut over with its sides'
+common neighbourhoods, read off the clique tree, so the merge makes no graph
+read.  The final :func:`verify_cover` of :func:`cover_cochordal` is the one
+check of the result: one coverage pass compared with the graph's masks.
 """
 
 from __future__ import annotations
@@ -212,11 +213,12 @@ def find_partition(tree):
         return []
     ranking, _ = optimal_edge_ranking(work)
     levels = find_biclique_levels(work, ranking)
-    return [b for level in sorted(levels) for b, _ in levels[level]]
+    return [item[0] for level in sorted(levels) for item in levels[level]]
 
 
 def find_biclique_levels(tree, ranking):
-    """Partition bicliques grouped by ranking level.
+    """Partition bicliques grouped by ranking level, with their sides'
+    common neighbourhoods.
 
     The tree (a forest is first joined into one tree) is cut along every
     edge, in one union-find sweep over its edges in (rank, edge) order
@@ -227,10 +229,28 @@ def find_biclique_levels(tree, ranking):
     the top rank among the edges, the cut along an edge of rank k lands in
     level r + 1 - k, annotated with the smaller position of its two sides.
     The flattened result is a biclique partition.  Returns
-    ``{level: [(biclique, ord), ...]}`` with each level's list sorted by
-    ord.  Raises ValueError on a missing or non-positive rank, or when two
-    edges of one rank meet: ``ranking`` is not a valid edge-ranking of the
-    (joined) tree.
+    ``{level: [(biclique, ord, common_left, common_right), ...]}`` with
+    each level's list sorted by ord.  Raises ValueError on a missing or
+    non-positive rank, or when two edges of one rank meet: ``ranking`` is
+    not a valid edge-ranking of the (joined) tree.
+
+    ``common_left`` is the mask of the vertices of G adjacent to every
+    vertex of the biclique's left side, and ``common_right`` the same for
+    its right side, worked out from the tree alone.  Let H be the chordal
+    graph whose maximal cliques are the nodes, V the union of the nodes,
+    and for a vertex v in some middle set let ``reach[v]`` be the union of
+    the two end cliques of every edge whose middle set holds v: the cliques
+    holding v span a subtree of two or more nodes, so that is N_H[v].  The
+    cut at sweep step t joins parts a and b along edge e, and its left side
+    is ``left = U_a - mid(e)``, U_a being the union of part a's cliques.
+    Every clique of part a meets ``left``: a clique inside mid(e) would lie
+    inside the end clique of e in part b.  So U_a lies inside N_H[left].  A
+    vertex of ``left`` in no middle set of an edge joined after step t has
+    all its cliques in one part, as the path between two of them through
+    e would put it in mid(e); that part is a, so N_H of it lies inside U_a.
+    Hence N_H[left] = U_a | N_H[left & later], ``later`` being the union of
+    the middle sets joined after step t, and G's common neighbourhood of
+    ``left`` is V - N_H[left].  The right side is the same with part b.
     """
     work = join_clique_forest(tree)
     d = work.node_count
@@ -246,11 +266,37 @@ def find_biclique_levels(tree, ranking):
     low = [order[i] for i in range(d)]
     joins = ranked_joins(d, work.edges, ranks)
     r = joins[-1][0]
+    everything = 0
+    for clique in nodes:
+        everything |= clique
+    reach = [0] * everything.bit_length()
+    mids = []
+    for _, (i, j), _, _ in joins:
+        mid = rest = nodes[i] & nodes[j]
+        while rest:  # one lowest bit at a time: a middle set is small
+            bit = rest & -rest
+            reach[bit.bit_length() - 1] |= nodes[i] | nodes[j]
+            rest ^= bit
+        mids.append(mid)
+    later = [0] * len(joins)  # later[t]: the middle sets joined after step t
+    for t in range(len(joins) - 1, 0, -1):
+        later[t - 1] = later[t] | mids[t]
+
+    def common(part, side, after):
+        near, rest = part, side & after
+        while rest:
+            bit = rest & -rest
+            near |= reach[bit.bit_length() - 1]
+            rest ^= bit
+        return everything ^ near  # near lies inside everything
+
     levels = {}
-    for k, (i, j), a, b in joins:
-        keep = ~(nodes[i] & nodes[j])  # everything but mid(e)
-        biclique = Biclique._from_masks(masks[a] & keep, masks[b] & keep)
-        levels.setdefault(r + 1 - k, []).append((biclique, min(low[a], low[b])))
+    for t, (k, _, a, b) in enumerate(joins):
+        left, right = masks[a] ^ mids[t], masks[b] ^ mids[t]  # mid(e) is in both
+        levels.setdefault(r + 1 - k, []).append((
+            Biclique._from_masks(left, right), min(low[a], low[b]),
+            common(masks[a], left, later[t]), common(masks[b], right, later[t]),
+        ))
         masks[b] |= masks[a]
         low[b] = min(low[a], low[b])
     for items in levels.values():
@@ -258,26 +304,28 @@ def find_biclique_levels(tree, ranking):
     return levels
 
 
-def merge_bicliques(items, g):
+def merge_bicliques(items):
     """Greedy left-to-right merge of one level's bicliques.
 
-    ``items`` is a list of ``(biclique, ord)`` pairs.  Sorted by ``ord``,
-    each incoming biclique is unioned into any already-kept member for which
-    one of the two side orientations stays a biclique of ``g``; if no merge
-    succeeds it is kept as a new member.  Raises ValueError when an item is
-    not a biclique subgraph of ``g``.
+    ``items`` is a list of ``(biclique, ord, common_left, common_right)``
+    items, as :func:`find_biclique_levels` makes them: the last two are the
+    masks of the vertices adjacent to every vertex of the biclique's left
+    and right side.  Sorted by ``ord``, each incoming biclique is unioned
+    into any already-kept member for which one of the two side orientations
+    stays a biclique; if no merge succeeds it is kept as a new member.
+    Raises ValueError when an item's right side is not inside its
+    ``common_left``: it is not a biclique.
 
     A member is kept as four masks: its sides L and R and their common
     neighbourhoods N(L) and N(R).  Joining sides L' and R' to it keeps a
-    biclique iff ``R | R'`` lies inside ``N(L) & N(L')``, one mask test; an
-    item (L', R') is a biclique iff R' lies inside N(L').
+    biclique iff ``R | R'`` lies inside ``N(L) & N(L')``, one mask test.
+    The merge reads no graph.
     """
     kept = []
-    for b, _ in sorted(items, key=lambda t: t[1]):
+    for b, _, common_l, common_r in sorted(items, key=lambda t: t[1]):
         left, right = b._left, b._right
-        common_l, common_r = g.common_neighbors(left), g.common_neighbors(right)
         if right & ~common_l:
-            raise ValueError("%r is not a biclique subgraph of the host" % (b,))
+            raise ValueError("%r: right side not inside common_left" % (b,))
         append = True
         for entry in kept:
             kept_l, kept_r, kept_cl, kept_cr = entry
@@ -370,7 +418,7 @@ def cover_cochordal(g):
     cover = []
     for level in range(1, r + 1):
         items = levels.get(level, [])
-        merged = merge_bicliques(items, g)
+        merged = merge_bicliques(items)
         meta.level_sizes_before[level] = len(items)
         meta.level_sizes_after[level] = len(merged)
         cover.extend(merged)
@@ -384,10 +432,11 @@ def cover_cochordal(g):
 
 
 def _coverage(g, bicliques):
-    """``(covered, twice, bad)``: per-vertex masks of the edges the members
-    cover, where ``covered[u]`` has bit v set when some member covers (u, v)
-    and ``twice[u]`` when at least two do, and the indices of the members
-    that are not biclique subgraphs of ``g``, which cover nothing."""
+    """For :func:`cover_defects`: ``(covered, twice, bad)``, per-vertex
+    masks of the edges the members cover, where ``covered[u]`` has bit v
+    set when some member covers (u, v) and ``twice[u]`` when at least two
+    do, and the indices of the members that are not biclique subgraphs of
+    ``g``, which cover nothing."""
     covered = [0] * g.n
     twice = [0] * g.n
     bad = []
@@ -414,16 +463,33 @@ def _first_edge(rows):
 
 def verify_cover(g, bicliques):
     """True iff every member is a biclique of ``g`` and every edge of ``g``
-    is covered at least once."""
-    covered, _, bad = _coverage(g, bicliques)
-    return not bad and tuple(covered) == g.neighbor_masks()
+    is covered at least once.
+
+    One pass ORs each member's sides into per-vertex coverage masks, and
+    the result must equal the graph's masks: a member with a non-edge
+    between its sides puts that pair in, and an uncovered edge leaves its
+    bit out.  A member with a vertex outside 0..n-1 fails at once."""
+    n = g.n
+    covered = [0] * n
+    for b in bicliques:
+        left, right = b._left, b._right
+        if (left | right) >> n:
+            return False
+        for u in mask_vertices(left):
+            covered[u] |= right
+        for u in mask_vertices(right):
+            covered[u] |= left
+    return tuple(covered) == g.neighbor_masks()
 
 
 def verify_partition(g, bicliques):
     """True iff every member is a biclique of ``g`` and every edge of ``g``
-    is covered exactly once."""
-    covered, twice, bad = _coverage(g, bicliques)
-    return not bad and tuple(covered) == g.neighbor_masks() and not any(twice)
+    is covered exactly once.  Once the members are bicliques that cover
+    every edge, their |L|·|R| pairs add up to m exactly when none is
+    covered twice."""
+    return verify_cover(g, bicliques) and sum(
+        b._left.bit_count() * b._right.bit_count() for b in bicliques
+    ) == g.m
 
 
 def cover_defects(g, bicliques, partition=False):

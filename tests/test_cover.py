@@ -189,13 +189,27 @@ def fig2_setup():
     return g, tree, ranking
 
 
+def _pairs(items):
+    """The ``(biclique, ord)`` projection of level items."""
+    return [item[:2] for item in items]
+
+
+def _merge_items(g, pairs):
+    """Merge items for hand-made ``(biclique, ord)`` pairs, with the sides'
+    common neighbourhoods read from ``g``."""
+    return [
+        (b, o, g.common_neighbors(b._left), g.common_neighbors(b._right))
+        for b, o in pairs
+    ]
+
+
 def test_find_biclique_levels_fig2():
     g, tree, ranking = fig2_setup()
     levels = find_biclique_levels(tree, ranking)
     assert set(levels) == {1, 2}
-    assert levels[1] == [(B([0, 1], [3, 4]), 1)]
-    assert levels[2] == [(B([0], [2]), 1), (B([2], [4]), 3)]
-    flattened = [b for items in levels.values() for b, _ in items]
+    assert _pairs(levels[1]) == [(B([0, 1], [3, 4]), 1)]
+    assert _pairs(levels[2]) == [(B([0], [2]), 1), (B([2], [4]), 3)]
+    flattened = [item[0] for items in levels.values() for item in items]
     assert verify_partition(g, flattened)
 
 
@@ -211,8 +225,8 @@ def test_find_biclique_levels_fig3():
     tree = clique_tree(g.complement())
     ranking = EdgeRanking({(0, 1): 1, (1, 2): 2, (2, 3): 1})
     levels = find_biclique_levels(tree, ranking)
-    assert levels[1] == [(B([0, 1], [4, 5]), 1)]
-    assert levels[2] == [(B([0], [3]), 1), (B([2], [5]), 3)]
+    assert _pairs(levels[1]) == [(B([0, 1], [4, 5]), 1)]
+    assert _pairs(levels[2]) == [(B([0], [3]), 1), (B([2], [5]), 3)]
 
 
 def test_find_biclique_levels_rejects_invalid_ranking():
@@ -232,8 +246,9 @@ def test_find_biclique_levels_joins_a_forest_itself():
     ranking, r = optimal_edge_ranking(Tree(work.node_count, work.edges))
     levels = find_biclique_levels(forest, ranking)
     assert levels == find_biclique_levels(work, ranking)
-    assert levels == naive_biclique_levels(work, ranking, bfs_leaf_order(work), r)
-    assert levels == {1: [(B([0, 1, 2], [3, 4, 5]), 1)]}
+    pairs = {level: _pairs(items) for level, items in levels.items()}
+    assert pairs == naive_biclique_levels(work, ranking, bfs_leaf_order(work), r)
+    assert pairs == {1: [(B([0, 1, 2], [3, 4, 5]), 1)]}
 
 
 def _cochordal_with_split_complement(a, b, density, seed):
@@ -286,7 +301,7 @@ def test_partitions_and_levels_match_cut_loop_reference():
             assert sorted(levels) == sorted(want)
             for level, items in want.items():
                 items = sorted(items, key=lambda item: item[1])
-                assert [(b.left, b.right, o) for b, o in levels[level]] == [
+                assert [(b.left, b.right, o) for b, o in _pairs(levels[level])] == [
                     (b.left, b.right, o) for b, o in items
                 ]
     assert forests >= 40
@@ -353,21 +368,63 @@ def test_sweep_guards_run_under_optimize():
     assert proc.stdout.split() == ["1", "rejected", "True"]
 
 
+def test_level_items_carry_their_sides_common_neighbourhoods():
+    # the masks the sweep reads off the tree are the graph's, on the MCS
+    # sweep's tree and on the rebuilt one, over co-paths, complements of
+    # random chordal graphs, co-windmills and a split complement (a forest)
+    graphs = [gen_copath(n).graph for n in range(2, 120)]
+    for n in (1, 2, 5, 10, 30, 60, 100):
+        for density in (0.05, 0.1, 0.3, 0.5, 0.9):
+            graphs += [gen_random_chordal(n, density, s).complement() for s in range(8)]
+    graphs += [
+        gen_cowindmill(m, k).graph
+        for m, k in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 3),
+                     (6, 3), (7, 2), (8, 3), (3, 5), (9, 2), (12, 3))
+    ]
+    graphs.append(_cochordal_with_split_complement(12, 9, 0.4, 1))
+    assert len(graphs) == 412
+    items = 0
+    for g in graphs:
+        base = complement_clique_tree(g)
+        for tree in (base, max_weight_clique_tree(base.nodes)):
+            work = join_clique_forest(tree)
+            if work.node_count < 2:
+                continue
+            ranking, _ = optimal_edge_ranking(work)
+            for level in find_biclique_levels(work, ranking).values():
+                for b, _, common_left, common_right in level:
+                    assert common_left == g.common_neighbors(b._left)
+                    assert common_right == g.common_neighbors(b._right)
+                    items += 1
+    assert items > 8000
+
+
+def test_cover_reads_no_common_neighbourhood_from_the_graph(monkeypatch):
+    calls = []
+    common = Graph.common_neighbors
+    monkeypatch.setattr(
+        Graph, "common_neighbors", lambda self, side: calls.append(1) or common(self, side)
+    )
+    cover, meta = cover_cochordal(gen_copath(150).graph)
+    assert meta.verified and len(cover) == ceil_log2(149)
+    assert calls == []
+
+
 def test_merge_fig2_level_two():
     g = gen_fig_graph("fig2").graph
-    merged = merge_bicliques([(B([0], [2]), 1), (B([2], [4]), 3)], g)
+    merged = merge_bicliques(_merge_items(g, [(B([0], [2]), 1), (B([2], [4]), 3)]))
     assert merged == [B([0, 4], [2])]  # {a,e} vs {c}
 
 
 def test_merge_single_element_unchanged():
     g = gen_fig_graph("fig2").graph
-    assert merge_bicliques([(B([0], [2]), 1)], g) == [B([0], [2])]
-    assert merge_bicliques([], g) == []
+    assert merge_bicliques(_merge_items(g, [(B([0], [2]), 1)])) == [B([0], [2])]
+    assert merge_bicliques([]) == []
 
 
 def test_merge_fig3_level_two_does_not_collapse():
     g = gen_fig_graph("fig3").graph
-    merged = merge_bicliques([(B([0], [3]), 1), (B([2], [5]), 3)], g)
+    merged = merge_bicliques(_merge_items(g, [(B([0], [3]), 1), (B([2], [5]), 3)]))
     assert len(merged) == 2
 
 
@@ -380,7 +437,7 @@ def test_merge_matches_set_based_reference():
         g = random_cochordal(rng.randrange(4, 16), rng.random(), seed)
         parts = find_partition(clique_tree(g.complement()))
         items = [(b, rng.random()) for b in parts if rng.random() < 0.8]
-        merged = merge_bicliques(items, g)
+        merged = merge_bicliques(_merge_items(g, items))
         assert merged == naive_merge_bicliques(items, g)
         accepted += len(items) - len(merged)
         rejected += len(merged) > 1
@@ -390,7 +447,7 @@ def test_merge_matches_set_based_reference():
 def test_merge_rejects_non_biclique_input():
     g = gen_fig_graph("fig2").graph
     with pytest.raises(ValueError):
-        merge_bicliques([(B([0], [1]), 1)], g)  # a-b is not an edge
+        merge_bicliques(_merge_items(g, [(B([0], [1]), 1)]))  # a-b is not an edge
 
 
 def test_cover_fig2_walkthrough():
@@ -472,7 +529,7 @@ def test_flattened_levels_form_a_partition_on_random_cochordal():
             continue
         ranking, _ = optimal_edge_ranking(Tree(tree.node_count, tree.edges))
         levels = find_biclique_levels(tree, ranking)
-        flattened = [b for items in levels.values() for b, _ in items]
+        flattened = [item[0] for items in levels.values() for item in items]
         assert len(flattened) == tree.node_count - 1
         assert verify_partition(g, flattened)
 
@@ -501,7 +558,7 @@ def test_cover_valid_without_tree_rebuild():
         levels = find_biclique_levels(work, ranking)
         cover = [
             b for level in range(1, r + 1)
-            for b in merge_bicliques(levels.get(level, []), g)
+            for b in merge_bicliques(levels.get(level, []))
         ]
         assert verify_cover(g, cover)
         assert len(cover) <= work.node_count - 1
@@ -689,6 +746,24 @@ def test_verify_cover_examples():
     assert cover_defects(k4, members + [B([0], [2]), B([1], [2])]) == []
 
 
+def test_verification_turns_down_each_defect_without_raising():
+    g = gen_fig_graph("fig3").graph  # 6 vertices
+    cover = [B([0, 1], [4, 5]), B([0], [3]), B([2], [5])]
+    assert g.has_edge(0, 3) and not g.has_edge(0, 1) and g.has_edge(1, 5)
+    cases = [
+        (verify_cover, cover + [B([0], [4, 6])]),  # vertex >= n, right side only
+        (verify_cover, cover + [B([0], [1, 3])]),  # one non-edge, 0 1
+        (verify_cover, [B([0, 1], [4]), B([0], [5])] + cover[1:]),  # misses 1 5
+        (verify_partition, cover + [B([0], [4])]),  # covers 0 4 twice
+    ]
+    for verify, members in cases:
+        naive = naive_verify_cover if verify is verify_cover else naive_verify_partition
+        assert verify(g, members) is False
+        assert naive(g, members) is False
+    assert verify_cover(g, cover + [B([0], [4])])
+    assert cover_defects(g, cases[2][1]) == ["edge 1 5 is uncovered"]
+
+
 @st.composite
 def graphs_with_members(draw):
     """A graph and a member list mixing a partition into single edges,
@@ -859,7 +934,7 @@ def test_cover_that_fails_its_check_is_flagged(monkeypatch, tmp_path, capsys):
     g = gen_copath(9).graph
     merge = cover_module.merge_bicliques
     monkeypatch.setattr(  # drop one member of every merged level
-        cover_module, "merge_bicliques", lambda items, g: merge(items, g)[:-1]
+        cover_module, "merge_bicliques", lambda items: merge(items)[:-1]
     )
     cover, meta = cover_cochordal(g)
     assert not verify_cover(g, cover)
@@ -878,7 +953,7 @@ def test_cover_check_runs_under_optimize():
         "import bccover.cover as c\n"
         "from bccover import gen_copath\n"
         "merge = c.merge_bicliques\n"
-        "c.merge_bicliques = lambda items, g: merge(items, g)[:-1]\n"
+        "c.merge_bicliques = lambda items: merge(items)[:-1]\n"
         "print(c.cover_cochordal(gen_copath(9).graph)[1].verified)\n"
     )
     env = dict(os.environ)

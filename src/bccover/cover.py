@@ -251,6 +251,9 @@ def find_biclique_levels(tree, ranking):
     Hence N_H[left] = U_a | N_H[left & later], ``later`` being the union of
     the middle sets joined after step t, and G's common neighbourhood of
     ``left`` is V - N_H[left].  The right side is the same with part b.
+    ``later`` is one running mask: it starts as the union of all middle
+    sets, and a per-vertex count of the middle sets not yet joined clears
+    a vertex's bit at the step that joins the last middle set holding it.
     """
     work = join_clique_forest(tree)
     d = work.node_count
@@ -270,35 +273,46 @@ def find_biclique_levels(tree, ranking):
     for clique in nodes:
         everything |= clique
     reach = [0] * everything.bit_length()
-    mids = []
+    pending = [0] * everything.bit_length()  # middle sets not yet joined
+    later = 0
     for _, (i, j), _, _ in joins:
         mid = rest = nodes[i] & nodes[j]
         while rest:  # one lowest bit at a time: a middle set is small
             bit = rest & -rest
-            reach[bit.bit_length() - 1] |= nodes[i] | nodes[j]
+            v = bit.bit_length() - 1
+            reach[v] |= nodes[i] | nodes[j]
+            pending[v] += 1
             rest ^= bit
-        mids.append(mid)
-    later = [0] * len(joins)  # later[t]: the middle sets joined after step t
-    for t in range(len(joins) - 1, 0, -1):
-        later[t - 1] = later[t] | mids[t]
-
-    def common(part, side, after):
-        near, rest = part, side & after
+        later |= mid
+    levels = {}
+    for k, (i, j), a, b in joins:
+        mid = rest = nodes[i] & nodes[j]
+        while rest:  # later: the middle sets joined after this step
+            bit = rest & -rest
+            v = bit.bit_length() - 1
+            pending[v] -= 1
+            if not pending[v]:
+                later ^= bit
+            rest ^= bit
+        part_a, part_b = masks[a], masks[b]
+        left, right = part_a ^ mid, part_b ^ mid  # mid(e) is in both
+        near, rest = part_a, left & later
         while rest:
             bit = rest & -rest
             near |= reach[bit.bit_length() - 1]
             rest ^= bit
-        return everything ^ near  # near lies inside everything
-
-    levels = {}
-    for t, (k, _, a, b) in enumerate(joins):
-        left, right = masks[a] ^ mids[t], masks[b] ^ mids[t]  # mid(e) is in both
+        common_left = everything ^ near  # near lies inside everything
+        near, rest = part_b, right & later
+        while rest:
+            bit = rest & -rest
+            near |= reach[bit.bit_length() - 1]
+            rest ^= bit
+        low[b] = first = min(low[a], low[b])
         levels.setdefault(r + 1 - k, []).append((
-            Biclique._from_masks(left, right), min(low[a], low[b]),
-            common(masks[a], left, later[t]), common(masks[b], right, later[t]),
+            Biclique._from_masks(left, right), first,
+            common_left, everything ^ near,
         ))
-        masks[b] |= masks[a]
-        low[b] = min(low[a], low[b])
+        masks[b] = part_a | part_b
     for items in levels.values():
         items.sort(key=lambda item: item[1])
     return levels

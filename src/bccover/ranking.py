@@ -9,7 +9,11 @@ below it has rank k with no larger rank in between.  A vertex combines its
 children's ``vis`` into the smallest ``vis`` it can have, level by level
 from the top; children with equal ``vis`` are handled together and runs of
 free levels in bulk, so the work at a vertex grows with its number of
-distinct child lists and visible levels rather than with its degree.
+distinct child lists and visible levels rather than with its degree.  A
+vertex with one child takes the lowest rank free in that child's ``vis``
+(:func:`_lowest_rank`, the rule :func:`combine_children` applies to one
+list) with no child list built, and a leaf is skipped; on a path, every
+vertex is one or the other.
 
 A ranking is valid iff, for every k, each component of the subgraph of
 edges ranked <= k contains at most one edge ranked exactly k: the one
@@ -86,7 +90,9 @@ def neighbor_lists(n, edges):
             raise ValueError("invalid edge (%d, %d)" % (i, j))
         adj[i].append(j)
         adj[j].append(i)
-    return [sorted(around) for around in adj]
+    for around in adj:
+        around.sort()
+    return adj
 
 
 def bfs(adj, start):
@@ -109,21 +115,26 @@ def bfs(adj, start):
 def ranked_joins(n, edges, ranks):
     """The union-find sweep of a tree's ranked edges in (rank, edge) order:
     ``(k, edge, a, b)`` per edge, whose rank k joins the part with root a
-    into the part with root b.  Each part keeps the rank of its last join;
-    ranks only grow, so it holds an edge of rank k iff that rank is k.
-    Raises ValueError when an edge joins a part topped by its own rank: two
-    edges of that rank meet with no larger rank between them."""
+    into the part with root b.  The edges are bucketed by rank in one pass
+    and each bucket is sorted, so the order does not depend on the order
+    of ``edges``.  Each part keeps the rank of its last join; ranks only
+    grow, so it holds an edge of rank k iff that rank is k.  Raises
+    ValueError when an edge joins a part topped by its own rank: two edges
+    of that rank meet with no larger rank between them."""
+    by_rank = {}
+    for e in edges:
+        by_rank.setdefault(ranks[e], []).append(e)
     parent = list(range(n))
     top = [0] * n
     joins = []
-    for e in sorted(edges, key=lambda e: (ranks[e], e)):
-        k = ranks[e]
-        a, b = find_root(parent, e[0]), find_root(parent, e[1])
-        if k == top[a] or k == top[b]:
-            raise ValueError("not an edge-ranking: two edges of rank %d meet" % k)
-        parent[a] = b
-        top[b] = k
-        joins.append((k, e, a, b))
+    for k in sorted(by_rank):
+        for e in sorted(by_rank[k]):
+            a, b = find_root(parent, e[0]), find_root(parent, e[1])
+            if k == top[a] or k == top[b]:
+                raise ValueError("not an edge-ranking: two edges of rank %d meet" % k)
+            parent[a] = b
+            top[b] = k
+            joins.append((k, e, a, b))
     return joins
 
 
@@ -327,12 +338,14 @@ def optimal_edge_ranking(tree):
     ranking.  The tree is rooted at 0.  Children come before their parent,
     and each vertex v combines the ``vis`` of its children
     (:func:`combine_children`) into the smallest possible ``vis(v)``; a leaf
-    has ``vis = 0``.  A smaller ``vis`` never leaves the rest of the tree
-    worse off, so the ranking is optimal, with r the top bit of ``vis(0)``.
-    No recursion and no size cap.  Returns ``(EdgeRanking, r)``, ranks
-    keyed by ``(i, j)`` with i < j.  Raises ValueError when the input is not
-    one tree: no node, other than node count - 1 edges, an edge end out of
-    range or a loop, or a node left unreached (an unjoined forest).
+    has ``vis = 0``, and a vertex with one child calls :func:`_lowest_rank`
+    on that child's ``vis`` directly.  A smaller ``vis`` never leaves the
+    rest of the tree worse off, so the ranking is optimal, with r the top
+    bit of ``vis(0)``.  No recursion and no size cap.  Returns
+    ``(EdgeRanking, r)``, ranks keyed by ``(i, j)`` with i < j.  Raises
+    ValueError when the input is not one tree: no node, other than node
+    count - 1 edges, an edge end out of range or a loop, or a node left
+    unreached (an unjoined forest).
     """
     n = tree.node_count
     if n < 1:
@@ -344,12 +357,17 @@ def optimal_edge_ranking(tree):
     vis = [0] * n
     ranks = {}
     for v in reversed(order):
-        children = [c for c in adj[v] if c != parent[v]]
-        if not children:
-            continue
-        xs, vis[v] = combine_children([vis[c] for c in children])
-        for c, x in zip(children, xs):
+        around, up = adj[v], parent[v]
+        below = len(around) - (v != up)  # the root is its own parent
+        if below == 1:
+            c = around[0] if around[0] != up else around[1]
+            x, vis[v] = _lowest_rank(vis[c], vis[c].bit_length())
             ranks[(v, c) if v < c else (c, v)] = x
+        elif below:
+            children = [c for c in around if c != up]
+            xs, vis[v] = combine_children([vis[c] for c in children])
+            for c, x in zip(children, xs):
+                ranks[(v, c) if v < c else (c, v)] = x
     return EdgeRanking(ranks), max(vis[0].bit_length() - 1, 0)
 
 

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -408,6 +409,25 @@ def test_cover_reads_no_common_neighbourhood_from_the_graph(monkeypatch):
     cover, meta = cover_cochordal(gen_copath(150).graph)
     assert meta.verified and len(cover) == ceil_log2(149)
     assert calls == []
+
+
+def test_cover_calls_each_traced_stage_by_its_module_name(monkeypatch):
+    # the benchmark's tracer wraps these names in bccover.cover: one cover
+    # ranks once, cuts once and merges once per level
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("optimal_edge_ranking", "find_biclique_levels", "merge_bicliques"):
+        monkeypatch.setattr(cover_module, name, counted(name, getattr(cover_module, name)))
+    cover, meta = cover_cochordal(gen_copath(40).graph)
+    assert meta.verified and meta.ranking_r == ceil_log2(39)
+    assert calls == {"optimal_edge_ranking": 1, "find_biclique_levels": 1,
+                     "merge_bicliques": meta.ranking_r}
 
 
 def test_merge_fig2_level_two():

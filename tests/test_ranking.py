@@ -20,7 +20,7 @@ from bccover import (
 )
 from bccover.graph import Graph
 from bccover.gen import random_tree
-from bccover.ranking import balanced_cut, combine_children
+from bccover.ranking import _lowest_rank, balanced_cut, combine_children, ranked_joins
 from helpers import (
     enumerate_trees,
     naive_balanced_cuts,
@@ -337,6 +337,60 @@ def test_combine_children_matches_brute_force(raw, repeats):
         assert not seen & mask
         seen |= mask
     assert seen == union
+
+
+def test_one_child_rule_matches_brute_force():
+    # the rule a vertex with one child applies, for every vis over levels 0..9
+    for vis in range(1 << 10):
+        x, union = _lowest_rank(vis, vis.bit_length())
+        assert union == naive_combine_children([vis])
+        assert x >= 1 and not vis >> x & 1
+
+
+def test_one_child_vertices_make_no_combine_call(monkeypatch):
+    calls = []
+    combine = combine_children
+
+    def counting(lists):
+        calls.append(len(lists))
+        return combine(lists)
+
+    monkeypatch.setattr(ranking_module, "combine_children", counting)
+    ranking, r = optimal_edge_ranking(path_tree(2000))
+    assert r == ceil_log2(2000) and calls == []
+    # node 0 in the middle of the path: the root alone has two children
+    middle = Tree(9, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7), (7, 8)])
+    ranking, r = optimal_edge_ranking(middle)
+    assert r == ceil_log2(9) and calls == [2]
+    assert is_valid_edge_ranking(middle, ranking)
+
+
+def test_ranked_joins_do_not_depend_on_the_edge_order():
+    # the joined clique trees of the 252-graph set (the MCS sweep's and the
+    # rebuilt one), ranked: the sweep runs in (rank, edge) order however
+    # the edges come in
+    rng = random.Random(31)
+    swept = 0
+    for n in range(8, 15):
+        for density in (0.2, 0.35, 0.5):
+            for seed in range(12):
+                base = clique_tree(gen_random_chordal(n, density, seed))
+                for tree in (base, max_weight_clique_tree(base.nodes)):
+                    work = join_clique_forest(tree)
+                    if work.node_count < 2:
+                        continue
+                    ranks = optimal_edge_ranking(work)[0].ranks
+                    edges = sorted(work.edges)
+                    want = ranked_joins(work.node_count, edges, ranks)
+                    assert [(k, e) for k, e, _, _ in want] == sorted(
+                        (ranks[e], e) for e in edges
+                    )
+                    shuffled = list(edges)
+                    rng.shuffle(shuffled)
+                    for order in (shuffled, edges[::-1]):
+                        assert ranked_joins(work.node_count, order, ranks) == want
+                    swept += 1
+    assert swept >= 480
 
 
 def test_optimal_matches_search_reference_on_all_trees_to_eleven_nodes():

@@ -70,9 +70,13 @@ def _mcs(g):
     Among vertices with equally many labeled neighbors the smallest index
     wins.  The unlabeled vertices are kept in one mask per labeled-neighbour
     count (a bucket queue): the next vertex is the lowest bit of the highest
-    non-empty bucket, and its unlabeled neighbours move up one bucket.  A
-    step that takes a vertex from bucket k touches buckets 0..k, and those k
-    sum to m over the whole search, so it takes O(n + m) mask operations.
+    non-empty bucket, and its unlabeled neighbours move up one bucket.  Every
+    unlabeled vertex sits in a bucket at or below the one just emptied, so a
+    step walks down from there and stops at the last bucket holding one of
+    the neighbours.  A step that takes a vertex from bucket k touches at most
+    buckets 0..k, and those k sum to m over the whole search, so it takes
+    O(n + m) mask operations; a step whose neighbours are all labeled
+    touches none.
     """
     n = g.n
     masks = g.neighbor_masks()
@@ -88,10 +92,15 @@ def _mcs(g):
         v = low.bit_length() - 1
         yield v, top
         moving = masks[v] & unlabeled
-        for k in range(top, -1, -1):  # downwards, so no vertex moves twice
-            moved = buckets[k] & moving
-            buckets[k] ^= moved
-            buckets[k + 1] |= moved
+        if moving:
+            for k in range(top, -1, -1):  # downwards, so no vertex moves twice
+                moved = buckets[k] & moving
+                if moved:
+                    buckets[k] ^= moved
+                    buckets[k + 1] |= moved
+                    moving ^= moved
+                    if not moving:
+                        break
         if buckets[top + 1]:
             top += 1
 
@@ -249,12 +258,35 @@ def complement_clique_tree(g):
 
 def clique_membership_counts(tree, n):
     """Per-vertex count of the nodes of ``tree`` containing it, for vertices
-    0..n-1.  Returns ``(counts, all_le_two)``."""
-    counts = [0] * n
-    for clique in tree.nodes:
-        for v in mask_vertices(clique):
-            counts[v] += 1
-    return tuple(counts), all(c <= 2 for c in counts)
+    0..n-1, each of which must lie in some node.  Returns
+    ``(counts, all_le_two)``.
+
+    ``tree`` must be a clique tree or forest, joined or not (a joined
+    forest's synthetic middle sets are empty); both callers,
+    :func:`bccover.cover.cover_cochordal` and :func:`mis_membership_counts`,
+    pass one.  There the nodes holding a vertex span one subtree, so a
+    vertex lies in one node more than the number of middle sets holding it
+    (the identity :func:`verify_clique_tree` checks), and the counts are
+    read off the middle sets alone: every count is at most two exactly when
+    the middle sets are pairwise disjoint, and only a vertex in two or more
+    of them needs counting one by one.
+    """
+    mids = tree.mids
+    seen = shared = 0  # vertices in a middle set, in two or more of them
+    for mid in mids:
+        shared |= seen & mid
+        seen |= mid
+    counts = [1] * n
+    for v in mask_vertices(seen ^ shared):
+        counts[v] = 2
+    if shared:
+        for mid in mids:
+            mid &= shared
+            while mid:  # one lowest bit at a time: a middle set is small
+                low = mid & -mid
+                counts[low.bit_length() - 1] += 1
+                mid ^= low
+    return tuple(counts), not shared
 
 
 def mis_membership_counts(g):

@@ -19,9 +19,8 @@ check of the result: one coverage pass compared with the graph's masks.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import defaultdict
 from heapq import heapify, heappop, heappush
-from itertools import combinations
 
 from ._record import Record
 from .chordal import CliqueTree, clique_membership_counts, complement_clique_tree
@@ -131,7 +130,7 @@ def max_weight_clique_tree(nodes):
     keep node degrees low; chained trees have much smaller edge-ranking
     numbers than stars, which is what the cover pipeline wants.  Each weight
     class, heaviest first, takes the pair of nodes in different components
-    with the smallest key ``(larger degree, degree sum, pair)``, until none
+    with the smallest key ``(larger degree, degree sum, i, j)``, until none
     is left.
 
     When every vertex lies in at most two cliques the intersection graph is
@@ -139,37 +138,42 @@ def max_weight_clique_tree(nodes):
     :func:`cover_cochordal` skips the call there and keeps the MCS sweep's
     tree (see its docstring for why).
 
-    Only pairs that share a vertex get a weight: a vertex -> cliques index
-    gives them in O(sum of c_v^2), c_v being the number of cliques holding
-    vertex v.  Each class is a lazy heap of keys.  Degrees only grow, so a
-    key in the heap is never above the pair's current key; a popped key
+    Only pairs that share a vertex get a weight, the size of their
+    intersection: in node order, each vertex keeps a mask of the cliques
+    holding it so far, and clique j meets the earlier cliques in the union
+    of its vertices' masks: one OR per clique member and one step per
+    intersecting pair.  Each class is a lazy heap of keys.  Degrees only grow,
+    so a key in the heap is never above the pair's current key; a popped key
     that still matches its recomputed value is therefore the true minimum
     and its pair is taken, a stale key goes back with its new value, and a
     pair whose ends are already joined is dropped for good (components only
-    merge).  That takes the same edges, in the same order, as rescanning
-    the class for its minimum after every edge.
+    merge).  That takes the same edges, in the same order, as rescanning the
+    class for its minimum after every edge.  A pair whose ends are joined
+    when its class starts is never heaped: it would only be popped and
+    dropped, touching no degree or component, and as the keys are distinct
+    the other pairs come off the heap in the same order without it.
     """
     d = len(nodes)
-    holders = {}
-    for i, clique in enumerate(nodes):
+    holders = [0] * max(nodes, default=0).bit_length()  # v: mask of cliques
+    pairs = defaultdict(list)  # weight: pairs (i, j), i < j
+    for j, clique in enumerate(nodes):
+        met = 0  # the cliques before j that meet it
         for v in mask_vertices(clique):
-            holders.setdefault(v, []).append(i)
-    shared = Counter()
-    for cliques in holders.values():
-        shared.update(combinations(cliques, 2))
-    pairs = {}
-    for pair, w in shared.items():
-        pairs.setdefault(w, []).append(pair)
+            met |= holders[v]
+            holders[v] |= 1 << j
+        for i in mask_vertices(met):
+            pairs[(nodes[i] & clique).bit_count()].append((i, j))
     parent = list(range(d))
     degree = [0] * d
-    key = lambda i, j: (max(degree[i], degree[j]), degree[i] + degree[j], (i, j))
+    key = lambda i, j: (max(degree[i], degree[j]), degree[i] + degree[j], i, j)
     edges = []
     for w in sorted(pairs, reverse=True):
-        heap = [key(i, j) for i, j in pairs[w]]
+        heap = [key(i, j) for i, j in pairs[w]
+                if find_root(parent, i) != find_root(parent, j)]
         heapify(heap)
         while heap:
             popped = heappop(heap)
-            i, j = popped[2]
+            _, _, i, j = popped
             ri, rj = find_root(parent, i), find_root(parent, j)
             if ri == rj:
                 continue

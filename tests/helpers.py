@@ -871,6 +871,15 @@ def vertex_set(mask):
     return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
+def naive_clique_membership_counts(tree, n):
+    """Per-vertex count of the nodes of ``tree`` holding it, for vertices
+    0..n-1, from a scan of every node; and whether every count is at most
+    two.  Needs no tree structure, only the nodes."""
+    sets = [vertex_set(clique) for clique in tree.nodes]
+    counts = tuple(sum(v in s for s in sets) for v in range(n))
+    return counts, all(c <= 2 for c in counts)
+
+
 def naive_verify_clique_tree(g, tree):
     """Clique-tree check over frozensets: the edges form a forest with one
     tree per component of ``g``; the nodes are maximal cliques, pairwise

@@ -45,6 +45,9 @@ def test_tracer_records_the_layers_and_restores_every_binding(tmp_path):
     before = [dict(vars(m)) for m in modules]
     path = tmp_path / "copath9.graph"
     bccover.write_graph(bccover.gen_copath(9).graph, path)
+    # some vertex of h lies in three or more cliques, so its complement's
+    # cover rebuilds the clique tree
+    h = bccover.gen_random_chordal(30, 0.3, 1)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -55,6 +58,8 @@ def test_tracer_records_the_layers_and_restores_every_binding(tmp_path):
         tracer.op = 9
         with contextlib.redirect_stdout(io.StringIO()):
             assert bccover.cli.main(["partition", str(path)]) == 0
+        tracer.op = 30
+        bccover.cover_cochordal(h.complement())
     finally:
         tracer.uninstall()
     assert [dict(vars(m)) for m in modules] == before
@@ -66,7 +71,12 @@ def test_tracer_records_the_layers_and_restores_every_binding(tmp_path):
     assert all(not entry["errors"] for entry in totals.values())
     trees = [(s.op, s.count) for s in tracer.spans if s.name == "chordal.clique_tree"]
     # the complement of copath-n is a path: n - 1 cliques
-    assert sorted(set(trees)) == [(7, 6), (9, 8), (12, 11)]
+    d = bccover.clique_tree(h).node_count
+    assert sorted(set(trees)) == [(7, 6), (9, 8), (12, 11), (30, d)]
+    rebuilt = [s for s in tracer.spans if s.op == 30]
+    names = [s.name for s in rebuilt]
+    assert names.count("chordal.clique_tree") == names.count("cover.rebuild") == 1
+    assert all(s.error is None for s in rebuilt)
     assert totals["chordal.clique_tree"]["count"] == sum(c for _, c in trees)
     offered, absorbed = totals["cover.merge"]["count"]
     assert offered == sum(s.count[0] for s in tracer.spans if s.name == "cover.merge")

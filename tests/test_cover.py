@@ -58,6 +58,7 @@ from helpers import (
     clique_split_biclique,
     induced_subgraph,
     naive_biclique_levels,
+    naive_clique_membership_counts,
     naive_cover_defects,
     naive_max_weight_clique_tree,
     naive_merge_bicliques,
@@ -652,6 +653,18 @@ def test_max_weight_tree_rebuild_matches_dense_reference(gc):
     assert verify_clique_tree(gc, rebuilt)
 
 
+def test_max_weight_tree_rebuild_matches_dense_reference_at_benchmark_scale():
+    # the rebuilt families of the cover benchmark: around 25 and 115
+    # cliques, many weight classes, most pairs joined before their class
+    for n, density in ((100, 0.1), (250, 0.02)):
+        for seed in range(6):
+            nodes = clique_tree(gen_random_chordal(n, density, seed)).nodes
+            rebuilt = max_weight_clique_tree(nodes)
+            assert rebuilt.nodes == nodes
+            assert rebuilt.edges == naive_max_weight_clique_tree(nodes)[1]
+            assert len(rebuilt.edges) == len(nodes) - 1
+
+
 def _two_membership_complements():
     """Co-chordal graphs whose complement's vertices each lie in at most
     two maximal cliques: co-paths, declared two-membership instances on
@@ -683,6 +696,33 @@ def test_rebuild_keeps_the_sweep_tree_on_two_membership_graphs():
         rebuilt = max_weight_clique_tree(base.nodes)
         assert rebuilt.nodes == base.nodes
         assert join_clique_forest(rebuilt).edges == join_clique_forest(base).edges
+
+
+def test_membership_counts_match_a_scan_of_every_node():
+    # the counts are read off the middle sets; the reference scans every
+    # node.  Joined forests have empty synthetic middle sets, and n = 0 and
+    # 1 have no middle set at all
+    trees = [(clique_tree(Graph(n)), n) for n in range(6)]  # forests of points
+    for n in range(1, 41):
+        for density in (0, 0.1, 0.3, 0.6, 1):
+            for seed in range(3):
+                trees.append((clique_tree(gen_random_chordal(n, density, seed)), n))
+    rng = random.Random(32)
+    for seed in range(40):  # two components: a clique forest
+        a = gen_random_chordal(rng.randrange(1, 20), rng.choice([0, 0.3, 0.9]), seed)
+        b = gen_random_chordal(rng.randrange(1, 20), rng.choice([0, 0.3, 0.9]), seed + 1)
+        edges = list(a.edges()) + [(u + a.n, v + a.n) for u, v in b.edges()]
+        trees.append((clique_tree(Graph(a.n + b.n, edges)), a.n + b.n))
+    trees += [(join_clique_forest(tree), n) for tree, n in trees]
+    for g in [gen_copath(n).graph for n in range(2, 41)] + _two_membership_complements():
+        trees.append((complement_clique_tree(g), g.n))
+    assert sum(len(tree.edges) < tree.node_count - 1 for tree, _ in trees) > 40
+    flags = Counter()
+    for tree, n in trees:
+        counts, all_le_two = clique_membership_counts(tree, n)
+        assert (counts, all_le_two) == naive_clique_membership_counts(tree, n)
+        flags[all_le_two] += 1
+    assert min(flags[True], flags[False]) > 100
 
 
 def test_cover_rebuilds_only_past_two_memberships(monkeypatch):

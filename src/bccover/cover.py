@@ -25,7 +25,8 @@ from heapq import heapify, heappop, heappush
 from ._record import Record
 from .chordal import CliqueTree, clique_membership_counts, complement_clique_tree
 from .graph import find_root, mask_vertices, vertex_mask
-from .ranking import bfs, neighbor_lists, optimal_edge_ranking, ranked_joins
+from .ranking import (_require_ranks, bfs, neighbor_lists, optimal_edge_ranking,
+                      ranked_joins)
 
 
 class Biclique:
@@ -151,7 +152,10 @@ def max_weight_clique_tree(nodes):
     class for its minimum after every edge.  A pair whose ends are joined
     when its class starts is never heaped: it would only be popped and
     dropped, touching no degree or component, and as the keys are distinct
-    the other pairs come off the heap in the same order without it.
+    the other pairs come off the heap in the same order without it.  So
+    the rebuild returns at d - 1 edges, when every pair left is joined; it
+    does not know the number of components, so a disconnected intersection
+    graph still drains its heaps.
     """
     d = len(nodes)
     holders = [0] * max(nodes, default=0).bit_length()  # v: mask of cliques
@@ -185,6 +189,8 @@ def max_weight_clique_tree(nodes):
             degree[i] += 1
             degree[j] += 1
             edges.append((i, j))
+            if len(edges) == d - 1:
+                return CliqueTree(tuple(nodes), tuple(sorted(edges)))
     return CliqueTree(tuple(nodes), tuple(sorted(edges)))
 
 
@@ -264,14 +270,11 @@ def find_biclique_levels(tree, ranking):
     if d <= 1:
         return {}
     order = bfs_leaf_order(work)
-    ranks = ranking.ranks
-    for e in work.edges:
-        if not isinstance(ranks.get(e), int) or ranks[e] < 1:
-            raise ValueError("edge %r needs a positive integer rank" % (e,))
+    _require_ranks(work.edges, ranking.ranks)
     nodes = work.nodes
     masks = list(nodes)
     low = [order[i] for i in range(d)]
-    joins = ranked_joins(d, work.edges, ranks)
+    joins = ranked_joins(d, work.edges, ranking.ranks)
     r = joins[-1][0]
     everything = 0
     for clique in nodes:
@@ -366,23 +369,22 @@ class CoverMetadata(Record):
     ``verified`` records the pipeline's own check of its result: the cover
     passes :func:`verify_cover` and has at most ``mc_complement - 1``
     members.  Callers read it instead of verifying the cover again.
-    ``ranking_optimal`` is always True: the ranking is exact at every size.
+    ``ranking_optimal`` is a read-only class attribute, always True: the
+    ranking is exact at every size.
     """
 
     __slots__ = (
-        "mc_complement", "ranking_r", "ranking_optimal", "all_le_two",
-        "membership_counts", "level_sizes_before", "level_sizes_after",
-        "tree", "verified",
+        "mc_complement", "ranking_r", "all_le_two", "level_sizes_before",
+        "level_sizes_after", "tree", "verified",
     )
+    ranking_optimal = True
 
-    def __init__(self, mc_complement, ranking_r, ranking_optimal, all_le_two,
-                 membership_counts, level_sizes_before=None,
-                 level_sizes_after=None, tree=None, verified=False):
+    def __init__(self, mc_complement, ranking_r, all_le_two,
+                 level_sizes_before=None, level_sizes_after=None, tree=None,
+                 verified=False):
         self.mc_complement = mc_complement
         self.ranking_r = ranking_r
-        self.ranking_optimal = ranking_optimal
         self.all_le_two = all_le_two
-        self.membership_counts = membership_counts
         self.level_sizes_before = (
             {} if level_sizes_before is None else level_sizes_before
         )
@@ -414,18 +416,12 @@ def cover_cochordal(g):
     complement is not chordal.
     """
     base = complement_clique_tree(g)
-    counts, all_le_two = clique_membership_counts(base, g.n)
+    _, all_le_two = clique_membership_counts(base, g.n)
     tree = base if all_le_two else max_weight_clique_tree(base.nodes)
     work = join_clique_forest(tree)
     d = work.node_count
-    meta = CoverMetadata(
-        mc_complement=d,
-        ranking_r=0,
-        ranking_optimal=True,
-        all_le_two=all_le_two,
-        membership_counts=counts,
-        tree=work,
-    )
+    meta = CoverMetadata(mc_complement=d, ranking_r=0, all_le_two=all_le_two,
+                         tree=work)
     if d <= 1:
         # at most one maximal clique in the complement: g has no edges
         meta.verified = verify_cover(g, [])

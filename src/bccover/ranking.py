@@ -11,9 +11,9 @@ from the top; children with equal ``vis`` are handled together and runs of
 free levels in bulk, so the work at a vertex grows with its number of
 distinct child lists and visible levels rather than with its degree.  A
 vertex with one child takes the lowest rank free in that child's ``vis``
-(:func:`_lowest_rank`, the rule :func:`combine_children` applies to one
-list) with no child list built, and a leaf is skipped; on a path, every
-vertex is one or the other.
+(:func:`_lowest_rank`, which :func:`combine_children` also ends on) with no
+child list built, and a leaf is skipped; on a path, every vertex is one or
+the other.
 
 A ranking is valid iff, for every k, each component of the subgraph of
 edges ranked <= k contains at most one edge ranked exactly k: the one
@@ -26,11 +26,9 @@ last two take a ``Tree`` or a clique tree that is one tree, read through
 ``node_count`` and ``edges``, so the cover ranks its joined clique tree as
 it is.
 
-:func:`heuristic_edge_ranking` ranks by balanced separators: it cuts each
-subtree along :func:`balanced_cut`, which walks a subtree of k vertices
-once to learn the balance of all of its k - 1 cuts.  The cover and the
-partition both cut along the optimal ranking, so nothing in the
-construction calls it.
+:func:`heuristic_edge_ranking` ranks by balanced separators, with two walks
+per subtree.  The cover and the partition both cut along the optimal
+ranking, so nothing in the construction calls it.
 """
 
 from __future__ import annotations
@@ -158,65 +156,23 @@ def edge_ranking_lower_bound(tree):
     return max(tree.max_degree(), ceil_log2(tree.n))
 
 
-def is_valid_edge_ranking(tree, ranking):
-    """Check the separation condition for every pair of equal-rank edges."""
-    ranks = ranking.ranks
-    for e in tree.edges:
+def _require_ranks(edges, ranks):
+    """Raise ValueError unless every edge has a positive integer rank."""
+    for e in edges:
         if e not in ranks:
             raise ValueError("edge %r has no rank assigned" % (e,))
         if not isinstance(ranks[e], int) or ranks[e] < 1:
             raise ValueError("rank of %r must be a positive integer" % (e,))
 
+
+def is_valid_edge_ranking(tree, ranking):
+    """Check the separation condition for every pair of equal-rank edges."""
+    _require_ranks(tree.edges, ranking.ranks)
     try:
-        ranked_joins(tree.node_count, tree.edges, ranks)
+        ranked_joins(tree.node_count, tree.edges, ranking.ranks)
     except ValueError:
         return False  # two edges of one rank meet without a larger separator
     return True
-
-
-def _component(adj, vertices, edge):
-    """Vertices of the subtree on ``vertices`` on ``edge[0]``'s side of
-    ``edge``.  One walk: in a tree the far side is reachable only through
-    ``edge[1]``, so that vertex is marked seen from the start."""
-    start, stop = edge
-    seen = {start, stop}
-    stack = [start]
-    while stack:
-        for y in adj[stack.pop()]:
-            if y not in seen and y in vertices:
-                seen.add(y)
-                stack.append(y)
-    seen.discard(stop)
-    return frozenset(seen)
-
-
-def balanced_cut(adj, vertices):
-    """The most balanced cut of the subtree on ``vertices``: ``(larger side
-    size, edge, side)`` minimizing the larger side, ties going to the
-    lexicographically smallest edge, with ``side`` the part holding the
-    edge's first endpoint.  One walk from any root gives every cut's
-    balance in O(k) for k vertices; one more builds the chosen side.
-    """
-    total = len(vertices)
-    root = next(iter(vertices))
-    parent = {root: None}
-    order = [root]
-    for x in order:
-        for y in adj[x]:
-            if y not in parent and y in vertices:
-                parent[y] = x
-                order.append(y)
-    size = dict.fromkeys(order, 1)
-    scored = []
-    for x in reversed(order):
-        p = parent[x]
-        if p is None:
-            continue
-        s = size[x]
-        size[p] += s
-        scored.append((max(s, total - s), (p, x) if p < x else (x, p)))
-    larger, e = min(scored)
-    return larger, e, _component(adj, vertices, e)
 
 
 def _fits(pending, level):
@@ -286,9 +242,6 @@ def combine_children(lists):
     fit at or below a level only grows with the level, so the next level to
     take is found by galloping down and then bisecting.
     """
-    if len(lists) == 1:
-        x, union = _lowest_rank(lists[0], lists[0].bit_length())
-        return [x], union
     by_vis = {}
     for i, vis in enumerate(lists):
         by_vis.setdefault(vis, []).append(i)
@@ -377,17 +330,42 @@ def heuristic_edge_ranking(tree):
     The top rank goes to an edge minimizing the larger component, ties broken
     by lexicographically smallest edge; both sides are cut the same way, and
     an edge ranks one above the highest edge cut on either of its sides, so
-    every subtree's top edge is its most balanced cut.  Runs on an explicit
-    stack, so no recursion limit applies.  Returns ``(EdgeRanking, r)``.
+    every subtree's top edge is its most balanced cut.  A walk of a subtree
+    of k vertices from any root gives every cut's balance from the subtree
+    sizes in O(k); a second, from the chosen edge's lower end and never
+    entering its other end, builds that side.  Runs on an explicit stack,
+    so no recursion limit applies.  Returns ``(EdgeRanking, r)``.
     """
     adj = tree._adj
     cuts = []  # (edge, index of the cut that made its subtree), pre-order
-    stack = [(frozenset(range(tree.n)), None)]
+    stack = [(set(range(tree.n)), None)]
     while stack:
         vertices, up = stack.pop()
-        if len(vertices) == 1:
+        total = len(vertices)
+        if total == 1:
             continue
-        _, e, side = balanced_cut(adj, vertices)
+        root = next(iter(vertices))
+        parent = {root: None}
+        order = [root]
+        for x in order:
+            for y in adj[x]:
+                if y not in parent and y in vertices:
+                    parent[y] = x
+                    order.append(y)
+        size = dict.fromkeys(order, 1)
+        scored = []
+        for x in reversed(order[1:]):
+            p, s = parent[x], size[x]
+            size[p] += s
+            scored.append((max(s, total - s), (p, x) if p < x else (x, p)))
+        e = min(scored)[1]
+        side, walk = set(e), [e[0]]
+        while walk:
+            for y in adj[walk.pop()]:
+                if y not in side and y in vertices:
+                    side.add(y)
+                    walk.append(y)
+        side.discard(e[1])
         cuts.append((e, up))
         stack.append((vertices - side, len(cuts) - 1))
         stack.append((side, len(cuts) - 1))

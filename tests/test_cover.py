@@ -1,3 +1,4 @@
+import copy
 import os
 import random
 import subprocess
@@ -482,6 +483,18 @@ def test_cover_fig2_walkthrough():
     assert verify_cover(g, cover)
 
 
+def test_cover_metadata_copies_and_keeps_ranking_optimal_read_only():
+    # one cover on the MCS sweep's tree and one on the rebuilt tree
+    graphs = (gen_copath(20).graph, gen_random_chordal(30, 0.2, 1).complement())
+    metas = [cover_cochordal(g)[1] for g in graphs]
+    assert [meta.all_le_two for meta in metas] == [True, False]
+    for meta in metas:
+        assert copy.deepcopy(meta) == meta
+        assert meta.ranking_optimal is True
+        with pytest.raises(AttributeError):
+            meta.ranking_optimal = False
+
+
 def test_cover_fig3_counterexample():
     g = gen_fig_graph("fig3").graph
     cover, meta = cover_cochordal(g)
@@ -663,6 +676,23 @@ def test_max_weight_tree_rebuild_matches_dense_reference_at_benchmark_scale():
             assert rebuilt.nodes == nodes
             assert rebuilt.edges == naive_max_weight_clique_tree(nodes)[1]
             assert len(rebuilt.edges) == len(nodes) - 1
+
+
+def test_max_weight_tree_rebuild_stops_once_it_spans(monkeypatch):
+    # cliques {0,1,2}, {0,1,3} and {0,1,4}: three pairs of weight 2; after
+    # the second edge the last pair is joined and is no longer popped
+    g = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
+    pops = []
+    heappop = cover_module.heappop
+
+    def counting(heap):
+        pops.append(1)
+        return heappop(heap)
+
+    monkeypatch.setattr(cover_module, "heappop", counting)
+    rebuilt = max_weight_clique_tree(clique_tree(g).nodes)
+    assert rebuilt.edges == ((0, 1), (0, 2))
+    assert len(pops) == 4
 
 
 def _two_membership_complements():

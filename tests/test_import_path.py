@@ -53,7 +53,7 @@ def test_records_keep_their_dataclass_repr():
     assert repr(OracleBudget(14, 96, 10.0)) == (
         "OracleBudget(vertex_cap=14, edge_cap=96, time_cap=10.0)"
     )
-    meta = CoverMetadata(1, 0, True, True, ())
+    meta = CoverMetadata(1, 0, True)
     report = BoundReport(n=2, m=1, cover_meta=meta, inconsistent=True)
     assert "cover_meta" not in repr(report)
     assert repr(report).startswith("BoundReport(n=2, m=1, lb_log_mc=None, ")
@@ -63,7 +63,7 @@ def test_records_keep_their_dataclass_repr():
 def test_each_record_gets_a_fresh_default_dict():
     first, second = EdgeRanking(), EdgeRanking()
     assert first.ranks == {} and first.ranks is not second.ranks
-    a, b = CoverMetadata(1, 0, True, True, ()), CoverMetadata(1, 0, True, True, ())
+    a, b = CoverMetadata(1, 0, True), CoverMetadata(1, 0, True)
     assert a.level_sizes_before is not b.level_sizes_before
     assert a.level_sizes_after is not b.level_sizes_after
     g = complete_graph(2)

@@ -20,10 +20,9 @@ from bccover import (
 )
 from bccover.graph import Graph
 from bccover.gen import random_tree
-from bccover.ranking import _lowest_rank, balanced_cut, combine_children, ranked_joins
+from bccover.ranking import _lowest_rank, combine_children, ranked_joins
 from helpers import (
     enumerate_trees,
-    naive_balanced_cuts,
     naive_combine_children,
     naive_heuristic_ranks,
     naive_is_valid_ranking,
@@ -272,35 +271,6 @@ def test_lower_bound_examples():
     assert edge_ranking_lower_bound(Tree(1, [])) == 0
 
 
-@st.composite
-def subtrees(draw, max_n=40):
-    """A random tree and the vertex set of a connected subtree of it."""
-    n = draw(st.integers(min_value=2, max_value=max_n))
-    tree = Tree(n, random_tree_edges(n, random.Random(draw(st.integers(0, 10**6)))))
-    rng = random.Random(draw(st.integers(0, 10**6)))
-    size = draw(st.integers(min_value=1, max_value=n))
-    grown = [rng.randrange(n)]
-    frontier = set(tree.neighbors(grown[0]))
-    while len(grown) < size:
-        v = rng.choice(sorted(frontier))
-        grown.append(v)
-        frontier |= set(tree.neighbors(v))
-        frontier -= set(grown)
-    return tree, frozenset(grown)
-
-
-@settings(derandomize=True, max_examples=300)
-@given(subtrees())
-def test_balanced_cuts_match_per_edge_reference(case):
-    tree, vertices = case
-    adj = [tree.neighbors(v) for v in range(tree.n)]
-    inner = [(u, v) for u, v in tree.edges if u in vertices and v in vertices]
-    if inner:  # a one-vertex subtree has no cut
-        assert balanced_cut(adj, vertices) == naive_balanced_cuts(
-            adj, vertices, inner
-        )[0]
-
-
 @settings(derandomize=True, max_examples=200)
 @given(trees(min_n=1, max_n=60))
 def test_heuristic_ranks_match_recursive_reference(tree):
@@ -345,6 +315,8 @@ def test_one_child_rule_matches_brute_force():
         x, union = _lowest_rank(vis, vis.bit_length())
         assert union == naive_combine_children([vis])
         assert x >= 1 and not vis >> x & 1
+        # combine_children has no one-list branch: its general path agrees
+        assert combine_children([vis]) == ([x], union)
 
 
 def test_one_child_vertices_make_no_combine_call(monkeypatch):
@@ -455,18 +427,23 @@ def test_heuristic_ranks_a_wide_star_without_recursion():
     assert is_valid_edge_ranking(tree, ranking)
 
 
-def test_heuristic_builds_one_side_per_cut(monkeypatch):
-    # a count, not a clock: one side set per cut, not one per inner edge of
-    # every subtree (tens of thousands on this path)
-    calls = []
-    component = ranking_module._component
+class _CountingLists(tuple):
+    """Neighbour lists that count how often a list is read."""
 
-    def counting(*args):
-        calls.append(1)
-        return component(*args)
+    reads = 0
 
-    monkeypatch.setattr(ranking_module, "_component", counting)
+    def __getitem__(self, v):
+        self.reads += 1
+        return tuple.__getitem__(self, v)
+
+
+def test_heuristic_builds_one_side_per_cut():
+    # a count, not a clock: each subtree is walked twice, once for the
+    # balance of its cuts and once for the chosen side, so a path reads
+    # about 2 n log2 n lists; a side built per inner edge of every subtree
+    # would read millions
     tree = path_tree(2000)
+    tree._adj = counting = _CountingLists(tree._adj)
     ranking, r = heuristic_edge_ranking(tree)
     assert r == ceil_log2(2000)
-    assert len(calls) <= len(tree.edges)
+    assert counting.reads <= 2 * tree.n * ceil_log2(tree.n)

@@ -5,8 +5,11 @@ cliques of the complement (equivalently, maximal independent sets of the
 graph) forces that many cover members apart.  It always dominates the
 chromatic log bound, and on many graphs beats the conflict-graph and matching
 bounds too.  :func:`full_report` assembles every applicable bound for one
-graph and cross-checks the certified ones against each other and against the
-oracle when it is in reach.
+graph and checks them with one rule: the report is inconsistent when its cover
+failed its own check, or when the largest lower end on bc exceeds the smallest
+upper end.  The lower ends are the certified lower bounds, the exact bc when
+the oracle proved it, and ceil(log2(bp + 1)) when bp is exact on a co-chordal
+graph; the upper ends are the certified upper bounds and the exact bc.
 
 Each reported bound carries a provenance tag: "exact" (proven for this graph),
 "heuristic" (from an approximation, not certified), or "conditional" (follows
@@ -47,8 +50,6 @@ def lb_log_mc(g, budget=None):
     mc comes from the complement's clique tree when it is chordal, else by
     enumeration within the budget.
     """
-    if g.n == 0:
-        return 0
     try:
         mc = complement_clique_tree(g).node_count
     except NotChordalError:
@@ -63,8 +64,6 @@ def lb_log_chi(g, budget=None):
     the fallback value is reported uncertified since greedy only upper-bounds
     the chromatic number.
     """
-    if g.n == 0:
-        return 0, True
     try:
         result = exact_chromatic(g, budget)
         if result.exact:
@@ -120,7 +119,7 @@ def bp_bc_window(g, bc_value=None, bp_value=None):
     ``bp_upper`` is mc(complement) - 1, sharpened to 2**bc - 1 when the exact
     cover number is supplied.  With a known partition number the implied
     cover lower bound ceil(log2(bp + 1)) is returned; :func:`full_report`
-    flags a report whose exact bc falls below it.  Raises
+    flags a report whose upper ends on bc fall below it.  Raises
     :class:`NotChordalError` when the complement is not chordal.
     """
     return _window(complement_clique_tree(g).node_count, bc_value, bp_value)
@@ -217,25 +216,19 @@ def full_report(g, value_budget=None, search_budget=None, run_oracle=True):
         report.cover_meta = meta
         report.cover_size = len(cover)
         report.ub_mc_minus_one = BoundEntry(max(0, mc - 1), "exact")
-        if len(cover) <= meta.ranking_r or meta.ranking_r == 0:
-            tag = "exact"
-        else:
-            tag = "conditional"  # ranking did not bound this instance
-        if meta.ranking_r or not g.m:
-            report.ub_edge_ranking = BoundEntry(meta.ranking_r, tag)
+        # "conditional" when the ranking did not bound this instance
+        tag = "exact" if len(cover) <= meta.ranking_r else "conditional"
+        report.ub_edge_ranking = BoundEntry(meta.ranking_r, tag)
     except NotChordalError:
         try:
             mc = facts.mc(value_budget)
         except BudgetExceededError:
             pass
     if mc is not None:
-        report.lb_log_mc = BoundEntry(ceil_log2(mc) if g.n else 0, "exact")
+        report.lb_log_mc = BoundEntry(ceil_log2(mc), "exact")
 
-    try:
-        value, certified = lb_log_chi(g, value_budget)
-        report.lb_log_chi = BoundEntry(value, "exact" if certified else "heuristic")
-    except BudgetExceededError:
-        pass
+    value, certified = lb_log_chi(g, value_budget)
+    report.lb_log_chi = BoundEntry(value, "exact" if certified else "heuristic")
 
     try:
         # published recipe; kept out of certified comparisons (see module doc)
@@ -260,27 +253,21 @@ def full_report(g, value_budget=None, search_budget=None, run_oracle=True):
         except BudgetExceededError:
             pass
 
-    bc_value = None
-    if report.oracle_bc is not None and report.oracle_bc.exact:
-        bc_value = report.oracle_bc.value
-    if meta is not None:
-        bp_value = None
-        if report.oracle_bp is not None and report.oracle_bp.exact:
-            bp_value = report.oracle_bp.value
-        report.bp_window = _window(mc, bc_value, bp_value)
-        implied = report.bp_window.bc_lower_from_bp
-        if not meta.verified or (
-            bc_value is not None and implied is not None and implied > bc_value
-        ):
-            report.inconsistent = True
-
+    bc, bp = report.oracle_bc, report.oracle_bp
+    bc_value = bc.value if bc is not None and bc.exact else None
+    bp_value = bp.value if bp is not None and bp.exact else None
     lowers = report.certified_lower_bounds()
     uppers = report.certified_upper_bounds()
-    if lowers and uppers and max(lowers) > min(uppers):
-        report.inconsistent = True
     if bc_value is not None:
-        if (lowers and max(lowers) > bc_value) or (uppers and min(uppers) < bc_value):
-            report.inconsistent = True
+        lowers.append(bc_value)
+        uppers.append(bc_value)
+    if meta is not None:
+        report.bp_window = _window(mc, bc_value, bp_value)
+        if bp_value is not None:
+            lowers.append(report.bp_window.bc_lower_from_bp)
+    report.inconsistent = (meta is not None and not meta.verified) or bool(
+        lowers and uppers and max(lowers) > min(uppers)
+    )
     return report
 
 

@@ -144,10 +144,6 @@ class EdgeRanking(FrozenRecord):
     def __init__(self, ranks=None):
         setfield(self, "ranks", {} if ranks is None else ranks)
 
-    @property
-    def r(self):
-        return max(self.ranks.values(), default=0)
-
 
 def edge_ranking_lower_bound(tree):
     """max(maximum degree, ceil(log2 of the vertex count)); 0 for one node."""

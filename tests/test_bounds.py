@@ -230,11 +230,17 @@ def test_report_json_non_cochordal_has_null_cover():
     assert payload["bounds"]["log_mc"] == ceil_log2(5)
 
 
+def _give_up(g, budget, _facts=None):
+    raise bccover.BudgetExceededError("the search gave up")
+
+
+def _fixed(value):
+    return lambda g, budget, _facts=None: OracleResult(value, value)
+
+
 def test_bp_above_what_bc_allows_marks_report_inconsistent(monkeypatch, tmp_path):
     # fig3 has bc = 3; an exact bp of 31 would force bc >= ceil(log2(32)) = 5
-    monkeypatch.setattr(
-        bounds_module, "exact_bp", lambda g, budget, _facts=None: OracleResult(31, 31)
-    )
+    monkeypatch.setattr(bounds_module, "exact_bp", _fixed(31))
     g = gen_fig_graph("fig3").graph
     report = full_report(g)
     assert report.oracle_bc.value == 3
@@ -246,14 +252,63 @@ def test_bp_above_what_bc_allows_marks_report_inconsistent(monkeypatch, tmp_path
 
 
 def test_bp_runs_when_bc_gives_up(monkeypatch):
-    def give_up(g, budget, _facts=None):
-        raise bccover.BudgetExceededError("bc gave up")
-
-    monkeypatch.setattr(bounds_module, "exact_bc", give_up)
+    monkeypatch.setattr(bounds_module, "exact_bc", _give_up)
     report = full_report(path_graph(4))
     assert report.oracle_bc is None
     assert report.oracle_bp.value == 2
     assert report.bp_window.bc_lower_from_bp == 2
+
+
+def test_certified_lower_above_certified_upper_marks_report_inconsistent(
+    monkeypatch, tmp_path
+):
+    # copath-9's cover has 3 members; a matching bound of 7/2 rounds up to 4
+    monkeypatch.setattr(bounds_module, "lb_matching", lambda g, budget: Fraction(7, 2))
+    g = gen_copath(9).graph
+    report = full_report(g, run_oracle=False)
+    assert report.cover_meta.verified and report.cover_size == 3
+    assert max(report.certified_lower_bounds()) == 4
+    assert report.inconsistent
+    path = tmp_path / "copath9.graph"
+    write_graph(g, path)
+    assert main(["bounds", str(path)]) == 2
+    assert main(["bounds", str(path), "--no-oracle", "--format", "json"]) == 2
+
+
+def test_exact_bc_below_a_certified_lower_bound_marks_report_inconsistent(monkeypatch):
+    # fig3's complement has 4 maximal cliques, so bc >= 2; an exact bc of 1
+    # crosses that and nothing else (bp gives up)
+    monkeypatch.setattr(bounds_module, "exact_bc", _fixed(1))
+    monkeypatch.setattr(bounds_module, "exact_bp", _give_up)
+    report = full_report(gen_fig_graph("fig3").graph)
+    assert report.lb_log_mc.value == 2
+    assert report.oracle_bp is None
+    assert report.inconsistent
+
+
+def test_exact_bc_above_a_certified_upper_bound_marks_report_inconsistent(monkeypatch):
+    # copath-9's verified cover has 3 members, so bc <= 3
+    monkeypatch.setattr(bounds_module, "exact_bc", _fixed(9))
+    monkeypatch.setattr(bounds_module, "exact_bp", _give_up)
+    report = full_report(gen_copath(9).graph)
+    assert report.cover_meta.verified and report.cover_size == 3
+    assert report.inconsistent
+
+
+def test_bp_above_what_the_cover_allows_marks_report_inconsistent(monkeypatch, tmp_path):
+    # bc is not proved; an exact bp of 31 forces bc >= ceil(log2(32)) = 5,
+    # above fig3's verified 3-member cover
+    monkeypatch.setattr(bounds_module, "exact_bc", _give_up)
+    monkeypatch.setattr(bounds_module, "exact_bp", _fixed(31))
+    g = gen_fig_graph("fig3").graph
+    report = full_report(g)
+    assert report.oracle_bc is None
+    assert report.cover_meta.verified and report.cover_size == 3
+    assert report.bp_window.bc_lower_from_bp == 5
+    assert report.inconsistent
+    path = tmp_path / "fig3.graph"
+    write_graph(g, path)
+    assert main(["bounds", str(path)]) == 2
 
 
 def _report_calls(monkeypatch, g):

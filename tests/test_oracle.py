@@ -822,14 +822,18 @@ def test_exact_chromatic_stops_at_the_first_node_past_its_deadline(monkeypatch):
     assert result.certificate == tuple(greedy_coloring(g))
 
 
-def test_exact_chromatic_keeps_one_time_cap_for_both_searches():
+def test_exact_chromatic_keeps_one_time_cap_for_both_searches(monkeypatch):
     # G(300, 0.5) under a 1 s cap: the clique floor and the colouring search
-    # share that second, and the colouring search gets its part of it (a
-    # fresh second after the floor took 2 s in all)
+    # share that second, and the colouring search gets its part of it.  The
+    # clock moves 1 ms per read, so the searches see the same time on every
+    # machine: one cap is about 1000 reads, where a fresh second for the
+    # colouring search after the floor's half would take about 1500
+    clock = _Clock()
+    clock.step = 1e-3
+    monkeypatch.setattr(oracle, "time", clock)
     g = er_graph(300, 0.5, random.Random(1))
-    start = time.monotonic()
     result = exact_chromatic(g, OracleBudget(300, g.m, 1.0))
-    assert time.monotonic() - start < 1.8
+    assert clock.raced_reads <= 1010
     assert not result.exact
     assert result.lower >= 11  # the greedy clique's size
     assert result.upper < max(greedy_coloring(g))

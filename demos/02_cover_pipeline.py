@@ -43,11 +43,12 @@ for i, node in enumerate(tree.nodes):
 print("  tree edges:", tree.edges, "middle sets:",
       [set(map(name, mask_vertices(m))) for m in tree.mids])
 
-# Stage 2: optimal edge-ranking of the clique tree, ranked as it is.  A path
-# with 4 nodes needs ceil(log2(4)) = 2 ranks.
+# Stage 2: optimal edge-ranking of the clique tree, ranked as it is: a dict
+# from each tree edge (i, j) to its rank.  A path with 4 nodes needs
+# ceil(log2(4)) = 2 ranks.
 
 ranking, r = optimal_edge_ranking(tree)
-print("\nranking (r = %d):" % r, ranking.ranks)
+print("\nranking (r = %d):" % r, ranking)
 
 # Stage 3: cut top rank first.  The rank-2 edge splits the tree in half and
 # produces the big biclique; the two rank-1 edges produce singleton pairs at

@@ -23,9 +23,8 @@ from bccover import (
 print("paths: optimal rank count is ceil(log2(number of nodes))")
 for n in (2, 4, 8, 9, 16, 17):
     tree = Tree(n, [(i, i + 1) for i in range(n - 1)])
-    ranking, r = optimal_edge_ranking(tree)
-    print("  P%-3d r=%d  ranks=%s" % (n, r,
-          [ranking.ranks[e] for e in tree.edges]))
+    ranking, r = optimal_edge_ranking(tree)  # ranking: {(i, j): rank}
+    print("  P%-3d r=%d  ranks=%s" % (n, r, [ranking[e] for e in tree.edges]))
     assert r == ceil_log2(n)
 
 print("\nstars: every edge needs its own rank (they pairwise touch)")

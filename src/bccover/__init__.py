@@ -19,7 +19,6 @@ from .bounds import (
 )
 from .chordal import (
     CliqueTree,
-    Ordering,
     clique_tree,
     clique_tree_to_text,
     is_chordal,
@@ -74,7 +73,6 @@ from .oracle import (
     exact_max_matching,
 )
 from .ranking import (
-    EdgeRanking,
     Tree,
     ceil_log2,
     edge_ranking_lower_bound,

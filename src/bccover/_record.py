@@ -3,7 +3,9 @@
 A record's fields are the names in its class's ``__slots__``, in order.
 ``==`` compares them (records of the same class only), ``repr`` lists them
 as ``Name(field=value, ...)`` and, for a :class:`FrozenRecord`, ``hash``
-hashes them: the behaviour a dataclass would generate, without importing
+hashes them, so a frozen record hashes when its field values do (one
+holding a dict raises ``TypeError``, as a frozen dataclass would): the
+behaviour a dataclass would generate, without importing
 :mod:`dataclasses` (and with it :mod:`inspect` and :mod:`ast`) or compiling
 methods when the package loads.  Each subclass writes its own ``__init__``;
 a shared one looping over the fields would build every object several times

@@ -60,15 +60,16 @@ def lb_log_mc(g, budget=None):
 def lb_log_chi(g, budget=None):
     """ceil(log2(chromatic number)) and whether it is certified.
 
-    Falls back to a greedy coloring when the exact search is out of budget;
-    the fallback value is reported uncertified since greedy only upper-bounds
-    the chromatic number.
+    A colouring search cut short leaves a window [lower, upper] on the
+    chromatic number; the value is ceil(log2(upper)), certified when
+    ceil(log2(lower)) is the same number.  Falls back to a greedy coloring
+    when the exact search is out of budget; the fallback value is reported
+    uncertified since greedy only upper-bounds the chromatic number.
     """
     try:
         result = exact_chromatic(g, budget)
-        if result.exact:
-            return ceil_log2(result.value), True
-        return ceil_log2(result.upper), False
+        value = ceil_log2(result.upper)
+        return value, ceil_log2(result.lower) == value
     except BudgetExceededError:
         return ceil_log2(max(greedy_coloring(g), default=0)), False
 

@@ -21,22 +21,6 @@ from .errors import NotChordalError
 from .graph import connected_components, find_root, mask_vertices, vertex_mask
 
 
-class Ordering(FrozenRecord):
-    """A bijection between positions 1..n and vertices.
-
-    ``order[i]`` is the vertex at position i+1.
-    """
-
-    __slots__ = ("order",)
-
-    def __init__(self, order):
-        setfield(self, "order", order)
-
-    @property
-    def n(self):
-        return len(self.order)
-
-
 class CliqueTree(FrozenRecord):
     """Maximal cliques of a chordal graph arranged in a tree (or forest).
 
@@ -106,23 +90,25 @@ def _mcs(g):
 
 
 def mcs_order(g):
-    """Maximum cardinality search ordering of ``g``: positions filled from n
-    down to 1, ties to the smallest index (see :func:`_mcs`)."""
-    return Ordering(tuple(v for v, _ in _mcs(g))[::-1])
+    """Maximum cardinality search ordering of ``g`` as a vertex tuple, whose
+    item i is the vertex at position i + 1: positions filled from n down to
+    1, ties to the smallest index (see :func:`_mcs`)."""
+    return tuple(v for v, _ in _mcs(g))[::-1]
 
 
 def is_perfect_elimination_order(g, ordering):
-    """True iff, for every vertex, its later neighbors form a clique."""
+    """True iff, for every vertex of the sequence ``ordering``, its later
+    neighbors form a clique."""
     return _peo_failure(g, ordering) is None
 
 
 def _peo_failure(g, ordering):
     """1-based position of the first simpliciality failure, or None."""
-    if sorted(ordering.order) != list(range(g.n)):
+    if sorted(ordering) != list(range(g.n)):
         raise ValueError("ordering is not a bijection over the vertices")
     masks = g.neighbor_masks()
     unplaced = (1 << g.n) - 1  # vertices at this position or later
-    for i, v in enumerate(ordering.order, start=1):
+    for i, v in enumerate(ordering, start=1):
         unplaced ^= 1 << v
         later = masks[v] & unplaced
         for u in mask_vertices(later):

@@ -303,7 +303,7 @@ def _shape_tree(shape, nodes, seed):
     if shape == "star":
         return gen_mod.star_tree(nodes)
     if shape == "caterpillar":
-        spine = max(2, nodes // 2)
+        spine = max(min(nodes, 2), nodes // 2)  # one node: a one-node spine
         return gen_mod.caterpillar_tree(spine, nodes - spine)
     return gen_mod.random_tree(nodes, seed)
 

@@ -241,8 +241,9 @@ def find_biclique_levels(tree, ranking):
     The flattened result is a biclique partition.  Returns
     ``{level: [(biclique, ord, common_left, common_right), ...]}`` with
     each level's list sorted by ord.  Raises ValueError on a missing or
-    non-positive rank, or when two edges of one rank meet: ``ranking`` is
-    not a valid edge-ranking of the (joined) tree.
+    non-positive rank, or when two edges of one rank meet: ``ranking``, the
+    ``{(i, j): rank}`` dict, is not a valid edge-ranking of the (joined)
+    tree.
 
     ``common_left`` is the mask of the vertices of G adjacent to every
     vertex of the biclique's left side, and ``common_right`` the same for
@@ -270,11 +271,11 @@ def find_biclique_levels(tree, ranking):
     if d <= 1:
         return {}
     order = bfs_leaf_order(work)
-    _require_ranks(work.edges, ranking.ranks)
+    _require_ranks(work.edges, ranking)
     nodes = work.nodes
     masks = list(nodes)
     low = [order[i] for i in range(d)]
-    joins = ranked_joins(d, work.edges, ranking.ranks)
+    joins = ranked_joins(d, work.edges, ranking)
     r = joins[-1][0]
     everything = 0
     for clique in nodes:

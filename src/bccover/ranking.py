@@ -33,7 +33,6 @@ ranking, so nothing in the construction calls it.
 
 from __future__ import annotations
 
-from ._record import FrozenRecord, setfield
 from .errors import GraphFormatError
 from .graph import find_root, read_text
 
@@ -46,7 +45,8 @@ def ceil_log2(n):
 
 
 class Tree:
-    """A connected acyclic graph on vertices 0..n-1; ``node_count`` is n."""
+    """A connected acyclic graph on vertices 0..n-1; ``node_count`` is n.
+    Trees with the same n and edges are equal and hash equal."""
 
     __slots__ = ("n", "edges", "_adj")
 
@@ -73,6 +73,14 @@ class Tree:
 
     def max_degree(self):
         return max((len(a) for a in self._adj), default=0)
+
+    def __eq__(self, other):
+        if not isinstance(other, Tree):
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
 
     def __repr__(self):
         return "Tree(n=%d)" % self.n
@@ -136,15 +144,6 @@ def ranked_joins(n, edges, ranks):
     return joins
 
 
-class EdgeRanking(FrozenRecord):
-    """Rank assignment for the edges of one tree; ranks are 1..r."""
-
-    __slots__ = ("ranks",)
-
-    def __init__(self, ranks=None):
-        setfield(self, "ranks", {} if ranks is None else ranks)
-
-
 def edge_ranking_lower_bound(tree):
     """max(maximum degree, ceil(log2 of the vertex count)); 0 for one node."""
     if tree.n <= 1:
@@ -162,10 +161,11 @@ def _require_ranks(edges, ranks):
 
 
 def is_valid_edge_ranking(tree, ranking):
-    """Check the separation condition for every pair of equal-rank edges."""
-    _require_ranks(tree.edges, ranking.ranks)
+    """Check the separation condition for every pair of equal-rank edges;
+    ``ranking`` is the ``{(i, j): rank}`` dict."""
+    _require_ranks(tree.edges, ranking)
     try:
-        ranked_joins(tree.node_count, tree.edges, ranking.ranks)
+        ranked_joins(tree.node_count, tree.edges, ranking)
     except ValueError:
         return False  # two edges of one rank meet without a larger separator
     return True
@@ -291,7 +291,8 @@ def optimal_edge_ranking(tree):
     on that child's ``vis`` directly.  A smaller ``vis`` never leaves the
     rest of the tree worse off, so the ranking is optimal, with r the top
     bit of ``vis(0)``.  No recursion and no size cap.  Returns
-    ``(EdgeRanking, r)``, ranks keyed by ``(i, j)`` with i < j.  Raises
+    ``(ranks, r)``: ``ranks`` is the dict ``{(i, j): rank}`` with i < j,
+    and r the largest rank (0 for one node).  Raises
     ValueError when the input is not one tree: no node, other than node
     count - 1 edges, an edge end out of range or a loop, or a node left
     unreached (an unjoined forest).
@@ -317,7 +318,7 @@ def optimal_edge_ranking(tree):
             xs, vis[v] = combine_children([vis[c] for c in children])
             for c, x in zip(children, xs):
                 ranks[(v, c) if v < c else (c, v)] = x
-    return EdgeRanking(ranks), max(vis[0].bit_length() - 1, 0)
+    return ranks, max(vis[0].bit_length() - 1, 0)
 
 
 def heuristic_edge_ranking(tree):
@@ -330,7 +331,9 @@ def heuristic_edge_ranking(tree):
     of k vertices from any root gives every cut's balance from the subtree
     sizes in O(k); a second, from the chosen edge's lower end and never
     entering its other end, builds that side.  Runs on an explicit stack,
-    so no recursion limit applies.  Returns ``(EdgeRanking, r)``.
+    so no recursion limit applies.  Returns ``(ranks, r)``, the dict
+    ``{(i, j): rank}`` with i < j and the largest rank, as
+    :func:`optimal_edge_ranking` does.
     """
     adj = tree._adj
     cuts = []  # (edge, index of the cut that made its subtree), pre-order
@@ -373,17 +376,14 @@ def heuristic_edge_ranking(tree):
         if up is not None and ranks[e] > below[up]:
             below[up] = ranks[e]
     r = ranks[cuts[0][0]] if cuts else 0
-    return EdgeRanking(ranks), r
+    return ranks, r
 
 
 # -- serialization ------------------------------------------------------------
 
 
 def ranking_to_text(ranking):
-    lines = [
-        "%d %d : %d" % (u, v, ranking.ranks[(u, v)])
-        for u, v in sorted(ranking.ranks)
-    ]
+    lines = ["%d %d : %d" % (u, v, ranking[(u, v)]) for u, v in sorted(ranking)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -55,6 +55,26 @@ def run_python(script, *args):
     return proc.stdout
 
 
+class FakeClock:
+    """Stands in for the ``time`` module: ``monotonic`` moves ``step`` on at
+    each read, and stands still until ``step`` is set or ``race`` is
+    called; from then on each read is past any deadline set before it.
+    ``raced_reads`` counts the reads since."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.step = 0.0
+        self.raced_reads = 0
+
+    def monotonic(self):
+        self.now += self.step
+        self.raced_reads += self.step > 0
+        return self.now
+
+    def race(self):
+        self.step = 1e9
+
+
 def er_graph(n, p, rng):
     """Erdos-Renyi style random graph from a seeded Random."""
     edges = [
@@ -1062,11 +1082,10 @@ def naive_biclique_levels(tree, ranking, order, r):
     at its highest-ranked edge (ties to the smallest edge), and the cut of
     rank k goes to level r + 1 - k as ``(biclique, smallest position in
     order of the subtree)``, in the order the loop emits them."""
-    ranks = ranking.ranks
-    choose = lambda part, inner, adj: min(inner, key=lambda e: (-ranks[e], e))
+    choose = lambda part, inner, adj: min(inner, key=lambda e: (-ranking[e], e))
     levels = {}
     for part, e, b in _naive_cut_loop(tree, choose):
-        levels.setdefault(r + 1 - ranks[e], []).append(
+        levels.setdefault(r + 1 - ranking[e], []).append(
             (b, min(order[i] for i in part))
         )
     return levels
@@ -1241,7 +1260,7 @@ def naive_is_valid_ranking(tree, ranking):
     for i in range(len(edges)):
         for j in range(i + 1, len(edges)):
             e1, e2 = edges[i], edges[j]
-            if ranking.ranks[e1] != ranking.ranks[e2]:
+            if ranking[e1] != ranking[e2]:
                 continue
             # edges strictly between: path between the closest endpoints
             best = None
@@ -1253,7 +1272,7 @@ def naive_is_valid_ranking(tree, ranking):
             between = [
                 (min(a, b), max(a, b)) for a, b in zip(best, best[1:])
             ]
-            if not any(ranking.ranks[e] > ranking.ranks[e1] for e in between):
+            if not any(ranking[e] > ranking[e1] for e in between):
                 return False
     return True
 

@@ -5,8 +5,10 @@ import pytest
 
 import bccover
 import bccover.bounds as bounds_module
+import bccover.oracle as oracle_module
 from bccover import (
     NotChordalError,
+    OracleBudget,
     bp_bc_window,
     ceil_log2,
     complete_graph,
@@ -31,7 +33,7 @@ from bccover import (
 from bccover.cli import main
 from bccover.graph import Graph
 from bccover.oracle import OracleResult
-from helpers import er_graph, first_clique_coloring
+from helpers import FakeClock, er_graph, first_clique_coloring
 
 
 def test_lb_log_mc_examples():
@@ -48,6 +50,24 @@ def test_lb_log_chi_examples():
     fig2 = gen_fig_graph("fig2").graph
     assert exact_chromatic(fig2).value == 3
     assert lb_log_chi(fig2) == (2, True)
+
+
+def _millisecond_clock():
+    clock = FakeClock()
+    clock.step = 1e-3
+    return clock
+
+
+def test_lb_log_chi_certifies_a_cut_short_window_of_one_log(monkeypatch):
+    # the search is cut short with chi in [5, 8]: every value there has
+    # ceil(log2) 3, so 3 is certified
+    monkeypatch.setattr(oracle_module, "time", _millisecond_clock())
+    g = er_graph(70, 0.2, random.Random(0))
+    budget = OracleBudget(70, 10**6, 0.01)
+    result = exact_chromatic(g, budget)
+    assert (result.lower, result.upper) == (5, 8)
+    monkeypatch.setattr(oracle_module, "time", _millisecond_clock())
+    assert lb_log_chi(g, budget) == (3, True)
 
 
 def test_conflict_graph_k5_is_petersen_like():

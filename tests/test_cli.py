@@ -22,7 +22,7 @@ from bccover import (
 from bccover import bounds as bounds_module
 from bccover.cli import main
 from bccover.gen import random_tree
-from bccover.ranking import EdgeRanking, Tree, is_valid_edge_ranking, tree_to_text
+from bccover.ranking import Tree, is_valid_edge_ranking, tree_to_text
 from helpers import reference_graph_to_text, run_python
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -88,6 +88,13 @@ def test_gen_two_membership(tmp_path, capsys):
     assert main(["gen", "two-membership", "--shape", "star", "--nodes", "4",
                  "--seed", "3"]) == 0
     assert capsys.readouterr().out.startswith("p ")
+
+
+def test_gen_two_membership_one_node_caterpillar(capsys):
+    # a one-node spine, as the path, star and random shapes give one node
+    assert main(["gen", "two-membership", "--shape", "caterpillar", "--nodes",
+                 "1", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == "p 3 0\n"
 
 
 def test_bounds_fig3_json(fig3_path, capsys):
@@ -287,7 +294,7 @@ def test_rank_random_thirty_node_trees(tmp_path, capsys, seed):
         u, v = map(int, edge.split())
         ranks[(u, v)] = int(rank)
     assert max(ranks.values()) == r
-    assert is_valid_edge_ranking(tree, EdgeRanking(ranks))
+    assert is_valid_edge_ranking(tree, ranks)
 
 
 def test_oracle_bc_fig3(fig3_path, capsys):

@@ -13,7 +13,6 @@ import bccover.cover as cover_module
 from bccover import (
     Biclique,
     CliqueTree,
-    EdgeRanking,
     NotChordalError,
     Tree,
     bfs_leaf_order,
@@ -188,7 +187,7 @@ def test_find_partition_random_cochordal():
 def fig2_setup():
     g = gen_fig_graph("fig2").graph
     tree = clique_tree(g.complement())
-    ranking = EdgeRanking({(0, 1): 1, (1, 2): 2, (2, 3): 1})
+    ranking = {(0, 1): 1, (1, 2): 2, (2, 3): 1}
     return g, tree, ranking
 
 
@@ -220,13 +219,13 @@ def test_find_biclique_levels_single_node():
     tree = clique_tree(Graph(3))  # edgeless graph: one clique per vertex?
     # a complete graph's complement-side tree: use K3 itself (single clique)
     tree = clique_tree(complete_graph(3))
-    assert find_biclique_levels(tree, EdgeRanking({})) == {}
+    assert find_biclique_levels(tree, {}) == {}
 
 
 def test_find_biclique_levels_fig3():
     g = gen_fig_graph("fig3").graph
     tree = clique_tree(g.complement())
-    ranking = EdgeRanking({(0, 1): 1, (1, 2): 2, (2, 3): 1})
+    ranking = {(0, 1): 1, (1, 2): 2, (2, 3): 1}
     levels = find_biclique_levels(tree, ranking)
     assert _pairs(levels[1]) == [(B([0, 1], [4, 5]), 1)]
     assert _pairs(levels[2]) == [(B([0], [3]), 1), (B([2], [5]), 3)]
@@ -234,7 +233,7 @@ def test_find_biclique_levels_fig3():
 
 def test_find_biclique_levels_rejects_invalid_ranking():
     _, tree, _ = fig2_setup()
-    bad = EdgeRanking({(0, 1): 1, (1, 2): 1, (2, 3): 2})
+    bad = {(0, 1): 1, (1, 2): 1, (2, 3): 2}
     with pytest.raises(ValueError):
         find_biclique_levels(tree, bad)
 
@@ -320,7 +319,7 @@ def test_find_biclique_levels_rejects_exactly_the_invalid_rankings():
             continue
         shape = Tree(work.node_count, work.edges)
         for _ in range(6):
-            ranking = EdgeRanking({e: rng.randint(1, 3) for e in work.edges})
+            ranking = {e: rng.randint(1, 3) for e in work.edges}
             if is_valid_edge_ranking(shape, ranking):
                 valid += 1
                 levels = find_biclique_levels(work, ranking)
@@ -342,18 +341,18 @@ def test_find_biclique_levels_rejects_malformed_ranks():
         {(0, 1): 1, (1, 2): "2", (2, 3): 1},
     ):
         with pytest.raises(ValueError):
-            find_biclique_levels(tree, EdgeRanking(ranks))
+            find_biclique_levels(tree, ranks)
 
 
 def test_sweep_guards_run_under_optimize():
     # the sweep's ranking check and the cover's own check are not asserts
     script = (
         "import sys\n"
-        "from bccover import (EdgeRanking, clique_tree, cover_cochordal,\n"
+        "from bccover import (clique_tree, cover_cochordal,\n"
         "    find_biclique_levels, gen_copath, gen_fig_graph)\n"
         "print(sys.flags.optimize)\n"
         "tree = clique_tree(gen_fig_graph('fig2').graph.complement())\n"
-        "bad = EdgeRanking({(0, 1): 1, (1, 2): 1, (2, 3): 2})\n"
+        "bad = {(0, 1): 1, (1, 2): 1, (2, 3): 2}\n"
         "try:\n"
         "    find_biclique_levels(tree, bad)\n"
         "    print('accepted')\n"

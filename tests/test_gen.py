@@ -5,7 +5,6 @@ import pytest
 
 from bccover import (
     Graph,
-    Ordering,
     ceil_log2,
     clique_tree,
     clique_tree_to_text,
@@ -188,7 +187,7 @@ def test_random_chordal_at_scale_keeps_its_elimination_order():
     n = 600
     for seed in range(3):
         h = gen_random_chordal(n, 0.3, seed)
-        assert is_perfect_elimination_order(h, Ordering(tuple(range(n - 1, -1, -1))))
+        assert is_perfect_elimination_order(h, tuple(range(n - 1, -1, -1)))
         assert verify_clique_tree(h, clique_tree(h))
 
 
@@ -278,6 +277,18 @@ def test_generators_deterministic_per_seed():
     c = gen_two_membership_cochordal(path_tree(3), [3, 3, 3], [1, 1], seed=6)
     assert a.graph == b.graph
     assert a.graph != c.graph
+
+
+def test_trees_and_instances_compare_by_value():
+    assert path_tree(4) == path_tree(4) and hash(path_tree(4)) == hash(path_tree(4))
+    assert path_tree(4) != star_tree(4) and path_tree(4) != path_tree(5)
+    assert len({random_tree(9, 2), random_tree(9, 2), random_tree(9, 3)}) == 2
+    assert gen_copath(5) == gen_copath(5) and gen_copath(5) != gen_copath(6)
+    a = gen_two_membership_cochordal(path_tree(3), [3, 3, 3], [1, 1], seed=5)
+    b = gen_two_membership_cochordal(path_tree(3), [3, 3, 3], [1, 1], seed=5)
+    assert a == b and a.shape is not b.shape
+    with pytest.raises(TypeError):
+        hash(a)  # its expected values are a dict
 
 
 def test_tree_shapes():

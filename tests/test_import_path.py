@@ -14,7 +14,6 @@ from bccover import (
     BoundReport,
     CliqueTree,
     CoverMetadata,
-    EdgeRanking,
     OracleBudget,
     OracleResult,
     complete_graph,
@@ -61,8 +60,6 @@ def test_records_keep_their_dataclass_repr():
 
 
 def test_each_record_gets_a_fresh_default_dict():
-    first, second = EdgeRanking(), EdgeRanking()
-    assert first.ranks == {} and first.ranks is not second.ranks
     a, b = CoverMetadata(1, 0, True), CoverMetadata(1, 0, True)
     assert a.level_sizes_before is not b.level_sizes_before
     assert a.level_sizes_after is not b.level_sizes_after

@@ -38,6 +38,7 @@ from bccover.graph import Graph, mask_vertices
 from bccover import oracle
 from bccover.oracle import DEFAULT_SEARCH_BUDGET, greedy_coloring
 from helpers import (
+    FakeClock,
     _reference_eigen_partition_bound,
     _reference_greedy_clique_size,
     er_graph,
@@ -828,7 +829,7 @@ def test_exact_chromatic_keeps_one_time_cap_for_both_searches(monkeypatch):
     # clock moves 1 ms per read, so the searches see the same time on every
     # machine: one cap is about 1000 reads, where a fresh second for the
     # colouring search after the floor's half would take about 1500
-    clock = _Clock()
+    clock = FakeClock()
     clock.step = 1e-3
     monkeypatch.setattr(oracle, "time", clock)
     g = er_graph(300, 0.5, random.Random(1))
@@ -1003,27 +1004,8 @@ def test_exact_bp_stops_at_the_root_on_cochordal_graphs():
 # -- one deadline rule --------------------------------------------------------
 
 
-class _Clock:
-    """Stands in for the ``time`` module: ``monotonic`` stands still until
-    ``race`` is called, and from then on each read is past any deadline
-    set before it.  ``raced_reads`` counts the reads since."""
-
-    def __init__(self):
-        self.now = 0.0
-        self.step = 0.0
-        self.raced_reads = 0
-
-    def monotonic(self):
-        self.now += self.step
-        self.raced_reads += self.step > 0
-        return self.now
-
-    def race(self):
-        self.step = 1e9
-
-
 def test_counts_and_listings_stop_at_their_first_check_past_the_deadline(monkeypatch):
-    clock = _Clock()
+    clock = FakeClock()
     monkeypatch.setattr(oracle, "time", clock)
     masks = list(er_graph(10, 0.7, random.Random(0)).neighbor_masks())
     u, v = next((u, v) for u in range(10) for v in range(10) if masks[u] >> v & 1)
@@ -1045,7 +1027,7 @@ def test_exact_bc_search_stops_at_its_first_check_past_the_deadline(monkeypatch)
     assert exact_bc(g).value == 6
     facts = oracle._Facts(g)
     lb = ceil_log2(facts.mc())
-    clock = _Clock()
+    clock = FakeClock()
     monkeypatch.setattr(oracle, "time", clock)
     listing = oracle.enumerate_maximal_bicliques
 

@@ -44,16 +44,16 @@ from .oracle import (
 from .ranking import ceil_log2
 
 
-def lb_log_mc(g, budget=None):
+def lb_log_mc(g):
     """ceil(log2(mc(complement))); 0 when the complement has one clique.
 
     mc comes from the complement's clique tree when it is chordal, else by
-    enumeration within the budget.
+    enumeration within the default value budget.
     """
     try:
         mc = complement_clique_tree(g).node_count
     except NotChordalError:
-        mc = _Facts(g).mc(budget or DEFAULT_VALUE_BUDGET)
+        mc = _Facts(g).mc(DEFAULT_VALUE_BUDGET)
     return ceil_log2(mc)
 
 

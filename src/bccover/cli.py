@@ -108,10 +108,10 @@ def _write_output(text, out_path):
 def _report_text(report):
     lines = ["n: %d  m: %d" % (report.n, report.m), "lower bounds:"]
 
-    def entry_line(label, entry, extra=""):
+    def entry_line(label, entry):
         if entry is None:
             return "  %-16s -" % label
-        return "  %-16s %s%s  [%s]" % (label, entry.value, extra, entry.tag)
+        return "  %-16s %s  [%s]" % (label, entry.value, entry.tag)
 
     lines.append(entry_line("log-mc:", report.lb_log_mc))
     lines.append(entry_line("log-chi:", report.lb_log_chi))

@@ -230,8 +230,9 @@ def find_biclique_levels(tree, ranking):
     """Partition bicliques grouped by ranking level, with their sides'
     common neighbourhoods.
 
-    The tree (a forest is first joined into one tree) is cut along every
-    edge, in one union-find sweep over its edges in (rank, edge) order
+    ``tree`` is one tree: a forest raises ValueError, so join it with
+    :func:`join_clique_forest` first.  It is cut along every edge, in one
+    union-find sweep over its edges in (rank, edge) order
     (:func:`bccover.ranking.ranked_joins`): an edge of rank k cuts its
     component among the edges ranked <= k, and the two sides of that cut
     are the parts it joins.  A part keeps the union of its cliques as a
@@ -242,8 +243,7 @@ def find_biclique_levels(tree, ranking):
     ``{level: [(biclique, ord, common_left, common_right), ...]}`` with
     each level's list sorted by ord.  Raises ValueError on a missing or
     non-positive rank, or when two edges of one rank meet: ``ranking``, the
-    ``{(i, j): rank}`` dict, is not a valid edge-ranking of the (joined)
-    tree.
+    ``{(i, j): rank}`` dict, is not a valid edge-ranking of the tree.
 
     ``common_left`` is the mask of the vertices of G adjacent to every
     vertex of the biclique's left side, and ``common_right`` the same for
@@ -266,16 +266,15 @@ def find_biclique_levels(tree, ranking):
     sets, and a per-vertex count of the middle sets not yet joined clears
     a vertex's bit at the step that joins the last middle set holding it.
     """
-    work = join_clique_forest(tree)
-    d = work.node_count
+    d = tree.node_count
     if d <= 1:
         return {}
-    order = bfs_leaf_order(work)
-    _require_ranks(work.edges, ranking)
-    nodes = work.nodes
+    order = bfs_leaf_order(tree)
+    _require_ranks(tree.edges, ranking)
+    nodes = tree.nodes
     masks = list(nodes)
     low = [order[i] for i in range(d)]
-    joins = ranked_joins(d, work.edges, ranking)
+    joins = ranked_joins(d, tree.edges, ranking)
     r = joins[-1][0]
     everything = 0
     for clique in nodes:

@@ -1,9 +1,10 @@
 """Undirected simple graphs over dense integer vertices.
 
-Vertices are always 0..n-1.  Graphs are immutable after construction, so they
-can be shared freely between threads; every operation here is pure.  Every
-vertex list that comes out (neighbourhoods, edge lists, components) is sorted,
-so all derived objects come out in a deterministic order.
+Vertices are always 0..n-1.  A :class:`Graph` is a frozen record: assigning
+a field raises AttributeError, so graphs can be shared freely between
+threads; every operation here is pure.  Every vertex list that comes out
+(neighbourhoods, edge lists, components) is sorted, so all derived objects
+come out in a deterministic order.
 
 Each vertex's neighbourhood is stored once, as a Python ``int`` bit mask (bit
 v set iff v is a neighbour); everything else is derived from the masks.
@@ -18,8 +19,9 @@ does the same for vertex iterables.  :meth:`Graph.complement` flips each mask
 against the full vertex set and lists no edges.  The constructor builds a
 dense neighbourhood from bytes rather than bit by bit.  A graph holds its
 vertex count, its edge count and its masks, and nothing else: equality and
-hashing read the masks, and :meth:`Graph.edges` lists the edges afresh on
-each call, one vertex's row at a time, so no graph keeps an edge list alive.
+hashing read n and the masks, copy and pickle rebuild from the masks, and
+:meth:`Graph.edges` lists the edges afresh on each call, one vertex's row at
+a time, so no graph keeps an edge list alive.
 
 The on-disk edge-list format is one header line ``p <n> <m>`` followed by one
 ``u v`` line per edge; lines starting with ``c`` are comments.  Files written
@@ -41,10 +43,11 @@ from __future__ import annotations
 import re
 from itertools import compress, repeat
 
+from ._record import FrozenRecord, setfield
 from .errors import GraphFormatError
 
 
-class Graph:
+class Graph(FrozenRecord):
     """Immutable undirected simple graph on vertices 0..n-1."""
 
     __slots__ = ("n", "_m", "_masks")
@@ -52,7 +55,7 @@ class Graph:
     def __init__(self, n, edges=()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        self.n = n
+        setfield(self, "n", n)
         adj = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -61,18 +64,24 @@ class Graph:
                 raise ValueError("self-loop at vertex %d" % u)
             adj[u].add(v)
             adj[v].add(u)
-        self._masks = _set_masks(adj)
-        self._m = sum(map(len, adj)) // 2
+        setfield(self, "_masks", _set_masks(adj))
+        setfield(self, "_m", sum(map(len, adj)) // 2)
 
     @classmethod
     def _from_masks(cls, masks):
         """Graph with neighbourhood masks ``masks``, which must be symmetric,
         loop-free and inside 0..len(masks)-1; nothing is checked or listed."""
         g = cls.__new__(cls)
-        g.n = len(masks)
-        g._masks = tuple(masks)
-        g._m = sum(mask.bit_count() for mask in g._masks) // 2
+        setfield(g, "n", len(masks))
+        setfield(g, "_masks", tuple(masks))
+        setfield(g, "_m", sum(mask.bit_count() for mask in g._masks) // 2)
         return g
+
+    def _values(self):
+        return self.n, self._masks
+
+    def __reduce__(self):  # copy and pickle rebuild through _from_masks
+        return self._from_masks, (self._masks,)
 
     # -- accessors ---------------------------------------------------------
 
@@ -150,16 +159,6 @@ class Graph:
             common &= masks[low.bit_length() - 1]
             side ^= low
         return common
-
-    # -- dunder ------------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self._masks == other._masks
-
-    def __hash__(self):
-        return hash((self.n, self._masks))
 
     def __repr__(self):
         return "Graph(n=%d, m=%d)" % (self.n, self.m)

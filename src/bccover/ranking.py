@@ -20,6 +20,9 @@ edges ranked <= k contains at most one edge ranked exactly k: the one
 union-find sweep :func:`ranked_joins` checks it, for
 :func:`is_valid_edge_ranking` and for the level cuts of the cover.
 
+A :class:`Tree` is a frozen record of n and its sorted edges; it keeps
+its neighbour lists, derived from the edges, outside equality.
+
 One copy of each tree walk: :func:`neighbor_lists` and :func:`bfs` serve
 ``Tree``, :func:`optimal_edge_ranking` and ``cover.bfs_leaf_order``.  The
 last two take a ``Tree`` or a clique tree that is one tree, read through
@@ -33,6 +36,7 @@ ranking, so nothing in the construction calls it.
 
 from __future__ import annotations
 
+from ._record import FrozenRecord, setfield
 from .errors import GraphFormatError
 from .graph import find_root, read_text
 
@@ -44,11 +48,12 @@ def ceil_log2(n):
     return (n - 1).bit_length()
 
 
-class Tree:
+class Tree(FrozenRecord):
     """A connected acyclic graph on vertices 0..n-1; ``node_count`` is n.
     Trees with the same n and edges are equal and hash equal."""
 
     __slots__ = ("n", "edges", "_adj")
+    _hidden = ("edges", "_adj")
 
     def __init__(self, n, edges):
         norm = sorted((min(u, v), max(u, v)) for u, v in edges)
@@ -60,9 +65,12 @@ class Tree:
             raise ValueError("a tree on %d vertices needs %d edges" % (n, n - 1))
         adj = neighbor_lists(n, norm)
         bfs(adj, 0)  # raises unless connected
-        self.n = n
-        self.edges = tuple(norm)
-        self._adj = tuple(map(tuple, adj))
+        setfield(self, "n", n)
+        setfield(self, "edges", tuple(norm))
+        setfield(self, "_adj", tuple(map(tuple, adj)))
+
+    def _values(self):
+        return self.n, self.edges
 
     @property
     def node_count(self):
@@ -73,17 +81,6 @@ class Tree:
 
     def max_degree(self):
         return max((len(a) for a in self._adj), default=0)
-
-    def __eq__(self, other):
-        if not isinstance(other, Tree):
-            return NotImplemented
-        return self.n == other.n and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.n, self.edges))
-
-    def __repr__(self):
-        return "Tree(n=%d)" % self.n
 
 
 def neighbor_lists(n, edges):

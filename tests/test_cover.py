@@ -238,16 +238,17 @@ def test_find_biclique_levels_rejects_invalid_ranking():
         find_biclique_levels(tree, bad)
 
 
-def test_find_biclique_levels_joins_a_forest_itself():
+def test_find_biclique_levels_rejects_an_unjoined_forest():
     # K3,3: the complement is two triangles, so its clique tree is a forest
-    # of two nodes; the positions and r come from the joined tree
+    # of two nodes; it is refused as it is, and the joined tree is cut
     g = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
     forest = clique_tree(g.complement())
     assert forest.node_count == 2 and forest.edges == ()
     work = join_clique_forest(forest)
     ranking, r = optimal_edge_ranking(Tree(work.node_count, work.edges))
-    levels = find_biclique_levels(forest, ranking)
-    assert levels == find_biclique_levels(work, ranking)
+    with pytest.raises(ValueError):
+        find_biclique_levels(forest, ranking)
+    levels = find_biclique_levels(work, ranking)
     pairs = {level: _pairs(items) for level, items in levels.items()}
     assert pairs == naive_biclique_levels(work, ranking, bfs_leaf_order(work), r)
     assert pairs == {1: [(B([0, 1, 2], [3, 4, 5]), 1)]}
@@ -298,7 +299,7 @@ def test_partitions_and_levels_match_cut_loop_reference():
         shape = Tree(work.node_count, work.edges)
         for ranking, r in (optimal_edge_ranking(shape),
                            heuristic_edge_ranking(shape)):
-            levels = find_biclique_levels(tree, ranking)
+            levels = find_biclique_levels(work, ranking)
             want = naive_biclique_levels(tree, ranking, order, r)
             assert sorted(levels) == sorted(want)
             for level, items in want.items():
@@ -429,6 +430,24 @@ def test_cover_calls_each_traced_stage_by_its_module_name(monkeypatch):
     assert meta.verified and meta.ranking_r == ceil_log2(39)
     assert calls == {"optimal_edge_ranking": 1, "find_biclique_levels": 1,
                      "merge_bicliques": meta.ranking_r}
+
+
+def test_cover_and_partition_join_the_tree_once(monkeypatch):
+    # the level cuts take the tree their caller joined, so each caller
+    # joins once, on trees and on forests alike
+    calls = []
+    join = cover_module.join_clique_forest
+    monkeypatch.setattr(cover_module, "join_clique_forest",
+                        lambda tree: calls.append(1) or join(tree))
+    k33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    for g in (gen_copath(12).graph, gen_fig_graph("fig2").graph, k33,
+              _cochordal_with_split_complement(5, 7, 0.4, 3)):
+        tree = clique_tree(g.complement())
+        assert tree.node_count >= 2
+        for run in (lambda: cover_cochordal(g), lambda: find_partition(tree)):
+            calls.clear()
+            run()
+            assert len(calls) == 1
 
 
 def test_merge_fig2_level_two():

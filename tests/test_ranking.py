@@ -437,7 +437,8 @@ def test_heuristic_builds_one_side_per_cut():
     # about 2 n log2 n lists; a side built per inner edge of every subtree
     # would read millions
     tree = path_tree(2000)
-    tree._adj = counting = _CountingLists(tree._adj)
+    counting = _CountingLists(tree._adj)
+    object.__setattr__(tree, "_adj", counting)  # a Tree refuses assignment
     ranking, r = heuristic_edge_ranking(tree)
     assert r == ceil_log2(2000)
     assert counting.reads <= 2 * tree.n * ceil_log2(tree.n)

@@ -1,12 +1,12 @@
 """Base classes for the package's small value types.
 
 A record's fields are the names in its class's ``__slots__``, in order; a
-record with a slot derived from the others (``Graph``, ``ranking.Tree``)
-names its fields through ``_values`` instead.  ``==`` compares the fields
-(records of the same class only), ``repr`` lists them as
-``Name(field=value, ...)`` and, for a :class:`FrozenRecord`, ``hash``
-hashes them, so a frozen record hashes when its field values do (one
-holding a dict raises ``TypeError``, as a frozen dataclass would): the
+record with a slot derived from the others (``Graph``, ``ranking.Tree``,
+``chordal.CliqueTree``) names its fields through ``_values`` instead.
+``==`` compares the fields (records of the same class only), ``repr``
+lists them as ``Name(field=value, ...)`` and, for a :class:`FrozenRecord`,
+``hash`` hashes them, so a frozen record hashes when its field values do
+(one holding a dict raises ``TypeError``, as a frozen dataclass would): the
 behaviour a dataclass would generate, without importing
 :mod:`dataclasses` (and with it :mod:`inspect` and :mod:`ast`) or compiling
 methods when the package loads.  Each subclass writes its own ``__init__``;

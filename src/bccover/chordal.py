@@ -19,6 +19,7 @@ from __future__ import annotations
 from ._record import FrozenRecord, setfield
 from .errors import NotChordalError
 from .graph import connected_components, find_root, mask_vertices, vertex_mask
+from .ranking import neighbor_lists
 
 
 class CliqueTree(FrozenRecord):
@@ -27,14 +28,32 @@ class CliqueTree(FrozenRecord):
     ``nodes[i]`` is a maximal clique as an ``int`` vertex mask; ``edges``
     are pairs of node indices with i < j.  ``mids[k]``, the middle set of
     ``edges[k]``, is derived: the mask of the two end cliques' intersection,
-    computed on each read.
+    computed on each read.  The sorted neighbour lists ``_adj``, as
+    :class:`bccover.ranking.Tree` keeps them, are derived from the edges
+    on first read and kept, outside equality, hashing and ``repr``.
     """
 
-    __slots__ = ("nodes", "edges")
+    __slots__ = ("nodes", "edges", "_adj")
+    _hidden = ("_adj",)
 
     def __init__(self, nodes, edges):
         setfield(self, "nodes", nodes)
         setfield(self, "edges", edges)
+
+    def _values(self):
+        return self.nodes, self.edges
+
+    def __getattr__(self, name):
+        # reached only for a slot not yet set: the neighbour lists ``_adj``
+        # are built on first use, so the ranking and the level cuts of one
+        # tree share one build
+        if name != "_adj":
+            raise AttributeError(
+                "%r object has no attribute %r" % (type(self).__name__, name)
+            )
+        adj = tuple(map(tuple, neighbor_lists(len(self.nodes), self.edges)))
+        setfield(self, "_adj", adj)
+        return adj
 
     @property
     def node_count(self):
@@ -127,12 +146,14 @@ def clique_tree(g):
     Whenever the labeled-neighbor count fails to grow, the current clique is
     complete and a new one starts from the new vertex's labeled
     neighborhood; it attaches to the clique of its most recently labeled
-    member.  The sweep also proves chordality: a vertex's labeled
-    neighborhood must lie inside the current clique when it extends it (and
-    then, as large, equals it), or inside the clique it attaches to when it
-    starts one.  Both hold on a chordal graph; when both hold, every mask
-    built is a clique, so each labeled neighborhood is one and the order is
-    a perfect elimination order (Blair and Peyton).  Only a failed test runs
+    member, the highest of its members' cliques (a one-member neighbourhood
+    reads its member's clique directly, with no walk over the mask).  The
+    sweep also proves chordality: a vertex's labeled neighborhood must lie
+    inside the current clique when it extends it (and then, as large,
+    equals it), or inside the clique it attaches to when it starts one.
+    Both hold on a chordal graph; when both hold, every mask built is a
+    clique, so each labeled neighborhood is one and the order is a perfect
+    elimination order (Blair and Peyton).  Only a failed test runs
     :func:`_peo_failure`, to name the position in the
     :class:`NotChordalError` raised.
     """
@@ -143,13 +164,18 @@ def clique_tree(g):
     tree_edges = []
     prev_card = 0
     for v, card in _mcs(g):
+        bit = 1 << v
         base = labeled & masks[v]
         if card > prev_card:
             host = cliques[-1]
         else:
             host = 0
             if card:  # the latest labeled member's clique is the highest
-                parent = max(map(clique_of.__getitem__, mask_vertices(base)))
+                if card == 1:
+                    parent = clique_of[base.bit_length() - 1]
+                else:
+                    parent = max(map(clique_of.__getitem__,
+                                     mask_vertices(base)))
                 host = cliques[parent]
                 tree_edges.append((parent, len(cliques)))
             cliques.append(base)
@@ -161,8 +187,8 @@ def clique_tree(g):
                 position=failure,
             )
         clique_of[v] = len(cliques) - 1
-        cliques[-1] |= 1 << v
-        labeled |= 1 << v
+        cliques[-1] |= bit
+        labeled |= bit
         prev_card = card
 
     return CliqueTree(tuple(cliques), tuple(sorted(tree_edges)))

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from heapq import heapify, heappop, heappush
+from operator import itemgetter
 
 from ._record import Record
 from .chordal import CliqueTree, clique_membership_counts, complement_clique_tree
 from .graph import find_root, mask_vertices, vertex_mask
-from .ranking import (_require_ranks, bfs, neighbor_lists, optimal_edge_ranking,
-                      ranked_joins)
+from .ranking import bfs, optimal_edge_ranking, ranked_joins
 
 
 class Biclique:
@@ -199,13 +199,17 @@ def bfs_leaf_order(tree):
     ``Tree``), starting from the lowest-index leaf, visiting neighbors in
     ascending order.  Raises ValueError on a node left unreached (an
     unjoined forest), an edge end out of range or a loop."""
-    d = tree.node_count
-    if d == 0:
-        return {}
-    adj = neighbor_lists(d, tree.edges)
+    return {v: pos for pos, v in enumerate(_leaf_bfs(tree), start=1)}
+
+
+def _leaf_bfs(tree):
+    """The nodes of one tree in the BFS order of :func:`bfs_leaf_order`,
+    along the tree's kept neighbour lists; raises as it does."""
+    if not tree.node_count:
+        return []
+    adj = tree._adj
     start = next((i for i, around in enumerate(adj) if len(around) <= 1), 0)
-    order, _ = bfs(adj, start)
-    return {v: pos for pos, v in enumerate(order, start=1)}
+    return bfs(adj, start)[0]
 
 
 def find_partition(tree):
@@ -236,9 +240,13 @@ def find_biclique_levels(tree, ranking):
     (:func:`bccover.ranking.ranked_joins`): an edge of rank k cuts its
     component among the edges ranked <= k, and the two sides of that cut
     are the parts it joins.  A part keeps the union of its cliques as a
-    vertex mask and its smallest :func:`bfs_leaf_order` position.  With r
-    the top rank among the edges, the cut along an edge of rank k lands in
-    level r + 1 - k, annotated with the smaller position of its two sides.
+    vertex mask and its smallest :func:`bfs_leaf_order` position, kept in
+    one list by node index; the walk reads the neighbour lists the tree
+    keeps, which :func:`bccover.ranking.optimal_edge_ranking` has built
+    when it ranked the same tree.  The sweep checks each rank as it
+    buckets the edges, so the ranks are read once.  With r the top rank
+    among the edges, the cut along an edge of rank k lands in level
+    r + 1 - k, annotated with the smaller position of its two sides.
     The flattened result is a biclique partition.  Returns
     ``{level: [(biclique, ord, common_left, common_right), ...]}`` with
     each level's list sorted by ord.  Raises ValueError on a missing or
@@ -269,12 +277,17 @@ def find_biclique_levels(tree, ranking):
     d = tree.node_count
     if d <= 1:
         return {}
-    order = bfs_leaf_order(tree)
-    _require_ranks(tree.edges, ranking)
+    low = [0] * d  # a part's smallest BFS position, at its root
+    for pos, v in enumerate(_leaf_bfs(tree), start=1):
+        low[v] = pos
+    edges = tree.edges
+    joins = ranked_joins(d, edges, ranking)
+    if len(joins) < len(edges):
+        raise ValueError(
+            "not an edge-ranking: two edges of rank %d meet" % joins[-1][0]
+        )
     nodes = tree.nodes
     masks = list(nodes)
-    low = [order[i] for i in range(d)]
-    joins = ranked_joins(d, tree.edges, ranking)
     r = joins[-1][0]
     everything = 0
     for clique in nodes:
@@ -282,7 +295,7 @@ def find_biclique_levels(tree, ranking):
     reach = [0] * everything.bit_length()
     pending = [0] * everything.bit_length()  # middle sets not yet joined
     later = 0
-    for _, (i, j), _, _ in joins:
+    for i, j in edges:
         mid = rest = nodes[i] & nodes[j]
         while rest:  # one lowest bit at a time: a middle set is small
             bit = rest & -rest
@@ -292,7 +305,12 @@ def find_biclique_levels(tree, ranking):
             rest ^= bit
         later |= mid
     levels = {}
+    from_masks = Biclique._from_masks
+    rank = 0
     for k, (i, j), a, b in joins:
+        if k != rank:  # the joins come in rank order: one list per rank
+            rank = k
+            levels[r + 1 - k] = items = []
         mid = rest = nodes[i] & nodes[j]
         while rest:  # later: the middle sets joined after this step
             bit = rest & -rest
@@ -314,14 +332,16 @@ def find_biclique_levels(tree, ranking):
             bit = rest & -rest
             near |= reach[bit.bit_length() - 1]
             rest ^= bit
-        low[b] = first = min(low[a], low[b])
-        levels.setdefault(r + 1 - k, []).append((
-            Biclique._from_masks(left, right), first,
-            common_left, everything ^ near,
-        ))
+        first = low[a]
+        if first < low[b]:
+            low[b] = first
+        else:
+            first = low[b]
+        items.append((from_masks(left, right), first, common_left,
+                      everything ^ near))
         masks[b] = part_a | part_b
     for items in levels.values():
-        items.sort(key=lambda item: item[1])
+        items.sort(key=itemgetter(1))
     return levels
 
 
@@ -343,7 +363,7 @@ def merge_bicliques(items):
     The merge reads no graph.
     """
     kept = []
-    for b, _, common_l, common_r in sorted(items, key=lambda t: t[1]):
+    for b, _, common_l, common_r in sorted(items, key=itemgetter(1)):
         left, right = b._left, b._right
         if right & ~common_l:
             raise ValueError("%r: right side not inside common_left" % (b,))

@@ -655,7 +655,8 @@ def exact_bp(g, budget=None, _facts=None):
 
     masks = list(g.neighbor_masks())
     # ahead of the deadline: a process's first call imports numpy here
-    lb = max(1, _inertia(masks))
+    root_inertia = _inertia(masks)
+    lb = max(1, root_inertia)
 
     # start partitions: per-vertex stars, and the twin elimination when they
     # miss lb
@@ -686,10 +687,13 @@ def exact_bp(g, budget=None, _facts=None):
             best_parts = [Biclique._from_masks(l, r) for l, r in members]
             return
         # the GF(2) floor, then the inertia only where that floor does not
-        # prune: the same decisions as the inertia alone
+        # prune: the same decisions as the inertia alone.  The root's masks
+        # are the ones lb came from, so it reuses their inertia
         floor = len(members) + (_gf2_rank(masks) + 1) // 2
         if floor < best:
-            floor = len(members) + _inertia(masks)
+            floor = len(members) + (
+                _inertia(masks) if members else root_inertia
+            )
         if floor >= best:
             stats["pruned"] += 1
             return
@@ -793,17 +797,21 @@ def exact_chromatic(g, budget=None):
 def greedy_coloring(g):
     """Largest-first greedy coloring: colors 1.. per vertex, a proper
     coloring of ``g`` and so an upper bound on its chromatic number.  Each
-    vertex joins the first color class that holds none of its neighbours."""
+    vertex joins the first color class that holds none of its neighbours,
+    and its colour is recorded as it joins."""
     masks = g.neighbor_masks()
     classes = []
+    colors = [0] * g.n
     for v in sorted(range(g.n), key=lambda v: -masks[v].bit_count()):
         for c, cls in enumerate(classes):
             if not cls & masks[v]:
                 classes[c] |= 1 << v
                 break
         else:
+            c = len(classes)
             classes.append(1 << v)
-    return _class_colors(classes, g.n)
+        colors[v] = c + 1
+    return colors
 
 
 def _class_colors(classes, n):

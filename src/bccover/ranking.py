@@ -17,17 +17,20 @@ the other.
 
 A ranking is valid iff, for every k, each component of the subgraph of
 edges ranked <= k contains at most one edge ranked exactly k: the one
-union-find sweep :func:`ranked_joins` checks it, for
-:func:`is_valid_edge_ranking` and for the level cuts of the cover.
+union-find sweep :func:`ranked_joins` checks it, and checks each rank as
+it buckets the edges, for :func:`is_valid_edge_ranking` and for the level
+cuts of the cover.
 
 A :class:`Tree` is a frozen record of n and its sorted edges; it keeps
-its neighbour lists, derived from the edges, outside equality.
+its neighbour lists, derived from the edges, outside equality.  A
+``chordal.CliqueTree`` keeps them the same way, built on first read, so a
+cover builds its joined tree's lists once.
 
 One copy of each tree walk: :func:`neighbor_lists` and :func:`bfs` serve
-``Tree``, :func:`optimal_edge_ranking` and ``cover.bfs_leaf_order``.  The
-last two take a ``Tree`` or a clique tree that is one tree, read through
-``node_count`` and ``edges``, so the cover ranks its joined clique tree as
-it is.
+``Tree``, ``CliqueTree``, :func:`optimal_edge_ranking` and the level cuts'
+``cover.bfs_leaf_order`` walk.  The last two take a ``Tree`` or a clique
+tree that is one tree, read through ``node_count``, ``edges`` and the kept
+lists, so the cover ranks its joined clique tree as it is.
 
 :func:`heuristic_edge_ranking` ranks by balanced separators, with two walks
 per subtree.  The cover and the partition both cut along the optimal
@@ -118,15 +121,23 @@ def bfs(adj, start):
 def ranked_joins(n, edges, ranks):
     """The union-find sweep of a tree's ranked edges in (rank, edge) order:
     ``(k, edge, a, b)`` per edge, whose rank k joins the part with root a
-    into the part with root b.  The edges are bucketed by rank in one pass
-    and each bucket is sorted, so the order does not depend on the order
-    of ``edges``.  Each part keeps the rank of its last join; ranks only
-    grow, so it holds an edge of rank k iff that rank is k.  Raises
-    ValueError when an edge joins a part topped by its own rank: two edges
-    of that rank meet with no larger rank between them."""
+    into the part with root b.  The edges are bucketed by rank in one pass,
+    which also checks each rank, and each bucket is sorted, so the order
+    does not depend on the order of ``edges``.  Each part keeps the rank of
+    its last join; ranks only grow, so it holds an edge of rank k iff that
+    rank is k.  The sweep stops at the first edge that joins a part topped
+    by its own rank, where two edges of that rank meet with no larger rank
+    between them: the ranking is valid iff every edge has a join, and
+    otherwise the last join has the rank of the clash.  Raises ValueError
+    unless every edge has a positive integer rank."""
     by_rank = {}
     for e in edges:
-        by_rank.setdefault(ranks[e], []).append(e)
+        k = ranks.get(e)
+        if not isinstance(k, int) or k < 1:
+            if e not in ranks:
+                raise ValueError("edge %r has no rank assigned" % (e,))
+            raise ValueError("rank of %r must be a positive integer" % (e,))
+        by_rank.setdefault(k, []).append(e)
     parent = list(range(n))
     top = [0] * n
     joins = []
@@ -134,7 +145,7 @@ def ranked_joins(n, edges, ranks):
         for e in sorted(by_rank[k]):
             a, b = find_root(parent, e[0]), find_root(parent, e[1])
             if k == top[a] or k == top[b]:
-                raise ValueError("not an edge-ranking: two edges of rank %d meet" % k)
+                return joins
             parent[a] = b
             top[b] = k
             joins.append((k, e, a, b))
@@ -148,24 +159,12 @@ def edge_ranking_lower_bound(tree):
     return max(tree.max_degree(), ceil_log2(tree.n))
 
 
-def _require_ranks(edges, ranks):
-    """Raise ValueError unless every edge has a positive integer rank."""
-    for e in edges:
-        if e not in ranks:
-            raise ValueError("edge %r has no rank assigned" % (e,))
-        if not isinstance(ranks[e], int) or ranks[e] < 1:
-            raise ValueError("rank of %r must be a positive integer" % (e,))
-
-
 def is_valid_edge_ranking(tree, ranking):
     """Check the separation condition for every pair of equal-rank edges;
-    ``ranking`` is the ``{(i, j): rank}`` dict."""
-    _require_ranks(tree.edges, ranking)
-    try:
-        ranked_joins(tree.node_count, tree.edges, ranking)
-    except ValueError:
-        return False  # two edges of one rank meet without a larger separator
-    return True
+    ``ranking`` is the ``{(i, j): rank}`` dict.  Raises ValueError unless
+    every edge has a positive integer rank."""
+    edges = tree.edges
+    return len(ranked_joins(tree.node_count, edges, ranking)) == len(edges)
 
 
 def _fits(pending, level):
@@ -280,12 +279,13 @@ def optimal_edge_ranking(tree):
     """Minimum-rank edge-ranking, in one bottom-up pass.
 
     ``tree`` is a :class:`Tree` or a clique tree that is one tree (a joined
-    one), read through ``node_count`` and ``edges``, so both give the same
-    ranking.  The tree is rooted at 0.  Children come before their parent,
-    and each vertex v combines the ``vis`` of its children
-    (:func:`combine_children`) into the smallest possible ``vis(v)``; a leaf
-    has ``vis = 0``, and a vertex with one child calls :func:`_lowest_rank`
-    on that child's ``vis`` directly.  A smaller ``vis`` never leaves the
+    one), read through ``node_count``, ``edges`` and the neighbour lists
+    ``_adj`` that both keep, so both give the same ranking.  The tree is
+    rooted at 0.  Children come before their parent, and each vertex v
+    combines the ``vis`` of its children (:func:`combine_children`) into
+    the smallest possible ``vis(v)``; a leaf has ``vis = 0``, and a vertex
+    with one child calls :func:`_lowest_rank` on that child's ``vis``
+    directly.  A smaller ``vis`` never leaves the
     rest of the tree worse off, so the ranking is optimal, with r the top
     bit of ``vis(0)``.  No recursion and no size cap.  Returns
     ``(ranks, r)``: ``ranks`` is the dict ``{(i, j): rank}`` with i < j,
@@ -299,7 +299,7 @@ def optimal_edge_ranking(tree):
         raise ValueError("a tree needs at least one vertex")
     if len(tree.edges) != n - 1:
         raise ValueError("a tree on %d vertices needs %d edges" % (n, n - 1))
-    adj = neighbor_lists(n, tree.edges)
+    adj = tree._adj
     order, parent = bfs(adj, 0)
     vis = [0] * n
     ranks = {}

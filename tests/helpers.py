@@ -886,6 +886,35 @@ def reference_clique_tree(g):
     return CliqueTree(tuple(cliques), tuple(sorted(tree_edges)))
 
 
+def reference_max_member_clique_tree(g):
+    """Clique tree (or forest) of a chordal ``g`` by replaying its MCS order
+    with the general parent rule: a new clique attaches to the highest
+    clique of any member of its labeled neighbourhood, whatever its size.
+    Returns ``(tree, sizes)``, ``sizes`` the neighbourhood size of each
+    clique that attaches."""
+    masks = g.neighbor_masks()
+    labeled = 0
+    clique_of = {}
+    cliques = []
+    tree_edges = []
+    sizes = []
+    prev_card = 0
+    for v in reversed(naive_mcs_order(g)):
+        base = labeled & masks[v]
+        card = base.bit_count()
+        if card <= prev_card:
+            if card:
+                parent = max(clique_of[u] for u in mask_vertices(base))
+                tree_edges.append((parent, len(cliques)))
+                sizes.append(card)
+            cliques.append(base)
+        clique_of[v] = len(cliques) - 1
+        cliques[-1] |= 1 << v
+        labeled |= 1 << v
+        prev_card = card
+    return CliqueTree(tuple(cliques), tuple(sorted(tree_edges))), sizes
+
+
 def vertex_set(mask):
     """The vertices of a vertex mask, one bit test per position."""
     return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)

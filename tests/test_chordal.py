@@ -26,12 +26,14 @@ from bccover import (
 import bccover.chordal as chordal_module
 from bccover.ranking import neighbor_lists
 from bccover.graph import Graph, mask_vertices, vertex_mask
+from bccover.gen import gen_copath, gen_two_membership_cochordal, random_tree
 from helpers import (
     er_graph,
     induced_subgraph,
     naive_mcs_order,
     naive_verify_clique_tree,
     reference_clique_tree,
+    reference_max_member_clique_tree,
 )
 
 
@@ -182,6 +184,32 @@ def test_one_sweep_matches_the_three_pass_reference():
         else:
             chordal += 1
     assert chordal >= 500 and not_chordal >= 500
+
+
+def test_clique_tree_parents_match_the_max_over_members_rule():
+    # a clique started from a one-member neighbourhood reads its parent off
+    # that member's clique; the reference takes the max over the members
+    # every time.  Co-path complements start every clique from one member,
+    # random chordal graphs and two-membership complements also from more
+    rng = random.Random(37)
+    graphs = [gen_copath(n).graph.complement() for n in range(3, 60)]
+    graphs += [gen_random_chordal(rng.randrange(1, 40), rng.random(), seed)
+               for seed in range(150)]
+    for seed in range(60):
+        d = rng.randrange(2, 10)
+        shape = random_tree(d, seed)
+        mids = [rng.randrange(1, 4) for _ in shape.edges]
+        sizes = [sum(m for e, m in zip(shape.edges, mids) if node in e)
+                 + rng.randrange(1, 4) for node in range(d)]
+        graphs.append(gen_two_membership_cochordal(
+            shape, sizes, mids, seed).graph.complement())
+    bases = Counter()
+    for g in graphs:
+        want, sizes = reference_max_member_clique_tree(g)
+        got = clique_tree(g)
+        assert (got.nodes, got.edges) == (want.nodes, want.edges)
+        bases.update(min(size, 2) for size in sizes)
+    assert bases[1] >= 1000 and bases[2] >= 500
 
 
 def test_clique_tree_runs_the_elimination_check_only_on_failure(monkeypatch):

@@ -432,6 +432,32 @@ def test_cover_calls_each_traced_stage_by_its_module_name(monkeypatch):
                      "merge_bicliques": meta.ranking_r}
 
 
+def test_cover_builds_the_joined_tree_neighbour_lists_once(monkeypatch):
+    # the ranking and the level cuts read the lists the joined tree keeps:
+    # one build per cover and per partition, on the sweep's tree, the
+    # rebuilt one and a joined forest
+    calls = []
+    original = bccover.ranking.neighbor_lists
+
+    def counted(n, edges):
+        calls.append(n)
+        return original(n, edges)
+
+    for name, module in sorted(sys.modules.items()):
+        if (name.startswith("bccover")
+                and vars(module).get("neighbor_lists") is original):
+            monkeypatch.setattr(module, "neighbor_lists", counted)
+    k33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    for g in (gen_copath(40).graph, gen_cowindmill(6, 3).graph, k33,
+              _cochordal_with_split_complement(5, 7, 0.4, 3)):
+        calls.clear()
+        cover, meta = cover_cochordal(g)
+        assert meta.verified and calls == [meta.mc_complement]
+        calls.clear()
+        assert verify_partition(g, find_partition(complement_clique_tree(g)))
+        assert calls == [meta.mc_complement]
+
+
 def test_cover_and_partition_join_the_tree_once(monkeypatch):
     # the level cuts take the tree their caller joined, so each caller
     # joins once, on trees and on forests alike

@@ -132,7 +132,10 @@ def max_weight_clique_tree(nodes):
     numbers than stars, which is what the cover pipeline wants.  Each weight
     class, heaviest first, takes the pair of nodes in different components
     with the smallest key ``(larger degree, degree sum, i, j)``, until none
-    is left.
+    is left.  The key is kept as the one int
+    ``((larger * (2d + 1) + sum) * d + i) * d + j``, which orders as the
+    tuple does (a degree sum is at most 2d - 2, and i, j < d), so the heap
+    compares ints and the pair is read back off the key.
 
     When every vertex lies in at most two cliques the intersection graph is
     itself a forest and this returns its edges, the only clique forest, so
@@ -148,7 +151,9 @@ def max_weight_clique_tree(nodes):
     that still matches its recomputed value is therefore the true minimum
     and its pair is taken, a stale key goes back with its new value, and a
     pair whose ends are already joined is dropped for good (components only
-    merge).  That takes the same edges, in the same order, as rescanning the
+    merge).  Each node carries its component's label, and a join relabels
+    the smaller component, so whether a pair is joined is two list reads.
+    That takes the same edges, in the same order, as rescanning the
     class for its minimum after every edge.  A pair whose ends are joined
     when its class starts is never heaped: it would only be popped and
     dropped, touching no degree or component, and as the keys are distinct
@@ -167,27 +172,40 @@ def max_weight_clique_tree(nodes):
             holders[v] |= 1 << j
         for i in mask_vertices(met):
             pairs[(nodes[i] & clique).bit_count()].append((i, j))
-    parent = list(range(d))
+    span = 2 * d + 1  # a degree sum is below it
+    label = list(range(d))  # node: its component's label
+    members = [[i] for i in range(d)]  # label: the nodes that carry it
     degree = [0] * d
-    key = lambda i, j: (max(degree[i], degree[j]), degree[i] + degree[j], i, j)
     edges = []
     for w in sorted(pairs, reverse=True):
-        heap = [key(i, j) for i, j in pairs[w]
-                if find_root(parent, i) != find_root(parent, j)]
+        heap = []
+        for i, j in pairs[w]:
+            if label[i] != label[j]:
+                di, dj = degree[i], degree[j]
+                top = di if di > dj else dj
+                heap.append(((top * span + di + dj) * d + i) * d + j)
         heapify(heap)
         while heap:
             popped = heappop(heap)
-            _, _, i, j = popped
-            ri, rj = find_root(parent, i), find_root(parent, j)
-            if ri == rj:
+            rest, j = divmod(popped, d)
+            i = rest % d
+            li, lj = label[i], label[j]
+            if li == lj:
                 continue
-            now = key(i, j)
+            di, dj = degree[i], degree[j]
+            top = di if di > dj else dj
+            now = ((top * span + di + dj) * d + i) * d + j
             if now != popped:
                 heappush(heap, now)
                 continue
-            parent[ri] = rj
-            degree[i] += 1
-            degree[j] += 1
+            if len(members[li]) > len(members[lj]):
+                li, lj = lj, li
+            for k in members[li]:
+                label[k] = lj
+            members[lj] += members[li]
+            members[li] = None
+            degree[i] = di + 1
+            degree[j] = dj + 1
             edges.append((i, j))
             if len(edges) == d - 1:
                 return CliqueTree(tuple(nodes), tuple(sorted(edges)))

@@ -13,7 +13,9 @@ distinct child lists and visible levels rather than with its degree.  A
 vertex with one child takes the lowest rank free in that child's ``vis``
 (:func:`_lowest_rank`, which :func:`combine_children` also ends on) with no
 child list built, and a leaf is skipped; on a path, every vertex is one or
-the other.
+the other.  A vertex with two children decides each level in closed form
+(:func:`_combine_two`), with the ranks and union that
+:func:`combine_children` gives; that one runs only at three or more.
 
 A ranking is valid iff, for every k, each component of the subgraph of
 edges ranked <= k contains at most one edge ranked exactly k: the one
@@ -153,10 +155,13 @@ def ranked_joins(n, edges, ranks):
 
 
 def edge_ranking_lower_bound(tree):
-    """max(maximum degree, ceil(log2 of the vertex count)); 0 for one node."""
-    if tree.n <= 1:
+    """max(maximum degree, ceil(log2 of the node count)); 0 for one node.
+    ``tree`` is a :class:`Tree` or a clique tree, read through
+    ``node_count`` and the neighbour lists ``_adj`` that both keep."""
+    n = tree.node_count
+    if n <= 1:
         return 0
-    return max(tree.max_degree(), ceil_log2(tree.n))
+    return max(max(map(len, tree._adj)), ceil_log2(n))
 
 
 def is_valid_edge_ranking(tree, ranking):
@@ -275,6 +280,46 @@ def combine_children(lists):
     return ranks, union | seen
 
 
+def _combine_two(a, b):
+    """:func:`combine_children` on the two lists ``[a, b]``, in closed form.
+
+    The levels are walked down from the same top.  A free level is left
+    out while both children fit at or below the level under it, m: let f
+    be the highest level in 1..m free in both; they fit iff f exists, no
+    level in (f, m] is held by both, and the child that does not take f
+    (b, unless b's list below f is the larger) has a free level in
+    1..f - 1.  The first free level where they do not fit, lo, goes to a
+    when a's list below lo is at least b's and a != b, else to b; the other
+    child takes its lowest free rank.  The union is lo, every level above
+    it that a or b holds, and what the other child shows below lo.
+    """
+    held, both = a | b, a & b
+    level = max(held.bit_length(), 1) + 1
+    while True:
+        if held >> level & 1:
+            level -= 1
+            continue
+        m = level - 1
+        free = ~held & ((2 << m) - 2)
+        if not free:
+            break
+        f = free.bit_length() - 1
+        if both >> (f + 1) & ((1 << (m - f)) - 1):
+            break
+        below = (1 << f) - 1
+        other = a if b & below > a & below else b
+        if not ~other & below & ~1:
+            break
+        level = m
+    above = held >> level << level | 1 << level  # level is free in both
+    below = (1 << level) - 1
+    if a != b and a & below >= b & below:
+        x, seen = _lowest_rank(b, level - 1)
+        return [level, x], above | seen
+    x, seen = _lowest_rank(a, level - 1)
+    return [x, level], above | seen
+
+
 def optimal_edge_ranking(tree):
     """Minimum-rank edge-ranking, in one bottom-up pass.
 
@@ -283,9 +328,10 @@ def optimal_edge_ranking(tree):
     ``_adj`` that both keep, so both give the same ranking.  The tree is
     rooted at 0.  Children come before their parent, and each vertex v
     combines the ``vis`` of its children (:func:`combine_children`) into
-    the smallest possible ``vis(v)``; a leaf has ``vis = 0``, and a vertex
+    the smallest possible ``vis(v)``; a leaf has ``vis = 0``, a vertex
     with one child calls :func:`_lowest_rank` on that child's ``vis``
-    directly.  A smaller ``vis`` never leaves the
+    directly, and one with two children :func:`_combine_two`, which gives
+    what :func:`combine_children` would.  A smaller ``vis`` never leaves the
     rest of the tree worse off, so the ranking is optimal, with r the top
     bit of ``vis(0)``.  No recursion and no size cap.  Returns
     ``(ranks, r)``: ``ranks`` is the dict ``{(i, j): rank}`` with i < j,
@@ -312,7 +358,11 @@ def optimal_edge_ranking(tree):
             ranks[(v, c) if v < c else (c, v)] = x
         elif below:
             children = [c for c in around if c != up]
-            xs, vis[v] = combine_children([vis[c] for c in children])
+            if below == 2:
+                c, d = children
+                xs, vis[v] = _combine_two(vis[c], vis[d])
+            else:
+                xs, vis[v] = combine_children([vis[c] for c in children])
             for c, x in zip(children, xs):
                 ranks[(v, c) if v < c else (c, v)] = x
     return ranks, max(vis[0].bit_length() - 1, 0)

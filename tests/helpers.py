@@ -39,6 +39,7 @@ from bccover.oracle import (
     _touching,
     greedy_coloring,
 )
+from bccover.ranking import _lowest_rank, combine_children
 
 
 def run_python(script, *args):
@@ -1189,6 +1190,37 @@ def naive_optimal_ranks(tree, node_cap=None):
     except _OverCap:
         return None
     return ranks, assign(full)
+
+
+def reference_optimal_ranks(tree):
+    """The rank dict of the bottom-up optimal edge-ranking with no
+    two-child rule: every vertex with two or more children goes through
+    ``combine_children``, and a vertex with one child takes the lowest rank
+    free in that child's list.  ``tree`` is a ``Tree`` or a joined clique
+    tree; the pass is rooted at 0 and visits children in list order.  It
+    shares ``combine_children`` with the package, which
+    :func:`naive_combine_children` certifies on its own."""
+    adj = tree._adj
+    parent = {0: 0}
+    order = [0]
+    for v in order:
+        for c in adj[v]:
+            if c not in parent:
+                parent[c] = v
+                order.append(c)
+    vis = [0] * tree.node_count
+    ranks = {}
+    for v in reversed(order):
+        children = [c for c in adj[v] if c != parent[v]]
+        if len(children) == 1:
+            (c,) = children
+            x, vis[v] = _lowest_rank(vis[c], vis[c].bit_length())
+            ranks[(min(v, c), max(v, c))] = x
+        elif children:
+            xs, vis[v] = combine_children([vis[c] for c in children])
+            for c, x in zip(children, xs):
+                ranks[(min(v, c), max(v, c))] = x
+    return ranks
 
 
 def naive_combine_children(lists):

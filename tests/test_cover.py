@@ -722,6 +722,28 @@ def test_max_weight_tree_rebuild_matches_dense_reference_at_benchmark_scale():
             assert len(rebuilt.edges) == len(nodes) - 1
 
 
+def test_max_weight_tree_rebuild_orders_wide_ties_and_forests():
+    # cliques {0, i} for i = 1..60: one weight class of 1,770 pairs, all
+    # tied on weight, whose degrees reach 59 in the heap keys
+    fan = [1 | 1 << i for i in range(1, 61)]
+    # a forest of three components: a fan, a path of triangles, a lone clique
+    forest = [0b111, 0b1011, 0b10011]
+    forest += [7 << k for k in range(5, 12)]
+    forest.append(1 << 20 | 1 << 21)
+    # after the weight-2 class, node 0 has degree 3 and node 1 degree 1,
+    # nodes 2 and 3 degree 2 each: (0, 1) and (2, 3) tie on degree sum,
+    # and the smaller larger degree picks (2, 3)
+    sets = ({10, 11, 12, 13, 14, 15, 22}, {18, 19, 22}, {14, 15, 16, 17, 23},
+            {18, 19, 20, 21, 23}, {10, 11}, {12, 13}, {16, 17}, {20, 21})
+    degrees = [sum(1 << v for v in vs) for vs in sets]
+    assert (2, 3) in max_weight_clique_tree(degrees).edges
+    for nodes in (fan, forest, degrees):
+        rebuilt = max_weight_clique_tree(nodes)
+        assert rebuilt.edges == naive_max_weight_clique_tree(nodes)[1]
+    assert len(max_weight_clique_tree(fan).edges) == 59
+    assert len(max_weight_clique_tree(forest).edges) == len(forest) - 3
+
+
 def test_max_weight_tree_rebuild_stops_once_it_spans(monkeypatch):
     # cliques {0,1,2}, {0,1,3} and {0,1,4}: three pairs of weight 2; after
     # the second edge the last pair is joined and is no longer popped

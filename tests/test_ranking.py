@@ -10,6 +10,9 @@ from bccover import (
     ceil_log2,
     clique_tree,
     edge_ranking_lower_bound,
+    gen_copath,
+    gen_cowindmill,
+    gen_fig_graph,
     gen_random_chordal,
     heuristic_edge_ranking,
     is_valid_edge_ranking,
@@ -17,9 +20,10 @@ from bccover import (
     max_weight_clique_tree,
     optimal_edge_ranking,
 )
+from bccover.chordal import complement_clique_tree
 from bccover.graph import Graph
-from bccover.gen import random_tree
-from bccover.ranking import _lowest_rank, combine_children, ranked_joins
+from bccover.gen import caterpillar_tree, gen_two_membership_cochordal, random_tree
+from bccover.ranking import _combine_two, _lowest_rank, combine_children, ranked_joins
 from helpers import (
     enumerate_trees,
     naive_combine_children,
@@ -27,6 +31,7 @@ from helpers import (
     naive_is_valid_ranking,
     naive_optimal_ranks,
     random_tree_edges,
+    reference_optimal_ranks,
 )
 
 
@@ -265,6 +270,20 @@ def test_lower_bound_examples():
     assert edge_ranking_lower_bound(Tree(1, [])) == 0
 
 
+def test_lower_bound_reads_joined_clique_trees():
+    # the bound takes a clique tree as optimal_edge_ranking does, reading
+    # its node count and kept neighbour lists, where it raised
+    # AttributeError on the missing ``n``
+    split = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6), (7, 8)]
+    graphs = [gen_copath(9).graph, gen_fig_graph("fig2").graph,
+              gen_cowindmill(5, 3).graph, Graph(9, split).complement()]
+    for g in graphs:
+        work = join_clique_forest(complement_clique_tree(g))
+        bound = edge_ranking_lower_bound(work)
+        assert bound == edge_ranking_lower_bound(Tree(work.node_count, work.edges))
+        assert 1 <= bound <= optimal_edge_ranking(work)[1]
+
+
 @settings(derandomize=True, max_examples=200)
 @given(trees(min_n=1, max_n=60))
 def test_heuristic_ranks_match_recursive_reference(tree):
@@ -313,6 +332,58 @@ def test_one_child_rule_matches_brute_force():
         assert combine_children([vis]) == ([x], union)
 
 
+def test_two_child_rule_matches_combine_children_on_every_pair():
+    # every ordered pair of lists over levels 1..8, equal lists included:
+    # the same ranks, in list order, and the same union
+    for a in range(0, 1 << 9, 2):
+        for b in range(0, 1 << 9, 2):
+            assert _combine_two(a, b) == combine_children([a, b])
+
+
+def _two_membership_trees():
+    """Joined complement clique trees of two-membership instances on random,
+    caterpillar and spider shapes."""
+    rng = random.Random(39)
+    shapes = [random_tree(d, seed) for d in (5, 20, 60) for seed in range(4)]
+    shapes += [caterpillar_tree(s, l) for s, l in ((10, 10), (30, 30), (50, 50))]
+    shapes += [_spider(legs, 3) for legs in (2, 3, 5)]
+    for seed, shape in enumerate(shapes):
+        mids = [rng.randrange(1, 3) for _ in shape.edges]
+        sizes = [sum(m for e, m in zip(shape.edges, mids) if node in e)
+                 + rng.randrange(1, 3) for node in range(shape.n)]
+        g = gen_two_membership_cochordal(shape, sizes, mids, seed).graph
+        yield join_clique_forest(complement_clique_tree(g))
+
+
+def _spider(legs, length):
+    """``legs`` paths of ``length`` edges each, joined at node 0."""
+    edges = []
+    for leg in range(legs):
+        first = 1 + leg * length
+        edges.append((0, first))
+        edges += [(first + k, first + k + 1) for k in range(length - 1)]
+    return Tree(1 + legs * length, edges)
+
+
+def test_optimal_ranks_match_the_all_combine_reference():
+    # the two-child rule leaves every rank as combine_children gave it
+    trees = [caterpillar_tree(s, l) for s, l in ((5, 5), (50, 50), (100, 300))]
+    trees += [_spider(legs, length) for legs in (2, 3, 7) for length in (1, 4, 30)]
+    trees += [random_tree(n, seed) for n in (10, 100, 1000, 5000) for seed in range(3)]
+    trees.append(star(1100))
+    trees += list(_two_membership_trees())
+    for seed in range(60):
+        g = gen_random_chordal(10 + seed, (0.2, 0.4, 0.6)[seed % 3], seed)
+        base = clique_tree(g)
+        trees += [join_clique_forest(t) for t in (base, max_weight_clique_tree(base.nodes))]
+        trees.append(join_clique_forest(complement_clique_tree(g.complement())))
+    for tree in trees:
+        ranks, r = optimal_edge_ranking(tree)
+        want = reference_optimal_ranks(tree)
+        assert ranks == want
+        assert r == max(want.values(), default=0)
+
+
 def test_one_child_vertices_make_no_combine_call(monkeypatch):
     calls = []
     combine = combine_children
@@ -324,11 +395,22 @@ def test_one_child_vertices_make_no_combine_call(monkeypatch):
     monkeypatch.setattr(ranking_module, "combine_children", counting)
     ranking, r = optimal_edge_ranking(path_tree(2000))
     assert r == ceil_log2(2000) and calls == []
-    # node 0 in the middle of the path: the root alone has two children
+    # node 0 in the middle of the path: the root alone has two children,
+    # and the two-child rule ranks it
     middle = Tree(9, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7), (7, 8)])
     ranking, r = optimal_edge_ranking(middle)
-    assert r == ceil_log2(9) and calls == [2]
+    assert r == ceil_log2(9) and calls == []
     assert is_valid_edge_ranking(middle, ranking)
+    # a third path off the root: the one combine_children call left
+    spider = Tree(10, middle.edges + ((0, 9),))
+    ranking, r = optimal_edge_ranking(spider)
+    assert calls == [3] and is_valid_edge_ranking(spider, ranking)
+    del calls[:]
+    # every spine vertex but the last has one leg and one spine child
+    optimal_edge_ranking(caterpillar_tree(50, 50))
+    assert calls == []
+    optimal_edge_ranking(random_tree(20, 1))
+    assert sorted(calls) == [3, 4, 5]
 
 
 def test_ranked_joins_do_not_depend_on_the_edge_order():

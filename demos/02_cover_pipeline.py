@@ -52,17 +52,17 @@ print("\nranking (r = %d):" % r, ranking)
 
 # Stage 3: cut top rank first.  The rank-2 edge splits the tree in half and
 # produces the big biclique; the two rank-1 edges produce singleton pairs at
-# level 2.  Each cut comes with the common neighbourhood of each side (the
-# vertices joined to all of it), read off the tree, for the merge.
+# level 2.  Each cut is five ints: its ord, its two side masks and the common
+# neighbourhood of each side (the vertices joined to all of it), read off
+# the tree, for the merge.
 
 levels = find_biclique_levels(tree, ranking)
 names = lambda mask: ",".join(map(name, mask_vertices(mask)))
 for level in sorted(levels):
     rendered = [
         "({%s},{%s}) ord %d, common {%s} and {%s}"
-        % (",".join(map(name, sorted(b.left))),
-           ",".join(map(name, sorted(b.right))), o, names(cl), names(cr))
-        for b, o, cl, cr in levels[level]
+        % (names(left), names(right), o, names(cl), names(cr))
+        for o, left, right, cl, cr in levels[level]
     ]
     print("level %d: %s" % (level, "; ".join(rendered)))
 

@@ -11,10 +11,11 @@ smaller than d - 1 come from.
 
 A :class:`Biclique` keeps its sides as vertex masks, and the cuts, the merge
 and the verification work on those masks alone.  A cut is a biclique by
-construction, and the level sweep hands each cut over with its sides'
-common neighbourhoods, read off the clique tree, so the merge makes no graph
-read.  The final :func:`verify_cover` of :func:`cover_cochordal` is the one
-check of the result: one coverage pass compared with the graph's masks.
+construction, and the level sweep hands each cut over as ints: its side
+masks and their common neighbourhoods, read off the clique tree.  A
+:class:`Biclique` is built only for a member a caller gets.  The final
+:func:`verify_cover` of :func:`cover_cochordal` is the one check of the
+result: one coverage pass compared with the graph's masks.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ class Biclique:
 
     def _sorted_sides(self):
         """Both sides as sorted vertex lists, in canonical order."""
-        b = self.canonical()
-        return mask_vertices(b._left), mask_vertices(b._right)
+        first, second = sorted((self._left, self._right), key=lambda m: m & -m)
+        return mask_vertices(first), mask_vertices(second)
 
     def edge_set(self):
         """Edges of the biclique as normalized (u, v) pairs."""
@@ -235,22 +236,23 @@ def find_partition(tree):
 
     The members are the level cuts that :func:`cover_cochordal` merges,
     left unmerged: the cuts of the tree along its optimal edge-ranking, one
-    per tree edge, so there are always (node count - 1) of them.  They come
-    level 1 first, each level in BFS order, which is the order
-    :func:`merge_bicliques` reads them in.  A forest input is first joined
-    into one tree.
+    per tree edge, so there are always (node count - 1) of them, each made
+    a :class:`Biclique` from its side masks here.  They come level 1 first,
+    each level in BFS order, which is the order :func:`merge_bicliques`
+    reads them in.  A forest input is first joined into one tree.
     """
     work = join_clique_forest(tree)
     if work.node_count <= 1:
         return []
     ranking, _ = optimal_edge_ranking(work)
     levels = find_biclique_levels(work, ranking)
-    return [item[0] for level in sorted(levels) for item in levels[level]]
+    return [Biclique._from_masks(left, right) for level in sorted(levels)
+            for _, left, right, _, _ in levels[level]]
 
 
 def find_biclique_levels(tree, ranking):
-    """Partition bicliques grouped by ranking level, with their sides'
-    common neighbourhoods.
+    """The cuts of a biclique partition grouped by ranking level, as side
+    masks with their common neighbourhoods.
 
     ``tree`` is one tree: a forest raises ValueError, so join it with
     :func:`join_clique_forest` first.  It is cut along every edge, in one
@@ -265,15 +267,16 @@ def find_biclique_levels(tree, ranking):
     buckets the edges, so the ranks are read once.  With r the top rank
     among the edges, the cut along an edge of rank k lands in level
     r + 1 - k, annotated with the smaller position of its two sides.
-    The flattened result is a biclique partition.  Returns
-    ``{level: [(biclique, ord, common_left, common_right), ...]}`` with
-    each level's list sorted by ord.  Raises ValueError on a missing or
+    Returns ``{level: [(ord, left, right, common_left, common_right),
+    ...]}``, five ints per cut, each level sorted by ord: ``left`` and
+    ``right`` are the cut's side masks, and the flattened cuts form a
+    biclique partition.  Raises ValueError on a missing or
     non-positive rank, or when two edges of one rank meet: ``ranking``, the
     ``{(i, j): rank}`` dict, is not a valid edge-ranking of the tree.
 
     ``common_left`` is the mask of the vertices of G adjacent to every
-    vertex of the biclique's left side, and ``common_right`` the same for
-    its right side, worked out from the tree alone.  Let H be the chordal
+    vertex of ``left``, and ``common_right`` the same for ``right``,
+    worked out from the tree alone.  Let H be the chordal
     graph whose maximal cliques are the nodes, V the union of the nodes,
     and for a vertex v in some middle set let ``reach[v]`` be the union of
     the two end cliques of every edge whose middle set holds v: the cliques
@@ -323,7 +326,6 @@ def find_biclique_levels(tree, ranking):
             rest ^= bit
         later |= mid
     levels = {}
-    from_masks = Biclique._from_masks
     rank = 0
     for k, (i, j), a, b in joins:
         if k != rank:  # the joins come in rank order: one list per rank
@@ -355,23 +357,23 @@ def find_biclique_levels(tree, ranking):
             low[b] = first
         else:
             first = low[b]
-        items.append((from_masks(left, right), first, common_left,
-                      everything ^ near))
+        items.append((first, left, right, common_left, everything ^ near))
         masks[b] = part_a | part_b
     for items in levels.values():
-        items.sort(key=itemgetter(1))
+        items.sort()  # joins of one rank join disjoint parts: no two ords tie
     return levels
 
 
 def merge_bicliques(items):
     """Greedy left-to-right merge of one level's bicliques.
 
-    ``items`` is a list of ``(biclique, ord, common_left, common_right)``
-    items, as :func:`find_biclique_levels` makes them: the last two are the
-    masks of the vertices adjacent to every vertex of the biclique's left
-    and right side.  Sorted by ``ord``, each incoming biclique is unioned
-    into any already-kept member for which one of the two side orientations
-    stays a biclique; if no merge succeeds it is kept as a new member.
+    ``items`` is a list of ``(ord, left, right, common_left, common_right)``
+    items, as :func:`find_biclique_levels` makes them: the side masks of a
+    biclique and the masks of the vertices adjacent to every vertex of each
+    side.  Sorted by ``ord``, ties in list order, each incoming biclique is
+    unioned into any already-kept member for which one of the two side
+    orientations stays a biclique; if no merge succeeds it is kept as a new
+    member, and each member is returned as a :class:`Biclique`.
     Raises ValueError when an item's right side is not inside its
     ``common_left``: it is not a biclique.
 
@@ -381,10 +383,10 @@ def merge_bicliques(items):
     The merge reads no graph.
     """
     kept = []
-    for b, _, common_l, common_r in sorted(items, key=itemgetter(1)):
-        left, right = b._left, b._right
+    for _, left, right, common_l, common_r in sorted(items, key=itemgetter(0)):
         if right & ~common_l:
-            raise ValueError("%r: right side not inside common_left" % (b,))
+            raise ValueError("sides %s and %s: right side not inside common_left"
+                             % (mask_vertices(left), mask_vertices(right)))
         append = True
         for entry in kept:
             kept_l, kept_r, kept_cl, kept_cr = entry

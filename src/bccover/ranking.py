@@ -84,9 +84,6 @@ class Tree(FrozenRecord):
     def neighbors(self, v):
         return self._adj[v]
 
-    def max_degree(self):
-        return max((len(a) for a in self._adj), default=0)
-
 
 def neighbor_lists(n, edges):
     """Sorted neighbour lists of the nodes 0..n-1 of any graph with the pairs
@@ -384,7 +381,7 @@ def heuristic_edge_ranking(tree):
     """
     adj = tree._adj
     cuts = []  # (edge, index of the cut that made its subtree), pre-order
-    stack = [(set(range(tree.n)), None)]
+    stack = [(set(range(tree.node_count)), None)]
     while stack:
         vertices, up = stack.pop()
         total = len(vertices)

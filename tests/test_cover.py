@@ -193,14 +193,16 @@ def fig2_setup():
 
 def _pairs(items):
     """The ``(biclique, ord)`` projection of level items."""
-    return [item[:2] for item in items]
+    return [(Biclique._from_masks(left, right), o)
+            for o, left, right, _, _ in items]
 
 
 def _merge_items(g, pairs):
     """Merge items for hand-made ``(biclique, ord)`` pairs, with the sides'
     common neighbourhoods read from ``g``."""
     return [
-        (b, o, g.common_neighbors(b._left), g.common_neighbors(b._right))
+        (o, b._left, b._right, g.common_neighbors(b._left),
+         g.common_neighbors(b._right))
         for b, o in pairs
     ]
 
@@ -211,7 +213,7 @@ def test_find_biclique_levels_fig2():
     assert set(levels) == {1, 2}
     assert _pairs(levels[1]) == [(B([0, 1], [3, 4]), 1)]
     assert _pairs(levels[2]) == [(B([0], [2]), 1), (B([2], [4]), 3)]
-    flattened = [item[0] for items in levels.values() for item in items]
+    flattened = [b for items in levels.values() for b, _ in _pairs(items)]
     assert verify_partition(g, flattened)
 
 
@@ -395,9 +397,9 @@ def test_level_items_carry_their_sides_common_neighbourhoods():
                 continue
             ranking, _ = optimal_edge_ranking(work)
             for level in find_biclique_levels(work, ranking).values():
-                for b, _, common_left, common_right in level:
-                    assert common_left == g.common_neighbors(b._left)
-                    assert common_right == g.common_neighbors(b._right)
+                for _, left, right, common_left, common_right in level:
+                    assert common_left == g.common_neighbors(left)
+                    assert common_right == g.common_neighbors(right)
                     items += 1
     assert items > 8000
 
@@ -456,6 +458,29 @@ def test_cover_builds_the_joined_tree_neighbour_lists_once(monkeypatch):
         calls.clear()
         assert verify_partition(g, find_partition(complement_clique_tree(g)))
         assert calls == [meta.mc_complement]
+
+
+def test_cover_builds_a_biclique_only_for_a_member_it_returns(monkeypatch):
+    # the level cuts reach the merge as plain masks: a cover builds one
+    # Biclique per merged member and a partition one per member
+    calls = []
+    original = Biclique._from_masks
+
+    def counted(cls, left, right):
+        calls.append(1)
+        return original(left, right)
+
+    monkeypatch.setattr(Biclique, "_from_masks", classmethod(counted))
+    k33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    for g in (gen_copath(40).graph, gen_fig_graph("fig2").graph, k33,
+              _cochordal_with_split_complement(5, 7, 0.4, 3)):
+        calls.clear()
+        cover, meta = cover_cochordal(g)
+        assert meta.verified and len(calls) == len(cover) >= 1
+        calls.clear()
+        tree = complement_clique_tree(g)
+        parts = find_partition(tree)
+        assert len(calls) == len(parts) == tree.node_count - 1
 
 
 def test_cover_and_partition_join_the_tree_once(monkeypatch):
@@ -607,7 +632,7 @@ def test_flattened_levels_form_a_partition_on_random_cochordal():
             continue
         ranking, _ = optimal_edge_ranking(Tree(tree.node_count, tree.edges))
         levels = find_biclique_levels(tree, ranking)
-        flattened = [item[0] for items in levels.values() for item in items]
+        flattened = [b for items in levels.values() for b, _ in _pairs(items)]
         assert len(flattened) == tree.node_count - 1
         assert verify_partition(g, flattened)
 

@@ -7,6 +7,7 @@ import bccover.ranking as ranking_module
 from bccover import (
     CliqueTree,
     Tree,
+    bfs_leaf_order,
     ceil_log2,
     clique_tree,
     edge_ranking_lower_bound,
@@ -270,18 +271,41 @@ def test_lower_bound_examples():
     assert edge_ranking_lower_bound(Tree(1, [])) == 0
 
 
+def _joined_clique_trees():
+    """The joined complement clique trees of copath-9, fig2, a cowindmill
+    and a graph whose complement splits into three parts."""
+    split = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6), (7, 8)]
+    graphs = [gen_copath(9).graph, gen_fig_graph("fig2").graph,
+              gen_cowindmill(5, 3).graph, Graph(9, split).complement()]
+    return [join_clique_forest(complement_clique_tree(g)) for g in graphs]
+
+
 def test_lower_bound_reads_joined_clique_trees():
     # the bound takes a clique tree as optimal_edge_ranking does, reading
     # its node count and kept neighbour lists, where it raised
     # AttributeError on the missing ``n``
-    split = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6), (7, 8)]
-    graphs = [gen_copath(9).graph, gen_fig_graph("fig2").graph,
-              gen_cowindmill(5, 3).graph, Graph(9, split).complement()]
-    for g in graphs:
-        work = join_clique_forest(complement_clique_tree(g))
+    for work in _joined_clique_trees():
         bound = edge_ranking_lower_bound(work)
         assert bound == edge_ranking_lower_bound(Tree(work.node_count, work.edges))
         assert 1 <= bound <= optimal_edge_ranking(work)[1]
+
+
+def test_ranking_layer_reads_a_clique_tree_as_a_tree():
+    # every call of the ranking layer takes a joined clique tree as it is
+    # and gives what it gives on the Tree with the same edges, where
+    # heuristic_edge_ranking raised AttributeError on the missing ``n``
+    for work in _joined_clique_trees():
+        shape = Tree(work.node_count, work.edges)
+        assert optimal_edge_ranking(work) == optimal_edge_ranking(shape)
+        assert heuristic_edge_ranking(work) == heuristic_edge_ranking(shape)
+        assert edge_ranking_lower_bound(work) == edge_ranking_lower_bound(shape)
+        assert bfs_leaf_order(work) == bfs_leaf_order(shape)
+        flat = dict.fromkeys(work.edges, 1)
+        for ranks in (optimal_edge_ranking(shape)[0],
+                      heuristic_edge_ranking(shape)[0], flat):
+            assert is_valid_edge_ranking(work, ranks) == is_valid_edge_ranking(
+                shape, ranks)
+        assert not is_valid_edge_ranking(work, flat)
 
 
 @settings(derandomize=True, max_examples=200)

@@ -16,9 +16,11 @@ Each reported bound carries a provenance tag: "exact" (proven for this graph),
 a published recipe whose edge cases keep it out of certified comparisons; the
 conflict-graph bound lives here, since its 4-cycle exclusion rule can
 overshoot on dense graphs).  The conflict graph itself is built in
-:mod:`bccover.oracle` and re-exported here; no oracle search prunes with it,
-so the bc search's floor is the log-mc bound alone.  A report counts the
-complement's cliques and indexes the edges at most once for all readers.
+:mod:`bccover.oracle` and re-exported here; no oracle search prunes with it.
+The bc search's floor is the log-mc bound and, at every node, a greedy
+fooling set of the edges still uncovered, which needs no conflict graph.  A
+report counts the complement's cliques and indexes the edges at most once
+for all readers.
 """
 
 from __future__ import annotations

@@ -19,6 +19,12 @@ mask operations per side.  The clique number is a colouring-bounded branch
 and bound (MCQ).  The clique searches keep an explicit stack, so a clique of
 any size costs no Python recursion.
 
+:func:`exact_bc` is a set cover over the maximal bicliques, each an edge
+mask.  Its floor at every node is a greedy fooling set of the uncovered
+edges, edges that pairwise lie in no common biclique, read off one mask per
+edge: the OR of the maximal bicliques through it.  At the root the paper's
+ceil(log2 mc(G^c)) joins it.
+
 The most tuned search is :func:`exact_bp`, an exact cover of the edges by
 bicliques over neighbourhood bit masks of the still uncovered graph.  It
 branches on the uncovered edge that lies in the fewest bicliques of that
@@ -349,21 +355,48 @@ def conflict_graph(g, _facts=None):
 # -- biclique cover number ----------------------------------------------------
 
 
+def _fooling_count(uncovered, share):
+    """Size of a greedy fooling set of the edge mask ``uncovered``: take its
+    lowest edge, drop every edge that shares a maximal biclique with it
+    (``share`` of it, itself included), and repeat.  No biclique holds two
+    of the edges taken, so any cover of ``uncovered`` has that many
+    members."""
+    count = 0
+    while uncovered:
+        uncovered &= ~share[(uncovered & -uncovered).bit_length() - 1]
+        count += 1
+    return count
+
+
 def exact_bc(g, budget=None, _facts=None):
     """Minimum biclique cover, as a window with a certificate cover.
 
     Set-cover branch and bound over the maximal bicliques (any cover member
     can be fattened to a maximal one without uncovering anything), each an
-    edge mask, seeded with a greedy cover and pruned by the paper's lower
-    bound ceil(log2 mc(complement)), at least 1.  Each node branches on the
+    edge mask, seeded with a greedy cover.  Each node branches on the
     lowest uncovered edge in the fewest bicliques: the search numbers the
-    edges in that order, so it is the lowest uncovered bit.  On its
-    deadline the result is the window [that bound, best cover found].
+    edges in that order, so it is the lowest uncovered bit.
+
+    A node's floor is its members plus a greedy fooling set of its
+    uncovered edges (``_fooling_count``), edges that pairwise lie in no
+    common biclique and so need a member each: ``share[e]`` is the OR of
+    the maximal bicliques through edge e.  A child whose floor reaches the
+    best cover found is not entered.  The floor cuts only subtrees that
+    hold no strictly smaller cover, so it changes no result of a finished
+    search.  The root's floor is the larger of the paper's lower bound
+    ceil(log2 mc(complement)), at least 1, and that count on every edge; the
+    search ends at once when the greedy cover meets it.  On its deadline the
+    result is the window [root floor, best cover found].
+
+    ``stats`` counts the search nodes entered and the children the fooling
+    floor cut, and says why the search stopped: ``root`` (the greedy cover
+    meets the root floor), ``proved`` or ``deadline``.
     """
     budget = budget or DEFAULT_SEARCH_BUDGET
     _check_caps(g, budget)
+    stats = {"nodes": 0, "pruned": 0, "stop": "root"}
     if not g.m:
-        return OracleResult(0, 0, [])
+        return OracleResult(0, 0, [], stats)
     facts = _facts or _Facts(g)
     bicliques = enumerate_maximal_bicliques(g, budget)
     at = facts.edges()[1]
@@ -381,11 +414,14 @@ def exact_bc(g, budget=None, _facts=None):
 
     lb = max(1, ceil_log2(facts.mc()))
     if best == lb:
-        return OracleResult(best, best, [bicliques[i] for i in best_cover])
+        return OracleResult(best, best, [bicliques[i] for i in best_cover], stats)
 
     # relabel the edges by (bicliques covering it, index), so that the
     # lowest uncovered edge in the fewest bicliques is the lowest set bit
-    covering = [[i for i, s in enumerate(sets) if s >> e & 1] for e in range(g.m)]
+    covering = [[] for _ in range(g.m)]
+    for i, s in enumerate(sets):
+        for e in mask_vertices(s):
+            covering[e].append(i)
     order = sorted(range(g.m), key=lambda e: len(covering[e]))
     covering = [covering[e] for e in order]
     relabelled = [0] * len(sets)
@@ -393,13 +429,23 @@ def exact_bc(g, budget=None, _facts=None):
         for i in covering[pos]:
             relabelled[i] |= 1 << pos
     sets = relabelled
+    share = [0] * g.m
+    for pos, options in enumerate(covering):
+        for i in options:
+            share[pos] |= sets[i]
+    lb = max(lb, _fooling_count(universe, share))
+    if best == lb:
+        return OracleResult(best, best, [bicliques[i] for i in best_cover], stats)
+
     deadline = _Deadline(budget.time_cap)
     chosen = []
 
-    def dfs(uncovered):
-        # entered with edges left to cover and room for one more member
+    def dfs(uncovered, floor):
+        # entered with edges left to cover and ``floor``, a lower bound below
+        # best on every cover that extends ``chosen``
         nonlocal best, best_cover
         deadline.check()
+        stats["nodes"] += 1
         options = covering[(uncovered & -uncovered).bit_length() - 1]
         if len(chosen) + 2 >= best:
             # no child can recurse: only an option covering every remaining
@@ -416,17 +462,23 @@ def exact_bc(g, budget=None, _facts=None):
             chosen.append(idx)
             if not rest:
                 best, best_cover = len(chosen), list(chosen)
-            elif len(chosen) + 1 < best:
-                dfs(rest)
+            else:
+                below = len(chosen) + _fooling_count(rest, share)
+                if below < best:
+                    dfs(rest, below)
+                else:
+                    stats["pruned"] += 1
             chosen.pop()
-            if best == lb or len(chosen) + 1 >= best:
+            if best == lb or floor >= best:
                 return
 
     try:
-        dfs(universe)
+        dfs(universe, lb)
     except _Timeout:
-        return OracleResult(lb, best, [bicliques[i] for i in best_cover])
-    return OracleResult(best, best, [bicliques[i] for i in best_cover])
+        stats["stop"] = "deadline"
+        return OracleResult(lb, best, [bicliques[i] for i in best_cover], stats)
+    stats["stop"] = "proved"
+    return OracleResult(best, best, [bicliques[i] for i in best_cover], stats)
 
 
 # -- biclique partition number ------------------------------------------------
@@ -699,11 +751,11 @@ def exact_bp(g, budget=None, _facts=None):
             return
         for left, right in _branch_options(masks, deadline):
             saved = masks[:]
-            for x in range(g.n):
-                if left >> x & 1:
-                    masks[x] &= ~right
-                elif right >> x & 1:
-                    masks[x] &= ~left
+            for side, keep in ((left, ~right), (right, ~left)):
+                while side:
+                    low = side & -side
+                    masks[low.bit_length() - 1] &= keep
+                    side ^= low
             members.append((left, right))
             search()
             members.pop()

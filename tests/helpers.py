@@ -229,6 +229,22 @@ def reference_maximal_bicliques(g):
     return [Biclique(vertex_set(left), vertex_set(right)) for left, right in found]
 
 
+def reference_fooling_count(g):
+    """The greedy fooling set that ``exact_bc`` counts at its root, on edge
+    tuples and the subset-scan bicliques: the edges in order of the number
+    of maximal bicliques through them, ties to the lower edge; take the
+    first edge left, drop every edge that shares a maximal biclique with
+    it, and repeat."""
+    sets = [frozenset(b.edge_set()) for b in reference_maximal_bicliques(g)]
+    left = sorted(g.edges(), key=lambda e: sum(e in s for s in sets))
+    count = 0
+    while left:
+        first = left[0]
+        left = [e for e in left if not any(first in s and e in s for s in sets)]
+        count += 1
+    return count
+
+
 def naive_bc(g):
     """Minimum biclique cover size by searching over all bicliques."""
     edges = set(g.edges())

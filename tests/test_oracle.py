@@ -51,6 +51,7 @@ from helpers import (
     reference_conflict_graph,
     reference_exact_bc,
     reference_exact_bp,
+    reference_fooling_count,
     reference_greedy_coloring,
     reference_max_matching,
     reference_branch_options,
@@ -304,7 +305,7 @@ def test_exact_bp_stats():
     assert result.value == 13
     assert result.stats == {"nodes": 0, "pruned": 0, "stop": "root"}
     assert exact_bp(Graph(3)).stats["stop"] == "root"
-    assert exact_bc(complete_graph(4)).stats is None
+    assert exact_bc(complete_graph(4)).stats == {"nodes": 0, "pruned": 0, "stop": "root"}
 
 
 def test_exact_bp_keeps_near_its_time_cap_on_a_dense_graph():
@@ -746,11 +747,23 @@ def test_dense_exact_bp_counts_before_it_lists(monkeypatch):
 
 
 def test_exact_bc_matches_the_per_node_scan():
-    for g in _bp_reference_cases():
+    # on the G(14, 0.7) graphs the fooling floor prunes most nodes, and the
+    # scan, with log-mc alone, still finishes
+    graphs = _bp_reference_cases()
+    graphs += [er_graph(14, 0.7, random.Random(seed)) for seed in range(7)]
+    for g in graphs:
         result, reference = exact_bc(g), reference_mask_exact_bc(g)
         assert (result.lower, result.upper, result.certificate) == (
             reference.lower, reference.upper, reference.certificate
         )
+
+
+def test_exact_bc_stats_on_a_dense_graph():
+    # a node count guard: with log-mc as its only floor the search entered
+    # 44,247 nodes here
+    result = exact_bc(er_graph(14, 0.7, random.Random(6)))
+    assert result.value == 6
+    assert result.stats == {"nodes": 1578, "pruned": 10668, "stop": "proved"}
 
 
 def test_exact_chromatic_matches_the_recursive_search():
@@ -1041,3 +1054,40 @@ def test_exact_bc_search_stops_at_its_first_check_past_the_deadline(monkeypatch)
     assert clock.raced_reads == 2  # the search's deadline, then its first check
     assert result.lower == lb < 6 < result.upper
     assert verify_cover(g, result.certificate)
+
+
+def test_cut_short_exact_bc_keeps_its_root_floor(monkeypatch):
+    """With the clock past every deadline once the bicliques are listed,
+    each search that the greedy cover does not end at the root stops at its
+    first node: its lower end is the root floor, the larger of log-mc and
+    the greedy fooling count, and no more than the proven bc."""
+    budget = DEFAULT_SEARCH_BUDGET
+    cases = [g for g in _reference_cases()
+             if g.m and g.n <= budget.vertex_cap and g.m <= budget.edge_cap]
+    proven = [exact_bc(g) for g in cases]
+    floors = []
+    for g in cases:
+        facts = oracle._Facts(g)
+        floors.append((facts, ceil_log2(facts.mc()), reference_fooling_count(g)))
+    clock = FakeClock()
+    monkeypatch.setattr(oracle, "time", clock)
+    listing = oracle.enumerate_maximal_bicliques
+
+    def listed_then_race(*args):
+        found = listing(*args)
+        clock.race()
+        return found
+
+    monkeypatch.setattr(oracle, "enumerate_maximal_bicliques", listed_then_race)
+    cut_short = raised = 0
+    for g, exact, (facts, log_mc, fooling) in zip(cases, proven, floors):
+        clock.step = 0.0
+        result = exact_bc(g, _facts=facts)
+        assert result.lower == max(1, log_mc, fooling) <= exact.value
+        assert result.upper >= exact.value
+        assert verify_cover(g, result.certificate)
+        if not result.exact:
+            assert result.stats == {"nodes": 0, "pruned": 0, "stop": "deadline"}
+            cut_short += 1
+        raised += fooling > log_mc
+    assert cut_short > 0 and raised > 0

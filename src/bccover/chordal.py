@@ -18,15 +18,16 @@ from __future__ import annotations
 
 from ._record import FrozenRecord, setfield
 from .errors import NotChordalError
-from .graph import connected_components, find_root, mask_vertices, vertex_mask
-from .ranking import neighbor_lists
+from .graph import find_root, mask_vertices
+from .ranking import check_edges, neighbor_lists
 
 
 class CliqueTree(FrozenRecord):
     """Maximal cliques of a chordal graph arranged in a tree (or forest).
 
     ``nodes[i]`` is a maximal clique as an ``int`` vertex mask; ``edges``
-    are pairs of node indices with i < j.  ``mids[k]``, the middle set of
+    are pairs of node indices with i < j, refused when made if out of range
+    or a loop (``ranking.check_edges``).  ``mids[k]``, the middle set of
     ``edges[k]``, is derived: the mask of the two end cliques' intersection,
     computed on each read.  The sorted neighbour lists ``_adj``, as
     :class:`bccover.ranking.Tree` keeps them, are derived from the edges
@@ -37,6 +38,7 @@ class CliqueTree(FrozenRecord):
     _hidden = ("_adj",)
 
     def __init__(self, nodes, edges):
+        check_edges(len(nodes), edges)
         setfield(self, "nodes", nodes)
         setfield(self, "edges", edges)
 
@@ -207,9 +209,6 @@ def verify_clique_tree(g, tree):
     """
     nodes = tree.nodes
     d = len(nodes)
-    for i, j in tree.edges:
-        if not (0 <= i < d and 0 <= j < d and i != j):
-            return False
 
     # nodes are distinct maximal cliques covering all edges
     n = g.n
@@ -233,23 +232,18 @@ def verify_clique_tree(g, tree):
     if any(mask & ~r for mask, r in zip(masks, reach)):
         return False  # an edge lies in no node
 
-    # forest structure: acyclic, one tree per component of g
+    # forest structure: acyclic
     parent = list(range(d))
     for i, j in tree.edges:
         ri, rj = find_root(parent, i), find_root(parent, j)
         if ri == rj:
             return False  # cycle
         parent[ri] = rj
-    by_root = {}
-    for i, clique in enumerate(nodes):
-        root = find_root(parent, i)
-        by_root[root] = by_root.get(root, 0) | clique
-    comps = [vertex_mask(c) for c in connected_components(g)]
-    if sorted(by_root.values()) != sorted(comps):
-        return False
 
-    # clique-intersection property
+    # clique-intersection property, and one tree per component of g
     for mid in tree.mids:
+        if not mid:
+            return False  # given the count: a tree spans two components
         for u in mask_vertices(mid):
             holding[u] -= 1
     return all(count == 1 for count in holding)

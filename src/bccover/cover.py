@@ -107,7 +107,7 @@ def join_clique_forest(tree):
 
     Component representatives (lowest node index each) are chained in
     ascending order.  A tree, a forest with d - 1 edges on its d nodes, is
-    returned unchanged.
+    returned unchanged, as is any record with d - 1 or more edges.
     """
     d = tree.node_count
     if len(tree.edges) >= d - 1:
@@ -217,7 +217,7 @@ def bfs_leaf_order(tree):
     """1-based BFS positions of the nodes of one tree (a clique tree or a
     ``Tree``), starting from the lowest-index leaf, visiting neighbors in
     ascending order.  Raises ValueError on a node left unreached (an
-    unjoined forest), an edge end out of range or a loop."""
+    unjoined forest), and then on too many edges (a cycle)."""
     return {v: pos for pos, v in enumerate(_leaf_bfs(tree), start=1)}
 
 
@@ -234,12 +234,13 @@ def _leaf_bfs(tree):
 def find_partition(tree):
     """Biclique partition of G from a clique tree of its complement.
 
-    The members are the level cuts that :func:`cover_cochordal` merges,
-    left unmerged: the cuts of the tree along its optimal edge-ranking, one
-    per tree edge, so there are always (node count - 1) of them, each made
-    a :class:`Biclique` from its side masks here.  They come level 1 first,
-    each level in BFS order, which is the order :func:`merge_bicliques`
-    reads them in.  A forest input is first joined into one tree.
+    The members are the cuts of ``tree``, joined first when a forest, along
+    its optimal edge-ranking: one per tree edge, so (node count - 1) of
+    them, each made a :class:`Biclique` from its side masks here, level 1
+    first and each level in BFS order, as :func:`merge_bicliques` reads
+    them.  They are the cuts :func:`cover_cochordal` merges only when the
+    cover keeps this tree: it rebuilds it when a complement vertex lies in
+    three or more cliques, and ``bccover partition`` passes the MCS sweep's.
     """
     work = join_clique_forest(tree)
     if work.node_count <= 1:

@@ -3,7 +3,7 @@
 Vertices are always 0..n-1.  A :class:`Graph` is a frozen record: assigning
 a field raises AttributeError, so graphs can be shared freely between
 threads; every operation here is pure.  Every vertex list that comes out
-(neighbourhoods, edge lists, components) is sorted, so all derived objects
+(neighbourhoods, edge lists) is sorted, so all derived objects
 come out in a deterministic order.
 
 Each vertex's neighbourhood is stored once, as a Python ``int`` bit mask (bit
@@ -242,25 +242,6 @@ def find_root(parent, x):
     return x
 
 
-def connected_components(g):
-    """List of components, each a sorted tuple of vertices, ordered by
-    their smallest vertex."""
-    masks = g.neighbor_masks()
-    unseen = (1 << g.n) - 1
-    comps = []
-    while unseen:
-        comp = frontier = unseen & -unseen
-        while frontier:
-            reach = 0
-            for v in mask_vertices(frontier):
-                reach |= masks[v]
-            frontier = reach & ~comp
-            comp |= frontier
-        unseen &= ~comp
-        comps.append(tuple(mask_vertices(comp)))
-    return comps
-
-
 # -- edge-list text format ---------------------------------------------------
 
 
@@ -297,6 +278,9 @@ def graph_from_text(text):
 # carry leading zeros, which int() reads as the line loop does.
 _CANONICAL_HEADER = re.compile(r"p ([0-9]+) ([0-9]+)\n")
 _CANONICAL_EDGES = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
+# The largest n a graph file may give: a reader sizes two lists of n slots,
+# about 260 MB at this n.
+MAX_FILE_VERTICES = 1 << 24
 # A whole-text match keeps state for each repeat (12.9 MB on a 324 KB file)
 # and a whole-text split a string per token, so the body goes in blocks of
 # about this many characters, each cut just after a newline.
@@ -324,6 +308,8 @@ def _read_canonical(text):
     try:
         n, m = int(head[1]), int(head[2])
     except ValueError:  # int() refuses 4301 digits; the line loop says why
+        return None
+    if n > MAX_FILE_VERTICES:  # the line loop says why
         return None
     adj = [()] * n
     vertex = _NamedIds(adj).__getitem__
@@ -387,6 +373,8 @@ def _read_lines(text):
                 raise GraphFormatError("non-integer header field", lineno) from None
             if n < 0 or m < 0:
                 raise GraphFormatError("negative header field", lineno)
+            if n > MAX_FILE_VERTICES:
+                raise GraphFormatError("over %d vertices" % MAX_FILE_VERTICES, lineno)
             continue
         if n is None:
             raise GraphFormatError("edge before 'p' header", lineno)

@@ -68,6 +68,7 @@ class Tree(FrozenRecord):
             raise ValueError("duplicate edge")
         if len(norm) != n - 1:
             raise ValueError("a tree on %d vertices needs %d edges" % (n, n - 1))
+        check_edges(n, norm)
         adj = neighbor_lists(n, norm)
         bfs(adj, 0)  # raises unless connected
         setfield(self, "n", n)
@@ -85,14 +86,19 @@ class Tree(FrozenRecord):
         return self._adj[v]
 
 
-def neighbor_lists(n, edges):
-    """Sorted neighbour lists of the nodes 0..n-1 of any graph with the pairs
-    ``edges``, forests included.  Raises ValueError on an edge with an end
-    outside 0..n-1 or both ends equal."""
-    adj = [[] for _ in range(n)]
+def check_edges(n, edges):
+    """Raise ValueError on an edge with an end outside 0..n-1 or a loop:
+    the one edge check, which ``Tree`` and ``CliqueTree`` run when made."""
     for i, j in edges:
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise ValueError("invalid edge (%d, %d)" % (i, j))
+
+
+def neighbor_lists(n, edges):
+    """Sorted neighbour lists of the nodes 0..n-1 of any graph with the pairs
+    ``edges``, forests included, which both callers have checked."""
+    adj = [[] for _ in range(n)]
+    for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
     for around in adj:
@@ -103,8 +109,9 @@ def neighbor_lists(n, edges):
 def bfs(adj, start):
     """``(order, parent)``: the nodes in BFS order from ``start`` along the
     lists ``adj``, and the node each was reached from (``start`` is its
-    own).  Raises ValueError when a node is left unreached."""
-    parent = [-1] * len(adj)
+    own).  Raises ValueError on a node left unreached, then on a cycle."""
+    n = len(adj)
+    parent = [-1] * n
     parent[start] = start
     order = [start]
     for v in order:
@@ -112,8 +119,10 @@ def bfs(adj, start):
             if parent[c] < 0:
                 parent[c] = v
                 order.append(c)
-    if len(order) != len(adj):
+    if len(order) != n:
         raise ValueError("tree is not connected")
+    if sum(map(len, adj)) != 2 * n - 2:
+        raise ValueError("a tree on %d vertices needs %d edges" % (n, n - 1))
     return order, parent
 
 
@@ -128,7 +137,7 @@ def ranked_joins(n, edges, ranks):
     by its own rank, where two edges of that rank meet with no larger rank
     between them: the ranking is valid iff every edge has a join, and
     otherwise the last join has the rank of the clash.  Raises ValueError
-    unless every edge has a positive integer rank."""
+    unless every edge has a positive integer rank, and on a cycle."""
     by_rank = {}
     for e in edges:
         k = ranks.get(e)
@@ -143,6 +152,8 @@ def ranked_joins(n, edges, ranks):
     for k in sorted(by_rank):
         for e in sorted(by_rank[k]):
             a, b = find_root(parent, e[0]), find_root(parent, e[1])
+            if a == b:
+                raise ValueError("edge %r closes a cycle" % (e,))
             if k == top[a] or k == top[b]:
                 return joins
             parent[a] = b
@@ -162,9 +173,9 @@ def edge_ranking_lower_bound(tree):
 
 
 def is_valid_edge_ranking(tree, ranking):
-    """Check the separation condition for every pair of equal-rank edges;
-    ``ranking`` is the ``{(i, j): rank}`` dict.  Raises ValueError unless
-    every edge has a positive integer rank."""
+    """Check the separation condition for every pair of equal-rank edges of
+    a tree or forest; ``ranking`` is the ``{(i, j): rank}`` dict.  Raises
+    ValueError as :func:`ranked_joins` does, also on a cycle it meets."""
     edges = tree.edges
     return len(ranked_joins(tree.node_count, edges, ranking)) == len(edges)
 
@@ -332,19 +343,12 @@ def optimal_edge_ranking(tree):
     rest of the tree worse off, so the ranking is optimal, with r the top
     bit of ``vis(0)``.  No recursion and no size cap.  Returns
     ``(ranks, r)``: ``ranks`` is the dict ``{(i, j): rank}`` with i < j,
-    and r the largest rank (0 for one node).  Raises
-    ValueError when the input is not one tree: no node, other than node
-    count - 1 edges, an edge end out of range or a loop, or a node left
-    unreached (an unjoined forest).
+    and r the largest rank (0 for one node).  Raises ValueError when the
+    input is not one tree (see :func:`_rooted`).
     """
-    n = tree.node_count
-    if n < 1:
-        raise ValueError("a tree needs at least one vertex")
-    if len(tree.edges) != n - 1:
-        raise ValueError("a tree on %d vertices needs %d edges" % (n, n - 1))
     adj = tree._adj
-    order, parent = bfs(adj, 0)
-    vis = [0] * n
+    order, parent = _rooted(tree)
+    vis = [0] * len(adj)
     ranks = {}
     for v in reversed(order):
         around, up = adj[v], parent[v]
@@ -365,6 +369,17 @@ def optimal_edge_ranking(tree):
     return ranks, max(vis[0].bit_length() - 1, 0)
 
 
+def _rooted(tree):
+    """``bfs(tree._adj, 0)`` for both rankings.  Raises ValueError on no
+    node, on other than node count - 1 edges and on an unjoined forest."""
+    n = tree.node_count
+    if n < 1:
+        raise ValueError("a tree needs at least one vertex")
+    if len(tree.edges) != n - 1:
+        raise ValueError("a tree on %d vertices needs %d edges" % (n, n - 1))
+    return bfs(tree._adj, 0)
+
+
 def heuristic_edge_ranking(tree):
     """Valid (not necessarily optimal) ranking via balanced edge separators.
 
@@ -377,9 +392,10 @@ def heuristic_edge_ranking(tree):
     entering its other end, builds that side.  Runs on an explicit stack,
     so no recursion limit applies.  Returns ``(ranks, r)``, the dict
     ``{(i, j): rank}`` with i < j and the largest rank, as
-    :func:`optimal_edge_ranking` does.
+    :func:`optimal_edge_ranking` does, and raises ValueError as it does.
     """
     adj = tree._adj
+    _rooted(tree)
     cuts = []  # (edge, index of the cut that made its subtree), pre-order
     stack = [(set(range(tree.node_count)), None)]
     while stack:

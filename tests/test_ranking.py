@@ -10,7 +10,10 @@ from bccover import (
     bfs_leaf_order,
     ceil_log2,
     clique_tree,
+    clique_tree_to_text,
     edge_ranking_lower_bound,
+    find_biclique_levels,
+    find_partition,
     gen_copath,
     gen_cowindmill,
     gen_fig_graph,
@@ -20,11 +23,15 @@ from bccover import (
     join_clique_forest,
     max_weight_clique_tree,
     optimal_edge_ranking,
+    verify_clique_tree,
+    verify_partition,
 )
-from bccover.chordal import complement_clique_tree
-from bccover.graph import Graph
+from bccover.chordal import clique_membership_counts, complement_clique_tree
+from bccover.graph import Graph, cycle_graph
 from bccover.gen import caterpillar_tree, gen_two_membership_cochordal, random_tree
-from bccover.ranking import _combine_two, _lowest_rank, combine_children, ranked_joins
+from bccover.ranking import (
+    _combine_two, _lowest_rank, combine_children, ranked_joins, tree_to_text,
+)
 from helpers import (
     enumerate_trees,
     naive_combine_children,
@@ -62,25 +69,80 @@ def test_tree_validation():
 
 
 def test_optimal_ranking_rejects_what_is_not_one_tree():
-    # ValueError for every input that is not one tree, never IndexError,
-    # KeyError or AttributeError
+    # one table of malformed trees for every public function that takes a
+    # tree: each gives its documented result or ValueError, never
+    # IndexError, KeyError, StopIteration or AttributeError
     split = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6), (7, 8)]
     forest = clique_tree(Graph(9, split))  # five cliques, two tree edges
     nodes = (1, 2, 4, 8)
+    for bad in (((3, 6, 12), ((0, 5),)), (nodes, ((0, 1), (1, 2), (2, 4))),
+                (nodes, ((-1, 0), (0, 1), (1, 2))),
+                (nodes, ((0, 1), (1, 2), (2, 2)))):
+        with pytest.raises(ValueError, match="invalid edge"):
+            CliqueTree(*bad)  # an edge end out of range or a loop
+    # (tree, a graph to check it against, whether it is a forest, whether
+    # it is a clique forest of that graph, what the rankings say, what the
+    # leaf walk says)
     cases = [
-        (forest, "needs 4 edges"),
-        (CliqueTree((), ()), "at least one vertex"),
-        (CliqueTree(nodes, ((0, 1), (1, 2))), "needs 3 edges"),
-        (CliqueTree(nodes, ((0, 1), (1, 2), (2, 3), (0, 3))), "needs 3 edges"),
-        (CliqueTree(nodes, ((0, 1), (1, 2), (2, 4))), "invalid edge"),
-        (CliqueTree(nodes, ((-1, 0), (0, 1), (1, 2))), "invalid edge"),
-        (CliqueTree(nodes, ((0, 1), (1, 2), (2, 2))), "invalid edge"),
-        (CliqueTree(nodes, ((0, 1), (0, 1), (2, 3))), "not connected"),
-        (CliqueTree(nodes, ((0, 1), (1, 2), (0, 2))), "not connected"),
+        (forest, Graph(9, split), True, True, "needs 4 edges", "not connected"),
+        (CliqueTree((), ()), Graph(0), True, True, "at least one vertex", None),
+        (CliqueTree((1, 2), ()), Graph(2), True, True,
+         "needs 1 edges", "not connected"),
+        (CliqueTree(nodes, ((0, 1), (1, 2))), Graph(4), True, False,
+         "needs 3 edges", "not connected"),
+        (CliqueTree(nodes, ((0, 1), (1, 2), (2, 3), (0, 3))), Graph(4), False,
+         False, "needs 3 edges", "needs 3 edges"),
+        (CliqueTree((3, 6, 12, 9), ((0, 1), (1, 2), (2, 3), (0, 3))),
+         cycle_graph(4), False, False, "needs 3 edges", "needs 3 edges"),
+        (CliqueTree(nodes, ((0, 1), (0, 1), (2, 3))), Graph(4), False, False,
+         "not connected", "not connected"),
+        (CliqueTree(nodes, ((0, 1), (1, 2), (0, 2))), Graph(4), False, False,
+         "not connected", "not connected"),
+        (CliqueTree((3, 6, 5), ((0, 1), (1, 2), (0, 2))), cycle_graph(3), False,
+         False, "needs 2 edges", "needs 2 edges"),
     ]
-    for tree, message in cases:
-        with pytest.raises(ValueError, match=message):
-            optimal_edge_ranking(tree)
+    for tree, g, is_forest, valid, message, walk in cases:
+        d, edges = tree.node_count, tree.edges
+        for rank in (optimal_edge_ranking, heuristic_edge_ranking):
+            with pytest.raises(ValueError, match=message):
+                rank(tree)
+        ranking = {e: k for k, e in enumerate(edges, start=1)}
+        if walk is None:
+            assert bfs_leaf_order(tree) == {}
+            assert find_biclique_levels(tree, ranking) == {}
+        else:
+            for walker in (bfs_leaf_order, lambda t: find_biclique_levels(t, ranking)):
+                with pytest.raises(ValueError, match=walk):
+                    walker(tree)
+        if is_forest:
+            assert is_valid_edge_ranking(tree, ranking)
+        else:
+            with pytest.raises(ValueError, match="closes a cycle"):
+                is_valid_edge_ranking(tree, ranking)
+        joined = join_clique_forest(tree)
+        if len(edges) >= d - 1:
+            assert joined is tree
+        else:
+            assert optimal_edge_ranking(joined)[1] >= ceil_log2(d)
+        if is_forest:
+            assert verify_partition(g.complement(), find_partition(tree))
+        else:
+            with pytest.raises(ValueError, match=message):
+                find_partition(tree)
+        assert verify_clique_tree(g, tree) is valid
+        assert verify_clique_tree(g, joined) is (valid and joined is tree)
+        text = clique_tree_to_text(tree)
+        assert (text.count("K"), text.count("T:")) == (d, len(edges))
+        counts, _ = clique_membership_counts(tree, g.n)
+        if valid:
+            assert counts == tuple(sum(k >> v & 1 for k in tree.nodes)
+                                   for v in range(g.n))
+        assert edge_ranking_lower_bound(tree) >= 0
+        # tree_to_text and gen_two_membership_cochordal take a Tree, which
+        # refuses each of these when it is made
+        for takes_a_tree in (tree_to_text, gen_two_membership_cochordal):
+            with pytest.raises(ValueError):
+                takes_a_tree(Tree(d, edges))
     joined = join_clique_forest(forest)
     assert optimal_edge_ranking(joined)[1] == 3
 

@@ -106,15 +106,19 @@ def join_clique_forest(tree):
     """Connect a clique forest into one tree with synthetic empty middle sets.
 
     Component representatives (lowest node index each) are chained in
-    ascending order.  A tree, a forest with d - 1 edges on its d nodes, is
-    returned unchanged, as is any record with d - 1 or more edges.
+    ascending order; a tree, d - 1 edges on its d nodes, comes back as it
+    is.  Raises ValueError on an edge that closes a cycle, a repeated edge
+    included: the record is no forest.
     """
     d = tree.node_count
+    parent = list(range(d))
+    for e in tree.edges:
+        a, b = find_root(parent, e[0]), find_root(parent, e[1])
+        if a == b:
+            raise ValueError("edge %r closes a cycle" % (e,))
+        parent[a] = b
     if len(tree.edges) >= d - 1:
         return tree
-    parent = list(range(d))
-    for i, j in tree.edges:
-        parent[find_root(parent, i)] = find_root(parent, j)
     reps = {}
     for i in range(d):
         reps.setdefault(find_root(parent, i), i)

@@ -30,8 +30,9 @@ bicliques over neighbourhood bit masks of the still uncovered graph.  It
 branches on the uncovered edge that lies in the fewest bicliques of that
 graph, and prunes every node by the Graham-Pollak inertia bound of that graph:
 the members still to come partition exactly its edges, so they number at least
-its inertia.  Half the GF(2) rank of the same masks, integer work only, is a
-lower floor that settles most nodes before numpy is called.  A node counts
+its inertia, found by exact symmetric elimination over the integers.  Half
+the GF(2) rank of the same masks, one mask operation per step, is a lower
+floor that settles most nodes before the elimination runs.  A node counts
 the bicliques through its candidate edges, each count capped at the fewest
 found, and lists only those through the chosen edge.  The search starts
 from the stars or a greedy false-twin elimination, which on co-chordal
@@ -44,12 +45,17 @@ largest clique that MCQ finds.
 from __future__ import annotations
 
 import time
+from operator import add, sub
 
 from ._record import FrozenRecord, Record, setfield
 from .cover import Biclique
 from .errors import BudgetExceededError
 from .graph import Graph, mask_vertices
 from .ranking import ceil_log2
+
+# '0'/'1' characters to the bytes 0/1: a bit string to a row of ints
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
 
 class OracleBudget(FrozenRecord):
     __slots__ = ("vertex_cap", "edge_cap", "time_cap")
@@ -484,36 +490,93 @@ def exact_bc(g, budget=None, _facts=None):
 # -- biclique partition number ------------------------------------------------
 
 
+def _less(row, k, vec):
+    """row - k vec, mapped in C where k is +-1."""
+    if k == 1:
+        return list(map(sub, row, vec))
+    if k == -1:
+        return list(map(add, row, vec))
+    return [z - k * v for z, v in zip(row, vec)]
+
+
 def _inertia(masks):
-    """max(#positive, #negative eigenvalues) of the adjacency matrix whose
+    """max(#positive, #negative eigenvalues) of the adjacency matrix A whose
     rows are the neighbourhood ``masks``: every biclique partition of its
     edges has at least that many members (Graham-Pollak).
 
-    The 0/1 matrix A of the k non-isolated vertices is unpacked from the
-    masks' bytes.  ``eigvalsh`` is backward stable: its eigenvalues are
-    exact for some A + E with ||E||_2 within a small multiple of
-    k eps ||A||_2, so by Weyl's inequality each lies that close to the true
-    one.  ||A||_2 <= k, so the error is about k^2 eps, below the tolerance
-    1e-8 n up to about n = 10^4: no zero eigenvalue is counted as nonzero,
-    which would overstate the bound, while a tiny nonzero one counted as
-    zero only understates it.
+    Symmetric elimination over the integers, exact, with no tolerance.
+    Each step is a congruence from the remaining block to the block
+    diagonal of a pivot block E and its Schur complement S, so by
+    Sylvester's law of inertia the signs of the pivot blocks' eigenvalues
+    add up to A's; zero rows drop out, and the loop ends when none is left.
+    While S has a zero diagonal entry S_qq and an entry S_pq = t = +-1, the
+    pivot block on p, q has determinant -1, so one positive and one
+    negative eigenvalue, and an integral inverse: S stays integral, and a
+    row that misses p and q is kept as it is.  The rest is fraction-free
+    (Bareiss) elimination of that S: a 1x1 pivot on a nonzero diagonal
+    entry a, counted by the sign of a / P, or else a 2x2 pivot on a nonzero
+    entry t between two zero diagonal entries, one of each sign.  Every
+    working entry is a bordered minor of S over the last pivot minor P
+    (Sylvester's determinant identity), so each division by P or P^2 is
+    exact.
     """
-    # imported here: numpy is half the CLI's start-up, and only this needs it
-    import numpy as np
-
-    active = [u for u, mask in enumerate(masks) if mask]
-    if not active:
-        return 0
-    width = (len(masks) + 7) // 8
-    rows = b"".join(masks[u].to_bytes(width, "little") for u in active)
-    bits = np.unpackbits(
-        np.frombuffer(rows, dtype=np.uint8).reshape(len(active), width),
-        axis=1,
-        bitorder="little",
-    )
-    eig = np.linalg.eigvalsh(bits[:, active].astype(float))
-    tol = 1e-8 * len(masks)
-    return int(max((eig > tol).sum(), (eig < -tol).sum()))
+    fmt = "0%db" % len(masks)
+    rows = {u: list(format(mask, fmt)[::-1].encode().translate(_BITS))
+            for u, mask in enumerate(masks) if mask}
+    pos = neg = 0
+    while True:
+        for q, row in rows.items():
+            if not row[q] and (1 in row or -1 in row):
+                break
+        else:
+            break
+        t = 1 if 1 in row else -1
+        p = row.index(t)
+        x_row, y_row = rows.pop(p), rows.pop(q)
+        a = x_row[p]
+        # S' = S - r (t y) - s (t x - a y), r and s the columns p and q
+        if t == 1 and not a:
+            ty, u = y_row, x_row
+        else:
+            ty = [t * y for y in y_row]
+            u = [t * x - a * y for x, y in zip(x_row, y_row)]
+        pos += 1
+        neg += 1
+        for i, row in rows.items():
+            r, s = row[p], row[q]
+            if r:
+                row = rows[i] = _less(row, r, ty)
+            if s:
+                rows[i] = _less(row, s, u)
+    rows = {i: row for i, row in rows.items() if any(row)}
+    pivot = 1
+    while rows:
+        p = next((i for i, row in rows.items() if row[i]), None)
+        if p is not None:
+            x_row = rows.pop(p)
+            a = x_row[p]
+            if (a > 0) == (pivot > 0):
+                pos += 1
+            else:
+                neg += 1
+            fresh = [[(a * z - row[p] * x) // pivot for z, x in zip(row, x_row)]
+                     for row in rows.values()]
+            pivot = a
+        else:
+            q, y_row = next(iter(rows.items()))
+            p = next(j for j, t in enumerate(y_row) if t)
+            x_row = rows.pop(p)
+            del rows[q]
+            t = y_row[p]
+            pos += 1
+            neg += 1
+            tt, square = t * t, pivot * pivot
+            fresh = [[(t * (row[p] * y + row[q] * x) - tt * z) // square
+                      for z, x, y in zip(row, x_row, y_row)]
+                     for row in rows.values()]
+            pivot = -tt // pivot
+        rows = {i: row for i, row in zip(rows, fresh) if any(row)}
+    return max(pos, neg)
 
 
 def _gf2_rank(masks):
@@ -695,6 +758,10 @@ def exact_bp(g, budget=None, _facts=None):
     the inertia does the root bound list the complement's maximal cliques,
     for ceil(log2 mc(G^c)) <= bc <= bp.
 
+    The root's inertia is computed before the deadline starts, like the
+    start partitions: its elimination costs O(k^3) integer operations in the
+    k non-isolated vertices, so at most cubic in the vertex cap.
+
     ``stats`` counts the search nodes visited and pruned, and says why the
     search stopped: ``root`` (the start partition meets the lower bound),
     ``proved`` or ``deadline``.
@@ -706,7 +773,6 @@ def exact_bp(g, budget=None, _facts=None):
         return OracleResult(0, 0, [], stats)
 
     masks = list(g.neighbor_masks())
-    # ahead of the deadline: a process's first call imports numpy here
     root_inertia = _inertia(masks)
     lb = max(1, root_inertia)
 

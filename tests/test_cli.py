@@ -406,24 +406,25 @@ from bccover.cli import main
 graph, cover, folder = sys.argv[1:]
 runs = [["cover", graph, "-o", cover], ["verify", graph, cover],
         ["partition", graph], ["bounds", graph, "--no-oracle", "--format", "json"],
-        ["bounds", folder, "--dir", "--no-oracle"]]
+        ["bounds", folder, "--dir", "--no-oracle"], ["bounds", graph],
+        ["oracle", "bp", graph]]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in runs]
 print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
 """
 
 
-def test_commands_without_the_oracle_never_load_numpy(tmp_path):
-    """Only exact_bp needs numpy, and importing it took about half of each
-    CLI call, so no command that skips exact_bp may load it."""
+def test_no_command_loads_numpy(tmp_path):
+    """The package needs no numpy: not even the oracles, whose inertia bound
+    is exact integer elimination, load it."""
     graph = tmp_path / "copath12.graph"
     write_graph(gen_copath(12).graph, graph)
     cover = tmp_path / "c.cover"
     out = run_python(_CLI_IN_CHILD, str(graph), str(cover), str(tmp_path))
-    assert json.loads(out) == {"codes": [0, 0, 0, 0, 0], "numpy": False}
+    assert json.loads(out) == {"codes": [0] * 7, "numpy": False}
 
 
-def test_oracle_bp_loads_numpy_and_prints_the_partition(fig3_path):
+def test_oracle_bp_prints_the_partition_without_numpy(fig3_path):
     script = (
         "import sys\n"
         "from bccover.cli import main\n"
@@ -431,7 +432,7 @@ def test_oracle_bp_loads_numpy_and_prints_the_partition(fig3_path):
         "print('exit', code, 'numpy' in sys.modules)\n"
     )
     assert run_python(script, fig3_path) == (
-        "bp = 3\nL: 0 | R: 3 4 5\nL: 1 | R: 4 5\nL: 2 | R: 5\nexit 0 True\n"
+        "bp = 3\nL: 0 | R: 3 4 5\nL: 1 | R: 4 5\nL: 2 | R: 5\nexit 0 False\n"
     )
 
 

@@ -676,24 +676,14 @@ def test_join_clique_forest_chains_components():
     assert all(m == 0 for m in work.mids)
 
 
-def test_join_clique_forest_returns_a_tree_as_it_is(monkeypatch):
-    # d - 1 edges on d nodes: a tree already, so no union-find pass
-    finds = [0]
-    original = cover_module.find_root
-
-    def counted(parent, i):
-        finds[0] += 1
-        return original(parent, i)
-
-    monkeypatch.setattr(cover_module, "find_root", counted)
+def test_join_clique_forest_returns_a_tree_as_it_is():
+    # d - 1 edges on d nodes and no cycle: a tree already, the same record
     for h in (gen_copath(12).graph.complement(),
               gen_fig_graph("fig3").graph.complement(), complete_graph(3)):
         tree = clique_tree(h)
         assert join_clique_forest(tree) is tree
-    assert finds[0] == 0
     forest = clique_tree(complete_graph(4).complement())
     assert len(join_clique_forest(forest).edges) == 3
-    assert finds[0] > 0
 
 
 def test_max_weight_tree_rebuild_is_valid_clique_tree():

@@ -22,8 +22,10 @@ from bccover import (
 from bccover.gen import NamedInstance
 
 # dataclasses pulls in inspect (and with it ast, dis and tokenize); fractions
-# pulls in decimal; json and string are used by a few commands only
-HEAVY = ("dataclasses", "inspect", "fractions", "decimal", "json", "string")
+# pulls in decimal; json and string are used by a few commands only; numpy
+# is no dependency at all
+HEAVY = ("dataclasses", "inspect", "fractions", "decimal", "json", "string",
+         "numpy")
 
 _IMPORT_CLI = (
     "import sys\n"

@@ -324,16 +324,7 @@ def test_exact_bp_keeps_near_its_time_cap_on_a_dense_graph():
     assert result.stats["stop"] == "deadline"
 
 
-_FIRST_BP_IN_CHILD = """import importlib.abc, json, random, sys, time
-
-class SlowNumpy(importlib.abc.MetaPathFinder):
-    # the import of numpy takes at least 0.6 s here, on any machine
-    def find_spec(self, name, path=None, target=None):
-        if name == "numpy":
-            time.sleep(0.6)
-        return None
-
-sys.meta_path.insert(0, SlowNumpy())
+_FIRST_BP_IN_CHILD = """import json, random, sys
 from bccover import Graph, OracleBudget, exact_bp
 rng = random.Random(8)
 g = Graph(12, [(u, v) for u in range(12) for v in range(u + 1, 12)
@@ -341,22 +332,19 @@ g = Graph(12, [(u, v) for u in range(12) for v in range(u + 1, 12)
 budget = OracleBudget(14, 96, 0.2)
 runs = []
 for _ in range(2):
-    loaded = "numpy" in sys.modules
     r = exact_bp(g, budget)
-    runs.append([loaded, r.lower, r.upper, r.stats])
+    runs.append([r.lower, r.upper, r.stats, "numpy" in sys.modules])
 print(json.dumps(runs))
 """
 
 
-def test_first_exact_bp_imports_numpy_outside_its_time_cap():
-    """The first exact_bp call in a process imports numpy for the root
-    inertia bound.  G(12, 0.5) seed 8 proves in 7 nodes in a few ms, far
-    inside the 0.2 s cap; an import timed against the cap would cut the
-    first search short."""
+def test_first_exact_bp_in_a_process_imports_no_numpy():
+    """The first exact_bp call in a process proves G(12, 0.5) seed 8 in 7
+    nodes, as every later one does, far inside the 0.2 s cap, and its
+    inertia bound loads no numpy."""
     first, second = json.loads(run_python(_FIRST_BP_IN_CHILD))
-    assert first[0] is False and second[0] is True
-    proved = [6, 6, {"nodes": 7, "pruned": 0, "stop": "proved"}]
-    assert first[1:] == second[1:] == proved
+    proved = [6, 6, {"nodes": 7, "pruned": 0, "stop": "proved"}, False]
+    assert first == second == proved
 
 
 def test_exact_bc_matches_naive_on_six_vertex_graphs():
@@ -887,6 +875,34 @@ def test_inertia_on_near_singular_graphs():
     # co-paths are eigensharp: inertia = bp = ceil(2(n - 2) / 3)
     for n in range(4, 17):
         assert inertia(gen_copath(n).graph) == -(-2 * (n - 2) // 3), n
+
+
+def test_inertia_matches_the_eigenvalues_on_small_graphs():
+    # the exact elimination against numpy's float eigenvalues, which are
+    # far from the tolerance at these sizes
+    rng = random.Random(44)
+    for n in range(1, 17):
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+            for _ in range(8):
+                g = er_graph(n, p, rng)
+                assert oracle._inertia(list(g.neighbor_masks())) == (
+                    _reference_eigen_partition_bound(g)
+                ), (n, g.edges())
+
+
+def test_inertia_closed_forms():
+    def inertia(g):
+        return oracle._inertia(list(g.neighbor_masks()))
+
+    # K_n: n - 1 and n - 1 times -1
+    for n in range(1, 17):
+        assert inertia(complete_graph(n)) == n - 1
+    # C_n: 2 cos(2 pi k / n), positive iff 4k < n or 4k > 3n, negative iff
+    # n < 4k < 3n, zero at k = n / 4 and 3n / 4
+    for n in range(3, 17):
+        positive = sum(4 * k < n or 4 * k > 3 * n for k in range(n))
+        negative = sum(n < 4 * k < 3 * n for k in range(n))
+        assert inertia(cycle_graph(n)) == max(positive, negative), n
 
 
 def test_inertia_beyond_one_machine_word():

@@ -98,6 +98,10 @@ def test_optimal_ranking_rejects_what_is_not_one_tree():
          "not connected", "not connected"),
         (CliqueTree(nodes, ((0, 1), (1, 2), (0, 2))), Graph(4), False, False,
          "not connected", "not connected"),
+        (CliqueTree(nodes, ((1, 2), (2, 3), (1, 3))), Graph(4), False, False,
+         "not connected", "not connected"),
+        (CliqueTree(nodes, ((0, 1), (0, 1))), Graph(4), False, False,
+         "needs 3 edges", "not connected"),
         (CliqueTree((3, 6, 5), ((0, 1), (1, 2), (0, 2))), cycle_graph(3), False,
          False, "needs 2 edges", "needs 2 edges"),
     ]
@@ -119,18 +123,21 @@ def test_optimal_ranking_rejects_what_is_not_one_tree():
         else:
             with pytest.raises(ValueError, match="closes a cycle"):
                 is_valid_edge_ranking(tree, ranking)
-        joined = join_clique_forest(tree)
-        if len(edges) >= d - 1:
-            assert joined is tree
-        else:
-            assert optimal_edge_ranking(joined)[1] >= ceil_log2(d)
         if is_forest:
+            joined = join_clique_forest(tree)
+            if len(edges) >= d - 1:
+                assert joined is tree
+            else:
+                assert optimal_edge_ranking(joined)[1] >= ceil_log2(d)
+            assert verify_clique_tree(g, joined) is (valid and joined is tree)
             assert verify_partition(g.complement(), find_partition(tree))
         else:
-            with pytest.raises(ValueError, match=message):
-                find_partition(tree)
+            # the join refuses the record itself, so no message names a
+            # joined record that the caller never made
+            for join in (join_clique_forest, find_partition):
+                with pytest.raises(ValueError, match="closes a cycle"):
+                    join(tree)
         assert verify_clique_tree(g, tree) is valid
-        assert verify_clique_tree(g, joined) is (valid and joined is tree)
         text = clique_tree_to_text(tree)
         assert (text.count("K"), text.count("T:")) == (d, len(edges))
         counts, _ = clique_membership_counts(tree, g.n)

@@ -18,16 +18,16 @@ from __future__ import annotations
 
 from ._record import FrozenRecord, setfield
 from .errors import NotChordalError
-from .graph import find_root, mask_vertices
-from .ranking import check_edges, neighbor_lists
+from .graph import check_forest, mask_vertices
+from .ranking import neighbor_lists
 
 
 class CliqueTree(FrozenRecord):
     """Maximal cliques of a chordal graph arranged in a tree (or forest).
 
     ``nodes[i]`` is a maximal clique as an ``int`` vertex mask; ``edges``
-    are pairs of node indices with i < j, refused when made if out of range
-    or a loop (``ranking.check_edges``).  ``mids[k]``, the middle set of
+    are pairs of node indices with i < j, refused when made unless a forest
+    (``graph.check_forest``).  ``mids[k]``, the middle set of
     ``edges[k]``, is derived: the mask of the two end cliques' intersection,
     computed on each read.  The sorted neighbour lists ``_adj``, as
     :class:`bccover.ranking.Tree` keeps them, are derived from the edges
@@ -38,9 +38,18 @@ class CliqueTree(FrozenRecord):
     _hidden = ("_adj",)
 
     def __init__(self, nodes, edges):
-        check_edges(len(nodes), edges)
+        check_forest(len(nodes), edges)
         setfield(self, "nodes", nodes)
         setfield(self, "edges", edges)
+
+    @classmethod
+    def _from_forest(cls, nodes, edges):
+        """Clique tree over a forest's pairs (i, j), i < j, as the package's
+        own trees are by construction; nothing is checked."""
+        tree = cls.__new__(cls)
+        setfield(tree, "nodes", nodes)
+        setfield(tree, "edges", edges)
+        return tree
 
     def _values(self):
         return self.nodes, self.edges
@@ -193,22 +202,21 @@ def clique_tree(g):
         labeled |= bit
         prev_card = card
 
-    return CliqueTree(tuple(cliques), tuple(sorted(tree_edges)))
+    return CliqueTree._from_forest(tuple(cliques), tuple(sorted(tree_edges)))
 
 
 def verify_clique_tree(g, tree):
     """Check every clique-tree invariant of ``tree`` against ``g``.
 
     Validates that the nodes are distinct maximal cliques covering all
-    edges, the forest structure (one tree per component of ``g``), and the
-    clique-intersection property: the nodes holding each vertex v form one
-    subtree.  In a forest, the nodes holding v span as many subtrees as they
-    outnumber the edges between them, and those are the edges whose middle
-    set holds v; so the property is one count per vertex, with no walk
-    along tree paths.
+    edges, one tree of the forest per component of ``g`` (the record is a
+    forest when made), and the clique-intersection property: the nodes
+    holding each vertex v form one subtree.  In a forest, the nodes holding
+    v span as many subtrees as they outnumber the edges between them, and
+    those are the edges whose middle set holds v; so the property is one
+    count per vertex, with no walk along tree paths.
     """
     nodes = tree.nodes
-    d = len(nodes)
 
     # nodes are distinct maximal cliques covering all edges
     n = g.n
@@ -227,18 +235,10 @@ def verify_clique_tree(g, tree):
             holding[u] += 1
         if common:
             return False  # extendable, not maximal
-    if len(set(nodes)) != d:
+    if len(set(nodes)) != len(nodes):
         return False  # a node repeated; one inside another is not maximal
     if any(mask & ~r for mask, r in zip(masks, reach)):
         return False  # an edge lies in no node
-
-    # forest structure: acyclic
-    parent = list(range(d))
-    for i, j in tree.edges:
-        ri, rj = find_root(parent, i), find_root(parent, j)
-        if ri == rj:
-            return False  # cycle
-        parent[ri] = rj
 
     # clique-intersection property, and one tree per component of g
     for mid in tree.mids:

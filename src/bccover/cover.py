@@ -106,25 +106,21 @@ def join_clique_forest(tree):
     """Connect a clique forest into one tree with synthetic empty middle sets.
 
     Component representatives (lowest node index each) are chained in
-    ascending order; a tree, d - 1 edges on its d nodes, comes back as it
-    is.  Raises ValueError on an edge that closes a cycle, a repeated edge
-    included: the record is no forest.
+    ascending order, into one tree made unchecked; a record is a forest
+    when made, so d - 1 edges on its d nodes are a tree, returned as it is.
     """
     d = tree.node_count
-    parent = list(range(d))
-    for e in tree.edges:
-        a, b = find_root(parent, e[0]), find_root(parent, e[1])
-        if a == b:
-            raise ValueError("edge %r closes a cycle" % (e,))
-        parent[a] = b
     if len(tree.edges) >= d - 1:
         return tree
+    parent = list(range(d))
+    for i, j in tree.edges:
+        parent[find_root(parent, i)] = find_root(parent, j)
     reps = {}
     for i in range(d):
         reps.setdefault(find_root(parent, i), i)
     chain = sorted(reps.values())
-    extra = [(chain[k], chain[k + 1]) for k in range(len(chain) - 1)]
-    return CliqueTree(tree.nodes, tuple(sorted(tree.edges + tuple(extra))))
+    extra = tuple(zip(chain, chain[1:]))
+    return CliqueTree._from_forest(tree.nodes, tuple(sorted(tree.edges + extra)))
 
 
 def max_weight_clique_tree(nodes):
@@ -213,15 +209,15 @@ def max_weight_clique_tree(nodes):
             degree[j] = dj + 1
             edges.append((i, j))
             if len(edges) == d - 1:
-                return CliqueTree(tuple(nodes), tuple(sorted(edges)))
-    return CliqueTree(tuple(nodes), tuple(sorted(edges)))
+                return CliqueTree._from_forest(tuple(nodes), tuple(sorted(edges)))
+    return CliqueTree._from_forest(tuple(nodes), tuple(sorted(edges)))
 
 
 def bfs_leaf_order(tree):
     """1-based BFS positions of the nodes of one tree (a clique tree or a
     ``Tree``), starting from the lowest-index leaf, visiting neighbors in
     ascending order.  Raises ValueError on a node left unreached (an
-    unjoined forest), and then on too many edges (a cycle)."""
+    unjoined forest)."""
     return {v: pos for pos, v in enumerate(_leaf_bfs(tree), start=1)}
 
 

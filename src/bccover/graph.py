@@ -56,12 +56,10 @@ class Graph(FrozenRecord):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         setfield(self, "n", n)
+        edges = tuple(edges)
+        check_edges(n, edges)
         adj = [set() for _ in range(n)]
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError("edge (%r, %r) out of range for n=%d" % (u, v, n))
-            if u == v:
-                raise ValueError("self-loop at vertex %d" % u)
             adj[u].add(v)
             adj[v].add(u)
         setfield(self, "_masks", _set_masks(adj))
@@ -240,6 +238,29 @@ def find_root(parent, x):
         parent[x] = parent[parent[x]]
         x = parent[x]
     return x
+
+
+def check_edges(n, edges):
+    """Raise ValueError on an edge with an end outside 0..n-1 or a loop:
+    the one edge check, for :class:`Graph` and :func:`check_forest`."""
+    for i, j in edges:
+        if not (0 <= i < n and 0 <= j < n) or i == j:
+            raise ValueError("invalid edge (%r, %r)" % (i, j))
+
+
+def check_forest(n, edges):
+    """Raise ValueError unless ``edges`` are pairs (i, j), i < j, of a
+    forest on 0..n-1, the shape check of both tree records: a repeated
+    edge closes a cycle in the one union-find."""
+    check_edges(n, edges)
+    parent = list(range(n))
+    for i, j in edges:
+        if i > j:
+            raise ValueError("edge (%d, %d) is not in order (i < j)" % (i, j))
+        a, b = find_root(parent, i), find_root(parent, j)
+        if a == b:
+            raise ValueError("edge (%d, %d) closes a cycle" % (i, j))
+        parent[a] = b
 
 
 # -- edge-list text format ---------------------------------------------------

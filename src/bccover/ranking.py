@@ -26,7 +26,8 @@ cuts of the cover.
 A :class:`Tree` is a frozen record of n and its sorted edges; it keeps
 its neighbour lists, derived from the edges, outside equality.  A
 ``chordal.CliqueTree`` keeps them the same way, built on first read, so a
-cover builds its joined tree's lists once.
+cover builds its joined tree's lists once.  Both are forests when made
+(``graph.check_forest``), so a walk's one test is that it reaches every node.
 
 One copy of each tree walk: :func:`neighbor_lists` and :func:`bfs` serve
 ``Tree``, ``CliqueTree``, :func:`optimal_edge_ranking` and the level cuts'
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 from ._record import FrozenRecord, setfield
 from .errors import GraphFormatError
-from .graph import find_root, read_text
+from .graph import check_forest, find_root, read_text
 
 
 def ceil_log2(n):
@@ -64,16 +65,12 @@ class Tree(FrozenRecord):
         norm = sorted((min(u, v), max(u, v)) for u, v in edges)
         if n < 1:
             raise ValueError("a tree needs at least one vertex")
-        if len(set(norm)) != len(norm):
-            raise ValueError("duplicate edge")
-        if len(norm) != n - 1:
+        check_forest(n, norm)
+        if len(norm) != n - 1:  # a forest with n - 1 edges is connected
             raise ValueError("a tree on %d vertices needs %d edges" % (n, n - 1))
-        check_edges(n, norm)
-        adj = neighbor_lists(n, norm)
-        bfs(adj, 0)  # raises unless connected
         setfield(self, "n", n)
         setfield(self, "edges", tuple(norm))
-        setfield(self, "_adj", tuple(map(tuple, adj)))
+        setfield(self, "_adj", tuple(map(tuple, neighbor_lists(n, norm))))
 
     def _values(self):
         return self.n, self.edges
@@ -86,17 +83,9 @@ class Tree(FrozenRecord):
         return self._adj[v]
 
 
-def check_edges(n, edges):
-    """Raise ValueError on an edge with an end outside 0..n-1 or a loop:
-    the one edge check, which ``Tree`` and ``CliqueTree`` run when made."""
-    for i, j in edges:
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise ValueError("invalid edge (%d, %d)" % (i, j))
-
-
 def neighbor_lists(n, edges):
-    """Sorted neighbour lists of the nodes 0..n-1 of any graph with the pairs
-    ``edges``, forests included, which both callers have checked."""
+    """Sorted neighbour lists of the nodes 0..n-1 of the forest with the
+    pairs ``edges``, which both callers, the tree records, have checked."""
     adj = [[] for _ in range(n)]
     for i, j in edges:
         adj[i].append(j)
@@ -108,9 +97,11 @@ def neighbor_lists(n, edges):
 
 def bfs(adj, start):
     """``(order, parent)``: the nodes in BFS order from ``start`` along the
-    lists ``adj``, and the node each was reached from (``start`` is its
-    own).  Raises ValueError on a node left unreached, then on a cycle."""
+    lists ``adj`` of a forest, and the node each was reached from (``start``
+    is its own).  Raises ValueError on no node, or on one left unreached."""
     n = len(adj)
+    if not n:
+        raise ValueError("a tree needs at least one vertex")
     parent = [-1] * n
     parent[start] = start
     order = [start]
@@ -121,13 +112,11 @@ def bfs(adj, start):
                 order.append(c)
     if len(order) != n:
         raise ValueError("tree is not connected")
-    if sum(map(len, adj)) != 2 * n - 2:
-        raise ValueError("a tree on %d vertices needs %d edges" % (n, n - 1))
     return order, parent
 
 
 def ranked_joins(n, edges, ranks):
-    """The union-find sweep of a tree's ranked edges in (rank, edge) order:
+    """The union-find sweep of a forest's ranked edges in (rank, edge) order:
     ``(k, edge, a, b)`` per edge, whose rank k joins the part with root a
     into the part with root b.  The edges are bucketed by rank in one pass,
     which also checks each rank, and each bucket is sorted, so the order
@@ -137,7 +126,7 @@ def ranked_joins(n, edges, ranks):
     by its own rank, where two edges of that rank meet with no larger rank
     between them: the ranking is valid iff every edge has a join, and
     otherwise the last join has the rank of the clash.  Raises ValueError
-    unless every edge has a positive integer rank, and on a cycle."""
+    unless every edge has a positive integer rank."""
     by_rank = {}
     for e in edges:
         k = ranks.get(e)
@@ -152,8 +141,6 @@ def ranked_joins(n, edges, ranks):
     for k in sorted(by_rank):
         for e in sorted(by_rank[k]):
             a, b = find_root(parent, e[0]), find_root(parent, e[1])
-            if a == b:
-                raise ValueError("edge %r closes a cycle" % (e,))
             if k == top[a] or k == top[b]:
                 return joins
             parent[a] = b
@@ -175,7 +162,7 @@ def edge_ranking_lower_bound(tree):
 def is_valid_edge_ranking(tree, ranking):
     """Check the separation condition for every pair of equal-rank edges of
     a tree or forest; ``ranking`` is the ``{(i, j): rank}`` dict.  Raises
-    ValueError as :func:`ranked_joins` does, also on a cycle it meets."""
+    ValueError as :func:`ranked_joins` does."""
     edges = tree.edges
     return len(ranked_joins(tree.node_count, edges, ranking)) == len(edges)
 
@@ -344,10 +331,10 @@ def optimal_edge_ranking(tree):
     bit of ``vis(0)``.  No recursion and no size cap.  Returns
     ``(ranks, r)``: ``ranks`` is the dict ``{(i, j): rank}`` with i < j,
     and r the largest rank (0 for one node).  Raises ValueError when the
-    input is not one tree (see :func:`_rooted`).
+    input is not one tree (see :func:`bfs`).
     """
     adj = tree._adj
-    order, parent = _rooted(tree)
+    order, parent = bfs(adj, 0)
     vis = [0] * len(adj)
     ranks = {}
     for v in reversed(order):
@@ -369,17 +356,6 @@ def optimal_edge_ranking(tree):
     return ranks, max(vis[0].bit_length() - 1, 0)
 
 
-def _rooted(tree):
-    """``bfs(tree._adj, 0)`` for both rankings.  Raises ValueError on no
-    node, on other than node count - 1 edges and on an unjoined forest."""
-    n = tree.node_count
-    if n < 1:
-        raise ValueError("a tree needs at least one vertex")
-    if len(tree.edges) != n - 1:
-        raise ValueError("a tree on %d vertices needs %d edges" % (n, n - 1))
-    return bfs(tree._adj, 0)
-
-
 def heuristic_edge_ranking(tree):
     """Valid (not necessarily optimal) ranking via balanced edge separators.
 
@@ -395,7 +371,7 @@ def heuristic_edge_ranking(tree):
     :func:`optimal_edge_ranking` does, and raises ValueError as it does.
     """
     adj = tree._adj
-    _rooted(tree)
+    bfs(adj, 0)
     cuts = []  # (edge, index of the cut that made its subtree), pre-order
     stack = [(set(range(tree.node_count)), None)]
     while stack:

@@ -17,6 +17,7 @@ from bccover import (
     gen_random_chordal,
     is_chordal,
     is_perfect_elimination_order,
+    join_clique_forest,
     max_weight_clique_tree,
     mcs_order,
     mis_membership_counts,
@@ -273,21 +274,39 @@ def test_verify_rejects_single_node_tree_for_wrong_graph():
     assert not verify_clique_tree(complete_graph(3), out_of_range)
 
 
+def _forest_or_refused(nodes, edges):
+    """Yields ``CliqueTree(nodes, edges)`` when the edges form a forest (by
+    networkx, counting a repeated edge); else nothing, once the record has
+    refused them when made."""
+    multigraph = nx.MultiGraph(edges)
+    multigraph.add_nodes_from(range(len(nodes)))
+    if nx.is_forest(multigraph):
+        yield CliqueTree(nodes, edges)
+        return
+    with pytest.raises(ValueError, match="closes a cycle"):
+        CliqueTree(nodes, edges)
+
+
 def _clique_tree_variants(t, n, rng):
     """Trees over the cliques of ``t`` (a clique tree of a graph on ``n``
     vertices), some valid and some not: ``t`` itself, its low-degree
     rebuild and a relabelling, then a duplicated, shrunk, dropped or
     out-of-range node, random rewirings, dropped, repeated and extra edges,
-    and random forests over the nodes."""
+    and random forests over the nodes.  A record is a forest when made: a
+    relabelling with a pair written j > i, and a rewiring or an extra edge
+    that repeats an edge or closes a cycle, are refused by the constructor,
+    which is checked here, and only the ordered forest is yielded."""
     nodes, edges, d = list(t.nodes), list(t.edges), t.node_count
     yield t
     yield max_weight_clique_tree(nodes)
     perm = list(range(d))
     rng.shuffle(perm)
-    yield CliqueTree(
-        tuple(nodes[perm.index(i)] for i in range(d)),
-        tuple(sorted((perm[i], perm[j])[:: rng.choice((1, -1))] for i, j in edges)),
-    )
+    pairs = [(perm[i], perm[j])[:: rng.choice((1, -1))] for i, j in edges]
+    relabelled = tuple(nodes[perm.index(i)] for i in range(d))
+    if any(i > j for i, j in pairs):
+        with pytest.raises(ValueError, match="not in order"):
+            CliqueTree(relabelled, tuple(sorted(pairs)))
+    yield CliqueTree(relabelled, tuple(sorted(tuple(sorted(e)) for e in pairs)))
     k = rng.randrange(d)
     yield CliqueTree(tuple(nodes + [nodes[k]]), tuple(edges + [(k, d)]))
     yield CliqueTree(tuple(nodes + [nodes[k]]), tuple(edges))
@@ -310,12 +329,14 @@ def _clique_tree_variants(t, n, rng):
         if rewired:
             rewired.pop(rng.randrange(len(rewired)))
         i, j = rng.sample(range(d), 2)
-        yield CliqueTree(tuple(nodes), tuple(rewired + [(min(i, j), max(i, j))]))
-    i, j = rng.sample(range(d), 2)  # an extra edge closes a cycle
-    yield CliqueTree(tuple(nodes), tuple(edges + [(min(i, j), max(i, j))]))
+        yield from _forest_or_refused(
+            tuple(nodes), tuple(rewired + [(min(i, j), max(i, j))]))
+    i, j = rng.sample(range(d), 2)  # an extra edge: a cycle, unless a join
+    yield from _forest_or_refused(
+        tuple(nodes), tuple(edges + [(min(i, j), max(i, j))]))
     if edges:
         yield CliqueTree(tuple(nodes), tuple(edges[1:]))
-        yield CliqueTree(tuple(nodes), tuple(edges + [edges[0]]))
+        assert not list(_forest_or_refused(tuple(nodes), tuple(edges + [edges[0]])))
     for _ in range(3):  # a random forest over the nodes
         parent = list(range(d))
         forest = []
@@ -348,6 +369,32 @@ def test_verify_clique_tree_matches_pairwise_reference():
             assert verify_clique_tree(g, tree) is expected, (seed, tree)
             verdicts[expected] += 1
     assert verdicts[True] >= 300 and verdicts[False] >= 600
+
+
+def test_built_trees_equal_the_checked_record():
+    # the sweep's tree, the rebuild's and the joined forest skip the shape
+    # check when made; each equals the public record made from its fields,
+    # which runs it, so no non-forest reaches the unchecked path unseen
+    graphs = [gen_random_chordal(n, density, seed) for n in range(8, 61)
+              for density in (0.2, 0.35, 0.5) for seed in range(5)]
+    graphs += [gen_copath(k).graph.complement() for k in range(2, 41)]
+    rng = random.Random(46)
+    for seed in range(60):  # disjoint unions of two to four pieces
+        edges, n = [], 0
+        for k in range(2 + seed % 3):
+            part = gen_random_chordal(rng.randrange(1, 20), rng.random(), seed + k)
+            edges += [(n + u, n + v) for u, v in part.edges()]
+            n += part.n
+        graphs.append(Graph(n, edges))
+    joined = 0
+    for g in graphs:
+        base = clique_tree(g)
+        for tree in (base, max_weight_clique_tree(base.nodes)):
+            work = join_clique_forest(tree)
+            joined += work is not tree
+            for built in (tree, work):
+                assert CliqueTree(built.nodes, built.edges) == built, g
+    assert len(graphs) == 894 and joined >= 100
 
 
 def test_counting_identity_mids_plus_n_equals_clique_sizes():

@@ -895,6 +895,29 @@ def test_construction_builds_no_ranking_tree(monkeypatch):
     assert calls[0] == 0
 
 
+def test_cover_runs_no_shape_check(monkeypatch):
+    # the sweep's tree, the rebuilt one and the joined forest are forests by
+    # construction and are made unchecked: a cover never runs the record's
+    # forest check, on the kept, the rebuilt or the joined path
+    calls = [0]
+    original = bccover.chordal.check_forest
+
+    def counted(n, edges):
+        calls[0] += 1
+        original(n, edges)
+
+    monkeypatch.setattr(bccover.chordal, "check_forest", counted)
+    split = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6), (7, 8)]
+    for g in (gen_copath(40).graph, gen_cowindmill(6, 3).graph,
+              Graph(9, split).complement(),
+              gen_random_chordal(40, 0.3, 1).complement()):
+        cover, meta = cover_cochordal(g)
+        assert meta.verified
+    assert calls[0] == 0
+    CliqueTree(meta.tree.nodes, meta.tree.edges)  # the public record checks
+    assert calls[0] == 1
+
+
 def test_verify_cover_examples():
     g = gen_fig_graph("fig3").graph
     cover = [B([0, 1], [4, 5]), B([0], [3]), B([2], [5])]

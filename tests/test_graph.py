@@ -43,10 +43,15 @@ def graphs(draw, max_n=8):
 
 
 def test_construction_rejects_bad_edges():
-    with pytest.raises(ValueError):
+    # the one edge check, with the tree records' message; an iterator of
+    # edges is read once
+    with pytest.raises(ValueError, match=r"^invalid edge \(0, 3\)$"):
         Graph(3, [(0, 3)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^invalid edge \(1, 1\)$"):
         Graph(3, [(1, 1)])
+    with pytest.raises(ValueError, match=r"^invalid edge \(-1, 2\)$"):
+        Graph(3, iter([(0, 1), (-1, 2)]))
+    assert Graph(3, iter([(0, 1), (2, 1)])) == Graph(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
         Graph(-1)
 

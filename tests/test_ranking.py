@@ -27,7 +27,7 @@ from bccover import (
     verify_partition,
 )
 from bccover.chordal import clique_membership_counts, complement_clique_tree
-from bccover.graph import Graph, cycle_graph
+from bccover.graph import Graph
 from bccover.gen import caterpillar_tree, gen_two_membership_cochordal, random_tree
 from bccover.ranking import (
     _combine_two, _lowest_rank, combine_children, ranked_joins, tree_to_text,
@@ -59,12 +59,12 @@ def trees(draw, min_n=2, max_n=9):
 
 
 def test_tree_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs 2 edges"):
         Tree(3, [(0, 1)])  # too few edges
-    with pytest.raises(ValueError):
-        Tree(4, [(0, 1), (1, 2), (0, 2)])  # cycle
-    with pytest.raises(ValueError):
-        Tree(4, [(0, 1), (0, 1), (2, 3)])  # duplicate
+    with pytest.raises(ValueError, match=r"edge \(1, 2\) closes a cycle"):
+        Tree(4, [(0, 1), (1, 2), (0, 2)])  # sorted: (1, 2) comes last
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) closes a cycle"):
+        Tree(4, [(0, 1), (0, 1), (2, 3)])  # a repeated edge
     assert Tree(1, []).edges == ()
 
 
@@ -75,37 +75,39 @@ def test_optimal_ranking_rejects_what_is_not_one_tree():
     split = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6), (7, 8)]
     forest = clique_tree(Graph(9, split))  # five cliques, two tree edges
     nodes = (1, 2, 4, 8)
-    for bad in (((3, 6, 12), ((0, 5),)), (nodes, ((0, 1), (1, 2), (2, 4))),
-                (nodes, ((-1, 0), (0, 1), (1, 2))),
-                (nodes, ((0, 1), (1, 2), (2, 2)))):
-        with pytest.raises(ValueError, match="invalid edge"):
-            CliqueTree(*bad)  # an edge end out of range or a loop
-    # (tree, a graph to check it against, whether it is a forest, whether
-    # it is a clique forest of that graph, what the rankings say, what the
-    # leaf walk says)
+    # refused when made: a record is a forest on its nodes, so no function
+    # below meets an edge end out of range, a loop, a pair written j > i,
+    # a repeated edge or a cycle
+    for bad, message in [
+        (((3, 6, 12), ((0, 5),)), "invalid edge"),
+        ((nodes, ((0, 1), (1, 2), (2, 4))), "invalid edge"),
+        ((nodes, ((-1, 0), (0, 1), (1, 2))), "invalid edge"),
+        ((nodes, ((0, 1), (1, 2), (2, 2))), "invalid edge"),
+        (((3, 6, 12), ((1, 0), (2, 1))), "not in order"),
+        ((nodes, ((0, 1), (1, 0))), "not in order"),
+        ((nodes, ((0, 1), (1, 2), (2, 3), (0, 3))), "closes a cycle"),
+        (((3, 6, 12, 9), ((0, 1), (1, 2), (2, 3), (0, 3))), "closes a cycle"),
+        ((nodes, ((0, 1), (0, 1), (2, 3))), "closes a cycle"),
+        ((nodes, ((0, 1), (1, 2), (0, 2))), "closes a cycle"),
+        ((nodes, ((1, 2), (2, 3), (1, 3))), "closes a cycle"),
+        ((nodes, ((0, 1), (0, 1))), "closes a cycle"),
+        (((3, 6, 5), ((0, 1), (1, 2), (0, 2))), "closes a cycle"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            CliqueTree(*bad)
+        if message != "not in order":  # a Tree takes a pair either way round
+            with pytest.raises(ValueError, match=message):
+                Tree(len(bad[0]), bad[1])
+    # (forest, a graph to check it against, whether it is a clique forest
+    # of that graph, what the rankings say, what the leaf walk says)
     cases = [
-        (forest, Graph(9, split), True, True, "needs 4 edges", "not connected"),
-        (CliqueTree((), ()), Graph(0), True, True, "at least one vertex", None),
-        (CliqueTree((1, 2), ()), Graph(2), True, True,
-         "needs 1 edges", "not connected"),
-        (CliqueTree(nodes, ((0, 1), (1, 2))), Graph(4), True, False,
-         "needs 3 edges", "not connected"),
-        (CliqueTree(nodes, ((0, 1), (1, 2), (2, 3), (0, 3))), Graph(4), False,
-         False, "needs 3 edges", "needs 3 edges"),
-        (CliqueTree((3, 6, 12, 9), ((0, 1), (1, 2), (2, 3), (0, 3))),
-         cycle_graph(4), False, False, "needs 3 edges", "needs 3 edges"),
-        (CliqueTree(nodes, ((0, 1), (0, 1), (2, 3))), Graph(4), False, False,
+        (forest, Graph(9, split), True, "not connected", "not connected"),
+        (CliqueTree((), ()), Graph(0), True, "at least one vertex", None),
+        (CliqueTree((1, 2), ()), Graph(2), True, "not connected", "not connected"),
+        (CliqueTree(nodes, ((0, 1), (1, 2))), Graph(4), False,
          "not connected", "not connected"),
-        (CliqueTree(nodes, ((0, 1), (1, 2), (0, 2))), Graph(4), False, False,
-         "not connected", "not connected"),
-        (CliqueTree(nodes, ((1, 2), (2, 3), (1, 3))), Graph(4), False, False,
-         "not connected", "not connected"),
-        (CliqueTree(nodes, ((0, 1), (0, 1))), Graph(4), False, False,
-         "needs 3 edges", "not connected"),
-        (CliqueTree((3, 6, 5), ((0, 1), (1, 2), (0, 2))), cycle_graph(3), False,
-         False, "needs 2 edges", "needs 2 edges"),
     ]
-    for tree, g, is_forest, valid, message, walk in cases:
+    for tree, g, valid, message, walk in cases:
         d, edges = tree.node_count, tree.edges
         for rank in (optimal_edge_ranking, heuristic_edge_ranking):
             with pytest.raises(ValueError, match=message):
@@ -118,25 +120,14 @@ def test_optimal_ranking_rejects_what_is_not_one_tree():
             for walker in (bfs_leaf_order, lambda t: find_biclique_levels(t, ranking)):
                 with pytest.raises(ValueError, match=walk):
                     walker(tree)
-        if is_forest:
-            assert is_valid_edge_ranking(tree, ranking)
+        assert is_valid_edge_ranking(tree, ranking)
+        joined = join_clique_forest(tree)
+        if len(edges) >= d - 1:
+            assert joined is tree
         else:
-            with pytest.raises(ValueError, match="closes a cycle"):
-                is_valid_edge_ranking(tree, ranking)
-        if is_forest:
-            joined = join_clique_forest(tree)
-            if len(edges) >= d - 1:
-                assert joined is tree
-            else:
-                assert optimal_edge_ranking(joined)[1] >= ceil_log2(d)
-            assert verify_clique_tree(g, joined) is (valid and joined is tree)
-            assert verify_partition(g.complement(), find_partition(tree))
-        else:
-            # the join refuses the record itself, so no message names a
-            # joined record that the caller never made
-            for join in (join_clique_forest, find_partition):
-                with pytest.raises(ValueError, match="closes a cycle"):
-                    join(tree)
+            assert optimal_edge_ranking(joined)[1] >= ceil_log2(d)
+        assert verify_clique_tree(g, joined) is (valid and joined is tree)
+        assert verify_partition(g.complement(), find_partition(tree))
         assert verify_clique_tree(g, tree) is valid
         text = clique_tree_to_text(tree)
         assert (text.count("K"), text.count("T:")) == (d, len(edges))

@@ -6,13 +6,14 @@ edge of strictly larger rank.  :func:`optimal_edge_ranking` finds the
 minimum r exactly, at any size, in one bottom-up pass over the tree rooted
 at 0.  Each vertex keeps ``vis``, an int whose bit k says that an edge
 below it has rank k with no larger rank in between.  A vertex combines its
-children's ``vis`` into the smallest ``vis`` it can have, level by level
-from the top; children with equal ``vis`` are handled together and runs of
-free levels in bulk, so the work at a vertex grows with its number of
-distinct child lists and visible levels rather than with its degree.  A
-vertex with one child takes the lowest rank free in that child's ``vis``
-(:func:`_lowest_rank`, which :func:`combine_children` also ends on) with no
-child list built, and a leaf is skipped; on a path, every vertex is one or
+children's ``vis`` into the smallest ``vis`` it can have, in one walk down
+the levels from the top: at most its visible levels plus its degree.  At
+each free level one greedy check (:func:`_fits`) hands children with equal
+``vis`` out together and runs of free levels in bulk, so a step grows with
+the number of distinct child lists and visible levels.  A vertex with one
+child takes the lowest rank free in that child's ``vis``
+(:func:`_lowest_rank`, which :func:`combine_children` also ends on) with
+no child list built, and a leaf is skipped; on a path, every vertex is one or
 the other.  A vertex with two children decides each level in closed form
 (:func:`_combine_two`), with the ranks and union that
 :func:`combine_children` gives; that one runs only at three or more.
@@ -65,9 +66,9 @@ class Tree(FrozenRecord):
         norm = sorted((min(u, v), max(u, v)) for u, v in edges)
         if n < 1:
             raise ValueError("a tree needs at least one vertex")
-        check_forest(n, norm)
-        if len(norm) != n - 1:  # a forest with n - 1 edges is connected
+        if len(norm) < n - 1:  # before the forest check sizes anything by n
             raise ValueError("a tree on %d vertices needs %d edges" % (n, n - 1))
+        check_forest(n, norm)  # more edges close a cycle; n - 1 connect
         setfield(self, "n", n)
         setfield(self, "edges", tuple(norm))
         setfield(self, "_adj", tuple(map(tuple, neighbor_lists(n, norm))))
@@ -169,19 +170,18 @@ def is_valid_edge_ranking(tree, ranking):
 
 def _fits(pending, level):
     """True when the children in ``pending`` ({vis: count}) can all take a
-    rank at or below ``level``.
+    rank at or below ``level``; :func:`combine_children` asks it at each
+    free level of its walk, for the level under it.
 
-    Greedy from ``level`` down: a level that two pending children hold is a
-    clash, a level that one holds stays that child's, and a level that none
-    holds goes to the child whose ``vis`` below it is the largest.  A run
-    of levels that no pending child holds leaves every ``vis`` below it
-    unchanged, so the whole run is handed out at once.
+    The walk's greedy, from ``level`` down and for any number of children:
+    a level that two pending children hold is a clash, a level that one
+    holds stays that child's, and a level that none holds goes to the child
+    whose ``vis`` below it is the largest.  A run of levels that no pending
+    child holds leaves every ``vis`` below it unchanged, so the whole run
+    is handed out at once.
     """
     left = dict(pending)
     while left:
-        if len(left) == 1 and sum(left.values()) == 1:
-            (vis,) = left
-            return bool(~vis & ((2 << level) - 2))
         held = 0
         for vis in left:
             held |= vis
@@ -226,13 +226,12 @@ def combine_children(lists):
     The B_i must be pairwise disjoint, and their union U is made as small
     an integer as possible.  Returns ``([x_i], U)``.
 
-    Levels are decided from the top down.  A level that a pending child
-    holds is in U.  A level that none holds is left out when the pending
-    children still fit below it (:func:`_fits`); otherwise the pending
-    child whose ``vis`` below it is the largest takes it.  Children with
-    equal ``vis`` are handled as one group, and whether the pending children
-    fit at or below a level only grows with the level, so the next level to
-    take is found by galloping down and then bisecting.
+    Levels are decided in one walk from the top down that never goes back
+    up.  A level that a pending child holds is in U.  A level that none
+    holds is left out when the pending children still fit below it
+    (:func:`_fits`); otherwise the pending child whose ``vis`` below it is
+    the largest takes it.  Children with equal ``vis`` are handled as one
+    group.  The last child takes its lowest free rank.
     """
     by_vis = {}
     for i, vis in enumerate(lists):
@@ -242,33 +241,23 @@ def combine_children(lists):
     union = 0
     level = max(max(lists).bit_length(), 1) + len(lists) - 1
     for _ in range(len(lists) - 1):
+        held = 0
+        for vis in pending:
+            held |= vis
         while True:
-            held = 0
-            for vis in pending:
-                held |= vis
-            h = (held & ((2 << level) - 1)).bit_length() - 1
-            if h == level:
+            if held >> level & 1:
                 union |= 1 << level
-                level -= 1
-                continue
-            lo, hi, step = max(h, 0), level, 1
-            while lo < hi:
-                probe = max(hi - step, lo) if step else (lo + hi) // 2
-                if _fits(pending, probe):
-                    hi, step = probe, step + step
-                else:
-                    lo, step = probe + 1, 0
-            if lo > h:
+            elif not _fits(pending, level - 1):
                 break
-            level = h  # the children fit under the whole free run
-        below = (1 << lo) - 1
+            level -= 1
+        below = (1 << level) - 1
         vis = max(pending, key=lambda vis: vis & below)
-        ranks[by_vis[vis].pop()] = lo
+        ranks[by_vis[vis].pop()] = level
         pending[vis] -= 1
         if not pending[vis]:
             del pending[vis]
-        union |= 1 << lo
-        level = lo - 1
+        union |= 1 << level
+        level -= 1
     (vis,) = pending
     x, seen = _lowest_rank(vis, level)
     ranks[by_vis[vis][0]] = x
